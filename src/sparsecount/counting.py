@@ -20,7 +20,8 @@ from . import fastdp
 from .fraternal import (DEFAULT_FRAT_CAP, FraternalExtension,
                         enumerate_pattern_extensions, optimal_extension)
 from .graph_core import DirWLGraph, UndirectedGraph, bfs_out_tree
-from .hub_decomp import HubTree, find_width1_decomposition, reach
+from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
+                         reach)
 from .pattern_tools import (automorphism_count, connected_components, licl,
                             min_extension_depth, spasm)
 from .product import label_pattern, pattern_product
@@ -131,23 +132,6 @@ def enumerate_root_homs(pattern: DirWLGraph, s: int,
 
     rec(0)
     return results
-
-
-def _down_bags(tree: HubTree, bag: int) -> list[int]:
-    out = [bag]
-    head = 0
-    while head < len(out):
-        out.extend(tree.children(out[head]))
-        head += 1
-    return out
-
-
-def down_reach(pattern: DirWLGraph, tree: HubTree, bag: int) -> frozenset:
-    """Union of Reach over every bag in the subtree rooted at bag."""
-    verts: frozenset = frozenset()
-    for b in _down_bags(tree, bag):
-        verts |= reach(pattern, tree.bags[b])
-    return verts
 
 
 def bressan_count(pattern: DirWLGraph, tree: HubTree, bag: int,

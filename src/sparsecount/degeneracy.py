@@ -5,9 +5,7 @@ lowest id) and records the order; kappa is the largest residual degree
 seen. Orienting every edge from the earlier-peeled endpoint to the later
 one yields an acyclic orientation with max outdegree <= kappa.
 
-The kernel is written in numba-compatible Python; when numba is
-importable it is JIT-compiled, otherwise the same function runs as plain
-Python (slow but identical, which the tests exploit as an oracle).
+The peel is a plain-Python binary heap over packed (degree, id) keys.
 """
 
 from __future__ import annotations
@@ -89,16 +87,6 @@ def _peel_kernel(n, indptr, nbrs):
     return order, kappa
 
 
-peel_kernel_python = _peel_kernel
-
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit
-
-    _peel_jit = njit(cache=True)(_peel_kernel)
-except ImportError:  # pragma: no cover
-    _peel_jit = _peel_kernel
-
-
 @dataclass(frozen=True)
 class DegeneracyOrder:
     """Peel order (first-removed first) and the degeneracy value."""
@@ -128,16 +116,13 @@ def _csr_of(edges) -> tuple[int, np.ndarray, np.ndarray]:
     return n, indptr, nbrs[order]
 
 
-def degeneracy_order(g, use_jit: bool = True) -> DegeneracyOrder:
+def degeneracy_order(g) -> DegeneracyOrder:
     """Peel g (an UndirectedGraph or EdgeSet) to a DegeneracyOrder."""
-    n, indptr, nbrs = _csr_of(g)
-    kern = _peel_jit if use_jit else peel_kernel_python
-    order, kappa = kern(n, np.ascontiguousarray(indptr),
-                        np.ascontiguousarray(nbrs))
+    order, kappa = _peel_kernel(*_csr_of(g))
     return DegeneracyOrder(order, int(kappa))
 
 
-def degeneracy_orient(edges, weight: int = 1, use_jit: bool = True) -> ArcLayer:
+def degeneracy_orient(edges, weight: int = 1) -> ArcLayer:
     """Orient each edge from its earlier-peeled endpoint to the later one.
 
     Accepts a bare EdgeSet because extension layers are oriented on their
@@ -153,7 +138,7 @@ def degeneracy_orient(edges, weight: int = 1, use_jit: bool = True) -> ArcLayer:
         pairs = edges.edge_array
     if pairs.shape[0] == 0:
         return ArcLayer(np.empty((0, 2), dtype=np.int64), weight)
-    pos = degeneracy_order(edges, use_jit=use_jit).positions()
+    pos = degeneracy_order(edges).positions()
     return orient_by_rank(pairs, pos, weight)
 
 

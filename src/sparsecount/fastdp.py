@@ -4,10 +4,11 @@ Semantically identical to the dict-based generalized tree DP in
 ``counting``; rows of numpy arrays stand in for partial homomorphisms.
 Per bag, the root fiber is expanded chunk by chunk along the BFS
 spanning out-tree (CSR buckets keyed by (source, target label) with
-weight-prefix counts), non-tree arcs are membership-filtered against
-per-(label, label) sorted arc-code tables, child aggregates are joined
-on packed restriction keys, and columns stop being carried as soon as
-nothing downstream reads them.
+weight-prefix counts). Non-tree arcs are checked by scanning the same
+buckets (``_HostIndex.has_arcs``), at most Delta+ gathers per row.
+Child aggregates are joined on packed restriction keys, and columns
+stop being carried as soon as nothing downstream reads them. Everything
+is plain numpy.
 
 Values are int64 with conservative pre-operation overflow guards; an
 ``Int64OverflowRisk`` tells the caller to redo the extension on the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import DirWLGraph, bfs_out_tree
-from .hub_decomp import HubTree, reach
+from .hub_decomp import HubTree, down_reach, reach
 
 CHUNK_ROOTS = 1 << 16
 _I64_LIMIT = 2 ** 63 - 1
@@ -29,58 +30,6 @@ _I64_LIMIT = 2 ** 63 - 1
 
 class Int64OverflowRisk(RuntimeError):
     """A DP value could exceed int64; redo on the exact path."""
-
-
-# odd 64-bit multiplier (golden-ratio mix) in wrapped int64 form
-_HASH_K = np.int64(0x9E3779B97F4A7C15 - (1 << 64))
-
-
-def _hash_insert_kernel(codes, table, mask):
-    for i in range(codes.shape[0]):
-        c = codes[i]
-        h = (c * _HASH_K) & mask
-        while table[h] != -1:
-            h = (h + 1) & mask
-        table[h] = c
-
-
-def _tail_probe_kernel(pcol, ocol, v_is_src, n, k, lab, wrow, bucket_start,
-                       targets, htable, hmask):
-    """Per row: number of expansion candidates that satisfy the closing
-    arc, counted in place instead of materializing the last column."""
-    rows = pcol.shape[0]
-    out = np.empty(rows, dtype=np.int64)
-    for r in range(rows):
-        b = np.int64(pcol[r]) * k + lab
-        start = bucket_start[b]
-        o = np.int64(ocol[r])
-        hits = 0
-        for idx in range(start, start + wrow[b]):
-            cand = np.int64(targets[idx])
-            code = cand * n + o if v_is_src else o * n + cand
-            h = (code * _HASH_K) & hmask
-            while True:
-                val = htable[h]
-                if val == code:
-                    hits += 1
-                    break
-                if val == -1:
-                    break
-                h = (h + 1) & hmask
-        out[r] = hits
-    return out
-
-
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit
-
-    _hash_insert = njit(cache=True)(_hash_insert_kernel)
-    _tail_probe = njit(cache=True)(_tail_probe_kernel)
-    _HAVE_KERNEL = True
-except ImportError:  # pragma: no cover
-    _hash_insert = _hash_insert_kernel
-    _tail_probe = _tail_probe_kernel
-    _HAVE_KERNEL = False
 
 
 def _guard_mul(a: int, b: int):
@@ -94,7 +43,11 @@ def _guard_sum(maxval: int, count: int):
 
 
 class _HostIndex:
-    """CSR over (source, target-label) buckets plus arc-code tables."""
+    """CSR over (source, target-label) buckets with weight-prefix counts.
+
+    Each bucket lists its arcs sorted by (weight, target), so the arcs of
+    weight <= w are its first ``cnt_upto[w - 1, bucket]`` entries.
+    """
 
     # (vertices x labels) bucket grid; beyond this the exact path is used
     MAX_BUCKETS = 64_000_000
@@ -119,45 +72,38 @@ class _HostIndex:
         for w in range(1, self.tmax + 1):
             self.cnt_upto[w - 1] = np.bincount(bsorted[wsorted <= w],
                                                minlength=nb)
-        # membership tables for non-tree arc checks, partitioned by the
-        # endpoint labels so each binary search hits a small array
-        self.arc_tables: dict[tuple[int, int, int], np.ndarray] = {}
-        if g.arc_count:
-            lab2 = labels[g.src] * self.k + labels[g.dst]
-            codes = g.src * self.n + g.dst
-            part = np.lexsort((codes, lab2))
-            lab2s, codess, wgts = lab2[part], codes[part], g.wgt[part]
-            cuts = np.nonzero(lab2s[1:] != lab2s[:-1])[0] + 1
-            for grp_lab, grp_codes, grp_w in zip(
-                    np.split(lab2s, cuts), np.split(codess, cuts),
-                    np.split(wgts, cuts)):
-                la, lb = divmod(int(grp_lab[0]), self.k)
-                for w in range(1, self.tmax + 1):
-                    sel = grp_codes[grp_w <= w]
-                    if sel.size:
-                        self.arc_tables[(la, lb, w)] = sel  # code-sorted
         self.fibers = {lab: arr.astype(np.int32)
                        for lab, arr in g.fibers().items()}
-        self.arc_hashes: dict[tuple[int, int, int], tuple] = {}
 
-    def arc_hash(self, key):
-        """Lazily built open-addressing set over one arc-code table."""
-        entry = self.arc_hashes.get(key)
-        if entry is None:
-            codes = self.arc_tables.get(key)
-            if codes is None:
-                return None
-            size = 1 << max(3, int(2 * codes.size - 1).bit_length())
-            table = np.full(size, -1, dtype=np.int64)
-            _hash_insert(codes, table, np.int64(size - 1))
-            entry = (table, np.int64(size - 1))
-            self.arc_hashes[key] = entry
-        return entry
+    def bucket_counts(self, verts: np.ndarray, wmax: int, lab: int):
+        """Per vertex: its ``lab`` bucket and that bucket's number of arcs
+        of weight <= wmax."""
+        bucket = verts.astype(np.int64) * self.k + lab
+        return bucket, self.cnt_upto[min(wmax, self.tmax) - 1, bucket]
+
+    def has_arcs(self, a: np.ndarray, b: np.ndarray, wmax: int,
+                 lab_b: int) -> np.ndarray:
+        """Per row: is there a host arc a -> b of weight <= wmax?
+
+        ``lab_b`` is the label of every b. Scans a's bucket one position
+        at a time, so a row costs at most Delta+ gathers. Past a row's
+        count a position holds some other arc (or, clipped, the last
+        one) and is masked out.
+        """
+        bucket, cnt = self.bucket_counts(a, wmax, lab_b)
+        start = self.bucket_start[bucket]
+        found = np.zeros(a.shape[0], dtype=bool)
+        for j in range(int(cnt.max(initial=0))):
+            found |= (cnt > j) & (self.targets.take(start + j, mode="clip")
+                                  == b)
+        return found
 
 
 def _host_index(g: DirWLGraph) -> _HostIndex:
-    if g._dp_index is None:
-        g._dp_index = _HostIndex(g)
+    # per-extension DPs may run in threads; build the index only once
+    with g._reach_lock:
+        if g._dp_index is None:
+            g._dp_index = _HostIndex(g)
     return g._dp_index
 
 
@@ -165,7 +111,7 @@ def _host_index(g: DirWLGraph) -> _HostIndex:
 class _Slot:
     """Everything to run after a fixed number of vertices are assigned."""
 
-    checks: tuple          # (a, b, wmax, label_a, label_b)
+    checks: tuple          # (a, b, wmax, label_b)
     lookups: tuple         # indices into the plan's lookup children
     drops_pre: tuple       # columns dead before the lookups run
     drops_post: tuple      # columns last read by this slot's lookups
@@ -182,20 +128,9 @@ class _BagPlan:
     lookup_children: tuple[int, ...]
     child_domains: tuple[tuple[int, ...], ...]
     scalar_children: tuple[int, ...]
-    # fused last step: (parent, wmax, label, check or None) where the
-    # check is (v_is_src, other_column, w, label_a, label_b); the final
-    # vertex is counted per row, never materialized
+    # fused last step (parent, wmax, label): the final vertex is counted
+    # per row, never materialized
     tail: tuple | None = None
-
-
-def _down_reach(pattern: DirWLGraph, tree: HubTree, bag: int) -> frozenset:
-    verts: frozenset = frozenset()
-    stack = [bag]
-    while stack:
-        b = stack.pop()
-        verts |= reach(pattern, tree.bags[b])
-        stack.extend(tree.children(b))
-    return verts
 
 
 def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
@@ -214,13 +149,13 @@ def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
         a, b, w = int(a), int(b), int(w)
         if a in rset and b in rset and parent.get(b) != a:
             checks_at[max(pos[a], pos[b]) + 1].append(
-                (a, b, w, int(labels[a]), int(labels[b])))
+                (a, b, w, int(labels[b])))
     reach_b = reach(pattern, hub)
     lookup_children: list[int] = []
     child_domains: list[tuple[int, ...]] = []
     scalar_children: list[int] = []
     for ch in tree.children(bag):
-        dom = tuple(sorted(reach_b & _down_reach(pattern, tree, ch)))
+        dom = tuple(sorted(reach_b & down_reach(pattern, tree, ch)))
         if not dom:
             scalar_children.append(ch)
             continue
@@ -242,26 +177,15 @@ def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
     if out_cols:
         for x in out_cols:
             last[x] = nverts + 1
-    # fuse the last step into a per-row candidate count when the final
-    # vertex is dropped immediately and at most one (kernel-backed) check
-    # closes on it
+    # fuse the last step into a per-row candidate count when nothing
+    # reads the final vertex: no check, lookup or output column
     tail = None
     if steps:
         v, p, wmax, lab = steps[-1]
-        final_checks = checks_at[nverts]
-        fusable = (not lookups_at[nverts]
-                   and v not in (out_cols or ())
-                   and (not final_checks
-                        or (len(final_checks) == 1 and _HAVE_KERNEL)))
-        if fusable:
-            if final_checks:
-                a, b, w, la, lb = final_checks[0]
-                chk = (a == v, b if a == v else a, w, la, lb)
-            else:
-                chk = None
-            tail = (p, wmax, lab, chk)
+        if (not checks_at[nverts] and not lookups_at[nverts]
+                and v not in (out_cols or ())):
+            tail = (p, wmax, lab)
             steps = steps[:-1]
-            checks_at[nverts] = []
     slots = []
     for t_at in range(nverts + 1):
         dying = sorted(v for v in order if last[v] == t_at)
@@ -407,9 +331,9 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
         if dead or state.nrows == 0:
             continue
         if plan.tail is not None:
-            counts = _tail_counts(hidx, plan.tail, state)
-            if counts is None:
-                continue
+            p, wmax, lab = plan.tail
+            counts = hidx.bucket_counts(state.cols[p], wmax,
+                                        lab)[1].astype(np.int64)
             if state.vals is None:
                 state.vals = counts
             else:
@@ -448,29 +372,9 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     return table
 
 
-def _tail_counts(hidx: _HostIndex, tail, state: _ChunkState):
-    """Per-row candidate counts for the fused final vertex (None = dead)."""
-    p, wmax, lab, chk = tail
-    pcol = state.cols[p]
-    wrow = hidx.cnt_upto[min(wmax, hidx.tmax) - 1]
-    if chk is None:
-        bucket = pcol.astype(np.int64) * hidx.k + lab
-        return wrow[bucket].astype(np.int64)
-    v_is_src, other, w2, la, lb = chk
-    entry = hidx.arc_hash((la, lb, min(w2, hidx.tmax)))
-    if entry is None:
-        return None
-    htable, hmask = entry
-    return _tail_probe(pcol, state.cols[other], v_is_src,
-                       np.int64(hidx.n), np.int64(hidx.k), np.int64(lab),
-                       wrow, hidx.bucket_start, hidx.targets, htable, hmask)
-
-
 def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
             wmax: int, lab: int) -> bool:
-    pcol = state.cols[p]
-    bucket = pcol.astype(np.int64) * hidx.k + lab
-    cnt = hidx.cnt_upto[min(wmax, hidx.tmax) - 1, bucket]
+    bucket, cnt = hidx.bucket_counts(state.cols[p], wmax, lab)
     offs = np.cumsum(cnt, dtype=np.int64)
     ntotal = int(offs[-1]) if cnt.size else 0
     if ntotal == 0:
@@ -493,16 +397,8 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     slot = plan.slots[t_at]
     if slot.checks and state.nrows:
         mask = None
-        for a, b, w, la, lb in slot.checks:
-            arr = hidx.arc_tables.get((la, lb, min(w, hidx.tmax)))
-            codes = (state.cols[a].astype(np.int64) * hidx.n
-                     + state.cols[b].astype(np.int64))
-            if arr is None:
-                ok = np.zeros(codes.shape[0], dtype=bool)
-            else:
-                pos = np.searchsorted(arr, codes)
-                posc = np.minimum(pos, arr.size - 1)
-                ok = arr[posc] == codes
+        for a, b, w, lb in slot.checks:
+            ok = hidx.has_arcs(state.cols[a], state.cols[b], w, lb)
             mask = ok if mask is None else (mask & ok)
         for v in slot.drops_pre:
             state.cols.pop(v, None)
@@ -562,7 +458,7 @@ def extension_count(pattern: DirWLGraph, tree: HubTree,
         else:
             parent_hub = tree.bags[tree.parent[bag]]
             dom = tuple(sorted(reach(pattern, parent_hub)
-                               & _down_reach(pattern, tree, bag)))
+                               & down_reach(pattern, tree, bag)))
             out_cols = dom  # empty means a scalar result
         plans[bag] = _build_plan(pattern, tree, bag, out_cols)
         order.extend(tree.children(bag))

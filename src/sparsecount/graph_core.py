@@ -162,8 +162,7 @@ class DirWLGraph:
     (the trivial label); product hosts carry pattern-vertex labels.
     """
 
-    __slots__ = ("n", "src", "dst", "wgt", "labels",
-                 "_out_indptr", "_out_order", "_in_indptr", "_in_order",
+    __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
                  "_reach_cache", "_reach_lock", "_fibers", "_dp_index",
                  "origin")
 
@@ -215,9 +214,6 @@ class DirWLGraph:
             if self.labels.shape != (n,):
                 raise GraphFormatError("label array has wrong length")
         self._out_indptr = None
-        self._out_order = None
-        self._in_indptr = None
-        self._in_order = None
         self._reach_cache = {}
         self._reach_lock = threading.Lock()
         self._fibers = None
@@ -251,25 +247,11 @@ class DirWLGraph:
             np.cumsum(indptr, out=indptr)
             self._out_indptr = indptr  # arcs already sorted by (src, dst)
 
-    def _build_in(self):
-        if self._in_indptr is None:
-            order = np.lexsort((self.src, self.dst))
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(indptr, self.dst + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            self._in_indptr, self._in_order = indptr, order
-
     def out_arcs(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(targets, weights) of arcs leaving v, ascending by target id."""
         self._build_out()
         lo, hi = self._out_indptr[v], self._out_indptr[v + 1]
         return self.dst[lo:hi], self.wgt[lo:hi]
-
-    def in_arcs(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        self._build_in()
-        lo, hi = self._in_indptr[v], self._in_indptr[v + 1]
-        idx = self._in_order[lo:hi]
-        return self.src[idx], self.wgt[idx]
 
     def out_degrees(self) -> np.ndarray:
         self._build_out()

@@ -16,9 +16,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .counting import (NoWidth1Decomposition, brute_force_hom,
-                       count_hom_extension, count_homomorphisms,
-                       count_subgraphs, resolve_threads)
+from .counting import (NoWidth1Decomposition, _induced_pattern,
+                       brute_force_hom, count_hom_extension,
+                       count_homomorphisms, count_subgraphs, resolve_threads)
 from .degeneracy import degeneracy_order
 from .fraternal import enumerate_pattern_extensions, optimal_extension
 from .graph_core import (GraphFormatError, UndirectedGraph, load_edge_list,
@@ -131,14 +131,6 @@ class RunReport:
         return json.dumps(payload)
 
 
-def _induced(h: UndirectedGraph, comp) -> UndirectedGraph:
-    verts = sorted(comp)
-    remap = {v: i for i, v in enumerate(verts)}
-    return UndirectedGraph(len(verts),
-                           [(remap[u], remap[v]) for u, v in h.edge_list()
-                            if u in remap and v in remap])
-
-
 def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
                   t: int | None = None, threads: int | None = None,
                   exact_fallback: bool = False) -> RunReport:
@@ -152,7 +144,7 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
     fallback = False
     try:
         for comp in connected_components(h):
-            hc = _induced(h, comp)
+            hc = _induced_pattern(h, comp)
             comp_t = (t if t is not None
                       else min_extension_depth(licl(hc)))
             hl = label_pattern(hc)

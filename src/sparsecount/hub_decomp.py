@@ -33,6 +33,17 @@ def reach(g: DirWLGraph, s) -> frozenset:
     return out
 
 
+def down_reach(g: DirWLGraph, tree: HubTree, bag: int) -> frozenset:
+    """Union of Reach over every bag in the subtree rooted at bag."""
+    verts: frozenset = frozenset()
+    stack = [bag]
+    while stack:
+        b = stack.pop()
+        verts |= reach(g, tree.bags[b])
+        stack.extend(tree.children(b))
+    return verts
+
+
 def _reach_one(g: DirWLGraph, s: int) -> frozenset:
     cached = g._reach_cache.get(s)
     if cached is not None:

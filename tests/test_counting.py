@@ -185,14 +185,17 @@ def test_fast_engine_disjoint_children_scalar_path():
     assert count_with_tree(pattern, tree, host, "reference") == 9
 
 
-def test_engines_agree():
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_engines_agree(t):
+    # at t >= 2 the host extension is weighted, so the fast engine's
+    # weight-prefix arc checks are compared with the reference engine
     rng = random.Random(41)
     for _ in range(30):
         h = random_graph(rng.randint(2, 5), 0.55, rng)
         g = random_graph(rng.randint(2, 11), 0.4, rng)
         hl = label_pattern(h)
-        hostx = optimal_extension(pattern_product(hl, g), 1)
-        for member in enumerate_pattern_extensions(hl, 1):
+        hostx = optimal_extension(pattern_product(hl, g), t)
+        for member in enumerate_pattern_extensions(hl, t):
             tree = find_width1_decomposition(member.graph)
             fast = count_with_tree(member.graph, tree, hostx.graph, "fast")
             ref = count_with_tree(member.graph, tree, hostx.graph, "reference")
@@ -343,6 +346,43 @@ def test_fast_engine_overflow_guard_falls_back():
         _HostIndex(host)
     tree = find_width1_decomposition(pattern)
     assert count_with_tree(pattern, tree, host, "fast") == 1
+
+
+def test_host_index_built_once_under_threads(monkeypatch):
+    import os
+    import sys
+    import threading
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    from sparsecount import fastdp
+
+    built = []
+
+    class SlowIndex(fastdp._HostIndex):
+        def __init__(self, g):
+            built.append(g)
+            time.sleep(0.02)  # hold the window between check and store
+            super().__init__(g)
+
+    monkeypatch.setattr(fastdp, "_HostIndex", SlowIndex)
+    host = DirWLGraph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
+    workers = (os.cpu_count() or 1) + 4
+    start = threading.Barrier(workers, timeout=10)
+
+    def build(_):
+        start.wait()
+        return fastdp._host_index(host)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            indexes = list(pool.map(build, range(workers), timeout=30))
+    finally:
+        sys.setswitchinterval(old)
+    assert len(built) == 1
+    assert all(idx is indexes[0] for idx in indexes)
 
 
 def test_pack_paths_agree():

@@ -58,16 +58,6 @@ def test_orient_edge_set_layer():
     assert is_acyclic_arcs(5, layer.arcs)
 
 
-def test_jit_and_python_kernels_agree():
-    rng = random.Random(5)
-    for _ in range(25):
-        g = random_graph(rng.randint(1, 14), rng.random(), rng)
-        fast = degeneracy_order(g, use_jit=True)
-        slow = degeneracy_order(g, use_jit=False)
-        assert list(fast.order) == list(slow.order)
-        assert fast.kappa == slow.kappa
-
-
 @given(st.integers(1, 12), st.integers(0, 10 ** 6))
 @settings(max_examples=80, deadline=None)
 def test_orientation_properties(n, seed):
