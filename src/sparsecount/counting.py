@@ -27,6 +27,7 @@ from .pattern_tools import (automorphism_count, connected_components, licl,
 from .product import label_pattern, pattern_product
 
 FAST_ENGINE_MIN_ARCS = 128  # below this the dict engine's overhead wins
+BRUTE_FORCE_HOM_CAP = 32  # host vertices brute_force_hom accepts by default
 
 
 class NoWidth1Decomposition(Exception):
@@ -302,7 +303,7 @@ def _search_order(adj, n: int) -> list[int]:
 
 
 def brute_force_hom(g: UndirectedGraph, h: UndirectedGraph,
-                    cap: int = 32) -> int:
+                    cap: int = BRUTE_FORCE_HOM_CAP) -> int:
     """Exhaustive count of edge-preserving maps V(h) -> V(g)."""
     if g.n > cap:
         raise ValueError(f"host has {g.n} > {cap} vertices")

@@ -5,11 +5,14 @@ lowest id) and records the order; kappa is the largest residual degree
 seen. Orienting every edge from the earlier-peeled endpoint to the later
 one yields an acyclic orientation with max outdegree <= kappa.
 
-The peel is a plain-Python binary heap over packed (degree, id) keys.
+The peel is a ``heapq`` heap of packed (degree, id) keys over Python
+lists. An ``UndirectedGraph`` is peeled once: its order is cached on
+the graph, so every product and spasm quotient over one host shares it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,73 +21,35 @@ from .graph_core import ArcLayer, EdgeSet, UndirectedGraph
 
 
 def _peel_kernel(n, indptr, nbrs):
-    """Exact (degree, id) min-peel via a packed-key binary heap.
+    """Exact (degree, id) min-peel via a heap of packed keys.
 
     Keys are deg * n + v so the heap minimum is the lexicographic
-    (degree, id) minimum; stale entries are skipped on pop.
+    (degree, id) minimum. A degree drop pushes a new key and leaves the
+    old one, which sorts after it and so pops only once v is removed:
+    skipping removed vertices skips every stale key.
     """
-    order = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return order, 0
-    deg = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        deg[v] = indptr[v + 1] - indptr[v]
-    removed = np.zeros(n, dtype=np.bool_)
-    cap = n + nbrs.shape[0] + 1
-    heap = np.empty(cap, dtype=np.int64)
-    size = 0
-    for v in range(n):
-        heap[size] = deg[v] * n + v
-        size += 1
-        i = size - 1
-        while i > 0:
-            p = (i - 1) >> 1
-            if heap[p] <= heap[i]:
-                break
-            heap[p], heap[i] = heap[i], heap[p]
-            i = p
+    ptr = indptr.tolist()
+    adj = nbrs.tolist()
+    deg = [ptr[v + 1] - ptr[v] for v in range(n)]
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    removed = [False] * n
+    order = []
     kappa = 0
-    taken = 0
-    while taken < n:
-        key = heap[0]
-        size -= 1
-        heap[0] = heap[size]
-        i = 0
-        while True:
-            l = 2 * i + 1
-            if l >= size:
-                break
-            r = l + 1
-            c = l
-            if r < size and heap[r] < heap[l]:
-                c = r
-            if heap[i] <= heap[c]:
-                break
-            heap[i], heap[c] = heap[c], heap[i]
-            i = c
-        v = key % n
-        d = key // n
-        if removed[v] or d != deg[v]:
+    while len(order) < n:
+        d, v = divmod(heappop(heap), n)
+        if removed[v]:
             continue
         removed[v] = True
-        order[taken] = v
-        taken += 1
+        order.append(v)
         if d > kappa:
             kappa = d
-        for j in range(indptr[v], indptr[v + 1]):
-            u = nbrs[j]
+        for u in adj[ptr[v]:ptr[v + 1]]:
             if not removed[u]:
                 deg[u] -= 1
-                heap[size] = deg[u] * n + u
-                size += 1
-                i = size - 1
-                while i > 0:
-                    p = (i - 1) >> 1
-                    if heap[p] <= heap[i]:
-                        break
-                    heap[p], heap[i] = heap[i], heap[p]
-                    i = p
-    return order, kappa
+                heappush(heap, deg[u] * n + u)
+    return np.array(order, dtype=np.int64), kappa
 
 
 @dataclass(frozen=True)
@@ -117,9 +82,20 @@ def _csr_of(edges) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def degeneracy_order(g) -> DegeneracyOrder:
-    """Peel g (an UndirectedGraph or EdgeSet) to a DegeneracyOrder."""
+    """Peel g (an UndirectedGraph or EdgeSet) to a DegeneracyOrder.
+
+    The order of an UndirectedGraph is computed once and cached on it,
+    with a read-only ``order`` array. Two threads racing on the first
+    call only peel twice to the same order, so no lock is taken.
+    """
+    if isinstance(g, UndirectedGraph) and g._degeneracy is not None:
+        return g._degeneracy
     order, kappa = _peel_kernel(*_csr_of(g))
-    return DegeneracyOrder(order, int(kappa))
+    order.flags.writeable = False
+    result = DegeneracyOrder(order, kappa)
+    if isinstance(g, UndirectedGraph):
+        g._degeneracy = result
+    return result
 
 
 def degeneracy_orient(edges, weight: int = 1) -> ArcLayer:

@@ -380,9 +380,9 @@ def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
     if ntotal == 0:
         return False
     ridx = np.repeat(np.arange(cnt.size), cnt)
-    base = np.repeat(hidx.bucket_start[bucket], cnt)
-    within = np.arange(ntotal, dtype=np.int64) - np.repeat(offs - cnt, cnt)
-    newcol = hidx.targets[base + within]
+    # row r's entries sit at bucket_start + (i - first output index of r)
+    shift = hidx.bucket_start[bucket] - (offs - cnt)
+    newcol = hidx.targets[np.arange(ntotal, dtype=np.int64) + shift[ridx]]
     for key in list(state.cols):
         state.cols[key] = state.cols[key][ridx]
     if state.vals is not None:

@@ -3,7 +3,8 @@
 Subcommands: count-hom, count-sub, analyze, gen, verify, bench. Edge
 lists are the only ingestion format and JSON the only structured output.
 Exit codes: 2 usage error, 1 verify mismatch, 3 no width-1 decomposition
-without --exact-fallback.
+(without --exact-fallback, or on a host past the brute-force cap) or a
+decomposition search that stalled.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .counting import (NoWidth1Decomposition, _induced_pattern,
-                       brute_force_hom, count_hom_extension,
+from .counting import (BRUTE_FORCE_HOM_CAP, NoWidth1Decomposition,
+                       _induced_pattern, brute_force_hom, count_hom_extension,
                        count_homomorphisms, count_subgraphs, resolve_threads)
 from .degeneracy import degeneracy_order
 from .fraternal import enumerate_pattern_extensions, optimal_extension
 from .graph_core import (GraphFormatError, UndirectedGraph, load_edge_list,
                          max_outdegree)
-from .hub_decomp import (find_width1_decomposition, hubset,
+from .hub_decomp import (DecompositionStallError,
+                         find_width1_decomposition, hubset,
                          unique_reachability_graph)
 from .pattern_tools import (connected_components, licl, min_extension_depth,
                             spasm)
@@ -134,7 +136,12 @@ class RunReport:
 def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
                   t: int | None = None, threads: int | None = None,
                   exact_fallback: bool = False) -> RunReport:
-    """count_homomorphisms with per-stage wall-clock accounting."""
+    """count_homomorphisms with per-stage wall-clock accounting.
+
+    With ``exact_fallback`` a NoWidth1Decomposition is answered by brute
+    force on hosts of at most BRUTE_FORCE_HOM_CAP vertices and re-raised
+    on larger ones.
+    """
     base_licl = licl(h)
     depth = t if t is not None else min_extension_depth(base_licl)
     timings = {"product": 0.0, "host_extension": 0.0, "dp": 0.0}
@@ -173,11 +180,16 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
     except NoWidth1Decomposition:
         if not exact_fallback:
             raise
+        if g.n > BRUTE_FORCE_HOM_CAP:
+            print(f"exact fallback refused: the host has {g.n} vertices, "
+                  f"past the brute-force cap of {BRUTE_FORCE_HOM_CAP}",
+                  file=sys.stderr)
+            raise
         fallback = True
         print("warning: no width-1 decomposition at the chosen depth; "
               "falling back to brute force", file=sys.stderr)
         t0 = time.perf_counter()
-        total = brute_force_hom(g, h, cap=g.n)
+        total = brute_force_hom(g, h)
         timings["brute_force"] = (time.perf_counter() - t0) * 1e3
     kappa = degeneracy_order(g).kappa
     return RunReport(total, base_licl, depth, n_ext, None, g.n, g.m,
@@ -373,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="extension depth (default: minimal for the pattern)")
     p.add_argument("--exact-fallback", action="store_true",
                    help="fall back to brute force when no width-1 "
-                        "decomposition exists")
+                        "decomposition exists (hosts of at most "
+                        f"{BRUTE_FORCE_HOM_CAP} vertices)")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count_hom)
@@ -446,6 +459,9 @@ def cli_main(argv=None) -> int:
     except (GraphFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except DecompositionStallError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_DECOMPOSITION
 
 
 def main() -> None:

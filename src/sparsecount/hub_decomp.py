@@ -19,6 +19,15 @@ from itertools import product as iter_product
 from .graph_core import DirWLGraph
 
 
+class DecompositionStallError(RuntimeError):
+    """Greedy hub insertion stalled on a hubset too large to search.
+
+    Whether a width-1 decomposition exists is then unknown: the
+    exhaustive search over labeled trees on b hubs visits b^(b-2) trees
+    and is refused past ``exhaustive_cap`` hubs.
+    """
+
+
 def reach(g: DirWLGraph, s) -> frozenset:
     """Vertices with a directed path from some member of s (s included).
 
@@ -302,7 +311,9 @@ def find_width1_decomposition(g: DirWLGraph,
     attaching each new hub as a leaf under a bag that covers all its
     pairwise shared reaches. When the greedy insertion stalls, falls back
     to exhaustive search over labeled trees on the hubset; None is
-    returned only after that search is complete.
+    returned only after that search is complete. Raises
+    DecompositionStallError instead of searching more than
+    ``exhaustive_cap`` hubs.
     """
     hubs = hubset(g)
     if not hubs:
@@ -331,7 +342,7 @@ def find_width1_decomposition(g: DirWLGraph,
             return tree
     b = len(hubs)
     if b > exhaustive_cap:
-        raise RuntimeError(
+        raise DecompositionStallError(
             f"greedy construction stalled and the hubset has {b} hubs, "
             f"past the exhaustive-search cap {exhaustive_cap}")
     ordered_reaches = [reaches[s] for s in hubs]

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecount import EdgeSet, degeneracy_order, degeneracy_orient
+from sparsecount import (EdgeSet, UndirectedGraph, degeneracy_order,
+                         degeneracy_orient)
 
 from conftest import (complete_graph, cycle_graph, is_acyclic_arcs,
                       path_graph, random_graph, star_graph)
@@ -71,3 +72,73 @@ def test_orientation_properties(n, seed):
         assert outdeg.max() <= order.kappa
     # kappa is genuinely attained: some suffix subgraph has min degree kappa
     assert order.kappa <= max([0] + [g.degree(v) for v in range(n)])
+
+
+def _reference_peel(n, pairs):
+    """Quadratic peel: remove the live vertex of least (degree, id)."""
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    live = set(range(n))
+    order, kappa = [], 0
+    while live:
+        v = min(live, key=lambda x: (len(adj[x] & live), x))
+        kappa = max(kappa, len(adj[v] & live))
+        order.append(v)
+        live.remove(v)
+    return order, kappa
+
+
+@st.composite
+def _peel_inputs(draw):
+    core = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["random", "path", "star"]))
+    if kind == "random":
+        pairs = draw(st.sets(st.tuples(st.integers(0, max(core - 1, 0)),
+                                       st.integers(0, max(core - 1, 0)))
+                             .filter(lambda p: p[0] < p[1])))
+    elif kind == "path":
+        pairs = {(i, i + 1) for i in range(core - 1)}
+    else:
+        pairs = {(0, i) for i in range(1, core)}
+    n = core + draw(st.integers(0, 3))           # isolated extra vertices
+    perm = draw(st.permutations(range(n)))       # shuffle ids, so ties vary
+    pairs = sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
+                   for u, v in pairs)
+    return n, pairs
+
+
+@given(_peel_inputs(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_peel_matches_reference(case, as_edge_set):
+    n, pairs = case
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    g = EdgeSet(n, arr, 2) if as_edge_set else UndirectedGraph(n, arr)
+    order, kappa = _reference_peel(n, pairs)
+    got = degeneracy_order(g)
+    assert got.order.tolist() == order
+    assert got.kappa == kappa
+
+
+def test_order_cached_per_graph(monkeypatch):
+    from sparsecount import degeneracy
+
+    calls = []
+    kernel = degeneracy._peel_kernel
+
+    def counting_kernel(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(degeneracy, "_peel_kernel", counting_kernel)
+    g = star_graph(3)
+    first = degeneracy_order(g)
+    assert degeneracy_order(g) is first
+    assert len(calls) == 1
+    assert not first.order.flags.writeable
+    # an EdgeSet is a fresh layer each time and is peeled on every call
+    layer = EdgeSet(4, g.edge_array, 2)
+    degeneracy_order(layer)
+    degeneracy_order(layer)
+    assert len(calls) == 3

@@ -189,6 +189,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert int(out) == brute_force_hom(g, cycle_graph(6))
 
 
+def test_cli_decomposition_stall_exit_code(tmp_path, capsys, monkeypatch):
+    from sparsecount import counting, hub_decomp
+
+    # an exhaustive-search cap of 0 turns C6's stalled t = 1 extensions
+    # into DecompositionStallError inside the count
+    monkeypatch.setattr(
+        counting, "find_width1_decomposition",
+        lambda g: hub_decomp.find_width1_decomposition(g, exhaustive_cap=0))
+    host = _write(tmp_path, "host.el", random_graph(8, 0.4, random.Random(5)))
+    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
+    assert cli_main(["count-hom", host, c6, "--t", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "error: greedy construction stalled" in err
+
+
+def test_cli_exact_fallback_refused_past_cap(tmp_path, capsys):
+    from sparsecount.counting import BRUTE_FORCE_HOM_CAP
+
+    g = random_graph(40, 0.15, random.Random(3))
+    host = _write(tmp_path, "host.el", g)
+    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
+    assert cli_main(["count-hom", host, c6, "--t", "1",
+                     "--exact-fallback"]) == 3
+    err = capsys.readouterr().err
+    assert f"past the brute-force cap of {BRUTE_FORCE_HOM_CAP}" in err
+    assert "offending extension" in err
+
+
 def test_threads_env_default(monkeypatch):
     from sparsecount.counting import resolve_threads
 

@@ -2,14 +2,17 @@ import random
 from itertools import product as iter_product
 
 
-from sparsecount import (DirWLGraph, enumerate_pattern_extensions,
+import pytest
+
+from sparsecount import (DecompositionStallError, DirWLGraph,
+                         enumerate_pattern_extensions,
                          find_width1_decomposition, hubset, label_pattern,
                          min_extension_depth, licl, reach,
                          unique_reachability_graph, validate_decomposition,
                          validate_fraternity)
 from sparsecount.hub_decomp import HubTree
 
-from conftest import connected_patterns_up_to
+from conftest import connected_patterns_up_to, cycle_graph
 
 
 def in_in_wedge():
@@ -147,3 +150,24 @@ def test_ur_forest_for_valid_patterns():
         for member in enumerate_pattern_extensions(hl, t):
             ur = unique_reachability_graph(member.graph, hubset(member.graph))
             assert ur.is_forest()
+
+
+def _greedy_stalls(ext) -> bool:
+    try:
+        find_width1_decomposition(ext.graph, exhaustive_cap=0)
+    except DecompositionStallError:
+        return True
+    return False
+
+
+def test_greedy_stall_raises_typed_error():
+    # C6 at t = 1 has extensions whose greedy insertion stalls; with no
+    # room for the exhaustive search that is a typed, catchable error
+    exts = enumerate_pattern_extensions(label_pattern(cycle_graph(6)), 1)
+    stalled = [ext for ext in exts if _greedy_stalls(ext)]
+    assert stalled
+    with pytest.raises(RuntimeError, match="past the exhaustive-search cap 0"):
+        find_width1_decomposition(stalled[0].graph, exhaustive_cap=0)
+    # the default cap searches them exhaustively instead of raising
+    for ext in stalled:
+        assert find_width1_decomposition(ext.graph) is None
