@@ -27,9 +27,9 @@ from .hub_decomp import (DecompositionStallError, HubTree, URGraph,
                          find_width1_decomposition, hubset, reach,
                          unique_reachability_graph, validate_decomposition)
 from .pattern_tools import (PatternProfile, SpasmEntry, acyclic_orientations,
-                            automorphism_count, canonical_form,
-                            connected_components, licl, min_extension_depth,
-                            pattern_profile, spasm)
+                            automorphism_count, automorphism_generators,
+                            canonical_form, connected_components, licl,
+                            min_extension_depth, pattern_profile, spasm)
 from .product import (LabeledPattern, ProductHost, label_pattern,
                       pattern_product)
 

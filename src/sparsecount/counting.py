@@ -6,6 +6,10 @@ generalized width-1 tree DP over hub-tree decompositions;
 ``count_homomorphisms`` runs the whole pipeline (labeled product, host
 extension, pattern extension family, per-extension DP) and
 ``count_subgraphs`` reduces subgraph counts to it through the spasm.
+``count_family`` is the family step both the pipeline and the CLI's
+timed run call: at depth 1 it runs one DP per Aut(H) orbit of
+orientations and weights it by the orbit size (``frat_classes`` says
+why that stops at depth 1).
 Brute-force oracles live here too, so every fast path has an exhaustive
 counterpart. All counts are exact Python integers end to end.
 """
@@ -22,9 +26,10 @@ from .fraternal import (DEFAULT_FRAT_CAP, FraternalExtension,
 from .graph_core import DirWLGraph, UndirectedGraph, bfs_out_tree
 from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
                          reach)
-from .pattern_tools import (automorphism_count, connected_components, licl,
-                            min_extension_depth, spasm)
-from .product import label_pattern, pattern_product
+from .pattern_tools import (automorphism_count, automorphism_generators,
+                            connected_components, licl, min_extension_depth,
+                            spasm)
+from .product import LabeledPattern, label_pattern, pattern_product
 
 FAST_ENGINE_MIN_ARCS = 128  # below this the dict engine's overhead wins
 BRUTE_FORCE_HOM_CAP = 32  # host vertices brute_force_hom accepts by default
@@ -217,22 +222,75 @@ def resolve_threads(threads: int | None) -> int:
     return max(1, int(os.environ.get("SPARSECOUNT_THREADS", "1")))
 
 
+def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,
+                 depth: int) -> list[list[int]]:
+    """Member indices of Frat(h, depth) grouped into classes of equal count.
+
+    At depth 1 a class is an Aut(h) orbit: relabeling an orientation D by
+    an automorphism s of h leaves its count unchanged, because layer 1
+    of the product host is lifted from G's peel, so its arcs depend only
+    on the host coordinate and <u,v> -> <s(u),v> is an automorphism of the
+    labeled host extension. Orbits come from a union-find of every D with
+    s(D) for each generator s. Layer 2 onward is peeled on the product
+    itself, which permuting fibers does not preserve, so at depth >= 2
+    every member is its own class. Classes are ordered by, and list
+    first, their first member in enumeration order.
+    """
+    if depth != 1:
+        return [[i] for i in range(len(members))]
+    arcsets = [frozenset(zip(m.graph.src.tolist(), m.graph.dst.tolist()))
+               for m in members]
+    index = {arcs: i for i, arcs in enumerate(arcsets)}
+    root = list(range(len(members)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for sigma in automorphism_generators(h):
+        for i, arcs in enumerate(arcsets):
+            j = index.get(frozenset((sigma[a], sigma[b]) for a, b in arcs))
+            assert j is not None, "an automorphism left Frat(H, 1)"
+            a, b = find(i), find(j)
+            root[max(a, b)] = min(a, b)  # the root is the first member
+    classes: dict[int, list[int]] = {}
+    for i in range(len(members)):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
+def count_family(hl: LabeledPattern, depth: int,
+                 host_ext: FraternalExtension, engine: str = "auto",
+                 threads: int | None = None,
+                 frat_cap: int = DEFAULT_FRAT_CAP) -> tuple[int, int]:
+    """Sum of the extension DPs over Frat(hl, depth), and |Frat(hl, depth)|.
+
+    Runs one DP per class of ``frat_classes`` and weights it by the class
+    size; the representatives go to a thread pool when threads > 1.
+    ``host_ext`` must be ``optimal_extension`` of the product of ``hl``
+    with the host, whose lifted layer 1 the depth-1 classes rely on.
+    """
+    members = enumerate_pattern_extensions(hl, depth, cap=frat_cap)
+    classes = frat_classes(members, hl.graph, depth)
+    reps = [members[c[0]] for c in classes]
+    workers = resolve_threads(threads)
+    if workers > 1 and len(reps) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(
+                lambda pe: count_hom_extension(pe, host_ext, engine), reps))
+    else:
+        parts = [count_hom_extension(pe, host_ext, engine) for pe in reps]
+    total = sum(part * len(c) for part, c in zip(parts, classes))
+    return total, len(members)
+
+
 def _count_component(g, hc, t, engine, threads, frat_cap):
     depth = t if t is not None else min_extension_depth(licl(hc))
     hl = label_pattern(hc)
-    product = pattern_product(hl, g)
-    host_ext = optimal_extension(product, depth)
-    pattern_exts = enumerate_pattern_extensions(hl, depth, cap=frat_cap)
-    workers = resolve_threads(threads)
-    if workers > 1 and len(pattern_exts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda pe: count_hom_extension(pe, host_ext, engine),
-                pattern_exts))
-    else:
-        parts = [count_hom_extension(pe, host_ext, engine)
-                 for pe in pattern_exts]
-    return sum(parts)
+    host_ext = optimal_extension(pattern_product(hl, g), depth)
+    return count_family(hl, depth, host_ext, engine, threads, frat_cap)[0]
 
 
 def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
@@ -244,7 +302,11 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     Builds the labeled pattern and product host, the optimal host
     extension and the pattern extension family at depth t (defaulting to
     the minimal depth for the pattern's longest induced cycle), then sums
-    the per-extension DP counts. Disconnected patterns multiply their
+    the per-extension DP counts. At depth 1 the DP runs once per Aut(h)
+    orbit of acyclic orientations (3 DPs for the 30 orientations of C5),
+    since the lifted layer 1 makes relabeled orientations count alike; at
+    depth >= 2 the product's own layer-2 peel breaks that symmetry and
+    every extension gets its own DP. Disconnected patterns multiply their
     per-component counts. Raises NoWidth1Decomposition when some pattern
     extension has no width-1 decomposition, which happens when
     LICL(h) >= 3(t+1).

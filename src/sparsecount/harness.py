@@ -14,12 +14,11 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .counting import (BRUTE_FORCE_HOM_CAP, NoWidth1Decomposition,
-                       _induced_pattern, brute_force_hom, count_hom_extension,
-                       count_homomorphisms, count_subgraphs, resolve_threads)
+                       _induced_pattern, brute_force_hom, count_family,
+                       count_homomorphisms, count_subgraphs)
 from .degeneracy import degeneracy_order
 from .fraternal import enumerate_pattern_extensions, optimal_extension
 from .graph_core import (GraphFormatError, UndirectedGraph, load_edge_list,
@@ -160,21 +159,12 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
             t1 = time.perf_counter()
             host_ext = optimal_extension(product, comp_t)
             t2 = time.perf_counter()
-            pattern_exts = enumerate_pattern_extensions(hl, comp_t)
-            workers = resolve_threads(threads)
-            if workers > 1 and len(pattern_exts) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    part = sum(pool.map(
-                        lambda pe: count_hom_extension(pe, host_ext),
-                        pattern_exts))
-            else:
-                part = sum(count_hom_extension(pe, host_ext)
-                           for pe in pattern_exts)
+            part, size = count_family(hl, comp_t, host_ext, threads=threads)
             t3 = time.perf_counter()
             timings["product"] += (t1 - t0) * 1e3
             timings["host_extension"] += (t2 - t1) * 1e3
             timings["dp"] += (t3 - t2) * 1e3
-            n_ext += len(pattern_exts)
+            n_ext += size
             delta_plus = max(delta_plus, max_outdegree(host_ext.graph))
             total *= part
     except NoWidth1Decomposition:

@@ -94,11 +94,18 @@ def connected_components(h: UndirectedGraph) -> list[frozenset]:
     return comps
 
 
-def automorphism_count(h: UndirectedGraph) -> int:
-    """|Aut(h)| by exhaustive backtracking over vertex images."""
+def _automorphism_chain(h: UndirectedGraph) -> tuple[list[list[int]], int]:
+    """Generators of Aut(h) from a stabilizer chain, and |Aut(h)|.
+
+    Level i fixes the first i vertices of a search order and asks, for
+    each image c of the next vertex v, for one automorphism sending v to
+    c; the backtracking stops at its first completion. The images that
+    complete form v's orbit under the stabilizer of the earlier vertices,
+    so |Aut(h)| is the product of the orbit sizes and the automorphisms
+    found (one per non-trivial image) generate Aut(h). No search walks
+    the whole group.
+    """
     n = h.n
-    if n == 0:
-        return 1
     adj = h.adjacency_sets()
     deg = [len(adj[v]) for v in range(n)]
 
@@ -120,32 +127,56 @@ def automorphism_count(h: UndirectedGraph) -> int:
 
     img = [-1] * n
     used = [False] * n
-    count = 0
 
-    def rec(i: int):
-        nonlocal count
-        if i == n:
-            count += 1
-            return
+    def fits(i: int, c: int) -> bool:
         v = order[i]
-        for c in range(n):
-            if used[c] or deg[c] != deg[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if (u in adj[v]) != (img[u] in adj[c]):
-                    ok = False
-                    break
-            if ok:
-                used[c] = True
-                img[v] = c
-                rec(i + 1)
-                used[c] = False
-        img[v] = -1
+        if used[c] or deg[c] != deg[v]:
+            return False
+        return all((u in adj[v]) == (img[u] in adj[c]) for u in order[:i])
 
-    rec(0)
-    return count
+    def place(i: int, c: int) -> list[int] | None:
+        """The first automorphism extending img with order[i] -> c."""
+        v = order[i]
+        used[c] = True
+        img[v] = c
+        found = list(img) if i + 1 == n else None
+        if found is None:
+            for c2 in range(n):
+                if fits(i + 1, c2):
+                    found = place(i + 1, c2)
+                    if found is not None:
+                        break
+        used[c] = False
+        img[v] = -1
+        return found
+
+    gens: list[list[int]] = []
+    size = 1
+    for i, v in enumerate(order):
+        orbit = 1  # v itself, by the identity
+        for c in range(n):
+            if c != v and fits(i, c):
+                found = place(i, c)
+                if found is not None:
+                    gens.append(found)
+                    orbit += 1
+        size *= orbit
+        used[v] = True
+        img[v] = v
+    return gens, size
+
+
+def automorphism_generators(h: UndirectedGraph) -> list[list[int]]:
+    """A generating set of Aut(h); each generator maps vertex v to g[v].
+
+    Empty when h has no non-trivial automorphism.
+    """
+    return _automorphism_chain(h)[0]
+
+
+def automorphism_count(h: UndirectedGraph) -> int:
+    """|Aut(h)| as the product of the stabilizer chain's orbit sizes."""
+    return _automorphism_chain(h)[1]
 
 
 def canonical_form(h: UndirectedGraph) -> tuple[int, int]:

@@ -13,7 +13,8 @@ from sparsecount import (DirWLGraph, HomMap, NoWidth1Decomposition,
                          enumerate_root_homs, find_width1_decomposition,
                          label_pattern, max_outdegree, optimal_extension,
                          pattern_product)
-from sparsecount.counting import count_with_tree
+from sparsecount.counting import count_with_tree, frat_classes
+from sparsecount.harness import generate_bounded_degeneracy, run_count_hom
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       cycle_hom_trace, disjoint_union, path_graph,
@@ -319,6 +320,84 @@ def test_thread_option_matches_serial():
     h = cycle_graph(4)
     assert count_homomorphisms(g, h, threads=2) == \
         count_homomorphisms(g, h, threads=1)
+    # Hom(C5) runs its depth-1 orbit representatives on the pool, Hom(C6)
+    # every one of its depth-2 extensions, Sub(C6) its spasm quotients
+    host = generate_bounded_degeneracy(30, 3, 13)
+    for k, t in ((5, 1), (6, 2)):
+        counts = {threads: count_homomorphisms(host, cycle_graph(k), t=t,
+                                               threads=threads)
+                  for threads in (1, 2)}
+        assert counts[1] == counts[2] == cycle_hom_trace(host, k)
+    assert count_subgraphs(host, cycle_graph(6), threads=2) == \
+        count_subgraphs(host, cycle_graph(6), threads=1)
+
+
+@given(st.integers(1, 8), st.integers(0, 10 ** 6),
+       st.sampled_from(connected_patterns_up_to(5)))
+@settings(max_examples=60, deadline=None)
+def test_depth1_orbit_classes_count_alike(n, seed, h):
+    # one DP per class stands for all of it only if every member of an
+    # Aut(H) orbit counts the same on the lifted depth-1 host extension
+    g = random_graph(n, 0.45, random.Random(seed))
+    hl = label_pattern(h)
+    hostx = optimal_extension(pattern_product(hl, g), 1)
+    members = enumerate_pattern_extensions(hl, 1)
+    classes = frat_classes(members, h, 1)
+    assert sorted(i for c in classes for i in c) == list(range(len(members)))
+    for c in classes:
+        assert c[0] == min(c)
+        rep = count_hom_extension(members[c[0]], hostx)
+        assert all(count_hom_extension(members[i], hostx) == rep for i in c)
+
+
+def test_one_extension_dp_per_depth1_orbit(monkeypatch):
+    import sparsecount.counting as counting
+
+    calls = []
+    real = counting.count_hom_extension
+
+    def counted(pattern_ext, host_ext, engine="auto"):
+        calls.append(pattern_ext)
+        return real(pattern_ext, host_ext, engine)
+
+    monkeypatch.setattr(counting, "count_hom_extension", counted)
+    g = random_graph(12, 0.4, random.Random(5))
+    c5, c6 = cycle_graph(5), cycle_graph(6)
+    assert count_homomorphisms(g, c5) == cycle_hom_trace(g, 5)
+    assert len(calls) == 3  # the 30 orientations of C5 form 3 orbits
+    calls.clear()
+    report = run_count_hom(g, c5)
+    assert report.count == cycle_hom_trace(g, 5)
+    assert report.n_extensions == 30 and len(calls) == 3
+    calls.clear()
+    assert count_homomorphisms(g, c6) == cycle_hom_trace(g, 6)
+    assert len(calls) == 196  # depth 2: one DP per extension
+
+
+def test_forced_overflow_reroute_is_exact(monkeypatch):
+    from sparsecount import fastdp
+
+    g = generate_bounded_degeneracy(12, 2, 21)
+    want = [(k, t, count_homomorphisms(g, cycle_graph(k), t=t,
+                                       engine="reference"))
+            for k, t in ((5, 1), (6, 2))]
+    rerouted = []
+    real = fastdp.extension_count
+
+    def tracked(*args):
+        try:
+            return real(*args)
+        except fastdp.Int64OverflowRisk:
+            rerouted.append(args)
+            raise
+
+    monkeypatch.setattr(fastdp, "extension_count", tracked)
+    monkeypatch.setattr(fastdp, "_I64_LIMIT", 1)
+    for k, t, ref in want:
+        rerouted.clear()
+        got = count_homomorphisms(g, cycle_graph(k), t=t, engine="fast")
+        assert rerouted
+        assert got == ref == cycle_hom_trace(g, k)
 
 
 def test_subgraph_error_names_offending_quotient(monkeypatch):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from sparsecount import (acyclic_orientations, automorphism_count,
-                         brute_force_hom, brute_force_sub, canonical_form,
+                         automorphism_generators, brute_force_hom,
+                         brute_force_sub, canonical_form,
                          connected_components, licl, min_extension_depth,
                          pattern_profile, spasm, UndirectedGraph)
 
@@ -59,6 +61,46 @@ def test_automorphism_counts():
     assert automorphism_count(cycle_graph(12)) == 24
     assert automorphism_count(star_graph(4)) == 24
     assert automorphism_count(UndirectedGraph(1, [])) == 1
+    assert automorphism_count(star_graph(9)) == 362880
+    assert automorphism_count(disjoint_union(complete_graph(3),
+                                             complete_graph(3))) == 72
+
+
+def _closure(gens, n):
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[p[v]] for v in range(n))
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+def test_automorphism_generators_generate_the_group():
+    patterns = connected_patterns_up_to(6) + [
+        UndirectedGraph(0, []), UndirectedGraph(3, []),
+        disjoint_union(complete_graph(3), complete_graph(3)),
+        disjoint_union(path_graph(2), path_graph(3))]
+    for h in patterns:
+        edges = h.edge_set()
+        gens = automorphism_generators(h)
+        for g in gens:
+            assert sorted(g) == list(range(h.n))
+            assert {(min(g[u], g[v]), max(g[u], g[v]))
+                    for u, v in edges} == edges
+        group = _closure(gens, h.n)
+        # the closure is exactly the edge-preserving permutations
+        brute = {p for p in permutations(range(h.n))
+                 if all((min(p[u], p[v]), max(p[u], p[v])) in edges
+                        for u, v in edges)}
+        assert group == brute
+        assert len(group) == automorphism_count(h)
 
 
 def test_canonical_form():
