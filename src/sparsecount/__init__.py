@@ -1,9 +1,10 @@
 """Near-linear homomorphism and subgraph counting on sparse host graphs.
 
-The pipeline: orient the pattern-labeled product host by degeneracy,
-close out-out wedges into weighted fraternal extension layers, decompose
-each pattern extension into a width-1 hub tree, and count with the
-generalized tree DP. Subgraph counts come from the exact rational
+The pipeline: close out-out wedges of the pattern-labeled product host
+into weighted fraternal extension layers, each oriented by lifting the
+host's own degeneracy order and extension, decompose each pattern
+extension into a width-1 hub tree, and count with the generalized tree
+DP. Subgraph counts come from the exact rational
 spasm combination of homomorphism counts.
 """
 
@@ -13,9 +14,10 @@ from .counting import (CountDict, HomMap, NoWidth1Decomposition,
                        count_homomorphisms, count_subgraphs,
                        enumerate_root_homs)
 from .degeneracy import DegeneracyOrder, degeneracy_order, degeneracy_orient
-from .fraternal import (ExtensionBlowupError, FraternalExtension,
-                        enumerate_pattern_extensions, extension_edges,
-                        optimal_extension, validate_fraternity)
+from .fraternal import (ExtensionBlowupError, ExtensionLiftError,
+                        FraternalExtension, enumerate_pattern_extensions,
+                        extension_edges, optimal_extension,
+                        validate_fraternity)
 from .graph_core import (ArcLayer, DirWLGraph, EdgeSet, GraphFormatError,
                          UndirectedGraph, dump_weighted, induced_subgraph,
                          load_edge_list, max_outdegree, out_neighbors,
@@ -26,9 +28,10 @@ from .harness import (RunReport, cli_main, generate_bounded_degeneracy,
 from .hub_decomp import (DecompositionStallError, HubTree, URGraph,
                          find_width1_decomposition, hubset, reach,
                          unique_reachability_graph, validate_decomposition)
-from .pattern_tools import (PatternProfile, SpasmEntry, acyclic_orientations,
-                            automorphism_count, automorphism_generators,
-                            canonical_form, connected_components, licl,
+from .pattern_tools import (FiberTournament, PatternProfile, SpasmEntry,
+                            acyclic_orientations, automorphism_count,
+                            automorphism_generators, canonical_form,
+                            connected_components, fiber_tournament, licl,
                             min_extension_depth, pattern_profile, spasm)
 from .product import (LabeledPattern, ProductHost, label_pattern,
                       pattern_product)

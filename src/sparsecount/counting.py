@@ -7,9 +7,9 @@ generalized width-1 tree DP over hub-tree decompositions;
 extension, pattern extension family, per-extension DP) and
 ``count_subgraphs`` reduces subgraph counts to it through the spasm.
 ``count_family`` is the family step both the pipeline and the CLI's
-timed run call: at depth 1 it runs one DP per Aut(H) orbit of
-orientations and weights it by the orbit size (``frat_classes`` says
-why that stops at depth 1).
+timed run call: it runs one DP per Aut_tau(H) orbit of Frat(H, t) and
+weights it by the orbit size (``frat_classes`` says why orbits count
+alike).
 Brute-force oracles live here too, so every fast path has an exhaustive
 counterpart. All counts are exact Python integers end to end.
 """
@@ -26,12 +26,11 @@ from .fraternal import (DEFAULT_FRAT_CAP, FraternalExtension,
 from .graph_core import DirWLGraph, UndirectedGraph, bfs_out_tree
 from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
                          reach)
-from .pattern_tools import (automorphism_count, automorphism_generators,
-                            connected_components, licl, min_extension_depth,
-                            spasm)
+from .pattern_tools import (automorphism_count, connected_components,
+                            fiber_tournament, licl, min_extension_depth,
+                            orbit_roots, spasm)
 from .product import LabeledPattern, label_pattern, pattern_product
 
-FAST_ENGINE_MIN_ARCS = 128  # below this the dict engine's overhead wins
 BRUTE_FORCE_HOM_CAP = 32  # host vertices brute_force_hom accepts by default
 
 
@@ -194,11 +193,14 @@ def count_hom_extension(pattern_ext: FraternalExtension,
 
 def count_with_tree(pattern: DirWLGraph, tree: HubTree, host: DirWLGraph,
                     engine: str = "auto") -> int:
+    """Run the DP on a decomposed pattern: ``auto`` and ``fast`` run the
+    vectorized engine and redo the count on the exact dict engine when it
+    reports an int64 overflow risk; ``reference`` runs the dict engine,
+    which production paths keep only as that reroute and as an oracle.
+    """
     if engine not in ("auto", "fast", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        engine = "fast" if host.arc_count >= FAST_ENGINE_MIN_ARCS else "reference"
-    if engine == "fast":
+    if engine != "reference":
         try:
             return fastdp.extension_count(pattern, tree, host)
         except fastdp.Int64OverflowRisk:
@@ -226,38 +228,24 @@ def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,
                  depth: int) -> list[list[int]]:
     """Member indices of Frat(h, depth) grouped into classes of equal count.
 
-    At depth 1 a class is an Aut(h) orbit: relabeling an orientation D by
-    an automorphism s of h leaves its count unchanged, because layer 1
-    of the product host is lifted from G's peel, so its arcs depend only
-    on the host coordinate and <u,v> -> <s(u),v> is an automorphism of the
-    labeled host extension. Orbits come from a union-find of every D with
-    s(D) for each generator s. Layer 2 onward is peeled on the product
-    itself, which permuting fibers does not preserve, so at depth >= 2
-    every member is its own class. Classes are ordered by, and list
-    first, their first member in enumeration order.
+    A class is an Aut_tau(h) orbit (``fiber_tournament(h, depth)``):
+    relabeling a member by such an automorphism s leaves its count
+    unchanged, because every layer of the product host extension is
+    lifted from G (its arcs depend only on the host coordinate) except
+    the vertical pairs, which tau orients and s keeps, so <u,v> ->
+    <s(u),v> is an automorphism of the labeled host extension. At depth
+    1 there are no vertical pairs and the group is all of Aut(h).
+    Members are keyed by their (src, dst, weight) arcs. Classes are
+    ordered by, and list first, their first member in enumeration order.
     """
-    if depth != 1:
-        return [[i] for i in range(len(members))]
-    arcsets = [frozenset(zip(m.graph.src.tolist(), m.graph.dst.tolist()))
-               for m in members]
-    index = {arcs: i for i, arcs in enumerate(arcsets)}
-    root = list(range(len(members)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for sigma in automorphism_generators(h):
-        for i, arcs in enumerate(arcsets):
-            j = index.get(frozenset((sigma[a], sigma[b]) for a, b in arcs))
-            assert j is not None, "an automorphism left Frat(H, 1)"
-            a, b = find(i), find(j)
-            root[max(a, b)] = min(a, b)  # the root is the first member
+    arcsets = [frozenset(zip(m.graph.src.tolist(), m.graph.dst.tolist(),
+                             m.graph.wgt.tolist())) for m in members]
+    roots = orbit_roots(arcsets, fiber_tournament(h, depth).generators,
+                        lambda s, arcs: frozenset((s[a], s[b], w)
+                                                  for a, b, w in arcs))
     classes: dict[int, list[int]] = {}
-    for i in range(len(members)):
-        classes.setdefault(find(i), []).append(i)
+    for i, r in enumerate(roots):
+        classes.setdefault(r, []).append(i)
     return list(classes.values())
 
 
@@ -270,7 +258,8 @@ def count_family(hl: LabeledPattern, depth: int,
     Runs one DP per class of ``frat_classes`` and weights it by the class
     size; the representatives go to a thread pool when threads > 1.
     ``host_ext`` must be ``optimal_extension`` of the product of ``hl``
-    with the host, whose lifted layer 1 the depth-1 classes rely on.
+    with the host at the same depth, whose lifted layers the classes rely
+    on.
     """
     members = enumerate_pattern_extensions(hl, depth, cap=frat_cap)
     classes = frat_classes(members, hl.graph, depth)
@@ -302,11 +291,12 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     Builds the labeled pattern and product host, the optimal host
     extension and the pattern extension family at depth t (defaulting to
     the minimal depth for the pattern's longest induced cycle), then sums
-    the per-extension DP counts. At depth 1 the DP runs once per Aut(h)
-    orbit of acyclic orientations (3 DPs for the 30 orientations of C5),
-    since the lifted layer 1 makes relabeled orientations count alike; at
-    depth >= 2 the product's own layer-2 peel breaks that symmetry and
-    every extension gets its own DP. Disconnected patterns multiply their
+    the per-extension DP counts. The DP runs once per Aut_tau(h) orbit of
+    extensions, since the lifted host extension makes relabeled members
+    count alike: at depth 1 Aut_tau is all of Aut(h) (3 DPs for the 30
+    orientations of C5); at depth 2 the clockwise tournament keeps the
+    rotations of a cycle (36 DPs for the 196 extensions of C6, 149 for
+    the 1152 of C8). Disconnected patterns multiply their
     per-component counts. Raises NoWidth1Decomposition when some pattern
     extension has no width-1 decomposition, which happens when
     LICL(h) >= 3(t+1).

@@ -2,13 +2,16 @@
 
 One round of the extension procedure links the endpoints of every
 out-out wedge whose weight sum hits the round number. Pattern-side we
-branch over all orientations of each new layer (Frat(H, t)); host-side
-(MinFrat(F, t)) layer 1 of a product host follows the degeneracy order
-of the host G lifted onto the product, and every later layer is oriented
-by its own degeneracy peel, so the max outdegree stays bounded. A
-weighted digraph is a valid t-fraternal extension exactly when its
-weights form a t-fraternity function, which ``validate_fraternity``
-checks clause by clause.
+branch over all orientations of each new layer (Frat(H, t)). Host-side
+(MinFrat(F, t)) a product host F = H^L x G is never peeled: layer 1
+follows G's degeneracy order, and every later layer follows G's own
+fraternal extension, with a fixed tournament on pattern vertices for
+the pairs G cannot orient (two fibers over one host vertex), so the max
+outdegree follows G's and the pattern automorphisms that keep the
+tournament are automorphisms of the host extension. Other hosts peel
+each layer on its own edges. A weighted digraph is a valid t-fraternal
+extension exactly when its weights form a t-fraternity function, which
+``validate_fraternity`` checks clause by clause.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .degeneracy import degeneracy_order, degeneracy_orient, orient_by_rank
 from .graph_core import DirWLGraph, EdgeSet, UndirectedGraph
-from .pattern_tools import acyclic_orientations
+from .pattern_tools import acyclic_orientations, fiber_tournament
 from .product import LabeledPattern, ProductHost
 
 DEFAULT_FRAT_CAP = 10 ** 6
@@ -157,36 +160,115 @@ def lifted_orientation(f: ProductHost) -> np.ndarray:
                           np.tile(pos, f.pattern_n)).arcs
 
 
-def optimal_extension(f, t: int) -> FraternalExtension:
-    """MinFrat(F, t): every layer an acyclic bounded-outdegree DAG.
+def _first_layer(n: int, arcs: np.ndarray, labels) -> FraternalExtension:
+    ones = np.ones(arcs.shape[0], dtype=np.int64)
+    graph = DirWLGraph.from_arrays(n, arcs[:, 0], arcs[:, 1], ones, labels)
+    return FraternalExtension(graph, 1, (arcs,))
 
-    Layer 1 of a ProductHost is the lift of the host's degeneracy order
-    (``lifted_orientation``); layer 1 of any other input, a bare
-    UndirectedGraph (trivial labels) or an object with ``graph`` and
-    ``labels``, is the degeneracy orientation of its own graph. Layer
-    i >= 2 orients the round-i extension edges by their own peel and
-    gives them weight i, so each layer is a DAG (the union may still be
-    cyclic).
+
+def _peeled_extension(base: UndirectedGraph, labels, t: int,
+                      ext: FraternalExtension | None = None
+                      ) -> FraternalExtension:
+    """Rounds up to t of base's extension, each layer oriented by its own
+    degeneracy peel; continues ``ext`` when given."""
+    if ext is None:
+        ext = _first_layer(base.n, degeneracy_orient(base, 1).arcs, labels)
+    for i in range(ext.depth + 1, t + 1):
+        layer = degeneracy_orient(extension_edges(ext.graph, i), i)
+        ext = _with_layer(ext, layer.arcs, i, labels)
+    return ext
+
+
+def _own_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
+    """G's own extension to depth t or deeper, cached on G.
+
+    Each round is built once per graph: a deeper request continues the
+    cached extension. Its arrays are read-only. Two threads racing on the
+    first call only build the same extension twice, so no lock is taken.
+    """
+    ext = g._extension
+    if ext is None or ext.depth < t:
+        ext = _peeled_extension(g, None, t, ext)
+        for arr in (ext.graph.src, ext.graph.dst, ext.graph.wgt, *ext.layers):
+            arr.flags.writeable = False
+        g._extension = ext
+    return ext
+
+
+class ExtensionLiftError(RuntimeError):
+    """A product pair has no orientation to lift: G's own extension has no
+    arc of weight <= its round between its host vertices, or its two
+    fibers have no tournament arc. Either means a broken invariant."""
+
+
+def _lift_pairs(f: ProductHost, pairs: np.ndarray, own: DirWLGraph,
+                tau: np.ndarray, i: int) -> np.ndarray:
+    """Orient round-i product pairs <u,v> - <u',v'> as G's own extension
+    orients v - v', and vertical pairs (v = v') as tau orients u - u'."""
+    n = f.base_n
+    fiber, v = np.divmod(pairs, n)
+    # G's arcs are sorted by src * n + dst; the sentinel ends every search
+    codes = np.append(own.src * n + own.dst, n * n)
+    wgt = np.append(own.wgt, i + 1)
+
+    def has_arc(a, b):
+        pos = np.searchsorted(codes, a * n + b)
+        return (codes[pos] == a * n + b) & (wgt[pos] <= i)
+
+    vertical = v[:, 0] == v[:, 1]
+    forward = (has_arc(v[:, 0], v[:, 1])
+               | vertical & tau[fiber[:, 0], fiber[:, 1]])
+    backward = (has_arc(v[:, 1], v[:, 0])
+                | vertical & tau[fiber[:, 1], fiber[:, 0]])
+    if not (forward | backward).all():
+        x, y = pairs[np.argmin(forward | backward)]
+        raise ExtensionLiftError(
+            f"round {i}: no arc to lift onto product pair <{x // n},{x % n}>"
+            f" - <{y // n},{y % n}>")
+    src = np.where(forward, pairs[:, 0], pairs[:, 1])
+    dst = np.where(forward, pairs[:, 1], pairs[:, 0])
+    order = np.argsort(src * f.graph.n + dst, kind="stable")
+    return np.column_stack((src[order], dst[order]))
+
+
+def optimal_extension(f, t: int) -> FraternalExtension:
+    """MinFrat(F, t): a t-fraternal extension with small outdegree.
+
+    For a ProductHost F = H^L x G every layer is lifted, so only G is
+    ever peeled. Layer 1 follows G's degeneracy order
+    (``lifted_orientation``). Layer i >= 2 takes the round-i pairs of F
+    and orients <u,v> - <u',v'> as G's own extension orients v - v'
+    (an arc of weight <= i always exists there, since every product arc
+    projects onto a G arc or onto one vertex), and a vertical pair
+    (v = v') by the tournament of ``fiber_tournament(H, t)``. G's own
+    extension is built once and cached on G, only when t >= 2. The
+    layers of a lifted product need not be acyclic from layer 2 on: the
+    counts only need each pair oriented once.
+
+    A bare UndirectedGraph (trivial labels) or an object with ``graph``
+    and ``labels`` is extended by peeling: each layer is oriented by the
+    degeneracy peel of its own edges, so each layer is a DAG (the union
+    may still be cyclic). That is how G's own extension is built, and it
+    is the oracle the lift is tested against.
     """
     if t < 1:
         raise ValueError("extension depth must be >= 1")
-    if isinstance(f, ProductHost):
-        base, labels = f.graph, f.labels
-    elif isinstance(f, UndirectedGraph):
-        base, labels = f, None
-    else:
-        base, labels = f.graph, np.asarray(f.labels, dtype=np.int64)
-    arcs1 = (lifted_orientation(f) if isinstance(f, ProductHost)
-             else degeneracy_orient(base, 1).arcs)
-    ones = np.ones(arcs1.shape[0], dtype=np.int64)
-    graph = DirWLGraph.from_arrays(base.n, arcs1[:, 0], arcs1[:, 1], ones,
-                                   labels)
-    ext = FraternalExtension(graph, 1, (arcs1,))
-    for i in range(2, t + 1):
-        edges = extension_edges(ext.graph, i)
-        layer = degeneracy_orient(edges, i)
-        ext = _with_layer(ext, layer.arcs, i, labels)
-    return FraternalExtension(ext.graph, t, ext.layers)
+    if isinstance(f, UndirectedGraph):
+        return _peeled_extension(f, None, t)
+    if not isinstance(f, ProductHost):
+        return _peeled_extension(f.graph, np.asarray(f.labels, dtype=np.int64),
+                                 t)
+    ext = _first_layer(f.graph.n, lifted_orientation(f), f.labels)
+    if t >= 2:
+        own = _own_extension(f.host, t).graph
+        tau = np.zeros((f.pattern_n, f.pattern_n), dtype=bool)
+        for a, b in fiber_tournament(f.pattern, t).arcs:
+            tau[a, b] = True
+        for i in range(2, t + 1):
+            pairs = extension_edges(ext.graph, i).pairs
+            ext = _with_layer(ext, _lift_pairs(f, pairs, own, tau, i), i,
+                              f.labels)
+    return ext
 
 
 def validate_fraternity(ext, t: int | None = None, size_cap: int = 4096) -> bool:

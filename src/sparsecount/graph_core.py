@@ -36,12 +36,14 @@ class UndirectedGraph:
     """Simple undirected graph over vertices 0..n-1.
 
     Edges are stored once as (u, v) with u < v, sorted; adjacency is a CSR
-    index built lazily, and so is the degeneracy order
-    (``degeneracy.degeneracy_order``). No self-loops or parallel edges.
+    index built lazily, and so are the degeneracy order
+    (``degeneracy.degeneracy_order``) and the graph's own fraternal
+    extension that product hosts over it lift (``fraternal``). No
+    self-loops or parallel edges.
     """
 
     __slots__ = ("n", "edge_array", "id_map", "_indptr", "_nbrs", "_adj_sets",
-                 "_degeneracy")
+                 "_degeneracy", "_extension")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         arr = _as_pair_array(edges)
@@ -70,6 +72,7 @@ class UndirectedGraph:
         self._nbrs = None
         self._adj_sets = None
         self._degeneracy = None
+        self._extension = None
 
     @classmethod
     def from_array(cls, n: int, arr: np.ndarray) -> "UndirectedGraph":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .counting import (BRUTE_FORCE_HOM_CAP, NoWidth1Decomposition,
                        _induced_pattern, brute_force_hom, count_family,
-                       count_homomorphisms, count_subgraphs)
+                       count_homomorphisms, count_subgraphs, frat_classes)
 from .degeneracy import degeneracy_order
 from .fraternal import enumerate_pattern_extensions, optimal_extension
 from .graph_core import (GraphFormatError, UndirectedGraph, load_edge_list,
@@ -259,6 +259,7 @@ def _cmd_analyze(args) -> int:
     entries = spasm(h)
     hl = label_pattern(h)
     extensions = enumerate_pattern_extensions(hl, depth)
+    n_classes = len(frat_classes(extensions, h, depth))
     witnesses = []
     for ext in extensions:
         tree = find_width1_decomposition(ext.graph)
@@ -285,6 +286,7 @@ def _cmd_analyze(args) -> int:
                    "edges": e.quotient.edge_list(),
                    "coefficient": str(e.coefficient)} for e in entries],
         "n_extensions": len(extensions),
+        "n_classes": n_classes,
         "extensions": witnesses,
     }
     if args.json:
@@ -297,7 +299,8 @@ def _cmd_analyze(args) -> int:
     for e in entries:
         print(f"  {e.coefficient!s:>8}  *  Hom(G, quotient n={e.quotient.n} "
               f"edges={e.quotient.edge_list()})")
-    print(f"|Frat(H,{depth})| = {len(extensions)}")
+    print(f"|Frat(H,{depth})| = {len(extensions)} in {n_classes} classes "
+          f"(one DP each)")
     width1 = sum(1 for w in witnesses if w["width1"])
     print(f"width-1 witnesses: {width1}/{len(witnesses)}")
     for i, w in enumerate(witnesses):

@@ -9,9 +9,10 @@ exact rational, never floating point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .graph_core import DirWLGraph, UndirectedGraph
 
@@ -94,16 +95,20 @@ def connected_components(h: UndirectedGraph) -> list[frozenset]:
     return comps
 
 
-def _automorphism_chain(h: UndirectedGraph) -> tuple[list[list[int]], int]:
-    """Generators of Aut(h) from a stabilizer chain, and |Aut(h)|.
+def _automorphism_chain(h: UndirectedGraph, arcs: frozenset = frozenset()
+                        ) -> tuple[list[list[int]], int]:
+    """Generators of the automorphisms of h that keep ``arcs``, from a
+    stabilizer chain, and the group's order.
 
-    Level i fixes the first i vertices of a search order and asks, for
-    each image c of the next vertex v, for one automorphism sending v to
-    c; the backtracking stops at its first completion. The images that
-    complete form v's orbit under the stabilizer of the earlier vertices,
-    so |Aut(h)| is the product of the orbit sizes and the automorphisms
-    found (one per non-trivial image) generate Aut(h). No search walks
-    the whole group.
+    ``arcs`` is a set of directed pairs (a, b); an automorphism keeps it
+    when it maps every arc onto an arc. Level i fixes the first i
+    vertices of a search order and asks, for each image c of the next
+    vertex v, for one automorphism sending v to c; the backtracking
+    stops at its first completion. The images that complete form v's
+    orbit under the stabilizer of the earlier vertices, so the order is
+    the product of the orbit sizes and the automorphisms found (one per
+    non-trivial image) generate the group. No search walks the whole
+    group.
     """
     n = h.n
     adj = h.adjacency_sets()
@@ -132,7 +137,10 @@ def _automorphism_chain(h: UndirectedGraph) -> tuple[list[list[int]], int]:
         v = order[i]
         if used[c] or deg[c] != deg[v]:
             return False
-        return all((u in adj[v]) == (img[u] in adj[c]) for u in order[:i])
+        return all((u in adj[v]) == (img[u] in adj[c])
+                   and ((u, v) in arcs) == ((img[u], c) in arcs)
+                   and ((v, u) in arcs) == ((c, img[u]) in arcs)
+                   for u in order[:i])
 
     def place(i: int, c: int) -> list[int] | None:
         """The first automorphism extending img with order[i] -> c."""
@@ -177,6 +185,128 @@ def automorphism_generators(h: UndirectedGraph) -> list[list[int]]:
 def automorphism_count(h: UndirectedGraph) -> int:
     """|Aut(h)| as the product of the stabilizer chain's orbit sizes."""
     return _automorphism_chain(h)[1]
+
+
+@dataclass(frozen=True)
+class FiberTournament:
+    """How a depth-t product extension orients its vertical pairs.
+
+    A vertical pair <a,v> - <b,v> of H^L x G joins two fibers over one
+    host vertex, so G cannot orient it; it points a -> b for (a, b) in
+    ``arcs``, one arc per pattern pair whose fibers such a pair can join.
+    ``generators`` generate Aut_tau(h), the automorphisms of h that keep
+    ``arcs``, and ``size`` is its order. For s in Aut_tau(h), <u,v> ->
+    <s(u),v> is an automorphism of the whole product extension.
+    """
+
+    arcs: frozenset
+    generators: tuple
+    size: int
+
+
+def _vertical_pairs(h: UndirectedGraph, t: int) -> set[tuple[int, int]]:
+    """Ordered pairs (a, b), a != b, of pattern vertices whose fibers a
+    round 2..t of a product extension over any host can link.
+
+    Round i links the ends of an out-out wedge with weights w and i - w,
+    so by induction a pair of fibers linked at weight i is a pair of
+    pattern vertices with a common "neighbor" c, linked to one end at
+    some weight w and to the other at i - w. A fiber is linked to itself
+    from round 2 on (two host vertices over one pattern vertex).
+    """
+    n = h.n
+    near = [[set(nb) for nb in h.adjacency_sets()]]  # near[w-1][c]
+    pairs: set[tuple[int, int]] = set()
+    for i in range(2, t + 1):
+        layer: list[set[int]] = [set() for _ in range(n)]
+        for c in range(n):
+            for w in range(1, i):
+                for a in near[w - 1][c]:
+                    layer[a] |= near[i - w - 1][c]
+        near.append(layer)
+        pairs.update((a, b) for a in range(n) for b in layer[a] if a != b)
+    return pairs
+
+
+def orbit_roots(items: list, gens, act) -> list[int]:
+    """For each item, the index of the first item of its orbit under the
+    group that ``gens`` generate; ``act(s, item)`` is the image of item
+    under s and must be one of ``items``. A union-find of every item
+    with its image under each generator, so no group element beyond the
+    generators is formed.
+    """
+    index = {x: i for i, x in enumerate(items)}
+    root = list(range(len(items)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for s in gens:
+        for i, x in enumerate(items):
+            j = index.get(act(s, x))
+            assert j is not None, "an automorphism left the item set"
+            a, b = find(i), find(j)
+            root[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(items))]
+
+
+def _pair_orbits(pairs: list, gens) -> dict:
+    roots = orbit_roots(pairs, gens, lambda s, p: (s[p[0]], s[p[1]]))
+    return dict(zip(pairs, roots))
+
+
+def _order(perm: tuple) -> int:
+    power, k = perm, 1
+    while any(v != x for v, x in enumerate(power)):
+        power = tuple(perm[x] for x in power)
+        k += 1
+    return k
+
+
+@functools.lru_cache(maxsize=256)
+def _fiber_tournament(n: int, edges: tuple, t: int) -> FiberTournament:
+    h = UndirectedGraph(n, edges)
+    pairs = sorted(_vertical_pairs(h, t))
+    gens = automorphism_generators(h) if pairs else []
+    # K: a subgroup no element of which swaps a vertical pair, grown
+    # greedily from the chain's generators and their products, highest
+    # element order first (for a cycle a rotation, so K is all of Z_k
+    # unless the half turn swaps a vertical pair)
+    cands = sorted({tuple(g[s[v]] for v in range(n))
+                    for g in gens for s in [list(range(n))] + gens},
+                   key=lambda g: (-_order(g), g))
+    k_gens: list = []
+    for g in cands:
+        orbit = _pair_orbits(pairs, k_gens + [g])
+        if all(orbit[(a, b)] != orbit[(b, a)] for a, b in pairs):
+            k_gens.append(g)
+    # tau: the lowest unoriented pair points up, and so does its K-orbit
+    orbit = _pair_orbits(pairs, k_gens)
+    arcs: set[tuple[int, int]] = set()
+    for a, b in pairs:
+        if a < b and (a, b) not in arcs and (b, a) not in arcs:
+            arcs.update(p for p in pairs if orbit[p] == orbit[(a, b)])
+    arcs = frozenset(arcs)
+    gens, size = _automorphism_chain(h, arcs)
+    return FiberTournament(arcs, tuple(tuple(g) for g in gens), size)
+
+
+def fiber_tournament(h: UndirectedGraph, t: int) -> FiberTournament:
+    """The vertical-pair tournament of depth-t product extensions over h.
+
+    tau is chosen so that Aut_tau(h) is large: take a subgroup K of
+    Aut(h) in which no element swaps the two ends of a vertical pair, and
+    orient one pair per K-orbit, the rest of the orbit following it. K
+    is grown greedily, so it is not always the largest such subgroup;
+    when nothing better is found it is trivial, which is still correct.
+    At depth 1 there are no vertical pairs and Aut_tau(h) = Aut(h). The
+    result is cached per (h, t), so the host extension and the grouping
+    of Frat(h, t) read the same tau.
+    """
+    return _fiber_tournament(h.n, tuple(h.edge_list()), t)
 
 
 def canonical_form(h: UndirectedGraph) -> tuple[int, int]:

@@ -28,16 +28,18 @@ class ProductHost:
     """Categorical product of pattern and host with first-coordinate labels.
 
     Vertex <u, v> has id u * base_n + v, so the fiber of pattern vertex u
-    is the contiguous block [u * base_n, (u+1) * base_n). ``host`` is the
-    host G itself, kept so its degeneracy order can orient the product.
+    is the contiguous block [u * base_n, (u+1) * base_n). ``pattern`` is
+    H and ``host`` is G itself, kept so G's own extension and a
+    tournament on H's vertices can orient the product's extension.
     """
 
-    __slots__ = ("graph", "pattern_n", "base_n", "host", "labels")
+    __slots__ = ("graph", "pattern", "pattern_n", "base_n", "host", "labels")
 
-    def __init__(self, graph: UndirectedGraph, pattern_n: int,
+    def __init__(self, graph: UndirectedGraph, pattern: UndirectedGraph,
                  host: UndirectedGraph):
         self.graph = graph
-        self.pattern_n = pattern_n
+        self.pattern = pattern
+        self.pattern_n = pattern.n
         self.base_n = base_n = host.n
         self.host = host
         self.labels = (np.arange(graph.n, dtype=np.int64) // base_n
@@ -85,4 +87,4 @@ def pattern_product(hl: LabeledPattern, g: UndirectedGraph) -> ProductHost:
         edges = np.empty((0, 2), dtype=np.int64)
     product = UndirectedGraph.from_array(k * n, edges)
     assert product.m == 2 * hl.graph.m * g.m
-    return ProductHost(product, k, g)
+    return ProductHost(product, hl.graph, g)

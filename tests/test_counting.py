@@ -163,6 +163,26 @@ def test_lifted_and_exact_peel_extensions_agree(kind, n, seed, h, t):
     assert via_lift == via_peel == brute_force_hom(g, h)
 
 
+@pytest.mark.parametrize("k", [7, 8, 9])
+def test_lifted_and_exact_peel_extensions_agree_on_long_cycles(k):
+    # C7-C9 at t = 3 put vertical pairs at every distance up to 3 (the
+    # half turn of C8 is left in Aut_tau); the lifted host, counted one
+    # DP per class, and the exact peel, counted member by member, must
+    # both give trace(A^k)
+    g = random_graph(6, 0.5, random.Random(k))
+    h = cycle_graph(k)
+    hl = label_pattern(h)
+    product = pattern_product(hl, g)
+    lifted = optimal_extension(product, 3)
+    exact = optimal_extension(
+        SimpleNamespace(graph=product.graph, labels=product.labels), 3)
+    members = enumerate_pattern_extensions(hl, 3)
+    via_lift = sum(count_hom_extension(members[c[0]], lifted) * len(c)
+                   for c in frat_classes(members, h, 3))
+    via_peel = sum(count_hom_extension(m, exact) for m in members)
+    assert via_lift == via_peel == cycle_hom_trace(g, k) > 0
+
+
 def test_count_hom_extension_matches_wl_oracle():
     rng = random.Random(37)
     for _ in range(25):
@@ -321,7 +341,7 @@ def test_thread_option_matches_serial():
     assert count_homomorphisms(g, h, threads=2) == \
         count_homomorphisms(g, h, threads=1)
     # Hom(C5) runs its depth-1 orbit representatives on the pool, Hom(C6)
-    # every one of its depth-2 extensions, Sub(C6) its spasm quotients
+    # its depth-2 class representatives, Sub(C6) its spasm quotients
     host = generate_bounded_degeneracy(30, 3, 13)
     for k, t in ((5, 1), (6, 2)):
         counts = {threads: count_homomorphisms(host, cycle_graph(k), t=t,
@@ -333,16 +353,16 @@ def test_thread_option_matches_serial():
 
 
 @given(st.integers(1, 8), st.integers(0, 10 ** 6),
-       st.sampled_from(connected_patterns_up_to(5)))
+       st.sampled_from(connected_patterns_up_to(5)), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
-def test_depth1_orbit_classes_count_alike(n, seed, h):
+def test_depth1_orbit_classes_count_alike(n, seed, h, t):
     # one DP per class stands for all of it only if every member of an
-    # Aut(H) orbit counts the same on the lifted depth-1 host extension
+    # Aut_tau(H) orbit counts the same on the lifted host extension
     g = random_graph(n, 0.45, random.Random(seed))
     hl = label_pattern(h)
-    hostx = optimal_extension(pattern_product(hl, g), 1)
-    members = enumerate_pattern_extensions(hl, 1)
-    classes = frat_classes(members, h, 1)
+    hostx = optimal_extension(pattern_product(hl, g), t)
+    members = enumerate_pattern_extensions(hl, t)
+    classes = frat_classes(members, h, t)
     assert sorted(i for c in classes for i in c) == list(range(len(members)))
     for c in classes:
         assert c[0] == min(c)
@@ -362,16 +382,19 @@ def test_one_extension_dp_per_depth1_orbit(monkeypatch):
 
     monkeypatch.setattr(counting, "count_hom_extension", counted)
     g = random_graph(12, 0.4, random.Random(5))
-    c5, c6 = cycle_graph(5), cycle_graph(6)
+    c5 = cycle_graph(5)
     assert count_homomorphisms(g, c5) == cycle_hom_trace(g, 5)
     assert len(calls) == 3  # the 30 orientations of C5 form 3 orbits
     calls.clear()
     report = run_count_hom(g, c5)
     assert report.count == cycle_hom_trace(g, 5)
     assert report.n_extensions == 30 and len(calls) == 3
-    calls.clear()
-    assert count_homomorphisms(g, c6) == cycle_hom_trace(g, 6)
-    assert len(calls) == 196  # depth 2: one DP per extension
+    # depth 2: one DP per rotation class of Frat(C_k, 2), since the
+    # clockwise tournament on distance-2 pairs keeps Aut_tau = Z_k
+    for k, dps in ((6, 36), (7, 68), (8, 149)):
+        calls.clear()
+        assert count_homomorphisms(g, cycle_graph(k)) == cycle_hom_trace(g, k)
+        assert len(calls) == dps
 
 
 def test_forced_overflow_reroute_is_exact(monkeypatch):
@@ -425,6 +448,20 @@ def test_fast_engine_overflow_guard_falls_back():
         _HostIndex(host)
     tree = find_width1_decomposition(pattern)
     assert count_with_tree(pattern, tree, host, "fast") == 1
+
+
+def test_default_engine_is_vectorized_on_small_hosts(monkeypatch):
+    # the dict engine is only the overflow reroute and the oracle, so a
+    # count on a host of a few arcs never reaches it
+    import sparsecount.counting as counting
+
+    def refuse(*args):
+        raise AssertionError("the dict engine ran")
+
+    monkeypatch.setattr(counting, "bressan_count", refuse)
+    g = random_graph(5, 0.5, random.Random(2))
+    for k in (3, 4, 6):
+        assert count_homomorphisms(g, cycle_graph(k)) == cycle_hom_trace(g, k)
 
 
 def test_host_index_built_once_under_threads(monkeypatch):

@@ -133,14 +133,115 @@ def test_optimal_extension_depth1_lifts_host_peel_on_products():
 
 
 def test_lifted_product_extensions_are_fraternal():
+    # layer 1 is acyclic (it lifts G's peel); from layer 2 on the layer
+    # need only orient each of its round's pairs exactly once, and tau
+    # may close directed cycles across fibers
     rng = random.Random(31)
     for t in (2, 3):
         for _ in range(15):
             _, _, product = _random_product(rng)
             ext = optimal_extension(product, t)
             assert validate_fraternity(ext)
-            for layer in ext.layers:
-                assert is_acyclic_arcs(product.graph.n, layer)
+            assert is_acyclic_arcs(product.graph.n, ext.layers[0])
+            for i in range(2, t + 1):
+                keep = ext.graph.wgt < i
+                prefix = DirWLGraph.from_arrays(
+                    ext.graph.n, ext.graph.src[keep], ext.graph.dst[keep],
+                    ext.graph.wgt[keep], ext.graph.labels)
+                arcs = [(int(u), int(v)) for u, v in ext.layers[i - 1]]
+                assert len(set(arcs)) == len(arcs)
+                assert {(min(a), max(a)) for a in arcs} == \
+                    pairs_of(extension_edges(prefix, i))
+                assert len(arcs) == len(extension_edges(prefix, i))
+
+
+def _product_automorphism(product, sigma):
+    n = product.base_n
+    return lambda x: sigma[x // n] * n + x % n
+
+
+def test_tournament_automorphisms_keep_the_host_extension():
+    # for s in Aut_tau(H), <u,v> -> <s(u),v> maps the lifted product
+    # extension onto itself, arcs and weights alike (checking the
+    # generators checks the group); patterns with triangles put vertical
+    # pairs over pattern edges
+    from sparsecount import pattern_product
+    from sparsecount.pattern_tools import fiber_tournament
+
+    rng = random.Random(43)
+    patterns = [cycle_graph(4), cycle_graph(5), cycle_graph(6),
+                complete_graph(3), complete_graph(4), star_graph(3)]
+    for t in (2, 3):
+        for trial in range(24):
+            if trial % 2:
+                h, _, product = _random_product(rng)
+            else:
+                h = patterns[trial // 2 % len(patterns)]
+                g = random_graph(rng.randint(2, 7), 0.5, rng)
+                product = pattern_product(label_pattern(h), g)
+            ext = optimal_extension(product, t)
+            arcs = set(zip(ext.graph.src.tolist(), ext.graph.dst.tolist(),
+                           ext.graph.wgt.tolist()))
+            tour = fiber_tournament(h, t)
+            for sigma in tour.generators:
+                phi = _product_automorphism(product, sigma)
+                assert {(phi(x), phi(y), w) for x, y, w in arcs} == arcs
+    assert fiber_tournament(cycle_graph(6), 2).size == 6
+    assert fiber_tournament(cycle_graph(6), 3).size == 3  # no half turn
+
+
+def test_host_extension_built_once_per_graph(monkeypatch):
+    # G's own extension is cached on G with read-only arrays; a deeper
+    # request adds only the missing rounds, and every product over G,
+    # such as the spasm quotients of a subgraph count, reads it
+    import sparsecount.fraternal as fraternal
+    from sparsecount import (brute_force_sub, count_homomorphisms,
+                             count_subgraphs)
+
+    built = []
+    real = fraternal._peeled_extension
+
+    def tracked(base, labels, t, ext=None):
+        built.append((base, 0 if ext is None else ext.depth, t))
+        return real(base, labels, t, ext)
+
+    monkeypatch.setattr(fraternal, "_peeled_extension", tracked)
+    served = []
+    real_own = fraternal._own_extension
+
+    def own_tracked(host, t):
+        served.append(real_own(host, t))
+        return served[-1]
+
+    monkeypatch.setattr(fraternal, "_own_extension", own_tracked)
+    g = random_graph(9, 0.45, random.Random(8))
+    count_homomorphisms(g, cycle_graph(5))
+    assert g._extension is None and not served  # depth 1 lifts G's peel
+    # Sub(C8) counts C8 and two quotients with a 6-cycle at depth 2
+    assert count_subgraphs(g, cycle_graph(8)) == \
+        brute_force_sub(g, cycle_graph(8))
+    assert built == [(g, 0, 2)]
+    assert len(served) == 3 and all(e is served[0] for e in served)
+    own = g._extension
+    for arr in (own.graph.src, own.graph.dst, own.graph.wgt, *own.layers):
+        assert not arr.flags.writeable
+    count_homomorphisms(g, cycle_graph(6), t=3)
+    assert built == [(g, 0, 2), (g, 2, 3)]
+    count_homomorphisms(g, cycle_graph(7))  # depth 2 reads the depth-3 one
+    assert len(built) == 2 and served[-1] is g._extension
+    assert g._extension.depth == 3
+
+
+def test_lift_without_a_host_arc_raises():
+    from sparsecount import pattern_product
+    from sparsecount.fraternal import ExtensionLiftError
+
+    g = cycle_graph(5)
+    product = pattern_product(label_pattern(path_graph(3)), g)
+    depth1 = optimal_extension(g, 1)
+    g._extension = FraternalExtension(depth1.graph, 2, depth1.layers * 2)
+    with pytest.raises(ExtensionLiftError):
+        optimal_extension(product, 2)
 
 
 def test_optimal_extension_edgeless():

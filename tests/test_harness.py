@@ -123,6 +123,7 @@ def test_cli_analyze(tmp_path, capsys):
     assert payload["licl"] == 9
     assert payload["t_min"] == 3
     assert payload["n_extensions"] == 2 ** 9 - 2
+    assert payload["n_classes"] == 29  # Aut(C9) orbits of orientations
     # at depth 1 the alternating orientations have no width-1 witness
     assert any(not w["width1"] for w in payload["extensions"])
     assert all("hubset" in w and "ur_edges" in w for w in payload["extensions"])
@@ -134,6 +135,7 @@ def test_cli_analyze_text(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "licl: 4" in out and "t_min: 1" in out
     assert "1/8" in out  # leading spasm coefficient
+    assert "|Frat(H,1)| = 14 in 3 classes" in out
 
 
 def test_cli_verify(tmp_path, capsys):
