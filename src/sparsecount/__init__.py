@@ -19,8 +19,7 @@ from .fraternal import (ExtensionBlowupError, ExtensionLiftError,
                         extension_edges, optimal_extension,
                         validate_fraternity)
 from .graph_core import (ArcLayer, DirWLGraph, EdgeSet, GraphFormatError,
-                         UndirectedGraph, dump_weighted, induced_subgraph,
-                         load_edge_list, max_outdegree, out_neighbors,
+                         UndirectedGraph, load_edge_list, max_outdegree,
                          save_edge_list)
 from .harness import (RunReport, cli_main, generate_bounded_degeneracy,
                       generate_double_subdivision, generate_gnp,
@@ -28,11 +27,11 @@ from .harness import (RunReport, cli_main, generate_bounded_degeneracy,
 from .hub_decomp import (DecompositionStallError, HubTree, URGraph,
                          find_width1_decomposition, hubset, reach,
                          unique_reachability_graph, validate_decomposition)
-from .pattern_tools import (FiberTournament, PatternProfile, SpasmEntry,
+from .pattern_tools import (FiberTournament, SpasmEntry,
                             acyclic_orientations, automorphism_count,
                             automorphism_generators, canonical_form,
                             connected_components, fiber_tournament, licl,
-                            min_extension_depth, pattern_profile, spasm)
+                            min_extension_depth, spasm)
 from .product import (LabeledPattern, ProductHost, label_pattern,
                       pattern_product)
 

@@ -1,29 +1,32 @@
-"""Counting engines and the end-to-end pipeline.
+"""The end-to-end pipeline and its oracles.
 
-``enumerate_root_homs`` lists the label/weight/arc-respecting
-homomorphisms of a reachable sub-pattern; ``bressan_count`` is the
-generalized width-1 tree DP over hub-tree decompositions;
 ``count_homomorphisms`` runs the whole pipeline (labeled product, host
-extension, pattern extension family, per-extension DP) and
-``count_subgraphs`` reduces subgraph counts to it through the spasm.
-``count_family`` is the family step both the pipeline and the CLI's
-timed run call: it runs one DP per Aut_tau(H) orbit of Frat(H, t) and
-weights it by the orbit size (``frat_classes`` says why orbits count
-alike).
-Brute-force oracles live here too, so every fast path has an exhaustive
-counterpart. All counts are exact Python integers end to end.
+extension, pattern extension family, per-extension DP on the one
+engine, ``fastdp``) and ``count_subgraphs`` reduces subgraph counts to
+it through the spasm. ``count_family`` runs one DP per Aut_tau(H) orbit
+of Frat(H, t) and weights it by the orbit size (``frat_classes`` says
+why orbits count alike).
+Oracles live here too, so every fast path has an exhaustive
+counterpart: ``enumerate_root_homs`` lists the label/weight/arc-respecting
+homomorphisms of a reachable sub-pattern, ``bressan_count`` is the
+generalized width-1 tree DP over hub-tree decompositions as dictionaries,
+and the ``brute_force_*`` functions enumerate every map. No production
+path calls them. All counts are exact Python integers end to end.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import fastdp
-from .fraternal import (DEFAULT_FRAT_CAP, FraternalExtension,
-                        enumerate_pattern_extensions, optimal_extension)
-from .graph_core import DirWLGraph, UndirectedGraph, bfs_out_tree
+from .fraternal import (FraternalExtension, enumerate_pattern_extensions,
+                        optimal_extension)
+from .graph_core import (DirWLGraph, UndirectedGraph, bfs_out_tree,
+                         max_outdegree)
 from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
                          reach)
 from .pattern_tools import (automorphism_count, connected_components,
@@ -62,10 +65,6 @@ class HomMap(tuple):
 
     def __new__(cls, pairs=()):
         return super().__new__(cls, sorted(pairs))
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "HomMap":
-        return cls(mapping.items())
 
     def restrict(self, vertices) -> "HomMap":
         vs = set(vertices)
@@ -177,44 +176,27 @@ def bressan_count(pattern: DirWLGraph, tree: HubTree, bag: int,
 
 
 def count_hom_extension(pattern_ext: FraternalExtension,
-                        host_ext: FraternalExtension,
-                        engine: str = "auto") -> int:
+                        host_ext: FraternalExtension) -> int:
     """Weighted/labeled Hom(host_ext, pattern_ext) via the width-1 DP.
 
-    Runs the DP at the root of a width-1 hub-tree decomposition of the
-    pattern extension and sums the root dictionary. Raises
-    NoWidth1Decomposition when no such decomposition exists.
+    Runs ``fastdp.extension_count`` on a width-1 hub-tree decomposition
+    of the pattern extension. Raises NoWidth1Decomposition when no such
+    decomposition exists.
     """
     tree = find_width1_decomposition(pattern_ext.graph)
     if tree is None:
         raise NoWidth1Decomposition(pattern_ext)
-    return count_with_tree(pattern_ext.graph, tree, host_ext.graph, engine)
+    return fastdp.extension_count(pattern_ext.graph, tree, host_ext.graph)
 
 
-def count_with_tree(pattern: DirWLGraph, tree: HubTree, host: DirWLGraph,
-                    engine: str = "auto") -> int:
-    """Run the DP on a decomposed pattern: ``auto`` and ``fast`` run the
-    vectorized engine and redo the count on the exact dict engine when it
-    reports an int64 overflow risk; ``reference`` runs the dict engine,
-    which production paths keep only as that reroute and as an oracle.
-    """
-    if engine not in ("auto", "fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine != "reference":
-        try:
-            return fastdp.extension_count(pattern, tree, host)
-        except fastdp.Int64OverflowRisk:
-            pass  # redo exactly in arbitrary precision
-    root = bressan_count(pattern, tree, tree.root, host)
-    return sum(root.values())
-
-
-def _induced_pattern(h: UndirectedGraph, comp) -> UndirectedGraph:
-    verts = sorted(comp)
-    remap = {v: i for i, v in enumerate(verts)}
-    edges = [(remap[u], remap[v]) for u, v in h.edge_list()
-             if u in remap and v in remap]
-    return UndirectedGraph(len(verts), edges)
+def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
+    """The connected components of h, each densely re-indexed."""
+    parts = []
+    for comp in connected_components(h):
+        remap = {v: i for i, v in enumerate(sorted(comp))}
+        parts.append(UndirectedGraph(len(remap), [
+            (remap[u], remap[v]) for u, v in h.edge_list() if u in remap]))
+    return parts
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -250,9 +232,8 @@ def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,
 
 
 def count_family(hl: LabeledPattern, depth: int,
-                 host_ext: FraternalExtension, engine: str = "auto",
-                 threads: int | None = None,
-                 frat_cap: int = DEFAULT_FRAT_CAP) -> tuple[int, int]:
+                 host_ext: FraternalExtension,
+                 threads: int | None = None) -> tuple[int, int]:
     """Sum of the extension DPs over Frat(hl, depth), and |Frat(hl, depth)|.
 
     Runs one DP per class of ``frat_classes`` and weights it by the class
@@ -261,31 +242,54 @@ def count_family(hl: LabeledPattern, depth: int,
     with the host at the same depth, whose lifted layers the classes rely
     on.
     """
-    members = enumerate_pattern_extensions(hl, depth, cap=frat_cap)
+    members = enumerate_pattern_extensions(hl, depth)
     classes = frat_classes(members, hl.graph, depth)
     reps = [members[c[0]] for c in classes]
     workers = resolve_threads(threads)
     if workers > 1 and len(reps) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
-                lambda pe: count_hom_extension(pe, host_ext, engine), reps))
+                lambda pe: count_hom_extension(pe, host_ext), reps))
     else:
-        parts = [count_hom_extension(pe, host_ext, engine) for pe in reps]
+        parts = [count_hom_extension(pe, host_ext) for pe in reps]
     total = sum(part * len(c) for part, c in zip(parts, classes))
     return total, len(members)
 
 
-def _count_component(g, hc, t, engine, threads, frat_cap):
-    depth = t if t is not None else min_extension_depth(licl(hc))
+class ComponentCount(NamedTuple):
+    """One connected pattern's count and what its run measured."""
+
+    count: int
+    n_extensions: int      # |Frat(hc, depth)|
+    delta_plus: int        # max out-degree of the host extension
+    product_ms: float
+    host_extension_ms: float
+    dp_ms: float
+
+
+def _component_depth(hc: UndirectedGraph, t: int | None) -> int:
+    """The depth a count uses for the connected pattern hc."""
+    return t if t is not None else min_extension_depth(licl(hc))
+
+
+def _count_component(g: UndirectedGraph, hc: UndirectedGraph,
+                     t: int | None, threads: int | None) -> ComponentCount:
+    depth = _component_depth(hc, t)
     hl = label_pattern(hc)
-    host_ext = optimal_extension(pattern_product(hl, g), depth)
-    return count_family(hl, depth, host_ext, engine, threads, frat_cap)[0]
+    t0 = time.perf_counter()
+    product = pattern_product(hl, g)
+    t1 = time.perf_counter()
+    host_ext = optimal_extension(product, depth)
+    t2 = time.perf_counter()
+    count, n_ext = count_family(hl, depth, host_ext, threads)
+    t3 = time.perf_counter()
+    return ComponentCount(count, n_ext, max_outdegree(host_ext.graph),
+                          (t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3)
 
 
 def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
-                        t: int | None = None, engine: str = "auto",
-                        threads: int | None = None,
-                        frat_cap: int = DEFAULT_FRAT_CAP) -> int:
+                        t: int | None = None,
+                        threads: int | None = None) -> int:
     """Hom(g, h) through the full near-linear pipeline.
 
     Builds the labeled pattern and product host, the optimal host
@@ -297,21 +301,21 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     orientations of C5); at depth 2 the clockwise tournament keeps the
     rotations of a cycle (36 DPs for the 196 extensions of C6, 149 for
     the 1152 of C8). Disconnected patterns multiply their
-    per-component counts. Raises NoWidth1Decomposition when some pattern
-    extension has no width-1 decomposition, which happens when
-    LICL(h) >= 3(t+1).
+    per-component counts. Every DP runs on the one vectorized engine,
+    which widens its values to exact Python ints wherever they could pass
+    int64. Raises NoWidth1Decomposition when some pattern extension has
+    no width-1 decomposition, which happens when LICL(h) >= 3(t+1).
     """
     if h.n == 0:
         raise ValueError("pattern must have at least one vertex")
     total = 1
-    for comp in connected_components(h):
-        total *= _count_component(g, _induced_pattern(h, comp), t, engine,
-                                  threads, frat_cap)
+    for hc in _component_patterns(h):
+        total *= _count_component(g, hc, t, threads).count
     return total
 
 
 def count_subgraphs(g: UndirectedGraph, h: UndirectedGraph,
-                    engine: str = "auto", threads: int | None = None) -> int:
+                    threads: int | None = None) -> int:
     """Sub(g, h) as the exact rational spasm combination of Hom counts.
 
     Every quotient runs at its own minimal extension depth; the rational
@@ -322,8 +326,7 @@ def count_subgraphs(g: UndirectedGraph, h: UndirectedGraph,
     acc = Fraction(0)
     for entry in spasm(h):
         try:
-            hom = count_homomorphisms(g, entry.quotient, engine=engine,
-                                      threads=threads)
+            hom = count_homomorphisms(g, entry.quotient, threads=threads)
         except NoWidth1Decomposition as exc:
             raise NoWidth1Decomposition(exc.extension,
                                         quotient=entry.quotient) from exc

@@ -1,18 +1,19 @@
-"""Vectorized width-1 DP engine for large hosts.
+"""The vectorized width-1 DP engine that every count runs.
 
 Semantically identical to the dict-based generalized tree DP in
-``counting``; rows of numpy arrays stand in for partial homomorphisms.
-Per bag, the root fiber is expanded chunk by chunk along the BFS
-spanning out-tree (CSR buckets keyed by (source, target label) with
-weight-prefix counts). Non-tree arcs are checked by scanning the same
-buckets (``_HostIndex.has_arcs``), at most Delta+ gathers per row.
-Child aggregates are joined on packed restriction keys, and columns
-stop being carried as soon as nothing downstream reads them. Everything
-is plain numpy.
+``counting``, kept as its oracle; rows of numpy arrays stand in for
+partial homomorphisms. Per bag, the root fiber is expanded chunk by
+chunk along the BFS spanning out-tree (CSR buckets keyed by (source,
+target label) with weight-prefix counts). Non-tree arcs are checked by
+scanning the same buckets (``_HostIndex.has_arcs``), at most Delta+
+gathers per row. Child aggregates are joined on packed restriction keys,
+and columns stop being carried as soon as nothing downstream reads them.
+Everything is plain numpy.
 
-Values are int64 with conservative pre-operation overflow guards; an
-``Int64OverflowRisk`` tells the caller to redo the extension on the
-exact arbitrary-precision path.
+Values are int64. Before each multiply or sum, a bound on its result is
+computed from the operands' maxima; where it could pass int64 the value
+array is widened to exact Python ints (``dtype=object``) and stays
+widened from there on, so every count is exact on this one engine.
 """
 
 from __future__ import annotations
@@ -28,18 +29,10 @@ CHUNK_ROOTS = 1 << 16
 _I64_LIMIT = 2 ** 63 - 1
 
 
-class Int64OverflowRisk(RuntimeError):
-    """A DP value could exceed int64; redo on the exact path."""
-
-
-def _guard_mul(a: int, b: int):
-    if int(a) * int(b) > _I64_LIMIT:
-        raise Int64OverflowRisk
-
-
-def _guard_sum(maxval: int, count: int):
-    if int(maxval) * max(int(count), 1) > _I64_LIMIT:
-        raise Int64OverflowRisk
+def _widen(vals: np.ndarray, bound: int) -> np.ndarray:
+    """``vals`` as exact Python ints once ``bound``, an upper bound on what
+    the next multiply or sum of them yields, could pass int64."""
+    return vals.astype(object) if bound > _I64_LIMIT else vals
 
 
 class _HostIndex:
@@ -49,7 +42,7 @@ class _HostIndex:
     weight <= w are its first ``cnt_upto[w - 1, bucket]`` entries.
     """
 
-    # (vertices x labels) bucket grid; beyond this the exact path is used
+    # (vertices x labels) bucket grid; a larger one is refused
     MAX_BUCKETS = 64_000_000
 
     def __init__(self, g: DirWLGraph):
@@ -59,7 +52,9 @@ class _HostIndex:
         self.tmax = int(g.wgt.max()) if g.arc_count else 1
         nb = self.n * self.k
         if nb > self.MAX_BUCKETS:
-            raise Int64OverflowRisk(f"bucket grid {nb} too large")
+            raise ValueError(f"host index of {self.n} vertices x {self.k} "
+                             f"labels = {nb} buckets is past the cap of "
+                             f"{self.MAX_BUCKETS}")
         bucket = g.src * self.k + labels[g.dst]
         order = np.lexsort((g.dst, g.wgt, bucket))
         self.targets = g.dst[order].astype(np.int32)
@@ -222,7 +217,7 @@ def _progressive_pack(kmat: np.ndarray, qmat: np.ndarray, n: int):
 
 
 class _Table:
-    """Aggregated child result: unique restriction keys and int64 counts.
+    """Aggregated child result: unique restriction keys and their counts.
 
     ``codes``/``sorted_values`` when the key tuple packs into int64;
     otherwise the raw key matrix, joined per query batch.
@@ -265,7 +260,7 @@ def _aggregate_table(key_chunks, val_chunks, width: int, n: int) -> _Table:
                       sorted_values=np.empty(0, dtype=np.int64))
     kmat = np.concatenate(key_chunks, axis=0)
     vals = np.concatenate(val_chunks)
-    _guard_sum(int(vals.max()), vals.shape[0])
+    vals = _widen(vals, int(vals.max()) * vals.shape[0])
     if _direct_packable(n, width):
         codes = _direct_pack(kmat, n)
         srt = np.argsort(codes, kind="stable")
@@ -337,10 +332,8 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
             if state.vals is None:
                 state.vals = counts
             else:
-                cmax = int(counts.max())
-                if cmax:
-                    _guard_mul(int(state.vals.max()), cmax)
-                state.vals = state.vals * counts
+                state.vals = _widen(state.vals, int(state.vals.max())
+                                    * int(counts.max())) * counts
             if not sum_mode:
                 keep = state.vals > 0
                 if not keep.all():
@@ -354,8 +347,8 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
             if state.vals is None:
                 total_sum += state.nrows
             else:
-                _guard_sum(int(state.vals.max()), state.vals.shape[0])
-                total_sum += int(state.vals.sum())
+                total_sum += int(_widen(state.vals, int(state.vals.max())
+                                        * state.vals.shape[0]).sum())
         else:
             key_chunks.append(np.stack([state.cols[x] for x in plan.out_cols],
                                        axis=1))
@@ -366,9 +359,10 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
         return total_sum * scalar  # exact: python ints
     table = _aggregate_table(key_chunks, val_chunks, width, hidx.n)
     if scalar != 1 and not table.is_empty():
-        vals = table.sorted_values if table.codes is not None else table.values
-        _guard_mul(scalar, int(vals.max()))
-        vals *= scalar
+        attr = "sorted_values" if table.codes is not None else "values"
+        vals = getattr(table, attr)
+        setattr(table, attr,
+                _widen(vals, scalar * max(int(vals.max()), 1)) * scalar)
     return table
 
 
@@ -430,10 +424,10 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
             if state.nrows == 0:
                 return False
         if kept is None:
-            state.vals = looked.astype(np.int64, copy=True)
+            state.vals = looked
         else:
-            _guard_mul(int(kept.max()), int(looked.max()))
-            state.vals = kept * looked
+            state.vals = _widen(kept, int(kept.max())
+                                * int(looked.max())) * looked
     for v in slot.drops_post:
         state.cols.pop(v, None)
     return state.nrows > 0
@@ -443,8 +437,9 @@ def extension_count(pattern: DirWLGraph, tree: HubTree,
                     host: DirWLGraph) -> int:
     """Sum of the root DP dictionary, computed without materializing it.
 
-    Equals sum(bressan_count(pattern, tree, tree.root, host).values())
-    whenever no Int64OverflowRisk fires.
+    Equals sum(bressan_count(pattern, tree, tree.root, host).values()),
+    the dict engine kept as its oracle. Raises ValueError when the host's
+    (vertex x label) bucket grid is past ``_HostIndex.MAX_BUCKETS``.
     """
     hidx = _host_index(host)
     plans: dict[int, _BagPlan] = {}

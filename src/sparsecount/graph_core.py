@@ -74,10 +74,6 @@ class UndirectedGraph:
         self._degeneracy = None
         self._extension = None
 
-    @classmethod
-    def from_array(cls, n: int, arr: np.ndarray) -> "UndirectedGraph":
-        return cls(n, arr)
-
     @property
     def m(self) -> int:
         return self.edge_array.shape[0]
@@ -120,9 +116,6 @@ class UndirectedGraph:
                 sets[v].add(int(u))
             self._adj_sets = tuple(frozenset(s) for s in sets)
         return self._adj_sets
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency_sets()[u]
 
     def edge_list(self) -> list[tuple[int, int]]:
         return [(int(u), int(v)) for u, v in self.edge_array]
@@ -169,8 +162,7 @@ class DirWLGraph:
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
-                 "_reach_cache", "_reach_lock", "_fibers", "_dp_index",
-                 "origin")
+                 "_reach_cache", "_reach_lock", "_fibers", "_dp_index")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
                  labels: Sequence[int] | np.ndarray | None = None):
@@ -224,7 +216,6 @@ class DirWLGraph:
         self._reach_lock = threading.Lock()
         self._fibers = None
         self._dp_index = None
-        self.origin = None
 
     @property
     def arc_count(self) -> int:
@@ -286,35 +277,10 @@ class DirWLGraph:
         return f"DirWLGraph(n={self.n}, arcs={self.arc_count})"
 
 
-def out_neighbors(g: DirWLGraph, v: int) -> list[tuple[int, int]]:
-    """Arcs (v, .) as (target, weight) pairs, ascending by target id."""
-    dst, wgt = g.out_arcs(v)
-    return [(int(u), int(w)) for u, w in zip(dst, wgt)]
-
-
 def max_outdegree(g: DirWLGraph) -> int:
     if g.n == 0 or g.arc_count == 0:
         return 0
     return int(g.out_degrees().max())
-
-
-def induced_subgraph(g: DirWLGraph, s) -> DirWLGraph:
-    """Subgraph induced by vertex set s, densely re-indexed.
-
-    The result keeps the original ids in ``origin`` (ascending order), so
-    vertex i of the output corresponds to ``origin[i]`` of the input.
-    """
-    verts = np.array(sorted(s), dtype=np.int64)
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[verts] = np.arange(verts.size)
-    keep = np.zeros(g.n, dtype=bool)
-    keep[verts] = True
-    mask = keep[g.src] & keep[g.dst]
-    sub = DirWLGraph.from_arrays(verts.size,
-                                 remap[g.src[mask]], remap[g.dst[mask]],
-                                 g.wgt[mask], g.labels[verts])
-    sub.origin = verts
-    return sub
 
 
 def bfs_out_tree(g: DirWLGraph, s: int) -> tuple[list[int], dict[int, int | None]]:
@@ -385,13 +351,3 @@ def save_edge_list(g: UndirectedGraph, path) -> None:
         for u, v in g.edge_array:
             fh.write(f"{u} {v}\n")
 
-
-def dump_weighted(g: DirWLGraph, path) -> None:
-    """Debug dump: one "u v w" line per arc, then a label block."""
-    with open(path, "w") as fh:
-        fh.write(f"# dirwl n={g.n} arcs={g.arc_count}\n")
-        for u, v, w in zip(g.src, g.dst, g.wgt):
-            fh.write(f"{u} {v} {w}\n")
-        fh.write("# labels\n")
-        for v in range(g.n):
-            fh.write(f"# {v} {g.labels[v]}\n")

@@ -17,18 +17,17 @@ import time
 from dataclasses import dataclass, field
 
 from .counting import (BRUTE_FORCE_HOM_CAP, NoWidth1Decomposition,
-                       _induced_pattern, brute_force_hom, count_family,
+                       _component_depth, _component_patterns,
+                       _count_component, brute_force_hom,
                        count_homomorphisms, count_subgraphs, frat_classes)
 from .degeneracy import degeneracy_order
-from .fraternal import enumerate_pattern_extensions, optimal_extension
-from .graph_core import (GraphFormatError, UndirectedGraph, load_edge_list,
-                         max_outdegree)
+from .fraternal import enumerate_pattern_extensions
+from .graph_core import GraphFormatError, UndirectedGraph, load_edge_list
 from .hub_decomp import (DecompositionStallError,
                          find_width1_decomposition, hubset,
                          unique_reachability_graph)
-from .pattern_tools import (connected_components, licl, min_extension_depth,
-                            spasm)
-from .product import label_pattern, pattern_product
+from .pattern_tools import licl, min_extension_depth, spasm
+from .product import label_pattern
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -103,12 +102,12 @@ class RunReport:
     count: int
     licl: int
     t: int
-    n_extensions: int
+    n_extensions: int | None   # None: not measured, left out of the JSON
     spasm_size: int | None
     n: int
     m: int
     kappa: int
-    delta_plus: int
+    delta_plus: int | None
     stage_timings_ms: dict = field(default_factory=dict)
     fallback: bool = False
 
@@ -124,9 +123,9 @@ class RunReport:
             "delta_plus": self.delta_plus,
             "stage_timings_ms": {k: round(v, 3)
                                  for k, v in self.stage_timings_ms.items()},
+            "spasm_size": self.spasm_size,
         }
-        if self.spasm_size is not None:
-            payload["spasm_size"] = self.spasm_size
+        payload = {k: v for k, v in payload.items() if v is not None}
         if self.fallback:
             payload["fallback"] = True
         return json.dumps(payload)
@@ -135,7 +134,7 @@ class RunReport:
 def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
                   t: int | None = None, threads: int | None = None,
                   exact_fallback: bool = False) -> RunReport:
-    """count_homomorphisms with per-stage wall-clock accounting.
+    """count_homomorphisms with the per-stage timings its components report.
 
     With ``exact_fallback`` a NoWidth1Decomposition is answered by brute
     force on hosts of at most BRUTE_FORCE_HOM_CAP vertices and re-raised
@@ -149,24 +148,14 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
     delta_plus = 0
     fallback = False
     try:
-        for comp in connected_components(h):
-            hc = _induced_pattern(h, comp)
-            comp_t = (t if t is not None
-                      else min_extension_depth(licl(hc)))
-            hl = label_pattern(hc)
-            t0 = time.perf_counter()
-            product = pattern_product(hl, g)
-            t1 = time.perf_counter()
-            host_ext = optimal_extension(product, comp_t)
-            t2 = time.perf_counter()
-            part, size = count_family(hl, comp_t, host_ext, threads=threads)
-            t3 = time.perf_counter()
-            timings["product"] += (t1 - t0) * 1e3
-            timings["host_extension"] += (t2 - t1) * 1e3
-            timings["dp"] += (t3 - t2) * 1e3
-            n_ext += size
-            delta_plus = max(delta_plus, max_outdegree(host_ext.graph))
-            total *= part
+        for hc in _component_patterns(h):
+            part = _count_component(g, hc, t, threads)
+            timings["product"] += part.product_ms
+            timings["host_extension"] += part.host_extension_ms
+            timings["dp"] += part.dp_ms
+            n_ext += part.n_extensions
+            delta_plus = max(delta_plus, part.delta_plus)
+            total *= part.count
     except NoWidth1Decomposition:
         if not exact_fallback:
             raise
@@ -234,9 +223,9 @@ def _cmd_count_sub(args) -> int:
     elapsed = (time.perf_counter() - t0) * 1e3
     if args.json:
         base = licl(h)
-        report = RunReport(value, base, min_extension_depth(base), 0,
+        report = RunReport(value, base, min_extension_depth(base), None,
                            len(entries), g.n, g.m,
-                           degeneracy_order(g).kappa, 0,
+                           degeneracy_order(g).kappa, None,
                            {"total": elapsed})
         print(report.to_json())
     else:
@@ -257,9 +246,15 @@ def _cmd_analyze(args) -> int:
     t_min = min_extension_depth(base)
     depth = args.t if args.t is not None else t_min
     entries = spasm(h)
-    hl = label_pattern(h)
-    extensions = enumerate_pattern_extensions(hl, depth)
-    n_classes = len(frat_classes(extensions, h, depth))
+    extensions = enumerate_pattern_extensions(label_pattern(h), depth)
+    # a count runs one DP per class of each component at its own depth
+    parts = _component_patterns(h)
+    n_classes = 0
+    for hc in parts:
+        d = _component_depth(hc, args.t)
+        members = (extensions if len(parts) == 1 else
+                   enumerate_pattern_extensions(label_pattern(hc), d))
+        n_classes += len(frat_classes(members, hc, d))
     witnesses = []
     for ext in extensions:
         tree = find_width1_decomposition(ext.graph)

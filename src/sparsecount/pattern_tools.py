@@ -27,13 +27,6 @@ class SpasmEntry:
     coefficient: Fraction
 
 
-@dataclass(frozen=True)
-class PatternProfile:
-    licl: int
-    t_min: int
-    spasm_licl: int
-
-
 def _induces_cycle(subset: tuple[int, ...], adj) -> bool:
     inside = set(subset)
     for v in subset:
@@ -451,11 +444,3 @@ def acyclic_orientations(h, labels=None) -> list[DirWLGraph]:
             result.append(DirWLGraph(graph.n, [(s, d, 1) for s, d in arcs],
                                      labels=labels))
     return result
-
-
-def pattern_profile(h: UndirectedGraph) -> PatternProfile:
-    """licl, minimal extension depth, and the spasm-wide licl of h."""
-    base = licl(h)
-    entries = spasm(h)
-    spasm_licl = max((licl(e.quotient) for e in entries), default=0)
-    return PatternProfile(base, min_extension_depth(base), spasm_licl)

@@ -85,6 +85,6 @@ def pattern_product(hl: LabeledPattern, g: UndirectedGraph) -> ProductHost:
         edges = np.column_stack((np.concatenate(srcs), np.concatenate(dsts)))
     else:
         edges = np.empty((0, 2), dtype=np.int64)
-    product = UndirectedGraph.from_array(k * n, edges)
+    product = UndirectedGraph(k * n, edges)
     assert product.m == 2 * hl.graph.m * g.m
     return ProductHost(product, hl.graph, g)

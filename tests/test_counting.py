@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecount import (DirWLGraph, HomMap, NoWidth1Decomposition,
+from sparsecount import (DirWLGraph, HomMap, HubTree, NoWidth1Decomposition,
                          UndirectedGraph, bressan_count, brute_force_hom,
                          brute_force_hom_wl, brute_force_sub,
                          count_hom_extension, count_homomorphisms,
                          count_subgraphs, enumerate_pattern_extensions,
                          enumerate_root_homs, find_width1_decomposition,
                          label_pattern, max_outdegree, optimal_extension,
-                         pattern_product)
-from sparsecount.counting import count_with_tree, frat_classes
+                         pattern_product, validate_decomposition)
+from sparsecount import fastdp
+from sparsecount.counting import frat_classes
 from sparsecount.harness import generate_bounded_degeneracy, run_count_hom
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
@@ -26,7 +27,6 @@ def test_hommap_encoding():
     assert tuple(phi) == ((0, 3), (2, 5))
     assert phi.restrict({2}) == HomMap([(2, 5)])
     assert phi.assignment() == {0: 3, 2: 5}
-    assert HomMap.from_dict({1: 4}) == HomMap([(1, 4)])
 
 
 def test_enumerate_root_homs_single_vertex():
@@ -202,14 +202,14 @@ def test_fast_engine_disjoint_children_scalar_path():
     pattern = DirWLGraph(4, [(0, 1, 1), (2, 3, 1)])
     host = DirWLGraph(5, [(0, 1, 1), (0, 2, 1), (3, 4, 1)])
     tree = find_width1_decomposition(pattern)
-    assert count_with_tree(pattern, tree, host, "fast") == 9
-    assert count_with_tree(pattern, tree, host, "reference") == 9
+    assert fastdp.extension_count(pattern, tree, host) == 9
+    assert sum(bressan_count(pattern, tree, tree.root, host).values()) == 9
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_engines_agree(t):
-    # at t >= 2 the host extension is weighted, so the fast engine's
-    # weight-prefix arc checks are compared with the reference engine
+    # at t >= 2 the host extension is weighted, so the vectorized engine's
+    # weight-prefix arc checks are compared with the dict engine oracle
     rng = random.Random(41)
     for _ in range(30):
         h = random_graph(rng.randint(2, 5), 0.55, rng)
@@ -218,9 +218,9 @@ def test_engines_agree(t):
         hostx = optimal_extension(pattern_product(hl, g), t)
         for member in enumerate_pattern_extensions(hl, t):
             tree = find_width1_decomposition(member.graph)
-            fast = count_with_tree(member.graph, tree, hostx.graph, "fast")
-            ref = count_with_tree(member.graph, tree, hostx.graph, "reference")
-            assert fast == ref
+            fast = fastdp.extension_count(member.graph, tree, hostx.graph)
+            ref = bressan_count(member.graph, tree, tree.root, hostx.graph)
+            assert fast == sum(ref.values())
 
 
 def test_count_homomorphisms_known_values():
@@ -376,9 +376,9 @@ def test_one_extension_dp_per_depth1_orbit(monkeypatch):
     calls = []
     real = counting.count_hom_extension
 
-    def counted(pattern_ext, host_ext, engine="auto"):
+    def counted(pattern_ext, host_ext):
         calls.append(pattern_ext)
-        return real(pattern_ext, host_ext, engine)
+        return real(pattern_ext, host_ext)
 
     monkeypatch.setattr(counting, "count_hom_extension", counted)
     g = random_graph(12, 0.4, random.Random(5))
@@ -397,30 +397,82 @@ def test_one_extension_dp_per_depth1_orbit(monkeypatch):
         assert len(calls) == dps
 
 
+def _refuse_dict_engine(monkeypatch):
+    import sparsecount.counting as counting
+
+    def refuse(*args):
+        raise AssertionError("the dict engine ran")
+
+    monkeypatch.setattr(counting, "bressan_count", refuse)
+
+
 def test_forced_overflow_reroute_is_exact(monkeypatch):
-    from sparsecount import fastdp
-
+    # with an int64 limit of 1 every multiply and sum widens to exact
+    # Python ints, and the counts stay those of the oracles
     g = generate_bounded_degeneracy(12, 2, 21)
-    want = [(k, t, count_homomorphisms(g, cycle_graph(k), t=t,
-                                       engine="reference"))
-            for k, t in ((5, 1), (6, 2))]
-    rerouted = []
-    real = fastdp.extension_count
+    want_sub = brute_force_sub(g, cycle_graph(6))
+    widened = []
+    real = fastdp._widen
 
-    def tracked(*args):
-        try:
-            return real(*args)
-        except fastdp.Int64OverflowRisk:
-            rerouted.append(args)
-            raise
+    def tracked(vals, bound):
+        out = real(vals, bound)
+        widened.append(out.dtype == object)
+        return out
 
-    monkeypatch.setattr(fastdp, "extension_count", tracked)
+    _refuse_dict_engine(monkeypatch)
+    monkeypatch.setattr(fastdp, "_widen", tracked)
     monkeypatch.setattr(fastdp, "_I64_LIMIT", 1)
-    for k, t, ref in want:
-        rerouted.clear()
-        got = count_homomorphisms(g, cycle_graph(k), t=t, engine="fast")
-        assert rerouted
-        assert got == ref == cycle_hom_trace(g, k)
+    for k, t in ((5, 1), (6, 2)):
+        widened.clear()
+        got = count_homomorphisms(g, cycle_graph(k), t=t)
+        assert any(widened)
+        assert got == cycle_hom_trace(g, k)
+    assert count_subgraphs(g, cycle_graph(6)) == want_sub
+
+
+def test_count_past_int64_is_exact_without_dict_engine(monkeypatch):
+    # Hom(K1,10 -> S_100) maps the pattern center to the host center
+    # (100^10 ways) or to a leaf (100 ways): past int64, so the DP values
+    # widen to Python ints on the vectorized engine
+    _refuse_dict_engine(monkeypatch)
+    want = 100 ** 10 + 100
+    assert want > 2 ** 63
+    assert count_homomorphisms(star_graph(100), star_graph(10)) == want
+
+
+# host: 100 in-leaves 1..100 -> hub 0 <- u=101 -> 10 out-leaves 102..111.
+# A pattern sink maps to the hub (101 in-neighbors) or to an out-leaf
+# (all its in-neighbors on u)
+_FAN_HOST = DirWLGraph(112, [(v, 0, 1) for v in range(1, 102)]
+                       + [(101, v, 1) for v in range(102, 112)])
+
+
+@pytest.mark.parametrize("arcs, bags, parent, want", [
+    # ten children p -> c=0 under r=1: the lookups multiply past int64
+    ([(1, 0)] + [(p, 0) for p in range(2, 12)],
+     (1, *range(2, 12)), (-1,) + (0,) * 10, 101 ** 11 + 10),
+    # root r=2 -> c=0 and r -> z=1, nine children p -> c: 101^9 per row
+    # from the lookups fits int64, times the 11 tail choices of z on u
+    # does not
+    ([(2, 0), (2, 1)] + [(p, 0) for p in range(3, 12)],
+     (2, *range(3, 12)), (-1,) + (0,) * 9, 101 ** 9 * 111 + 110),
+    # child q=2 -> c=0 carries nine children: 101 rows of 101^9 each sum
+    # past int64 in its aggregated table
+    ([(1, 0), (2, 0)] + [(p, 0) for p in range(3, 12)],
+     (1, 2, *range(3, 12)), (-1, 0) + (1,) * 9, 101 ** 11 + 10),
+    # a second component s=4 -> d=3 under q scales q's table by ~101^10
+    ([(1, 0), (2, 0), (4, 3)] + [(p, 3) for p in range(5, 14)],
+     (1, 2, 4, *range(5, 14)), (-1, 0, 1) + (2,) * 9,
+     (101 ** 2 + 10) * (101 ** 10 + 10)),
+])
+def test_dp_values_past_int64_stay_exact(arcs, bags, parent, want):
+    n = max(max(a) for a in arcs) + 1
+    pattern = DirWLGraph(n, [(a, b, 1) for a, b in arcs])
+    tree = HubTree(bags, parent, 0)
+    assert validate_decomposition(pattern, tree)
+    ref = bressan_count(pattern, tree, tree.root, _FAN_HOST)
+    assert sum(ref.values()) == want
+    assert fastdp.extension_count(pattern, tree, _FAN_HOST) == want
 
 
 def test_subgraph_error_names_offending_quotient(monkeypatch):
@@ -437,28 +489,19 @@ def test_subgraph_error_names_offending_quotient(monkeypatch):
 
 
 def test_fast_engine_overflow_guard_falls_back():
-    from sparsecount.fastdp import Int64OverflowRisk, _HostIndex
-
-    # a host label far past the bucket-grid cap must reroute to the
-    # exact engine rather than allocating the index
+    # a host label far past the bucket-grid cap is refused, naming the
+    # grid size, rather than allocating the index or counting elsewhere
     host = DirWLGraph(3, [(0, 1, 1), (1, 2, 1)],
                       labels=[0, 10 ** 9, 2 * 10 ** 9])
     pattern = DirWLGraph(2, [(0, 1, 1)], labels=[0, 10 ** 9])
-    with pytest.raises(Int64OverflowRisk):
-        _HostIndex(host)
     tree = find_width1_decomposition(pattern)
-    assert count_with_tree(pattern, tree, host, "fast") == 1
+    with pytest.raises(ValueError, match="6000000003 buckets"):
+        fastdp.extension_count(pattern, tree, host)
 
 
 def test_default_engine_is_vectorized_on_small_hosts(monkeypatch):
-    # the dict engine is only the overflow reroute and the oracle, so a
-    # count on a host of a few arcs never reaches it
-    import sparsecount.counting as counting
-
-    def refuse(*args):
-        raise AssertionError("the dict engine ran")
-
-    monkeypatch.setattr(counting, "bressan_count", refuse)
+    # the dict engine is only an oracle, so no count reaches it
+    _refuse_dict_engine(monkeypatch)
     g = random_graph(5, 0.5, random.Random(2))
     for k in (3, 4, 6):
         assert count_homomorphisms(g, cycle_graph(k)) == cycle_hom_trace(g, k)
@@ -470,8 +513,6 @@ def test_host_index_built_once_under_threads(monkeypatch):
     import threading
     import time
     from concurrent.futures import ThreadPoolExecutor
-
-    from sparsecount import fastdp
 
     built = []
 

@@ -3,20 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecount import (DirWLGraph, GraphFormatError, UndirectedGraph,
-                         dump_weighted, induced_subgraph, load_edge_list,
-                         max_outdegree, out_neighbors, save_edge_list)
+                         load_edge_list, max_outdegree, save_edge_list)
 from sparsecount.graph_core import bfs_out_tree
-
-
-def test_out_neighbors_single_arc():
-    g = DirWLGraph(2, [(0, 1, 1)])
-    assert out_neighbors(g, 0) == [(1, 1)]
-    assert out_neighbors(g, 1) == []
-
-
-def test_out_neighbors_weighted_order():
-    g = DirWLGraph(3, [(0, 2, 2), (0, 1, 1)])
-    assert out_neighbors(g, 0) == [(1, 1), (2, 2)]
 
 
 def test_max_outdegree():
@@ -24,25 +12,6 @@ def test_max_outdegree():
     assert max_outdegree(DirWLGraph(3, [(0, 1, 1), (0, 2, 1)])) == 2
     path = DirWLGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     assert max_outdegree(path) == 1
-
-
-def test_induced_subgraph_identity_and_empty():
-    g = DirWLGraph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 1)])
-    full = induced_subgraph(g, range(3))
-    assert full.arcs() == g.arcs()
-    empty = induced_subgraph(g, [])
-    assert empty.n == 0 and empty.arc_count == 0
-
-
-def test_induced_subgraph_restricts_and_remaps():
-    g = DirWLGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    sub = induced_subgraph(g, {0, 1})
-    assert sub.n == 2
-    assert sub.arcs() == [(0, 1, 1)]
-    assert list(sub.origin) == [0, 1]
-    sub2 = induced_subgraph(g, {1, 2})
-    assert sub2.arcs() == [(0, 1, 1)]
-    assert list(sub2.origin) == [1, 2]
 
 
 def test_rejects_self_loop_and_parallel():
@@ -113,14 +82,6 @@ def test_loader_diagnostics(tmp_path):
     dup.write_text("1 2\n2 1\n")
     with pytest.raises(GraphFormatError, match="parallel"):
         load_edge_list(dup)
-
-
-def test_dump_weighted(tmp_path):
-    g = DirWLGraph(2, [(0, 1, 2)], labels=[5, 6])
-    path = tmp_path / "dump.wel"
-    dump_weighted(g, path)
-    text = path.read_text()
-    assert "0 1 2" in text and "labels" in text
 
 
 @given(st.integers(2, 12), st.sets(

@@ -10,8 +10,8 @@ from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_double_subdivision, generate_gnp,
                                  generate_subdivision, run_count_hom)
 
-from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
-                      triangle_count)
+from conftest import (complete_graph, cycle_graph, disjoint_union, path_graph,
+                      random_graph, triangle_count)
 
 
 def test_subdivision_triangle_becomes_nine_cycle():
@@ -116,6 +116,17 @@ def test_cli_count_sub(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "4"
 
 
+def test_cli_count_sub_json_omits_unmeasured_keys(tmp_path, capsys):
+    # a subgraph count sums many Hom runs, so it reports no single
+    # extension family size or host-extension out-degree
+    host = _write(tmp_path, "k4.el", complete_graph(4))
+    tri = _write(tmp_path, "tri.el", complete_graph(3))
+    assert cli_main(["count-sub", host, tri, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 4 and payload["spasm_size"] == 1
+    assert "n_extensions" not in payload and "delta_plus" not in payload
+
+
 def test_cli_analyze(tmp_path, capsys):
     c9 = _write(tmp_path, "c9.el", cycle_graph(9))
     assert cli_main(["analyze", c9, "--t", "1", "--json"]) == 0
@@ -127,6 +138,32 @@ def test_cli_analyze(tmp_path, capsys):
     # at depth 1 the alternating orientations have no width-1 witness
     assert any(not w["width1"] for w in payload["extensions"])
     assert all("hubset" in w and "ur_edges" in w for w in payload["extensions"])
+
+
+@pytest.mark.parametrize("h, classes", [
+    (disjoint_union(complete_graph(3), complete_graph(3)), 2),
+    # C6 at depth 2 (36 classes) beside K2 at depth 1 (1 class)
+    (disjoint_union(cycle_graph(6), path_graph(2)), 37),
+])
+def test_cli_analyze_classes_per_component(tmp_path, capsys, monkeypatch, h,
+                                           classes):
+    import sparsecount.counting as counting
+
+    pat = _write(tmp_path, "h.el", h)
+    assert cli_main(["analyze", pat, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_classes"] == classes
+    calls = []
+    real = counting.count_hom_extension
+
+    def counted(pattern_ext, host_ext):
+        calls.append(pattern_ext)
+        return real(pattern_ext, host_ext)
+
+    monkeypatch.setattr(counting, "count_hom_extension", counted)
+    g = random_graph(8, 0.5, random.Random(1))
+    assert run_count_hom(g, h).count == brute_force_hom(g, h)
+    assert len(calls) == classes
 
 
 def test_cli_analyze_text(tmp_path, capsys):
@@ -204,6 +241,18 @@ def test_cli_decomposition_stall_exit_code(tmp_path, capsys, monkeypatch):
     assert cli_main(["count-hom", host, c6, "--t", "1"]) == 3
     err = capsys.readouterr().err
     assert "error: greedy construction stalled" in err
+
+
+def test_cli_host_index_cap_exit_code(tmp_path, capsys, monkeypatch):
+    from sparsecount import fastdp
+
+    # a bucket grid past the cap is refused as a usage error, naming its
+    # size, and no other engine counts instead
+    monkeypatch.setattr(fastdp._HostIndex, "MAX_BUCKETS", 10)
+    host = _write(tmp_path, "host.el", random_graph(8, 0.4, random.Random(5)))
+    c5 = _write(tmp_path, "c5.el", cycle_graph(5))
+    assert cli_main(["count-hom", host, c5]) == 2
+    assert "buckets is past the cap of 10" in capsys.readouterr().err
 
 
 def test_cli_exact_fallback_refused_past_cap(tmp_path, capsys):

@@ -8,7 +8,7 @@ from sparsecount import (acyclic_orientations, automorphism_count,
                          automorphism_generators, brute_force_hom,
                          brute_force_sub, canonical_form,
                          connected_components, licl, min_extension_depth,
-                         pattern_profile, spasm, UndirectedGraph)
+                         spasm, UndirectedGraph)
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       disjoint_union, licl_oracle, path_graph, random_graph,
@@ -170,17 +170,6 @@ def test_spasm_identity_random_hosts():
                     for e in spasm(h))
         assert total.denominator == 1
         assert int(total) == brute_force_sub(g, h)
-
-
-def test_pattern_profile():
-    prof = pattern_profile(cycle_graph(6))
-    assert prof.licl == 6
-    assert prof.t_min == 2
-    assert prof.spasm_licl == 6
-    prof = pattern_profile(path_graph(4))
-    assert prof.licl == 0 and prof.t_min == 1
-    # merging the path ends creates a quotient cycle
-    assert prof.spasm_licl == 3
 
 
 def test_disconnected_pattern_spasm_runs():
