@@ -24,9 +24,9 @@ from .graph_core import (ArcLayer, DirWLGraph, EdgeSet, GraphFormatError,
 from .harness import (RunReport, cli_main, generate_bounded_degeneracy,
                       generate_double_subdivision, generate_gnp,
                       generate_subdivision, run_count_hom)
-from .hub_decomp import (DecompositionStallError, HubTree, URGraph,
-                         find_width1_decomposition, hubset, reach,
-                         unique_reachability_graph, validate_decomposition)
+from .hub_decomp import (HubTree, URGraph, find_width1_decomposition,
+                         hubset, reach, unique_reachability_graph,
+                         validate_decomposition)
 from .pattern_tools import (FiberTournament, SpasmEntry,
                             acyclic_orientations, automorphism_count,
                             automorphism_generators, canonical_form,

@@ -191,6 +191,8 @@ def count_hom_extension(pattern_ext: FraternalExtension,
 
 def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
     """The connected components of h, each densely re-indexed."""
+    if h.n == 0:
+        raise ValueError("pattern must have at least one vertex")
     parts = []
     for comp in connected_components(h):
         remap = {v: i for i, v in enumerate(sorted(comp))}
@@ -306,8 +308,6 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     int64. Raises NoWidth1Decomposition when some pattern extension has
     no width-1 decomposition, which happens when LICL(h) >= 3(t+1).
     """
-    if h.n == 0:
-        raise ValueError("pattern must have at least one vertex")
     total = 1
     for hc in _component_patterns(h):
         total *= _count_component(g, hc, t, threads).count
@@ -321,8 +321,6 @@ def count_subgraphs(g: UndirectedGraph, h: UndirectedGraph,
     Every quotient runs at its own minimal extension depth; the rational
     accumulation must collapse to an integer, which is asserted.
     """
-    if h.n == 0:
-        raise ValueError("pattern must have at least one vertex")
     acc = Fraction(0)
     for entry in spasm(h):
         try:

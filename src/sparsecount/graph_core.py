@@ -254,11 +254,6 @@ class DirWLGraph:
         self._build_out()
         return self._out_indptr[1:] - self._out_indptr[:-1]
 
-    def layer(self, i: int) -> np.ndarray:
-        """Arcs of weight exactly i as an (p, 2) array."""
-        mask = self.wgt == i
-        return np.column_stack((self.src[mask], self.dst[mask]))
-
     def fibers(self) -> dict[int, np.ndarray]:
         """Vertex ids grouped by label, each group ascending."""
         if self._fibers is None:

@@ -3,8 +3,7 @@
 Subcommands: count-hom, count-sub, analyze, gen, verify, bench. Edge
 lists are the only ingestion format and JSON the only structured output.
 Exit codes: 2 usage error, 1 verify mismatch, 3 no width-1 decomposition
-(without --exact-fallback, or on a host past the brute-force cap) or a
-decomposition search that stalled.
+(without --exact-fallback, or on a host past the brute-force cap).
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from .counting import (BRUTE_FORCE_HOM_CAP, NoWidth1Decomposition,
 from .degeneracy import degeneracy_order
 from .fraternal import enumerate_pattern_extensions
 from .graph_core import GraphFormatError, UndirectedGraph, load_edge_list
-from .hub_decomp import (DecompositionStallError,
-                         find_width1_decomposition, hubset,
+from .hub_decomp import (find_width1_decomposition, hubset,
                          unique_reachability_graph)
 from .pattern_tools import licl, min_extension_depth, spasm
 from .product import label_pattern
@@ -447,9 +445,6 @@ def cli_main(argv=None) -> int:
     except (GraphFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DecompositionStallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_DECOMPOSITION
 
 
 def main() -> None:

@@ -5,27 +5,16 @@ A hubset generalizes DAG sources to cyclic digraphs: a set of pairwise
 mutually unreachable vertices that jointly reach everything. We fix a
 canonical choice (the lowest-id vertex of every source component of the
 SCC condensation); for fraternal extensions of DAG orientations this is
-exactly the in-degree-0 set. Width-1 decompositions are grown hub by hub
-via the good-pair insertion, with exhaustive search over labeled trees
-as a completeness backstop.
+exactly the in-degree-0 set. A width-1 decomposition, when one exists,
+is a maximum-weight spanning tree over the hubs weighted by shared
+reach, and one such tree decides whether any exists.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .graph_core import DirWLGraph
-
-
-class DecompositionStallError(RuntimeError):
-    """Greedy hub insertion stalled on a hubset too large to search.
-
-    Whether a width-1 decomposition exists is then unknown: the
-    exhaustive search over labeled trees on b hubs visits b^(b-2) trees
-    and is refused past ``exhaustive_cap`` hubs.
-    """
 
 
 def reach(g: DirWLGraph, s) -> frozenset:
@@ -254,100 +243,42 @@ def validate_decomposition(g: DirWLGraph, tree: HubTree) -> bool:
     return True
 
 
-def _property_holds(reaches: list[frozenset], tree: HubTree) -> bool:
-    b = len(tree.bags)
-    for i in range(b):
-        for j in range(i + 1, b):
-            shared = reaches[i] & reaches[j]
-            if not shared:
-                continue
-            for k in tree.path(i, j):
-                if not shared <= reaches[k]:
-                    return False
-    return True
-
-
-def _prufer_trees(b: int):
-    """Parent arrays (rooted at node 0) of all labeled trees on b nodes."""
-    if b == 1:
-        yield (-1,)
-        return
-    for seq in iter_product(range(b), repeat=b - 2):
-        degree = [1] * b
-        for x in seq:
-            degree[x] += 1
-        edges = []
-        heap = [v for v in range(b) if degree[v] == 1]
-        heapq.heapify(heap)
-        for x in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((leaf, x))
-            degree[x] -= 1
-            if degree[x] == 1:
-                heapq.heappush(heap, x)
-        u, v = heapq.heappop(heap), heapq.heappop(heap)
-        edges.append((u, v))
-        adj = [[] for _ in range(b)]
-        for x, y in edges:
-            adj[x].append(y)
-            adj[y].append(x)
-        parent = [-2] * b
-        parent[0] = -1
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if parent[y] == -2:
-                    parent[y] = x
-                    stack.append(y)
-        yield tuple(parent)
-
-
-def find_width1_decomposition(g: DirWLGraph,
-                              exhaustive_cap: int = 8) -> HubTree | None:
+def find_width1_decomposition(g: DirWLGraph) -> HubTree | None:
     """A width-1 hub-tree decomposition of g, or None when none exists.
 
-    Grows the tree one hub at a time (hubs by descending reach size),
-    attaching each new hub as a leaf under a bag that covers all its
-    pairwise shared reaches. When the greedy insertion stalls, falls back
-    to exhaustive search over labeled trees on the hubset; None is
-    returned only after that search is complete. Raises
-    DecompositionStallError instead of searching more than
-    ``exhaustive_cap`` hubs.
+    Prim's maximum-weight spanning tree over the hubs, an edge {s, x}
+    weighing |Reach(s) & Reach(x)|. Let S_v be the hubs that reach v; a
+    tree T's edges inside S_v form a forest, so weight(T) =
+    sum_v |E(T[S_v])| <= sum_v (|S_v| - 1) = sum_s |Reach(s)| - n, with
+    equality iff every S_v is connected in T, which is the width-1
+    condition. So a maximum-weight tree reaches the bound iff some tree
+    is width-1 (the junction-tree criterion).
+
+    The root is the hub of largest reach; each step adds the outside hub
+    with the heaviest link into the tree (ties: larger reach, then lower
+    id) under the first-inserted bag carrying that weight.
     """
     hubs = hubset(g)
     if not hubs:
         return None
     reaches = {s: reach(g, s) for s in hubs}
-    if len(hubs) == 1:
-        return HubTree((hubs[0],), (-1,), 0)
-    order = sorted(hubs, key=lambda s: (-len(reaches[s]), s))
-    bags = [order[0]]
+    root = min(hubs, key=lambda s: (-len(reaches[s]), s))
+    bags = [root]
     parent = [-1]
-    stalled = False
-    for s in order[1:]:
-        attach = None
-        for d_idx, d in enumerate(bags):
-            if all(reaches[s] & reaches[x] <= reaches[d] for x in bags):
-                attach = d_idx
-                break
-        if attach is None:
-            stalled = True
-            break
+    # outside hub -> (heaviest link into the tree, bag index carrying it)
+    link = {x: (len(reaches[x] & reaches[root]), 0)
+            for x in hubs if x != root}
+    weight = 0
+    while link:
+        s = min(link, key=lambda x: (-link[x][0], -len(reaches[x]), x))
+        w, attach = link.pop(s)
+        weight += w
         bags.append(s)
         parent.append(attach)
-    if not stalled:
-        tree = HubTree(tuple(bags), tuple(parent), 0)
-        if validate_decomposition(g, tree):
-            return tree
-    b = len(hubs)
-    if b > exhaustive_cap:
-        raise DecompositionStallError(
-            f"greedy construction stalled and the hubset has {b} hubs, "
-            f"past the exhaustive-search cap {exhaustive_cap}")
-    ordered_reaches = [reaches[s] for s in hubs]
-    for parent_arr in _prufer_trees(b):
-        tree = HubTree(hubs, parent_arr, 0)
-        if _property_holds(ordered_reaches, tree):
-            return tree
-    return None
+        for x, (wx, _) in link.items():
+            ws = len(reaches[x] & reaches[s])
+            if ws > wx:
+                link[x] = (ws, len(bags) - 1)
+    if weight != sum(len(r) for r in reaches.values()) - g.n:
+        return None
+    return HubTree(tuple(bags), tuple(parent), 0)

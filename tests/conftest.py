@@ -3,7 +3,8 @@
 Everything here is deliberately separate from the library code paths it
 checks: cycle enumeration for longest induced cycles, adjacency-power
 traces for cycle homomorphism counts, a label-respecting undirected
-homomorphism counter for product hosts, and an exhaustive (batch
+homomorphism counter for product hosts, a search over every labeled hub
+tree for width-1 decompositions, and an exhaustive (batch
 canonicalized) catalogue of small connected patterns.
 """
 
@@ -11,11 +12,12 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
-from sparsecount import UndirectedGraph
+from sparsecount import (HubTree, UndirectedGraph, hubset,
+                         validate_decomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,46 @@ def cycle_hom_trace(g: UndirectedGraph, length: int) -> int:
         power = [[sum(power[i][x] * a[x][j] for x in range(n))
                   for j in range(n)] for i in range(n)]
     return sum(power[i][i] for i in range(n))
+
+
+def labeled_trees(b: int):
+    """Parent arrays (rooted at node 0) of all b^(b-2) labeled trees on
+    b nodes, decoded from their Pruefer sequences."""
+    if b == 1:
+        yield (-1,)
+        return
+    for seq in product(range(b), repeat=b - 2):
+        degree = [1] * b
+        for x in seq:
+            degree[x] += 1
+        adj = [[] for _ in range(b)]
+        for x in seq:
+            leaf = min(v for v in range(b) if degree[v] == 1)
+            adj[leaf].append(x)
+            adj[x].append(leaf)
+            degree[leaf] -= 1
+            degree[x] -= 1
+        u, v = (v for v in range(b) if degree[v] == 1)
+        adj[u].append(v)
+        adj[v].append(u)
+        parent = [-2] * b
+        parent[0] = -1
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if parent[y] == -2:
+                    parent[y] = x
+                    stack.append(y)
+        yield tuple(parent)
+
+
+def width1_tree_exists(g) -> bool:
+    """Whether some labeled tree on g's hubset is a width-1 decomposition,
+    by trying every one of them."""
+    hubs = hubset(g)
+    return any(validate_decomposition(g, HubTree(hubs, parent, 0))
+               for parent in labeled_trees(len(hubs)))
 
 
 def labeled_product_hom_count(product, hl) -> int:

@@ -1,6 +1,7 @@
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,8 +112,9 @@ def test_count_hom_extension_label_mismatch_zero():
 
     pattern = DirWLGraph(1, [], labels=[7])
     host = DirWLGraph(3, [], labels=[0, 1, 2])
-    member = FraternalExtension(pattern, 1, (pattern.layer(1),))
-    hostx = FraternalExtension(host, 1, (host.layer(1),))
+    no_arcs = np.empty((0, 2), dtype=np.int64)
+    member = FraternalExtension(pattern, 1, (no_arcs,))
+    hostx = FraternalExtension(host, 1, (no_arcs,))
     assert count_hom_extension(member, hostx) == 0
 
 

@@ -70,7 +70,7 @@ def test_wedge_free_member_persists_at_higher_depth():
     for t in (2, 3):
         members = enumerate_pattern_extensions(hl, t)
         chains = [m for m in members
-                  if {(int(u), int(v)) for u, v in m.graph.layer(1)} == chain]
+                  if {(int(u), int(v)) for u, v in m.layers[0]} == chain]
         assert len(chains) == 1
         assert chains[0].graph.arc_count == 2
 
@@ -80,7 +80,7 @@ def test_frat_shared_unit_layer():
     hl = label_pattern(h)
     for member in enumerate_pattern_extensions(hl, 2):
         undirected = {(min(int(u), int(v)), max(int(u), int(v)))
-                      for u, v in member.graph.layer(1)}
+                      for u, v in member.layers[0]}
         assert undirected == h.edge_set()
         assert int(member.graph.wgt.max()) <= 2
 

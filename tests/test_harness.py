@@ -228,19 +228,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert int(out) == brute_force_hom(g, cycle_graph(6))
 
 
-def test_cli_decomposition_stall_exit_code(tmp_path, capsys, monkeypatch):
-    from sparsecount import counting, hub_decomp
-
-    # an exhaustive-search cap of 0 turns C6's stalled t = 1 extensions
-    # into DecompositionStallError inside the count
-    monkeypatch.setattr(
-        counting, "find_width1_decomposition",
-        lambda g: hub_decomp.find_width1_decomposition(g, exhaustive_cap=0))
-    host = _write(tmp_path, "host.el", random_graph(8, 0.4, random.Random(5)))
-    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
-    assert cli_main(["count-hom", host, c6, "--t", "1"]) == 3
-    err = capsys.readouterr().err
-    assert "error: greedy construction stalled" in err
+def test_cli_empty_pattern_is_usage_error(tmp_path, capsys):
+    host = _write(tmp_path, "tri.el", complete_graph(3))
+    empty = _write(tmp_path, "empty.el", UndirectedGraph(0, []))
+    for cmd in (["count-hom", host, empty, "--json"],
+                ["count-sub", host, empty, "--json"],
+                ["verify", host, empty], ["analyze", empty, "--json"]):
+        assert cli_main(cmd) == 2
+        captured = capsys.readouterr()
+        assert "at least one vertex" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_host_index_cap_exit_code(tmp_path, capsys, monkeypatch):

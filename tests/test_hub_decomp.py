@@ -1,18 +1,20 @@
 import random
 from itertools import product as iter_product
 
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-import pytest
-
-from sparsecount import (DecompositionStallError, DirWLGraph,
+from sparsecount import (DirWLGraph, FraternalExtension, UndirectedGraph,
+                         brute_force_hom_wl, count_hom_extension,
                          enumerate_pattern_extensions,
                          find_width1_decomposition, hubset, label_pattern,
-                         min_extension_depth, licl, reach,
-                         unique_reachability_graph, validate_decomposition,
-                         validate_fraternity)
+                         min_extension_depth, licl, optimal_extension,
+                         pattern_product, reach, unique_reachability_graph,
+                         validate_decomposition, validate_fraternity)
 from sparsecount.hub_decomp import HubTree
 
-from conftest import connected_patterns_up_to, cycle_graph
+from conftest import connected_patterns_up_to, cycle_graph, width1_tree_exists
 
 
 def in_in_wedge():
@@ -152,22 +154,79 @@ def test_ur_forest_for_valid_patterns():
             assert ur.is_forest()
 
 
-def _greedy_stalls(ext) -> bool:
-    try:
-        find_width1_decomposition(ext.graph, exhaustive_cap=0)
-    except DecompositionStallError:
-        return True
-    return False
+def test_width1_nine_hubs_path():
+    # three chained hubs and six isolated ones: the three must form the
+    # path 0 - 1 - 2, the isolated hubs hang anywhere
+    arcs = [(0, 3), (0, 5), (0, 6), (0, 7), (1, 3), (1, 4), (2, 4), (2, 8),
+            (2, 9), (2, 10)]
+    g = DirWLGraph(17, [(u, v, 1) for u, v in arcs])
+    assert hubset(g) == (0, 1, 2, 11, 12, 13, 14, 15, 16)
+    tree = find_width1_decomposition(g)
+    assert tree is not None and validate_decomposition(g, tree)
+    edges = {frozenset((tree.bags[i], tree.bags[p]))
+             for i, p in enumerate(tree.parent) if p != -1}
+    assert {e for e in edges if e <= {0, 1, 2}} == {frozenset((0, 1)),
+                                                    frozenset((1, 2))}
 
 
-def test_greedy_stall_raises_typed_error():
-    # C6 at t = 1 has extensions whose greedy insertion stalls; with no
-    # room for the exhaustive search that is a typed, catchable error
+def test_width1_nine_hub_tree_member_counts():
+    # a depth-1 member of a 16-vertex tree pattern with 9 hubs
+    arcs = [(0, 1), (2, 1), (4, 1), (7, 1), (10, 1), (3, 1), (13, 3),
+            (12, 3), (9, 3), (4, 5), (6, 5), (6, 8), (8, 14), (9, 11),
+            (9, 15)]
+    tree_pattern = UndirectedGraph(16, arcs)
+    hl = label_pattern(tree_pattern)
+    member = FraternalExtension(
+        DirWLGraph(16, [(u, v, 1) for u, v in arcs], labels=hl.labels), 1,
+        (np.array(sorted(arcs), dtype=np.int64),))
+    assert validate_fraternity(member.graph, t=1)
+    assert len(hubset(member.graph)) == 9
+    tree = find_width1_decomposition(member.graph)
+    assert tree is not None and validate_decomposition(member.graph, tree)
+    hostx = optimal_extension(pattern_product(hl, cycle_graph(5)), 1)
+    got = count_hom_extension(member, hostx)
+    assert got == brute_force_hom_wl(hostx.graph, member.graph, cap=80) == 53
+
+
+def _agrees_with_oracle(g: DirWLGraph) -> bool:
+    tree = find_width1_decomposition(g)
+    if tree is not None:
+        assert validate_decomposition(g, tree)
+    return (tree is None) == (not width1_tree_exists(g))
+
+
+@st.composite
+def small_digraphs(draw):
+    # every other vertex is reached by two of the sources 0..k-1, so the
+    # shared reaches can close a cycle of hubs; a few arcs among the
+    # other vertices (either way, cycles included) merge reaches further
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(7, n)))
+    arcs = set()
+    for v in range(k, n):
+        for s in draw(st.sets(st.integers(0, k - 1), min_size=min(2, k),
+                              max_size=min(2, k))):
+            arcs.add((s, v))
+    if n - k >= 2:
+        rest = st.integers(k, n - 1)
+        for u, v in draw(st.lists(st.tuples(rest, rest), max_size=3)):
+            if u != v and (v, u) not in arcs:
+                arcs.add((u, v))
+    return DirWLGraph(n, [(u, v, 1) for u, v in arcs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_digraphs())
+@example(alternating_six_cycle())
+def test_width1_matches_exhaustive_oracle(g):
+    assume(len(hubset(g)) <= 7)
+    assert _agrees_with_oracle(g)
+
+
+def test_width1_matches_oracle_on_c6_depth1():
+    # Frat(C6, 1) holds members with and without a width-1 decomposition
     exts = enumerate_pattern_extensions(label_pattern(cycle_graph(6)), 1)
-    stalled = [ext for ext in exts if _greedy_stalls(ext)]
-    assert stalled
-    with pytest.raises(RuntimeError, match="past the exhaustive-search cap 0"):
-        find_width1_decomposition(stalled[0].graph, exhaustive_cap=0)
-    # the default cap searches them exhaustively instead of raising
-    for ext in stalled:
-        assert find_width1_decomposition(ext.graph) is None
+    found = [find_width1_decomposition(ext.graph) is not None for ext in exts]
+    assert any(found) and not all(found)
+    for ext in exts:
+        assert _agrees_with_oracle(ext.graph)
