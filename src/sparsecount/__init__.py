@@ -18,7 +18,7 @@ from .fraternal import (ExtensionBlowupError, ExtensionLiftError,
                         FraternalExtension, enumerate_pattern_extensions,
                         extension_edges, optimal_extension,
                         validate_fraternity)
-from .graph_core import (ArcLayer, DirWLGraph, EdgeSet, GraphFormatError,
+from .graph_core import (DirWLGraph, EdgeSet, GraphFormatError,
                          UndirectedGraph, load_edge_list, max_outdegree,
                          save_edge_list)
 from .harness import (RunReport, cli_main, generate_bounded_degeneracy,

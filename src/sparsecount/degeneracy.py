@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import ArcLayer, EdgeSet, UndirectedGraph
+from .graph_core import EdgeSet, UndirectedGraph
 
 
 def _peel_kernel(n, indptr, nbrs):
@@ -98,28 +98,22 @@ def degeneracy_order(g) -> DegeneracyOrder:
     return result
 
 
-def degeneracy_orient(edges, weight: int = 1) -> ArcLayer:
+def degeneracy_orient(edges) -> np.ndarray:
     """Orient each edge from its earlier-peeled endpoint to the later one.
 
     Accepts a bare EdgeSet because extension layers are oriented on their
-    own edges only, independent of earlier layers. The result is acyclic
-    with max outdegree <= the degeneracy of the input edge set.
+    own edges only, independent of earlier layers. Returns the (m, 2) arc
+    array, acyclic with max outdegree <= the degeneracy of the input edge
+    set.
     """
-    if weight < 1:
-        raise ValueError("layer weight must be >= 1")
-    if isinstance(edges, EdgeSet):
-        pairs = edges.pairs
-        weight = edges.weight
-    else:
-        pairs = edges.edge_array
+    pairs = edges.pairs if isinstance(edges, EdgeSet) else edges.edge_array
     if pairs.shape[0] == 0:
-        return ArcLayer(np.empty((0, 2), dtype=np.int64), weight)
+        return np.empty((0, 2), dtype=np.int64)
     pos = degeneracy_order(edges).positions()
-    return orient_by_rank(pairs, pos, weight)
+    return orient_by_rank(pairs, pos)
 
 
-def orient_by_rank(pairs: np.ndarray, rank: np.ndarray,
-                   weight: int = 1) -> ArcLayer:
+def orient_by_rank(pairs: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Orient each edge towards its higher-ranked endpoint.
 
     ``rank`` holds one value per vertex and must differ across the two
@@ -130,4 +124,4 @@ def orient_by_rank(pairs: np.ndarray, rank: np.ndarray,
     src = np.where(forward, pairs[:, 0], pairs[:, 1])
     dst = np.where(forward, pairs[:, 1], pairs[:, 0])
     order = np.argsort(src * rank.shape[0] + dst, kind="stable")
-    return ArcLayer(np.column_stack((src[order], dst[order])), weight)
+    return np.column_stack((src[order], dst[order]))

@@ -6,9 +6,16 @@ partial homomorphisms. Per bag, the root fiber is expanded chunk by
 chunk along the BFS spanning out-tree (CSR buckets keyed by (source,
 target label) with weight-prefix counts). Non-tree arcs are checked by
 scanning the same buckets (``_HostIndex.has_arcs``), at most Delta+
-gathers per row. Child aggregates are joined on packed restriction keys,
-and columns stop being carried as soon as nothing downstream reads them.
-Everything is plain numpy.
+gathers per row. Columns stop being carried as soon as nothing
+downstream reads them. Everything is plain numpy.
+
+Every bag yields one ``_Table``: its rows' restrictions to the vertices
+it shares with its parent, packed into sorted int64 codes, with their
+summed counts. The parent joins it with ``searchsorted``. Where a key
+would pack past int64 its prefix is first replaced by its rank among
+the table's distinct prefixes, and queries replay those ranks. The root
+shares no vertex with a parent, so its table holds one code and the
+count; so does a child that shares none with its own parent.
 
 Values are int64. Before each multiply or sum, a bound on its result is
 computed from the operands' maxima; where it could pass int64 the value
@@ -107,7 +114,7 @@ class _Slot:
     """Everything to run after a fixed number of vertices are assigned."""
 
     checks: tuple          # (a, b, wmax, label_b)
-    lookups: tuple         # indices into the plan's lookup children
+    lookups: tuple         # indices into the plan's children
     drops_pre: tuple       # columns dead before the lookups run
     drops_post: tuple      # columns last read by this slot's lookups
 
@@ -119,24 +126,26 @@ class _BagPlan:
     order: tuple[int, ...]
     steps: tuple[tuple[int, int, int, int], ...]  # (vertex, parent, wmax, label)
     slots: tuple[_Slot, ...]                      # indexed by assigned count
-    out_cols: tuple[int, ...] | None              # None = return a plain sum
-    lookup_children: tuple[int, ...]
+    out_cols: tuple[int, ...]                     # shared with the parent
+    children: tuple[int, ...]
     child_domains: tuple[tuple[int, ...], ...]
-    scalar_children: tuple[int, ...]
     # fused last step (parent, wmax, label): the final vertex is counted
     # per row, never materialized
     tail: tuple | None = None
 
 
 def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
-                out_cols: tuple[int, ...] | None) -> _BagPlan:
+                domains: dict[int, tuple[int, ...]]) -> _BagPlan:
+    """``domains`` maps each bag to the sorted vertices it shares with its
+    parent (none at the root)."""
     hub = tree.bags[bag]
     order, parent = bfs_out_tree(pattern, hub)
     pos = {v: i for i, v in enumerate(order)}
     rset = frozenset(order)
     labels = pattern.labels
-    steps = tuple((v, parent[v], int(pattern.weight_of(parent[v], v)),
-                   int(labels[v])) for v in order[1:])
+    wmax = pattern.arc_weights([parent[v] for v in order[1:]], order[1:])
+    steps = tuple((v, parent[v], int(w), int(labels[v]))
+                  for v, w in zip(order[1:], wmax))
     nverts = len(order)
     checks_at: list[list[tuple]] = [[] for _ in range(nverts + 1)]
     lookups_at: list[list[int]] = [[] for _ in range(nverts + 1)]
@@ -145,19 +154,10 @@ def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
         if a in rset and b in rset and parent.get(b) != a:
             checks_at[max(pos[a], pos[b]) + 1].append(
                 (a, b, w, int(labels[b])))
-    reach_b = reach(pattern, hub)
-    lookup_children: list[int] = []
-    child_domains: list[tuple[int, ...]] = []
-    scalar_children: list[int] = []
-    for ch in tree.children(bag):
-        dom = tuple(sorted(reach_b & down_reach(pattern, tree, ch)))
-        if not dom:
-            scalar_children.append(ch)
-            continue
-        idx = len(lookup_children)
-        lookup_children.append(ch)
-        child_domains.append(dom)
-        lookups_at[max(pos[x] for x in dom) + 1].append(idx)
+    children = tree.children(bag)
+    child_domains = [domains[ch] for ch in children]
+    for idx, dom in enumerate(child_domains):
+        lookups_at[max((pos[x] for x in dom), default=0) + 1].append(idx)
     # last slot at which each column is read
     last = {v: pos[v] + 1 for v in order}
     for i, (v, p, w, lab) in enumerate(steps):
@@ -169,16 +169,16 @@ def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
         for idx in lookups_at[t_at]:
             for x in child_domains[idx]:
                 last[x] = max(last[x], t_at)
-    if out_cols:
-        for x in out_cols:
-            last[x] = nverts + 1
+    out_cols = domains[bag]
+    for x in out_cols:
+        last[x] = nverts + 1
     # fuse the last step into a per-row candidate count when nothing
     # reads the final vertex: no check, lookup or output column
     tail = None
     if steps:
         v, p, wmax, lab = steps[-1]
         if (not checks_at[nverts] and not lookups_at[nverts]
-                and v not in (out_cols or ())):
+                and v not in out_cols):
             tail = (p, wmax, lab)
             steps = steps[:-1]
     slots = []
@@ -191,90 +191,82 @@ def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
         slots.append(_Slot(tuple(checks_at[t_at]), tuple(lookups_at[t_at]),
                            pre, post))
     return _BagPlan(hub, int(labels[hub]), tuple(order), steps, tuple(slots),
-                    out_cols, tuple(lookup_children), tuple(child_domains),
-                    tuple(scalar_children), tail)
+                    out_cols, children, tuple(child_domains), tail)
 
 
-def _direct_packable(n: int, width: int) -> bool:
-    return width >= 1 and (max(n, 1) ** width) < 2 ** 62
+def _pack(mat: np.ndarray, n: int, steps: tuple | None = None):
+    """Row codes of a key matrix with entries below ``n``, and the steps
+    that a query replays to code its rows the same way.
 
-
-def _direct_pack(mat: np.ndarray, n: int) -> np.ndarray:
-    code = mat[:, 0].astype(np.int64)
-    for j in range(1, mat.shape[1]):
+    Columns fold in as ``code * n + col``. Before a fold that could pass
+    ``_I64_LIMIT``, the code is replaced by its rank among the distinct
+    codes so far, and that sorted array is recorded as a step. Given the
+    ``steps`` of a table, a query replays them with ``searchsorted``; a
+    prefix that the table lacks becomes -1, which matches no code. With
+    no columns every row packs to 0.
+    """
+    replay = None if steps is None else iter(steps)
+    made = []
+    code = np.zeros(mat.shape[0], dtype=np.int64)
+    bound = 1  # every code is below it
+    for j in range(mat.shape[1]):
+        if bound * n - 1 > _I64_LIMIT:
+            if replay is None:
+                uniq, code = np.unique(code, return_inverse=True)
+                made.append(uniq)
+            else:
+                uniq = next(replay)
+                pos = np.minimum(np.searchsorted(uniq, code), uniq.size - 1)
+                code = np.where(uniq[pos] == code, pos, -1)
+            bound = uniq.size
         code = code * n + mat[:, j]
-    return code
-
-
-def _progressive_pack(kmat: np.ndarray, qmat: np.ndarray, n: int):
-    """Collision-free joint codes via per-column dictionary compaction."""
-    total = np.concatenate((kmat, qmat), axis=0).astype(np.int64)
-    acc = total[:, 0].copy()
-    for j in range(1, total.shape[1]):
-        key = acc * (n + 1) + total[:, j]
-        _, acc = np.unique(key, return_inverse=True)
-    return acc[:kmat.shape[0]], acc[kmat.shape[0]:]
+        bound *= n
+    return code, (tuple(made) if steps is None else steps)
 
 
 class _Table:
-    """Aggregated child result: unique restriction keys and their counts.
+    """A bag's result: sorted unique codes of its restrictions to the
+    vertices it shares with its parent, their summed counts, and the
+    packing steps a query replays. The root shares none, so its table
+    holds one code, 0, whose value is the count."""
 
-    ``codes``/``sorted_values`` when the key tuple packs into int64;
-    otherwise the raw key matrix, joined per query batch.
-    """
+    __slots__ = ("codes", "values", "steps", "n")
 
-    __slots__ = ("keys", "values", "codes", "sorted_values", "n")
-
-    def __init__(self, n, keys=None, values=None, codes=None,
-                 sorted_values=None):
-        self.n = n
-        self.keys = keys
-        self.values = values
+    def __init__(self, codes, values, steps, n):
         self.codes = codes
-        self.sorted_values = sorted_values
-
-    def is_empty(self) -> bool:
-        arr = self.codes if self.codes is not None else self.keys
-        return arr is None or arr.shape[0] == 0
+        self.values = values
+        self.steps = steps
+        self.n = n
 
     def lookup(self, qmat: np.ndarray):
         """(mask of matched rows, values of the matches)."""
-        if self.is_empty():
-            return np.zeros(qmat.shape[0], dtype=bool), None
-        if self.codes is not None:
-            codes, vals = self.codes, self.sorted_values
-            q = _direct_pack(qmat, self.n)
-        else:
-            ck, q = _progressive_pack(self.keys, qmat, self.n)
-            srt = np.argsort(ck, kind="stable")
-            codes, vals = ck[srt], self.values[srt]
-        pos = np.searchsorted(codes, q)
-        posc = np.minimum(pos, codes.size - 1)
-        ok = codes[posc] == q
-        return ok, vals[pos[ok]]
+        if not self.codes.size:
+            return np.zeros(qmat.shape[0], dtype=bool), self.values
+        q, _ = _pack(qmat, self.n, self.steps)
+        pos = np.searchsorted(self.codes, q)
+        ok = self.codes[np.minimum(pos, self.codes.size - 1)] == q
+        return ok, self.values[pos[ok]]
 
 
-def _aggregate_table(key_chunks, val_chunks, width: int, n: int) -> _Table:
+def _aggregate_table(key_chunks, val_chunks, n: int) -> _Table:
     if not key_chunks:
-        return _Table(n, codes=np.empty(0, dtype=np.int64),
-                      sorted_values=np.empty(0, dtype=np.int64))
-    kmat = np.concatenate(key_chunks, axis=0)
+        empty = np.empty(0, dtype=np.int64)
+        return _Table(empty, empty, (), n)
     vals = np.concatenate(val_chunks)
     vals = _widen(vals, int(vals.max()) * vals.shape[0])
-    if _direct_packable(n, width):
-        codes = _direct_pack(kmat, n)
-        srt = np.argsort(codes, kind="stable")
-        cs = codes[srt]
-        vs = vals[srt]
-        starts = np.concatenate(([0], np.nonzero(cs[1:] != cs[:-1])[0] + 1))
-        return _Table(n, codes=cs[starts],
-                      sorted_values=np.add.reduceat(vs, starts))
-    srt = np.lexsort(kmat.T[::-1])
-    ks = kmat[srt]
-    vs = vals[srt]
-    change = np.any(ks[1:] != ks[:-1], axis=1)
-    starts = np.concatenate(([0], np.nonzero(change)[0] + 1))
-    return _Table(n, keys=ks[starts], values=np.add.reduceat(vs, starts))
+    codes, steps = _pack(np.concatenate(key_chunks, axis=0), n)
+    srt = np.argsort(codes, kind="stable")
+    cs = codes[srt]
+    starts = np.concatenate(([0], np.nonzero(cs[1:] != cs[:-1])[0] + 1))
+    return _Table(cs[starts], np.add.reduceat(vals[srt], starts), steps, n)
+
+
+def _key_matrix(state: _ChunkState, cols: tuple[int, ...]) -> np.ndarray:
+    """The live rows' values at ``cols``, one row each; width 0 when
+    ``cols`` is empty."""
+    if not cols:
+        return np.empty((state.nrows, 0), dtype=np.int64)
+    return np.stack([state.cols[x] for x in cols], axis=1)
 
 
 class _ChunkState:
@@ -286,28 +278,17 @@ class _ChunkState:
         self.nrows = 0
 
 
-def _run_bag(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
-             scalar: int):
-    """Evaluate one bag; returns a python int (sum mode) or a _Table."""
-    sum_mode = not plan.out_cols
-    width = 0 if sum_mode else len(plan.out_cols)
-
-    def empty_result():
-        return 0 if sum_mode else _aggregate_table([], [], width, hidx.n)
-
-    if scalar == 0:
-        return empty_result()
-    fiber = hidx.fibers.get(plan.root_label)
-    if fiber is None or fiber.size == 0:
-        return empty_result()
-    if any(lab >= hidx.k for _, _, _, lab in plan.steps):
-        return empty_result()
-    if plan.tail is not None and plan.tail[2] >= hidx.k:
-        return empty_result()
-
-    total_sum = 0
+def _run_bag(hidx: _HostIndex, plan: _BagPlan,
+             tables: list[_Table]) -> _Table:
+    """Evaluate one bag into its table, keyed by ``plan.out_cols``."""
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
+    fiber = hidx.fibers.get(plan.root_label)
+    labels = [lab for *_, lab in plan.steps]
+    if plan.tail is not None:
+        labels.append(plan.tail[2])
+    if fiber is None or any(lab >= hidx.k for lab in labels):
+        return _aggregate_table(key_chunks, val_chunks, hidx.n)
 
     for lo in range(0, fiber.size, CHUNK_ROOTS):
         state = _ChunkState(cols={plan.order[0]: fiber[lo:lo + CHUNK_ROOTS]},
@@ -325,45 +306,23 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
                 break
         if dead or state.nrows == 0:
             continue
+        keys = _key_matrix(state, plan.out_cols)
+        vals = state.vals
         if plan.tail is not None:
             p, wmax, lab = plan.tail
             counts = hidx.bucket_counts(state.cols[p], wmax,
                                         lab)[1].astype(np.int64)
-            if state.vals is None:
-                state.vals = counts
-            else:
-                state.vals = _widen(state.vals, int(state.vals.max())
-                                    * int(counts.max())) * counts
-            if not sum_mode:
-                keep = state.vals > 0
-                if not keep.all():
-                    for key in list(state.cols):
-                        state.cols[key] = state.cols[key][keep]
-                    state.vals = state.vals[keep]
-                    state.nrows = int(keep.sum())
-                    if state.nrows == 0:
-                        continue
-        if sum_mode:
-            if state.vals is None:
-                total_sum += state.nrows
-            else:
-                total_sum += int(_widen(state.vals, int(state.vals.max())
-                                        * state.vals.shape[0]).sum())
-        else:
-            key_chunks.append(np.stack([state.cols[x] for x in plan.out_cols],
-                                       axis=1))
-            val_chunks.append(state.vals if state.vals is not None
-                              else np.ones(state.nrows, dtype=np.int64))
-
-    if sum_mode:
-        return total_sum * scalar  # exact: python ints
-    table = _aggregate_table(key_chunks, val_chunks, width, hidx.n)
-    if scalar != 1 and not table.is_empty():
-        attr = "sorted_values" if table.codes is not None else "values"
-        vals = getattr(table, attr)
-        setattr(table, attr,
-                _widen(vals, scalar * max(int(vals.max()), 1)) * scalar)
-    return table
+            vals = counts if vals is None else _widen(
+                vals, int(vals.max()) * int(counts.max())) * counts
+            # rows with no candidate for the last vertex count zero
+            keep = counts > 0
+            if not keep.any():
+                continue
+            keys, vals = keys[keep], vals[keep]
+        key_chunks.append(keys)
+        val_chunks.append(vals if vals is not None
+                          else np.ones(state.nrows, dtype=np.int64))
+    return _aggregate_table(key_chunks, val_chunks, hidx.n)
 
 
 def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
@@ -408,10 +367,9 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     if state.nrows == 0:
         return False
     for idx in slot.lookups:
-        dom = plan.child_domains[idx]
-        qmat = np.stack([state.cols[x] for x in dom], axis=1)
-        ok, looked = tables[idx].lookup(qmat)
-        if looked is None or not looked.size:
+        ok, looked = tables[idx].lookup(
+            _key_matrix(state, plan.child_domains[idx]))
+        if not looked.size:
             state.nrows = 0
             return False
         if ok.all():
@@ -435,34 +393,22 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
 
 def extension_count(pattern: DirWLGraph, tree: HubTree,
                     host: DirWLGraph) -> int:
-    """Sum of the root DP dictionary, computed without materializing it.
+    """The count in the root's table, whose one code is 0.
 
     Equals sum(bressan_count(pattern, tree, tree.root, host).values()),
     the dict engine kept as its oracle. Raises ValueError when the host's
     (vertex x label) bucket grid is past ``_HostIndex.MAX_BUCKETS``.
     """
     hidx = _host_index(host)
-    plans: dict[int, _BagPlan] = {}
-    order = [tree.root]
-    head = 0
-    while head < len(order):
-        bag = order[head]
-        head += 1
-        if bag == tree.root:
-            out_cols = None
-        else:
-            parent_hub = tree.bags[tree.parent[bag]]
-            dom = tuple(sorted(reach(pattern, parent_hub)
-                               & down_reach(pattern, tree, bag)))
-            out_cols = dom  # empty means a scalar result
-        plans[bag] = _build_plan(pattern, tree, bag, out_cols)
-        order.extend(tree.children(bag))
-    results: dict[int, object] = {}
-    for bag in tree.postorder():
-        plan = plans[bag]
-        tables = [results.pop(ch) for ch in plan.lookup_children]
-        scalar = 1
-        for ch in plan.scalar_children:
-            scalar *= results.pop(ch)
-        results[bag] = _run_bag(hidx, plan, tables, scalar)
-    return results[tree.root]
+    order = tree.postorder()
+    domains = {bag: tuple(sorted(reach(pattern, tree.bags[tree.parent[bag]])
+                                 & down_reach(pattern, tree, bag)))
+               for bag in order if bag != tree.root}
+    domains[tree.root] = ()
+    tables: dict[int, _Table] = {}
+    for bag in order:
+        plan = _build_plan(pattern, tree, bag, domains)
+        tables[bag] = _run_bag(hidx, plan,
+                               [tables.pop(ch) for ch in plan.children])
+    root = tables[tree.root]
+    return int(root.values[0]) if root.codes.size else 0

@@ -88,15 +88,9 @@ def extension_edges(g: DirWLGraph, t: int) -> EdgeSet:
     if t < 2:
         raise ValueError("extension rounds start at t = 2")
     pairs = _wedge_pairs(g, t)
-    if pairs.shape[0] and g.arc_count:
-        existing = np.minimum(g.src, g.dst) * g.n + np.maximum(g.src, g.dst)
-        existing = np.unique(existing)
-        codes = pairs[:, 0] * g.n + pairs[:, 1]
-        pos = np.searchsorted(existing, codes)
-        pos_c = np.minimum(pos, existing.size - 1)
-        hit = (pos < existing.size) & (existing[pos_c] == codes)
-        pairs = pairs[~hit]
-    return EdgeSet(g.n, pairs, t)
+    linked = ((g.arc_weights(pairs[:, 0], pairs[:, 1]) > 0)
+              | (g.arc_weights(pairs[:, 1], pairs[:, 0]) > 0))
+    return EdgeSet(g.n, pairs[~linked], t)
 
 
 def _with_layer(ext: FraternalExtension, arcs: np.ndarray, weight: int,
@@ -156,8 +150,7 @@ def lifted_orientation(f: ProductHost) -> np.ndarray:
     kappa(G), and only G's n vertices and m edges are peeled.
     """
     pos = degeneracy_order(f.host).positions()
-    return orient_by_rank(f.graph.edge_array,
-                          np.tile(pos, f.pattern_n)).arcs
+    return orient_by_rank(f.graph.edge_array, np.tile(pos, f.pattern_n))
 
 
 def _first_layer(n: int, arcs: np.ndarray, labels) -> FraternalExtension:
@@ -172,10 +165,10 @@ def _peeled_extension(base: UndirectedGraph, labels, t: int,
     """Rounds up to t of base's extension, each layer oriented by its own
     degeneracy peel; continues ``ext`` when given."""
     if ext is None:
-        ext = _first_layer(base.n, degeneracy_orient(base, 1).arcs, labels)
+        ext = _first_layer(base.n, degeneracy_orient(base), labels)
     for i in range(ext.depth + 1, t + 1):
-        layer = degeneracy_orient(extension_edges(ext.graph, i), i)
-        ext = _with_layer(ext, layer.arcs, i, labels)
+        arcs = degeneracy_orient(extension_edges(ext.graph, i))
+        ext = _with_layer(ext, arcs, i, labels)
     return ext
 
 
@@ -207,13 +200,10 @@ def _lift_pairs(f: ProductHost, pairs: np.ndarray, own: DirWLGraph,
     orients v - v', and vertical pairs (v = v') as tau orients u - u'."""
     n = f.base_n
     fiber, v = np.divmod(pairs, n)
-    # G's arcs are sorted by src * n + dst; the sentinel ends every search
-    codes = np.append(own.src * n + own.dst, n * n)
-    wgt = np.append(own.wgt, i + 1)
 
     def has_arc(a, b):
-        pos = np.searchsorted(codes, a * n + b)
-        return (codes[pos] == a * n + b) & (wgt[pos] <= i)
+        w = own.arc_weights(a, b)
+        return (w > 0) & (w <= i)
 
     vertical = v[:, 0] == v[:, 1]
     forward = (has_arc(v[:, 0], v[:, 1])

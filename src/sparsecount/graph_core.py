@@ -143,17 +143,6 @@ class EdgeSet:
         return self.pairs.shape[0]
 
 
-@dataclass(frozen=True)
-class ArcLayer:
-    """Directed arcs all carrying one weight (one layer of an extension)."""
-
-    arcs: np.ndarray
-    weight: int
-
-    def __len__(self):
-        return self.arcs.shape[0]
-
-
 class DirWLGraph:
     """Directed graph with positive integer arc weights and vertex labels.
 
@@ -162,7 +151,8 @@ class DirWLGraph:
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
-                 "_reach_cache", "_reach_lock", "_fibers", "_dp_index")
+                 "_arc_codes", "_reach_cache", "_reach_lock", "_fibers",
+                 "_dp_index")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
                  labels: Sequence[int] | np.ndarray | None = None):
@@ -212,6 +202,7 @@ class DirWLGraph:
             if self.labels.shape != (n,):
                 raise GraphFormatError("label array has wrong length")
         self._out_indptr = None
+        self._arc_codes = None
         self._reach_cache = {}
         self._reach_lock = threading.Lock()
         self._fibers = None
@@ -228,14 +219,20 @@ class DirWLGraph:
     def arc_set(self) -> frozenset:
         return frozenset((int(u), int(v)) for u, v in zip(self.src, self.dst))
 
+    def arc_weights(self, a, b) -> np.ndarray:
+        """Weight of each arc a -> b, or 0 where there is none."""
+        code = np.asarray(a, dtype=np.int64) * self.n + np.asarray(b)
+        if not self.arc_count:
+            return np.zeros(code.shape, dtype=np.int64)
+        if self._arc_codes is None:
+            self._arc_codes = self.src * self.n + self.dst  # already sorted
+        pos = np.minimum(np.searchsorted(self._arc_codes, code),
+                         self.arc_count - 1)
+        return np.where(self._arc_codes[pos] == code, self.wgt[pos], 0)
+
     def weight_of(self, u: int, v: int) -> int | None:
         """Weight of arc (u, v), or None when absent."""
-        lo = np.searchsorted(self.src, u, side="left")
-        hi = np.searchsorted(self.src, u, side="right")
-        pos = lo + np.searchsorted(self.dst[lo:hi], v)
-        if pos < hi and self.dst[pos] == v:
-            return int(self.wgt[pos])
-        return None
+        return int(self.arc_weights(u, v)) or None
 
     def _build_out(self):
         if self._out_indptr is None:

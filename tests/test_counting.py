@@ -199,8 +199,9 @@ def test_count_hom_extension_matches_wl_oracle():
 
 
 def test_fast_engine_disjoint_children_scalar_path():
-    # two mutually unreachable hubs force the empty restriction domain,
-    # which the vectorized engine handles as a scalar multiplier
+    # two mutually unreachable hubs force the empty restriction domain:
+    # the child's table has width 0, one code holding its count, and the
+    # parent looks it up as soon as its root is assigned
     pattern = DirWLGraph(4, [(0, 1, 1), (2, 3, 1)])
     host = DirWLGraph(5, [(0, 1, 1), (0, 2, 1), (3, 4, 1)])
     tree = find_width1_decomposition(pattern)
@@ -208,10 +209,30 @@ def test_fast_engine_disjoint_children_scalar_path():
     assert sum(bressan_count(pattern, tree, tree.root, host).values()) == 9
 
 
-@pytest.mark.parametrize("t", [1, 2, 3])
-def test_engines_agree(t):
+@pytest.mark.parametrize("t, limit", [
+    pytest.param(1, None, id="1"),
+    pytest.param(2, None, id="2"),
+    pytest.param(3, None, id="3"),
+    # an int64 limit of 10^4 packs a key of three or more columns on a
+    # host of more than 21 vertices to ranks before its third fold, while
+    # narrower keys fold directly; queries replay the recorded steps
+    pytest.param(2, 10 ** 4, id="2-compressed"),
+])
+def test_engines_agree(t, limit, monkeypatch):
     # at t >= 2 the host extension is weighted, so the vectorized engine's
     # weight-prefix arc checks are compared with the dict engine oracle
+    real = fastdp._pack
+    made = []
+
+    def tracked(mat, n, steps=None):
+        code, out = real(mat, n, steps)
+        if steps is None:
+            made.append(len(out))
+        return code, out
+
+    monkeypatch.setattr(fastdp, "_pack", tracked)
+    if limit is not None:
+        monkeypatch.setattr(fastdp, "_I64_LIMIT", limit)
     rng = random.Random(41)
     for _ in range(30):
         h = random_graph(rng.randint(2, 5), 0.55, rng)
@@ -223,6 +244,8 @@ def test_engines_agree(t):
             fast = fastdp.extension_count(member.graph, tree, hostx.graph)
             ref = bressan_count(member.graph, tree, tree.root, hostx.graph)
             assert fast == sum(ref.values())
+    assert any(made) == (limit is not None)
+    assert not all(made)
 
 
 def test_count_homomorphisms_known_values():
@@ -542,25 +565,3 @@ def test_host_index_built_once_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert len(built) == 1
     assert all(idx is indexes[0] for idx in indexes)
-
-
-def test_pack_paths_agree():
-    import numpy as np
-
-    from sparsecount.fastdp import (_direct_pack, _direct_packable,
-                                    _progressive_pack)
-
-    rng = random.Random(6)
-    n = 50
-    assert _direct_packable(n, 3)
-    kmat = np.array([[rng.randrange(n) for _ in range(3)] for _ in range(40)])
-    qmat = np.array([[rng.randrange(n) for _ in range(3)] for _ in range(25)])
-    dk, dq = _direct_pack(kmat, n), _direct_pack(qmat, n)
-    pk, pq = _progressive_pack(kmat, qmat, n)
-    # both encodings must induce the same equality relation
-    joint_d = np.concatenate([dk, dq])
-    joint_p = np.concatenate([pk, pq])
-    for i in range(joint_d.size):
-        same_d = joint_d == joint_d[i]
-        same_p = joint_p == joint_p[i]
-        assert (same_d == same_p).all()

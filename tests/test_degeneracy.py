@@ -26,17 +26,17 @@ def test_kappa_family_values():
 
 
 def test_orient_single_edge():
-    layer = degeneracy_orient(path_graph(2), 1)
-    assert layer.arcs.shape == (1, 2)
-    assert is_acyclic_arcs(2, layer.arcs)
+    arcs = degeneracy_orient(path_graph(2))
+    assert arcs.shape == (1, 2)
+    assert is_acyclic_arcs(2, arcs)
 
 
 def test_orient_cycle_bounds():
-    layer = degeneracy_orient(cycle_graph(6), 1)
-    assert layer.arcs.shape[0] == 6
-    outdeg = np.bincount(layer.arcs[:, 0], minlength=6)
+    arcs = degeneracy_orient(cycle_graph(6))
+    assert arcs.shape[0] == 6
+    outdeg = np.bincount(arcs[:, 0], minlength=6)
     assert outdeg.max() <= 2
-    assert is_acyclic_arcs(6, layer.arcs)
+    assert is_acyclic_arcs(6, arcs)
 
 
 def test_orient_star_tie_rule():
@@ -46,17 +46,16 @@ def test_orient_star_tie_rule():
     order = degeneracy_order(star)
     assert list(order.order) == [1, 2, 0, 3]
     assert order.kappa == 1
-    layer = degeneracy_orient(star, 1)
-    assert {(int(u), int(v)) for u, v in layer.arcs} == {(1, 0), (2, 0), (0, 3)}
-    assert np.bincount(layer.arcs[:, 0], minlength=4).max() == 1
+    arcs = degeneracy_orient(star)
+    assert {(int(u), int(v)) for u, v in arcs} == {(1, 0), (2, 0), (0, 3)}
+    assert np.bincount(arcs[:, 0], minlength=4).max() == 1
 
 
 def test_orient_edge_set_layer():
     pairs = np.array([[0, 1], [1, 2], [2, 3]])
-    layer = degeneracy_orient(EdgeSet(5, pairs, 2), 2)
-    assert layer.weight == 2
-    assert layer.arcs.shape[0] == 3
-    assert is_acyclic_arcs(5, layer.arcs)
+    arcs = degeneracy_orient(EdgeSet(5, pairs, 2))
+    assert arcs.shape[0] == 3
+    assert is_acyclic_arcs(5, arcs)
 
 
 @given(st.integers(1, 12), st.integers(0, 10 ** 6))
@@ -65,10 +64,10 @@ def test_orientation_properties(n, seed):
     rng = random.Random(seed)
     g = random_graph(n, 0.4, rng)
     order = degeneracy_order(g)
-    layer = degeneracy_orient(g, 1)
-    assert is_acyclic_arcs(n, layer.arcs)
+    arcs = degeneracy_orient(g)
+    assert is_acyclic_arcs(n, arcs)
     if g.m:
-        outdeg = np.bincount(layer.arcs[:, 0], minlength=n)
+        outdeg = np.bincount(arcs[:, 0], minlength=n)
         assert outdeg.max() <= order.kappa
     # kappa is genuinely attained: some suffix subgraph has min degree kappa
     assert order.kappa <= max([0] + [g.degree(v) for v in range(n)])

@@ -96,9 +96,9 @@ def test_optimal_extension_depth1_is_degeneracy_orientation():
 
     g = random_graph(12, 0.4, random.Random(3))
     ext = optimal_extension(g, 1)
-    layer = degeneracy_orient(g, 1)
+    arcs = degeneracy_orient(g)
     assert ext.depth == 1
-    assert np.array_equal(ext.layers[0], layer.arcs)
+    assert np.array_equal(ext.layers[0], arcs)
     assert (ext.graph.wgt == 1).all()
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,15 @@ def test_weight_layers_partition_arcs():
     assert total == g.arc_count
     assert g.weight_of(1, 2) == 2
     assert g.weight_of(2, 1) is None
+
+
+def test_arc_weights_vectorized():
+    g = DirWLGraph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 3)])
+    a = np.array([0, 1, 2, 3, 0, 3, 1])
+    b = np.array([1, 2, 3, 0, 3, 2, 0])
+    assert g.arc_weights(a, b).tolist() == [1, 2, 1, 0, 3, 0, 0]
+    assert g.arc_weights(a[:0], b[:0]).shape == (0,)
+    assert DirWLGraph(3).arc_weights(a[:2], b[:2]).tolist() == [0, 0]
 
 
 def test_fibers_group_by_label():
