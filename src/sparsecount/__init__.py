@@ -18,9 +18,8 @@ from .fraternal import (ExtensionBlowupError, ExtensionLiftError,
                         FraternalExtension, enumerate_pattern_extensions,
                         extension_edges, optimal_extension,
                         validate_fraternity)
-from .graph_core import (DirWLGraph, EdgeSet, GraphFormatError,
-                         UndirectedGraph, load_edge_list, max_outdegree,
-                         save_edge_list)
+from .graph_core import (DirWLGraph, GraphFormatError, UndirectedGraph,
+                         load_edge_list, max_outdegree, save_edge_list)
 from .harness import (RunReport, cli_main, generate_bounded_degeneracy,
                       generate_double_subdivision, generate_gnp,
                       generate_subdivision, run_count_hom)

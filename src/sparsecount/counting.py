@@ -16,7 +16,6 @@ path calls them. All counts are exact Python integers end to end.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -202,10 +201,8 @@ def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Explicit argument wins, then SPARSECOUNT_THREADS, then serial."""
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, int(os.environ.get("SPARSECOUNT_THREADS", "1")))
+    """The worker count: ``threads``, or 1 when it is None."""
+    return max(1, int(threads or 1))
 
 
 def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,

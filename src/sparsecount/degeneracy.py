@@ -6,8 +6,9 @@ seen. Orienting every edge from the earlier-peeled endpoint to the later
 one yields an acyclic orientation with max outdegree <= kappa.
 
 The peel is a ``heapq`` heap of packed (degree, id) keys over Python
-lists. An ``UndirectedGraph`` is peeled once: its order is cached on
-the graph, so every product and spasm quotient over one host shares it.
+lists, run on the CSR index of an ``UndirectedGraph``. Each graph is
+peeled once: its order is cached on the graph, so every product and
+spasm quotient over one host shares it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import EdgeSet, UndirectedGraph
+from .graph_core import UndirectedGraph
 
 
 def _peel_kernel(n, indptr, nbrs):
@@ -65,52 +66,31 @@ class DegeneracyOrder:
         return pos
 
 
-def _csr_of(edges) -> tuple[int, np.ndarray, np.ndarray]:
-    if isinstance(edges, UndirectedGraph):
-        indptr, nbrs = edges.csr
-        return edges.n, indptr, nbrs
-    if isinstance(edges, EdgeSet):
-        n, pairs = edges.n, edges.pairs
-    else:
-        raise TypeError(f"cannot peel {type(edges).__name__}")
-    ends = np.concatenate((pairs[:, 0], pairs[:, 1]))
-    nbrs = np.concatenate((pairs[:, 1], pairs[:, 0]))
-    order = np.argsort(ends * max(n, 1) + nbrs, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-    return n, indptr, nbrs[order]
+def degeneracy_order(g: UndirectedGraph) -> DegeneracyOrder:
+    """Peel g to a DegeneracyOrder through its CSR index.
 
-
-def degeneracy_order(g) -> DegeneracyOrder:
-    """Peel g (an UndirectedGraph or EdgeSet) to a DegeneracyOrder.
-
-    The order of an UndirectedGraph is computed once and cached on it,
-    with a read-only ``order`` array. Two threads racing on the first
-    call only peel twice to the same order, so no lock is taken.
+    The order is computed once and cached on g, with a read-only
+    ``order`` array. Two threads racing on the first call only peel
+    twice to the same order, so no lock is taken.
     """
-    if isinstance(g, UndirectedGraph) and g._degeneracy is not None:
-        return g._degeneracy
-    order, kappa = _peel_kernel(*_csr_of(g))
-    order.flags.writeable = False
-    result = DegeneracyOrder(order, kappa)
-    if isinstance(g, UndirectedGraph):
-        g._degeneracy = result
-    return result
+    if g._degeneracy is None:
+        order, kappa = _peel_kernel(g.n, *g.csr)
+        order.flags.writeable = False
+        g._degeneracy = DegeneracyOrder(order, kappa)
+    return g._degeneracy
 
 
-def degeneracy_orient(edges) -> np.ndarray:
-    """Orient each edge from its earlier-peeled endpoint to the later one.
+def degeneracy_orient(g: UndirectedGraph) -> np.ndarray:
+    """Orient each edge of g from its earlier-peeled endpoint to the
+    later one.
 
-    Accepts a bare EdgeSet because extension layers are oriented on their
-    own edges only, independent of earlier layers. Returns the (m, 2) arc
-    array, acyclic with max outdegree <= the degeneracy of the input edge
-    set.
+    Returns the (m, 2) arc array sorted by (src, dst), acyclic with max
+    outdegree <= the degeneracy of g. An extension layer is oriented on
+    its own edges by passing them as a graph of their own.
     """
-    pairs = edges.pairs if isinstance(edges, EdgeSet) else edges.edge_array
-    if pairs.shape[0] == 0:
+    if g.m == 0:
         return np.empty((0, 2), dtype=np.int64)
-    pos = degeneracy_order(edges).positions()
-    return orient_by_rank(pairs, pos)
+    return orient_by_rank(g.edge_array, degeneracy_order(g).positions())
 
 
 def orient_by_rank(pairs: np.ndarray, rank: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import DirWLGraph, bfs_out_tree
-from .hub_decomp import HubTree, down_reach, reach
+from .hub_decomp import HubTree, reach
 
 CHUNK_ROOTS = 1 << 16
 _I64_LIMIT = 2 ** 63 - 1
@@ -103,7 +103,7 @@ class _HostIndex:
 
 def _host_index(g: DirWLGraph) -> _HostIndex:
     # per-extension DPs may run in threads; build the index only once
-    with g._reach_lock:
+    with g._index_lock:
         if g._dp_index is None:
             g._dp_index = _HostIndex(g)
     return g._dp_index
@@ -396,13 +396,16 @@ def extension_count(pattern: DirWLGraph, tree: HubTree,
     """The count in the root's table, whose one code is 0.
 
     Equals sum(bressan_count(pattern, tree, tree.root, host).values()),
-    the dict engine kept as its oracle. Raises ValueError when the host's
-    (vertex x label) bucket grid is past ``_HostIndex.MAX_BUCKETS``.
+    the dict engine kept as its oracle. A bag B shares Reach(parent) &
+    Reach(B) with its parent; the oracle's Reach(parent) & Reach(down(B))
+    is the same set on a width-1 tree, where a vertex reached by two bags
+    is reached by every bag between them. Raises ValueError when the
+    host's (vertex x label) bucket grid is past ``_HostIndex.MAX_BUCKETS``.
     """
     hidx = _host_index(host)
     order = tree.postorder()
     domains = {bag: tuple(sorted(reach(pattern, tree.bags[tree.parent[bag]])
-                                 & down_reach(pattern, tree, bag)))
+                                 & reach(pattern, tree.bags[bag])))
                for bag in order if bag != tree.root}
     domains[tree.root] = ()
     tables: dict[int, _Table] = {}

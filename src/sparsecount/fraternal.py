@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import degeneracy_order, degeneracy_orient, orient_by_rank
-from .graph_core import DirWLGraph, EdgeSet, UndirectedGraph
+from .graph_core import DirWLGraph, UndirectedGraph
 from .pattern_tools import acyclic_orientations, fiber_tournament
 from .product import LabeledPattern, ProductHost
 
@@ -46,7 +46,7 @@ def _wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
     """Unordered endpoint pairs of out-out wedges with weight sum t."""
     n = g.n
     by_weight = {}
-    for a in set(int(w) for w in g.wgt):
+    for a in np.unique(g.wgt).tolist():
         mask = g.wgt == a
         by_weight[a] = (g.src[mask], g.dst[mask])  # still sorted by src
     chunks = []
@@ -77,20 +77,22 @@ def _wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
     return pairs
 
 
-def extension_edges(g: DirWLGraph, t: int) -> EdgeSet:
-    """One Extension round: pairs {u, w} closed at depth t.
+def extension_edges(g: DirWLGraph, t: int) -> np.ndarray:
+    """One Extension round: the (p, 2) array of pairs {u, w} closed at
+    depth t.
 
-    Emits each unordered pair once (lower id first) where some center v
-    carries arcs v->u and v->w with weight sum exactly t and the pair is
-    not yet linked in either direction. The input should be a
-    (t-1)-fraternal extension; that precondition is not re-verified here.
+    Holds each unordered pair once, lower id first, sorted and unique,
+    where some center v carries arcs v->u and v->w with weight sum
+    exactly t and the pair is not yet linked in either direction. The
+    input should be a (t-1)-fraternal extension; that precondition is
+    not re-verified here.
     """
     if t < 2:
         raise ValueError("extension rounds start at t = 2")
     pairs = _wedge_pairs(g, t)
     linked = ((g.arc_weights(pairs[:, 0], pairs[:, 1]) > 0)
               | (g.arc_weights(pairs[:, 1], pairs[:, 0]) > 0))
-    return EdgeSet(g.n, pairs[~linked], t)
+    return pairs[~linked]
 
 
 def _with_layer(ext: FraternalExtension, arcs: np.ndarray, weight: int,
@@ -124,7 +126,7 @@ def enumerate_pattern_extensions(hl: LabeledPattern, t: int,
     for i in range(2, t + 1):
         nxt: list[FraternalExtension] = []
         for ext in members:
-            pairs = extension_edges(ext.graph, i).pairs
+            pairs = extension_edges(ext.graph, i)
             p = pairs.shape[0]
             if len(nxt) + (1 << p) > cap:
                 raise ExtensionBlowupError(
@@ -167,7 +169,8 @@ def _peeled_extension(base: UndirectedGraph, labels, t: int,
     if ext is None:
         ext = _first_layer(base.n, degeneracy_orient(base), labels)
     for i in range(ext.depth + 1, t + 1):
-        arcs = degeneracy_orient(extension_edges(ext.graph, i))
+        layer = UndirectedGraph(base.n, extension_edges(ext.graph, i))
+        arcs = degeneracy_orient(layer)
         ext = _with_layer(ext, arcs, i, labels)
     return ext
 
@@ -255,7 +258,7 @@ def optimal_extension(f, t: int) -> FraternalExtension:
         for a, b in fiber_tournament(f.pattern, t).arcs:
             tau[a, b] = True
         for i in range(2, t + 1):
-            pairs = extension_edges(ext.graph, i).pairs
+            pairs = extension_edges(ext.graph, i)
             ext = _with_layer(ext, _lift_pairs(f, pairs, own, tau, i), i,
                               f.labels)
     return ext

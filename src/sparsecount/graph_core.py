@@ -12,7 +12,6 @@ decompositions.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,22 +126,6 @@ class UndirectedGraph:
         return f"UndirectedGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class EdgeSet:
-    """A batch of fresh undirected edges sharing one weight.
-
-    Produced by the wedge scan; consumed by orientation. Pairs are (u, v)
-    with u < v, lexicographically sorted and unique.
-    """
-
-    n: int
-    pairs: np.ndarray
-    weight: int
-
-    def __len__(self):
-        return self.pairs.shape[0]
-
-
 class DirWLGraph:
     """Directed graph with positive integer arc weights and vertex labels.
 
@@ -151,7 +134,7 @@ class DirWLGraph:
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
-                 "_arc_codes", "_reach_cache", "_reach_lock", "_fibers",
+                 "_arc_codes", "_reach_cache", "_index_lock", "_fibers",
                  "_dp_index")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
@@ -204,7 +187,7 @@ class DirWLGraph:
         self._out_indptr = None
         self._arc_codes = None
         self._reach_cache = {}
-        self._reach_lock = threading.Lock()
+        self._index_lock = threading.Lock()
         self._fibers = None
         self._dp_index = None
 

@@ -1,27 +1,30 @@
 """Hubsets, reachability, unique reachability graphs, and width-1
 hub-tree decompositions.
 
-A hubset generalizes DAG sources to cyclic digraphs: a set of pairwise
-mutually unreachable vertices that jointly reach everything. We fix a
-canonical choice (the lowest-id vertex of every source component of the
-SCC condensation); for fraternal extensions of DAG orientations this is
-exactly the in-degree-0 set. A width-1 decomposition, when one exists,
-is a maximum-weight spanning tree over the hubs weighted by shared
-reach, and one such tree decides whether any exists.
+The hubs of a pattern extension are its sources, the vertices of
+in-degree 0. A round of the extension only links two out-neighbors of a
+common center, so a source of the acyclic first layer never gains an
+in-arc, and the sources stay pairwise unreachable and jointly reach
+every vertex. A width-1 decomposition, when one exists, is a
+maximum-weight spanning tree over the hubs weighted by shared reach,
+and one such tree decides whether any exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import DirWLGraph
+import numpy as np
+
+from .graph_core import DirWLGraph, bfs_out_tree
 
 
 def reach(g: DirWLGraph, s) -> frozenset:
     """Vertices with a directed path from some member of s (s included).
 
-    Accepts a single vertex or an iterable; per-vertex results are
-    memoized on the graph behind a lock.
+    Accepts a single vertex or an iterable. The reach of one vertex is
+    the visit order of ``bfs_out_tree``, cached on the graph without a
+    lock: two threads racing on it only compute the same set twice.
     """
     if isinstance(s, (int,)) or hasattr(s, "__index__"):
         return _reach_one(g, int(s))
@@ -44,91 +47,25 @@ def down_reach(g: DirWLGraph, tree: HubTree, bag: int) -> frozenset:
 
 def _reach_one(g: DirWLGraph, s: int) -> frozenset:
     cached = g._reach_cache.get(s)
-    if cached is not None:
-        return cached
-    seen = {s}
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        for u in g.out_arcs(v)[0]:
-            u = int(u)
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    result = frozenset(seen)
-    with g._reach_lock:
-        g._reach_cache[s] = result
-    return result
-
-
-def _condensation(g: DirWLGraph) -> list[int]:
-    """Component id per vertex via iterative Tarjan."""
-    n = g.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            outs = g.out_arcs(v)[0]
-            descended = False
-            while pi < outs.shape[0]:
-                u = int(outs[pi])
-                pi += 1
-                if index[u] == -1:
-                    work.append((v, pi))
-                    work.append((u, 0))
-                    descended = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-    return comp
+    if cached is None:
+        cached = g._reach_cache[s] = frozenset(bfs_out_tree(g, s)[0])
+    return cached
 
 
 def hubset(g: DirWLGraph) -> tuple[int, ...]:
-    """Canonical hubset: lowest-id member of each source SCC, ascending.
+    """The sources of g (its in-degree-0 vertices), ascending.
 
-    The result is pairwise mutually unreachable and jointly reaches every
-    vertex; for fraternal extensions of acyclic orientations it equals
-    the unique in-degree-0 set.
+    Sources are pairwise unreachable. Raises ValueError when they do not
+    reach every vertex, as on a digraph whose cycle no source reaches:
+    such a graph has no hub-tree decomposition.
     """
-    comp = _condensation(g)
-    ncomp = max(comp, default=-1) + 1
-    has_in = [False] * ncomp
-    for u, v in zip(g.src, g.dst):
-        if comp[u] != comp[v]:
-            has_in[comp[v]] = True
-    rep = [None] * ncomp
-    for v in range(g.n):
-        c = comp[v]
-        if rep[c] is None:
-            rep[c] = v  # vertices scanned ascending, so first hit is lowest
-    return tuple(sorted(rep[c] for c in range(ncomp) if not has_in[c]))
+    has_in = np.zeros(g.n, dtype=bool)
+    has_in[g.dst] = True
+    hubs = tuple(np.flatnonzero(~has_in).tolist())
+    if len(reach(g, hubs)) != g.n:
+        raise ValueError("the sources of the digraph do not reach every "
+                         "vertex")
+    return hubs
 
 
 @dataclass(frozen=True)
@@ -252,7 +189,8 @@ def find_width1_decomposition(g: DirWLGraph) -> HubTree | None:
     sum_v |E(T[S_v])| <= sum_v (|S_v| - 1) = sum_s |Reach(s)| - n, with
     equality iff every S_v is connected in T, which is the width-1
     condition. So a maximum-weight tree reaches the bound iff some tree
-    is width-1 (the junction-tree criterion).
+    is width-1 (the junction-tree criterion). The bound needs the hubs
+    to reach every vertex, which ``hubset`` checks.
 
     The root is the hub of largest reach; each step adds the outside hub
     with the heaviest link into the tree (ties: larger reach, then lower

@@ -4,8 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecount import (EdgeSet, UndirectedGraph, degeneracy_order,
-                         degeneracy_orient)
+from sparsecount import UndirectedGraph, degeneracy_order, degeneracy_orient
 
 from conftest import (complete_graph, cycle_graph, is_acyclic_arcs,
                       path_graph, random_graph, star_graph)
@@ -53,7 +52,7 @@ def test_orient_star_tie_rule():
 
 def test_orient_edge_set_layer():
     pairs = np.array([[0, 1], [1, 2], [2, 3]])
-    arcs = degeneracy_orient(EdgeSet(5, pairs, 2))
+    arcs = degeneracy_orient(UndirectedGraph(5, pairs))
     assert arcs.shape[0] == 3
     assert is_acyclic_arcs(5, arcs)
 
@@ -108,12 +107,12 @@ def _peel_inputs(draw):
     return n, pairs
 
 
-@given(_peel_inputs(), st.booleans())
+@given(_peel_inputs())
 @settings(max_examples=150, deadline=None)
-def test_peel_matches_reference(case, as_edge_set):
+def test_peel_matches_reference(case):
     n, pairs = case
     arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    g = EdgeSet(n, arr, 2) if as_edge_set else UndirectedGraph(n, arr)
+    g = UndirectedGraph(n, arr)
     order, kappa = _reference_peel(n, pairs)
     got = degeneracy_order(g)
     assert got.order.tolist() == order
@@ -136,8 +135,3 @@ def test_order_cached_per_graph(monkeypatch):
     assert degeneracy_order(g) is first
     assert len(calls) == 1
     assert not first.order.flags.writeable
-    # an EdgeSet is a fresh layer each time and is peeled on every call
-    layer = EdgeSet(4, g.edge_array, 2)
-    degeneracy_order(layer)
-    degeneracy_order(layer)
-    assert len(calls) == 3

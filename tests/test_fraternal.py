@@ -13,8 +13,8 @@ from conftest import (complete_graph, cycle_graph, disjoint_union,
                       is_acyclic_arcs, path_graph, random_graph, star_graph)
 
 
-def pairs_of(edge_set):
-    return {(int(u), int(v)) for u, v in edge_set.pairs}
+def pairs_of(pairs):
+    return {(int(u), int(v)) for u, v in pairs}
 
 
 def test_extension_edges_unit_wedge():

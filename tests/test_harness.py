@@ -270,8 +270,10 @@ def test_threads_env_default(monkeypatch):
 
     monkeypatch.delenv("SPARSECOUNT_THREADS", raising=False)
     assert resolve_threads(None) == 1
+    assert resolve_threads(2) == 2
+    # the variable is no second way to set the worker count
     monkeypatch.setenv("SPARSECOUNT_THREADS", "4")
-    assert resolve_threads(None) == 4
+    assert resolve_threads(None) == 1
     assert resolve_threads(2) == 2
 
 

@@ -2,6 +2,7 @@ import random
 from itertools import product as iter_product
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,8 +31,10 @@ def test_hubset_examples():
     assert hubset(in_in_wedge()) == (0, 2)
     chain = DirWLGraph(3, [(0, 1, 1), (1, 2, 1)])
     assert hubset(chain) == (0,)
+    # a sourceless cycle has no hubs that reach it
     tri = DirWLGraph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    assert hubset(tri) == (0,)
+    with pytest.raises(ValueError):
+        hubset(tri)
 
 
 def test_hubset_mutually_unreachable_and_covering():
@@ -46,13 +49,34 @@ def test_hubset_mutually_unreachable_and_covering():
                 seen.add((u, v))
                 arcs.append((u, v, 1))
         g = DirWLGraph(n, arcs)
+        sources = set(range(n)) - {v for _, v, _ in arcs}
+        if reach(g, sources) != frozenset(range(n)):
+            with pytest.raises(ValueError):
+                hubset(g)
+            continue
         hubs = hubset(g)
-        covered = reach(g, hubs)
-        assert covered == frozenset(range(n))
+        assert hubs == tuple(sorted(sources))
+        assert reach(g, hubs) == frozenset(range(n))
         for s in hubs:
             for s2 in hubs:
                 if s != s2:
                     assert s2 not in reach(g, s)
+
+
+def test_hubs_of_pattern_extensions_are_layer1_sources():
+    # an extension round links two out-neighbors of a common center, so a
+    # source of the acyclic first layer never gains an in-arc
+    cases = [(h, t) for h in connected_patterns_up_to(5) for t in (1, 2)]
+    cases += [(cycle_graph(6), 2), (cycle_graph(7), 2), (cycle_graph(6), 3)]
+    members = 0
+    for h, t in cases:
+        for member in enumerate_pattern_extensions(label_pattern(h), t):
+            g = member.graph
+            sources = set(range(g.n)) - set(member.layers[0][:, 1].tolist())
+            assert hubset(g) == tuple(sorted(sources))
+            assert reach(g, sources) == frozenset(range(g.n))
+            members += 1
+    assert members == 4737
 
 
 def test_reach():

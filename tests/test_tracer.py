@@ -1,0 +1,51 @@
+"""The benchmark's tracer still finds every layer it wraps.
+
+``perfbench/tracer.py`` skips a function it cannot find, and drops the size
+counters of a layer whose stats hook fails, so a renamed or re-typed
+function would silently zero a per-layer metric. ``Tracer.install``
+rebinds module functions for the whole process, so the check runs in a
+subprocess of its own.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import sparsecount
+from tracer import Tracer
+from workloads import WORKLOADS, cycle_edges
+
+tracer = Tracer()
+missing = tracer.install("sparsecount")
+counts = {{}}
+for name, w in WORKLOADS.items():
+    inst = w.build(1, True)
+    host = sparsecount.UndirectedGraph(inst.n, inst.edges)
+    pattern = sparsecount.UndirectedGraph(w.cycle, cycle_edges(w.cycle))
+    count = (sparsecount.count_homomorphisms if w.count == "hom"
+             else sparsecount.count_subgraphs)
+    counts[name] = [count(host, pattern, threads=w.threads), inst.expected]
+print(json.dumps({{"missing": missing,
+                  "skipped": sorted(tracer.skipped_stats),
+                  "counts": counts}}))
+"""
+
+
+def test_tracer_wraps_every_layer():
+    script = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["missing"] == []
+    assert out["skipped"] == []
+    assert set(out["counts"]) == {"hom-c5-degen", "hom-c8-frat",
+                                  "sub-c6-road"}
+    for name, (got, expected) in out["counts"].items():
+        assert got == expected, name
