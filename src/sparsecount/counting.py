@@ -17,7 +17,6 @@ path calls them. All counts are exact Python integers end to end.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -200,11 +199,6 @@ def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
     return parts
 
 
-def resolve_threads(threads: int | None) -> int:
-    """The worker count: ``threads``, or 1 when it is None."""
-    return max(1, int(threads or 1))
-
-
 def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,
                  depth: int) -> list[list[int]]:
     """Member indices of Frat(h, depth) grouped into classes of equal count.
@@ -231,27 +225,19 @@ def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,
 
 
 def count_family(hl: LabeledPattern, depth: int,
-                 host_ext: FraternalExtension,
-                 threads: int | None = None) -> tuple[int, int]:
+                 host_ext: FraternalExtension) -> tuple[int, int]:
     """Sum of the extension DPs over Frat(hl, depth), and |Frat(hl, depth)|.
 
-    Runs one DP per class of ``frat_classes`` and weights it by the class
-    size; the representatives go to a thread pool when threads > 1.
+    Runs one DP per class of ``frat_classes``, in the calling thread, and
+    weights it by the class size.
     ``host_ext`` must be ``optimal_extension`` of the product of ``hl``
     with the host at the same depth, whose lifted layers the classes rely
     on.
     """
     members = enumerate_pattern_extensions(hl, depth)
     classes = frat_classes(members, hl.graph, depth)
-    reps = [members[c[0]] for c in classes]
-    workers = resolve_threads(threads)
-    if workers > 1 and len(reps) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda pe: count_hom_extension(pe, host_ext), reps))
-    else:
-        parts = [count_hom_extension(pe, host_ext) for pe in reps]
-    total = sum(part * len(c) for part, c in zip(parts, classes))
+    total = sum(count_hom_extension(members[c[0]], host_ext) * len(c)
+                for c in classes)
     return total, len(members)
 
 
@@ -272,7 +258,7 @@ def _component_depth(hc: UndirectedGraph, t: int | None) -> int:
 
 
 def _count_component(g: UndirectedGraph, hc: UndirectedGraph,
-                     t: int | None, threads: int | None) -> ComponentCount:
+                     t: int | None) -> ComponentCount:
     depth = _component_depth(hc, t)
     hl = label_pattern(hc)
     t0 = time.perf_counter()
@@ -280,7 +266,7 @@ def _count_component(g: UndirectedGraph, hc: UndirectedGraph,
     t1 = time.perf_counter()
     host_ext = optimal_extension(product, depth)
     t2 = time.perf_counter()
-    count, n_ext = count_family(hl, depth, host_ext, threads)
+    count, n_ext = count_family(hl, depth, host_ext)
     t3 = time.perf_counter()
     return ComponentCount(count, n_ext, max_outdegree(host_ext.graph),
                           (t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3)
@@ -300,14 +286,15 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     orientations of C5); at depth 2 the clockwise tournament keeps the
     rotations of a cycle (36 DPs for the 196 extensions of C6, 149 for
     the 1152 of C8). Disconnected patterns multiply their
-    per-component counts. Every DP runs on the one vectorized engine,
-    which widens its values to exact Python ints wherever they could pass
-    int64. Raises NoWidth1Decomposition when some pattern extension has
-    no width-1 decomposition, which happens when LICL(h) >= 3(t+1).
+    per-component counts. Every DP runs in the calling thread on the one
+    vectorized engine, which widens its values to exact Python ints
+    wherever they could pass int64; ``threads`` is accepted and ignored.
+    Raises NoWidth1Decomposition when some pattern extension has no
+    width-1 decomposition, which happens when LICL(h) >= 3(t+1).
     """
     total = 1
     for hc in _component_patterns(h):
-        total *= _count_component(g, hc, t, threads).count
+        total *= _count_component(g, hc, t).count
     return total
 
 
@@ -317,11 +304,12 @@ def count_subgraphs(g: UndirectedGraph, h: UndirectedGraph,
 
     Every quotient runs at its own minimal extension depth; the rational
     accumulation must collapse to an integer, which is asserted.
+    ``threads`` is accepted and ignored, as in ``count_homomorphisms``.
     """
     acc = Fraction(0)
     for entry in spasm(h):
         try:
-            hom = count_homomorphisms(g, entry.quotient, threads=threads)
+            hom = count_homomorphisms(g, entry.quotient)
         except NoWidth1Decomposition as exc:
             raise NoWidth1Decomposition(exc.extension,
                                         quotient=entry.quotient) from exc

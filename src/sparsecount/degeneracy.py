@@ -70,8 +70,7 @@ def degeneracy_order(g: UndirectedGraph) -> DegeneracyOrder:
     """Peel g to a DegeneracyOrder through its CSR index.
 
     The order is computed once and cached on g, with a read-only
-    ``order`` array. Two threads racing on the first call only peel
-    twice to the same order, so no lock is taken.
+    ``order`` array.
     """
     if g._degeneracy is None:
         order, kappa = _peel_kernel(g.n, *g.csr)

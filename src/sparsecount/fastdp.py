@@ -102,10 +102,8 @@ class _HostIndex:
 
 
 def _host_index(g: DirWLGraph) -> _HostIndex:
-    # per-extension DPs may run in threads; build the index only once
-    with g._index_lock:
-        if g._dp_index is None:
-            g._dp_index = _HostIndex(g)
+    if g._dp_index is None:
+        g._dp_index = _HostIndex(g)
     return g._dp_index
 
 

@@ -70,11 +70,12 @@ def _wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
         if a == b:
             keep = u < w
             u, w = u[keep], w[keep]
-        chunks.append(np.column_stack((np.minimum(u, w), np.maximum(u, w))))
+        # lo * n + hi sorts as (lo, hi) does, since both are below n
+        chunks.append(np.minimum(u, w) * n + np.maximum(u, w))
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
-    pairs = np.unique(np.concatenate(chunks), axis=0)
-    return pairs
+    lo, hi = np.divmod(np.unique(np.concatenate(chunks)), n)
+    return np.column_stack((lo, hi))
 
 
 def extension_edges(g: DirWLGraph, t: int) -> np.ndarray:
@@ -179,8 +180,7 @@ def _own_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
     """G's own extension to depth t or deeper, cached on G.
 
     Each round is built once per graph: a deeper request continues the
-    cached extension. Its arrays are read-only. Two threads racing on the
-    first call only build the same extension twice, so no lock is taken.
+    cached extension. Its arrays are read-only.
     """
     ext = g._extension
     if ext is None or ext.depth < t:

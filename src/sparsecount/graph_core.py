@@ -11,7 +11,6 @@ decompositions.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,8 +133,7 @@ class DirWLGraph:
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
-                 "_arc_codes", "_reach_cache", "_index_lock", "_fibers",
-                 "_dp_index")
+                 "_arc_codes", "_reach_cache", "_fibers", "_dp_index")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
                  labels: Sequence[int] | np.ndarray | None = None):
@@ -187,7 +185,6 @@ class DirWLGraph:
         self._out_indptr = None
         self._arc_codes = None
         self._reach_cache = {}
-        self._index_lock = threading.Lock()
         self._fibers = None
         self._dp_index = None
 

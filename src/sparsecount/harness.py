@@ -130,13 +130,15 @@ class RunReport:
 
 
 def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
-                  t: int | None = None, threads: int | None = None,
+                  t: int | None = None,
                   exact_fallback: bool = False) -> RunReport:
     """count_homomorphisms with the per-stage timings its components report.
 
     With ``exact_fallback`` a NoWidth1Decomposition is answered by brute
     force on hosts of at most BRUTE_FORCE_HOM_CAP vertices and re-raised
-    on larger ones.
+    on larger ones. A fallback report holds only the brute-force timing
+    and leaves out the extension count and Delta+, which the failed run
+    never returned.
     """
     base_licl = licl(h)
     depth = t if t is not None else min_extension_depth(base_licl)
@@ -147,7 +149,7 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
     fallback = False
     try:
         for hc in _component_patterns(h):
-            part = _count_component(g, hc, t, threads)
+            part = _count_component(g, hc, t)
             timings["product"] += part.product_ms
             timings["host_extension"] += part.host_extension_ms
             timings["dp"] += part.dp_ms
@@ -167,7 +169,8 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
               "falling back to brute force", file=sys.stderr)
         t0 = time.perf_counter()
         total = brute_force_hom(g, h)
-        timings["brute_force"] = (time.perf_counter() - t0) * 1e3
+        timings = {"brute_force": (time.perf_counter() - t0) * 1e3}
+        n_ext = delta_plus = None
     kappa = degeneracy_order(g).kappa
     return RunReport(total, base_licl, depth, n_ext, None, g.n, g.m,
                      kappa, delta_plus, timings, fallback)
@@ -194,7 +197,7 @@ def _cmd_count_hom(args) -> int:
     g = load_edge_list(args.host)
     h = load_edge_list(args.pattern)
     try:
-        report = run_count_hom(g, h, t=args.t, threads=args.threads,
+        report = run_count_hom(g, h, t=args.t,
                                exact_fallback=args.exact_fallback)
     except NoWidth1Decomposition as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -213,7 +216,7 @@ def _cmd_count_sub(args) -> int:
     entries = spasm(h)
     t0 = time.perf_counter()
     try:
-        value = count_subgraphs(g, h, threads=args.threads)
+        value = count_subgraphs(g, h)
     except NoWidth1Decomposition as exc:
         print(f"error: {exc}", file=sys.stderr)
         _dump_extension(exc.extension)
@@ -323,7 +326,7 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     g = load_edge_list(args.host)
     h = load_edge_list(args.pattern)
-    fast = count_homomorphisms(g, h, threads=args.threads)
+    fast = count_homomorphisms(g, h)
     slow = brute_force_hom(g, h, cap=g.n)
     if fast != slow:
         print(f"MISMATCH: pipeline={fast} brute_force={slow}")
@@ -340,7 +343,7 @@ def _cmd_bench(args) -> int:
         n = max(args.c + 1, round((m + args.c * (args.c + 1) / 2) / args.c))
         g = generate_bounded_degeneracy(n, args.c, args.seed + i)
         t0 = time.perf_counter()
-        value = count_homomorphisms(g, h, threads=args.threads)
+        value = count_homomorphisms(g, h)
         elapsed = time.perf_counter() - t0
         rows.append({"target_m": m, "n": g.n, "m": g.m,
                      "seconds": elapsed, "count": value})
@@ -373,14 +376,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fall back to brute force when no width-1 "
                         "decomposition exists (hosts of at most "
                         f"{BRUTE_FORCE_HOM_CAP} vertices)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count_hom)
 
     p = sub.add_parser("count-sub", help="count Sub(host, pattern)")
     p.add_argument("host")
     p.add_argument("pattern")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count_sub)
 
@@ -418,7 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="pipeline vs brute force on one pair")
     p.add_argument("host")
     p.add_argument("pattern")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="near-linear scaling measurement")
@@ -427,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated target edge counts")
     p.add_argument("--c", type=int, default=3)
     p.add_argument("--seed", type=int, default=20260811)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)
 

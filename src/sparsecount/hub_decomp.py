@@ -23,8 +23,7 @@ def reach(g: DirWLGraph, s) -> frozenset:
     """Vertices with a directed path from some member of s (s included).
 
     Accepts a single vertex or an iterable. The reach of one vertex is
-    the visit order of ``bfs_out_tree``, cached on the graph without a
-    lock: two threads racing on it only compute the same set twice.
+    the visit order of ``bfs_out_tree``, cached on the graph.
     """
     if isinstance(s, (int,)) or hasattr(s, "__index__"):
         return _reach_one(g, int(s))

@@ -198,7 +198,7 @@ def test_count_hom_extension_matches_wl_oracle():
             assert got == want
 
 
-def test_fast_engine_disjoint_children_scalar_path():
+def test_fast_engine_width0_child_table():
     # two mutually unreachable hubs force the empty restriction domain:
     # the child's table has width 0, one code holding its count, and the
     # parent looks it up as soon as its root is assigned
@@ -360,21 +360,21 @@ def test_brute_force_hom_wl_respects_weights_and_labels():
     assert brute_force_hom_wl(host, pattern_heavy) == 0
 
 
-def test_thread_option_matches_serial():
-    g = random_graph(10, 0.4, random.Random(9))
-    h = cycle_graph(4)
-    assert count_homomorphisms(g, h, threads=2) == \
-        count_homomorphisms(g, h, threads=1)
-    # Hom(C5) runs its depth-1 orbit representatives on the pool, Hom(C6)
-    # its depth-2 class representatives, Sub(C6) its spasm quotients
+def test_thread_option_matches_serial(monkeypatch):
+    # counting starts no thread, which the unlocked caches on graphs rely
+    # on; the threads keyword is accepted and ignored
+    import threading
+
+    def refuse(self):
+        raise AssertionError("a count started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     host = generate_bounded_degeneracy(30, 3, 13)
     for k, t in ((5, 1), (6, 2)):
-        counts = {threads: count_homomorphisms(host, cycle_graph(k), t=t,
-                                               threads=threads)
-                  for threads in (1, 2)}
-        assert counts[1] == counts[2] == cycle_hom_trace(host, k)
+        assert count_homomorphisms(host, cycle_graph(k), t=t, threads=2) \
+            == cycle_hom_trace(host, k)
     assert count_subgraphs(host, cycle_graph(6), threads=2) == \
-        count_subgraphs(host, cycle_graph(6), threads=1)
+        brute_force_sub(host, cycle_graph(6), cap=30) == 1943
 
 
 @given(st.integers(1, 8), st.integers(0, 10 ** 6),
@@ -431,7 +431,7 @@ def _refuse_dict_engine(monkeypatch):
     monkeypatch.setattr(counting, "bressan_count", refuse)
 
 
-def test_forced_overflow_reroute_is_exact(monkeypatch):
+def test_forced_widening_is_exact(monkeypatch):
     # with an int64 limit of 1 every multiply and sum widens to exact
     # Python ints, and the counts stay those of the oracles
     g = generate_bounded_degeneracy(12, 2, 21)
@@ -513,7 +513,7 @@ def test_subgraph_error_names_offending_quotient(monkeypatch):
     assert info.value.quotient.n == 7
 
 
-def test_fast_engine_overflow_guard_falls_back():
+def test_fast_engine_refuses_past_max_buckets():
     # a host label far past the bucket-grid cap is refused, naming the
     # grid size, rather than allocating the index or counting elsewhere
     host = DirWLGraph(3, [(0, 1, 1), (1, 2, 1)],
@@ -530,38 +530,3 @@ def test_default_engine_is_vectorized_on_small_hosts(monkeypatch):
     g = random_graph(5, 0.5, random.Random(2))
     for k in (3, 4, 6):
         assert count_homomorphisms(g, cycle_graph(k)) == cycle_hom_trace(g, k)
-
-
-def test_host_index_built_once_under_threads(monkeypatch):
-    import os
-    import sys
-    import threading
-    import time
-    from concurrent.futures import ThreadPoolExecutor
-
-    built = []
-
-    class SlowIndex(fastdp._HostIndex):
-        def __init__(self, g):
-            built.append(g)
-            time.sleep(0.02)  # hold the window between check and store
-            super().__init__(g)
-
-    monkeypatch.setattr(fastdp, "_HostIndex", SlowIndex)
-    host = DirWLGraph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
-    workers = (os.cpu_count() or 1) + 4
-    start = threading.Barrier(workers, timeout=10)
-
-    def build(_):
-        start.wait()
-        return fastdp._host_index(host)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            indexes = list(pool.map(build, range(workers), timeout=30))
-    finally:
-        sys.setswitchinterval(old)
-    assert len(built) == 1
-    assert all(idx is indexes[0] for idx in indexes)

@@ -265,16 +265,20 @@ def test_cli_exact_fallback_refused_past_cap(tmp_path, capsys):
     assert "offending extension" in err
 
 
-def test_threads_env_default(monkeypatch):
-    from sparsecount.counting import resolve_threads
-
-    monkeypatch.delenv("SPARSECOUNT_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(2) == 2
-    # the variable is no second way to set the worker count
-    monkeypatch.setenv("SPARSECOUNT_THREADS", "4")
-    assert resolve_threads(None) == 1
-    assert resolve_threads(2) == 2
+def test_cli_exact_fallback_json_reports_only_brute_force(tmp_path,
+                                                          capsys):
+    # the failed pipeline run returned no extension count, Delta+ or
+    # stage timings, so the report holds only what brute force measured
+    g = generate_gnp(12, 0.4, 3)
+    host = _write(tmp_path, "host.el", g)
+    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
+    assert cli_main(["count-hom", host, c6, "--t", "1", "--exact-fallback",
+                     "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["fallback"] is True
+    assert report["count"] == brute_force_hom(g, cycle_graph(6))
+    assert "n_extensions" not in report and "delta_plus" not in report
+    assert set(report["stage_timings_ms"]) == {"brute_force"}
 
 
 def test_cli_bench(tmp_path, capsys):
