@@ -1,11 +1,13 @@
 """Near-linear homomorphism and subgraph counting on sparse host graphs.
 
-The pipeline: close out-out wedges of the pattern-labeled product host
-into weighted fraternal extension layers, each oriented by lifting the
-host's own degeneracy order and extension, decompose each pattern
-extension into a width-1 hub tree, and count with the generalized tree
-DP. Subgraph counts come from the exact rational
-spasm combination of homomorphism counts.
+The pipeline: at depth 1, count every acyclic orientation of the
+pattern on the host's own degeneracy DAG; from depth 2 on, close
+out-out wedges into weighted fraternal extension layers of the
+pattern-labeled product host, each lifted from the host's own
+extension without building the product. Each pattern extension gets a
+width-1 hub-tree decomposition, and the generalized tree DP counts it.
+Subgraph counts come from the exact rational spasm combination of
+homomorphism counts.
 """
 
 from .counting import (CountDict, HomMap, NoWidth1Decomposition,
@@ -31,8 +33,7 @@ from .pattern_tools import (FiberTournament, SpasmEntry,
                             automorphism_generators, canonical_form,
                             connected_components, fiber_tournament, licl,
                             min_extension_depth, spasm)
-from .product import (LabeledPattern, ProductHost, label_pattern,
-                      pattern_product)
+from .product import LabeledPattern, label_pattern, pattern_product
 
 __version__ = "0.1.0"
 

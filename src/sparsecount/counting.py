@@ -1,8 +1,8 @@
 """The end-to-end pipeline and its oracles.
 
-``count_homomorphisms`` runs the whole pipeline (labeled product, host
-extension, pattern extension family, per-extension DP on the one
-engine, ``fastdp``) and ``count_subgraphs`` reduces subgraph counts to
+``count_homomorphisms`` runs the whole pipeline (host extension,
+pattern extension family, per-extension DP on the one engine,
+``fastdp``) and ``count_subgraphs`` reduces subgraph counts to
 it through the spasm. ``count_family`` runs one DP per Aut_tau(H) orbit
 of Frat(H, t) and weights it by the orbit size (``frat_classes`` says
 why orbits count alike).
@@ -30,7 +30,7 @@ from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
 from .pattern_tools import (automorphism_count, connected_components,
                             fiber_tournament, licl, min_extension_depth,
                             orbit_roots, spasm)
-from .product import LabeledPattern, label_pattern, pattern_product
+from .product import label_pattern
 
 BRUTE_FORCE_HOM_CAP = 32  # host vertices brute_force_hom accepts by default
 
@@ -205,11 +205,13 @@ def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,
 
     A class is an Aut_tau(h) orbit (``fiber_tournament(h, depth)``):
     relabeling a member by such an automorphism s leaves its count
-    unchanged, because every layer of the product host extension is
-    lifted from G (its arcs depend only on the host coordinate) except
-    the vertical pairs, which tau orients and s keeps, so <u,v> ->
-    <s(u),v> is an automorphism of the labeled host extension. At depth
-    1 there are no vertical pairs and the group is all of Aut(h).
+    unchanged. At depth 1 the members are unlabeled and the host is G's
+    own DAG, so a relabeled member is an isomorphic pattern, and the
+    group is all of Aut(h) (there are no vertical pairs). From depth 2
+    on, every layer of the lifted product extension follows G (its arcs
+    depend only on the host coordinate) except the vertical pairs, which
+    tau orients and s keeps, so <u,v> -> <s(u),v> is an automorphism of
+    the labeled host extension.
     Members are keyed by their (src, dst, weight) arcs. Classes are
     ordered by, and list first, their first member in enumeration order.
     """
@@ -224,18 +226,21 @@ def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,
     return list(classes.values())
 
 
-def count_family(hl: LabeledPattern, depth: int,
+def count_family(hc: UndirectedGraph, depth: int,
                  host_ext: FraternalExtension) -> tuple[int, int]:
-    """Sum of the extension DPs over Frat(hl, depth), and |Frat(hl, depth)|.
+    """Sum of the extension DPs over Frat(hc, depth), and |Frat(hc, depth)|.
 
     Runs one DP per class of ``frat_classes``, in the calling thread, and
-    weights it by the class size.
-    ``host_ext`` must be ``optimal_extension`` of the product of ``hl``
-    with the host at the same depth, whose lifted layers the classes rely
-    on.
+    weights it by the class size. ``host_ext`` must be
+    ``optimal_extension(g, depth, pattern=hc)`` from depth 2 on, whose
+    members are labeled by pattern vertex, and G's own
+    ``optimal_extension(g, 1)`` at depth 1, whose members are unlabeled:
+    a label-respecting hom of an orientation P of hc into the lifted
+    product's layer 1 is exactly a hom of P into G's degeneracy DAG.
     """
-    members = enumerate_pattern_extensions(hl, depth)
-    classes = frat_classes(members, hl.graph, depth)
+    members = enumerate_pattern_extensions(
+        hc if depth == 1 else label_pattern(hc), depth)
+    classes = frat_classes(members, hc, depth)
     total = sum(count_hom_extension(members[c[0]], host_ext) * len(c)
                 for c in classes)
     return total, len(members)
@@ -247,7 +252,6 @@ class ComponentCount(NamedTuple):
     count: int
     n_extensions: int      # |Frat(hc, depth)|
     delta_plus: int        # max out-degree of the host extension
-    product_ms: float
     host_extension_ms: float
     dp_ms: float
 
@@ -260,16 +264,15 @@ def _component_depth(hc: UndirectedGraph, t: int | None) -> int:
 def _count_component(g: UndirectedGraph, hc: UndirectedGraph,
                      t: int | None) -> ComponentCount:
     depth = _component_depth(hc, t)
-    hl = label_pattern(hc)
     t0 = time.perf_counter()
-    product = pattern_product(hl, g)
+    # depth 1 keeps no fibers apart: the host is G's degeneracy DAG
+    host_ext = optimal_extension(g, depth,
+                                 pattern=None if depth == 1 else hc)
     t1 = time.perf_counter()
-    host_ext = optimal_extension(product, depth)
+    count, n_ext = count_family(hc, depth, host_ext)
     t2 = time.perf_counter()
-    count, n_ext = count_family(hl, depth, host_ext)
-    t3 = time.perf_counter()
     return ComponentCount(count, n_ext, max_outdegree(host_ext.graph),
-                          (t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3)
+                          (t1 - t0) * 1e3, (t2 - t1) * 1e3)
 
 
 def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
@@ -277,13 +280,17 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
                         threads: int | None = None) -> int:
     """Hom(g, h) through the full near-linear pipeline.
 
-    Builds the labeled pattern and product host, the optimal host
-    extension and the pattern extension family at depth t (defaulting to
-    the minimal depth for the pattern's longest induced cycle), then sums
-    the per-extension DP counts. The DP runs once per Aut_tau(h) orbit of
-    extensions, since the lifted host extension makes relabeled members
-    count alike: at depth 1 Aut_tau is all of Aut(h) (3 DPs for the 30
-    orientations of C5); at depth 2 the clockwise tournament keeps the
+    Builds the host extension and the pattern extension family at depth
+    t (defaulting to the minimal depth for the pattern's longest induced
+    cycle), then sums the per-extension DP counts. At depth 1 the host
+    is G's own degeneracy DAG on its n vertices and the members are the
+    unlabeled acyclic orientations of h. From depth 2 on the host is the
+    extension of the labeled product h^L x G, lifted from G's own
+    extension without building the product, and the members carry
+    their pattern vertex as label. The DP runs once per Aut_tau(h) orbit
+    of extensions, since relabeled members count alike: at depth 1
+    Aut_tau is all of Aut(h) (3 DPs for the 30 orientations of C5); at
+    depth 2 the clockwise tournament keeps the
     rotations of a cycle (36 DPs for the 196 extensions of C6, 149 for
     the 1152 of C8). Disconnected patterns multiply their
     per-component counts. Every DP runs in the calling thread on the one

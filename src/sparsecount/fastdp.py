@@ -46,7 +46,10 @@ class _HostIndex:
     """CSR over (source, target-label) buckets with weight-prefix counts.
 
     Each bucket lists its arcs sorted by (weight, target), so the arcs of
-    weight <= w are its first ``cnt_upto[w - 1, bucket]`` entries.
+    weight <= w are its first ``cnt_upto[w - 1, bucket]`` entries. A grid
+    past ``MAX_BUCKETS`` can be refused only at t >= 2: a depth-1 host is
+    G's own DAG with one label, n x 1 buckets, while a depth-t product
+    extension has k * n vertices x k labels.
     """
 
     # (vertices x labels) bucket grid; a larger one is refused

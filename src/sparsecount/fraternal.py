@@ -3,14 +3,17 @@
 One round of the extension procedure links the endpoints of every
 out-out wedge whose weight sum hits the round number. Pattern-side we
 branch over all orientations of each new layer (Frat(H, t)). Host-side
-(MinFrat(F, t)) a product host F = H^L x G is never peeled: layer 1
-follows G's degeneracy order, and every later layer follows G's own
-fraternal extension, with a fixed tournament on pattern vertices for
-the pairs G cannot orient (two fibers over one host vertex), so the max
-outdegree follows G's and the pattern automorphisms that keep the
-tournament are automorphisms of the host extension. Other hosts peel
-each layer on its own edges. A weighted digraph is a valid t-fraternal
-extension exactly when its weights form a t-fraternity function, which
+(MinFrat) G's own extension is peeled layer by layer: each layer is
+oriented by the degeneracy peel of its own edges. At depth 1 the count
+runs on G's own layer 1, its degeneracy DAG. From depth 2 on it runs on
+the extension of the labeled product H^L x G, which is lifted from G's
+own and never peeled or built: layer 1 is G's layer 1 arc for arc, and
+every later layer follows G's own extension, with a fixed tournament on
+pattern vertices for the pairs G cannot orient (two fibers over one
+host vertex). So the max outdegree follows G's, and the pattern
+automorphisms that keep the tournament are automorphisms of the host
+extension. A weighted digraph is a valid t-fraternal extension exactly
+when its weights form a t-fraternity function, which
 ``validate_fraternity`` checks clause by clause.
 """
 
@@ -21,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import degeneracy_order, degeneracy_orient, orient_by_rank
+from .degeneracy import degeneracy_orient
 from .graph_core import DirWLGraph, UndirectedGraph
 from .pattern_tools import acyclic_orientations, fiber_tournament
-from .product import LabeledPattern, ProductHost
 
 DEFAULT_FRAT_CAP = 10 ** 6
 
@@ -96,32 +98,34 @@ def extension_edges(g: DirWLGraph, t: int) -> np.ndarray:
     return pairs[~linked]
 
 
-def _with_layer(ext: FraternalExtension, arcs: np.ndarray, weight: int,
-                labels) -> FraternalExtension:
+def _with_layer(ext: FraternalExtension, arcs: np.ndarray,
+                weight: int) -> FraternalExtension:
     g = ext.graph
     src = np.concatenate((g.src, arcs[:, 0]))
     dst = np.concatenate((g.dst, arcs[:, 1]))
     wgt = np.concatenate((g.wgt, np.full(arcs.shape[0], weight, dtype=np.int64)))
-    graph = DirWLGraph.from_arrays(g.n, src, dst, wgt, labels)
+    graph = DirWLGraph.from_arrays(g.n, src, dst, wgt, g.labels)
     return FraternalExtension(graph, weight, ext.layers + (arcs,))
 
 
-def enumerate_pattern_extensions(hl: LabeledPattern, t: int,
-                                 cap: int = DEFAULT_FRAT_CAP
+def enumerate_pattern_extensions(h, t: int, cap: int = DEFAULT_FRAT_CAP
                                  ) -> list[FraternalExtension]:
     """Frat(H, t): every t-fraternal extension over every acyclic
-    orientation of the labeled pattern.
+    orientation of the pattern.
 
-    Round i >= 2 computes the extension edges of each member and branches
-    over all 2^|E^i| orientations of the new layer; members are distinct
-    as arc-weight sets, never deduplicated up to isomorphism. Aborts with
-    ExtensionBlowupError if the member count would pass ``cap``.
+    ``h`` is a bare UndirectedGraph, whose members carry label 0 (a
+    depth-1 count runs them on G's own DAG), or a LabeledPattern, whose
+    members carry their pattern vertex as label (counted on the lifted
+    product extension). Round i >= 2 computes the extension edges of
+    each member and branches over all 2^|E^i| orientations of the new
+    layer; members are distinct as arc-weight sets, never deduplicated
+    up to isomorphism. Aborts with ExtensionBlowupError if the member
+    count would pass ``cap``.
     """
     if t < 1:
         raise ValueError("extension depth must be >= 1")
-    labels = np.asarray(hl.labels, dtype=np.int64)
     members = [FraternalExtension(g, 1, (np.column_stack((g.src, g.dst)),))
-               for g in acyclic_orientations(hl)]
+               for g in acyclic_orientations(h)]
     if len(members) > cap:
         raise ExtensionBlowupError(f"|Frat(H,1)| = {len(members)} exceeds cap {cap}")
     for i in range(2, t + 1):
@@ -138,28 +142,18 @@ def enumerate_pattern_extensions(hl: LabeledPattern, t: int,
                 for j in range(p):
                     if bits >> j & 1:
                         arcs[j, 0], arcs[j, 1] = pairs[j, 1], pairs[j, 0]
-                nxt.append(_with_layer(ext, arcs, i, labels))
+                nxt.append(_with_layer(ext, arcs, i))
         members = nxt
     return members
 
 
-def lifted_orientation(f: ProductHost) -> np.ndarray:
-    """Layer 1 of a product host: arcs <u,v> -> <u',v'> with v peeled
-    before v' in G.
-
-    Every product edge joins two distinct host vertices, so the ranks
-    never tie, and the layer is acyclic because its projection onto G is.
-    Vertex <u, v> gets outdegree deg_H(u) * outdeg_G(v) <= deg_H(u) *
-    kappa(G), and only G's n vertices and m edges are peeled.
-    """
-    pos = degeneracy_order(f.host).positions()
-    return orient_by_rank(f.graph.edge_array, np.tile(pos, f.pattern_n))
-
-
 def _first_layer(n: int, arcs: np.ndarray, labels) -> FraternalExtension:
+    """Layer 1 from its arcs in any order; the layer keeps them sorted
+    by (src, dst), as the graph holds them."""
     ones = np.ones(arcs.shape[0], dtype=np.int64)
     graph = DirWLGraph.from_arrays(n, arcs[:, 0], arcs[:, 1], ones, labels)
-    return FraternalExtension(graph, 1, (arcs,))
+    return FraternalExtension(graph, 1, (np.column_stack((graph.src,
+                                                          graph.dst)),))
 
 
 def _peeled_extension(base: UndirectedGraph, labels, t: int,
@@ -172,7 +166,7 @@ def _peeled_extension(base: UndirectedGraph, labels, t: int,
     for i in range(ext.depth + 1, t + 1):
         layer = UndirectedGraph(base.n, extension_edges(ext.graph, i))
         arcs = degeneracy_orient(layer)
-        ext = _with_layer(ext, arcs, i, labels)
+        ext = _with_layer(ext, arcs, i)
     return ext
 
 
@@ -197,11 +191,21 @@ class ExtensionLiftError(RuntimeError):
     fibers have no tournament arc. Either means a broken invariant."""
 
 
-def _lift_pairs(f: ProductHost, pairs: np.ndarray, own: DirWLGraph,
+def _lift_arcs(h: UndirectedGraph, arcs: np.ndarray, n: int) -> np.ndarray:
+    """Layer 1 of the product: <u,x> -> <u',y> for every edge uu' of H,
+    taken both ways, and every arc x -> y of G's layer 1."""
+    he = h.edge_array
+    fro = np.concatenate((he[:, 0], he[:, 1]))[:, None] * n
+    to = np.concatenate((he[:, 1], he[:, 0]))[:, None] * n
+    return np.column_stack(((fro + arcs[:, 0]).ravel(),
+                            (to + arcs[:, 1]).ravel()))
+
+
+def _lift_pairs(n: int, k: int, pairs: np.ndarray, own: DirWLGraph,
                 tau: np.ndarray, i: int) -> np.ndarray:
-    """Orient round-i product pairs <u,v> - <u',v'> as G's own extension
-    orients v - v', and vertical pairs (v = v') as tau orients u - u'."""
-    n = f.base_n
+    """Orient round-i product pairs <u,v> - <u',v'> (over k fibers of n
+    vertices) as G's own extension orients v - v', and vertical pairs
+    (v = v') as tau orients u - u'."""
     fiber, v = np.divmod(pairs, n)
 
     def has_arc(a, b):
@@ -220,47 +224,49 @@ def _lift_pairs(f: ProductHost, pairs: np.ndarray, own: DirWLGraph,
             f" - <{y // n},{y % n}>")
     src = np.where(forward, pairs[:, 0], pairs[:, 1])
     dst = np.where(forward, pairs[:, 1], pairs[:, 0])
-    order = np.argsort(src * f.graph.n + dst, kind="stable")
+    order = np.argsort(src * (k * n) + dst, kind="stable")
     return np.column_stack((src[order], dst[order]))
 
 
-def optimal_extension(f, t: int) -> FraternalExtension:
-    """MinFrat(F, t): a t-fraternal extension with small outdegree.
+def optimal_extension(g: UndirectedGraph, t: int,
+                      pattern: UndirectedGraph | None = None
+                      ) -> FraternalExtension:
+    """MinFrat(G, t), or MinFrat(H^L x G, t) lifted from it: a
+    t-fraternal extension with small outdegree.
 
-    For a ProductHost F = H^L x G every layer is lifted, so only G is
-    ever peeled. Layer 1 follows G's degeneracy order
-    (``lifted_orientation``). Layer i >= 2 takes the round-i pairs of F
-    and orients <u,v> - <u',v'> as G's own extension orients v - v'
-    (an arc of weight <= i always exists there, since every product arc
-    projects onto a G arc or onto one vertex), and a vertical pair
-    (v = v') by the tournament of ``fiber_tournament(H, t)``. G's own
-    extension is built once and cached on G, only when t >= 2. The
-    layers of a lifted product need not be acyclic from layer 2 on: the
-    counts only need each pair oriented once.
+    Without ``pattern`` every layer of G is oriented by the degeneracy
+    peel of its own edges, so each layer is a DAG (the union may still
+    be cyclic) and every vertex has label 0. At depth 1 that is G's
+    degeneracy DAG, the host of a depth-1 count.
 
-    A bare UndirectedGraph (trivial labels) or an object with ``graph``
-    and ``labels`` is extended by peeling: each layer is oriented by the
-    degeneracy peel of its own edges, so each layer is a DAG (the union
-    may still be cyclic). That is how G's own extension is built, and it
-    is the oracle the lift is tested against.
+    With ``pattern`` H (k vertices) it is the extension of the labeled
+    product H^L x G on k * n vertices, <u,v> = u * n + v labeled u,
+    lifted from G's own extension (built once and cached on G) and never
+    built or peeled itself. Layer 1 is G's layer 1 arc for arc: <u,x> ->
+    <u',y> for every edge uu' of H, both ways, and every arc x -> y.
+    Layer i >= 2 takes the round-i pairs of the product and orients
+    <u,v> - <u',v'> as G's own extension orients v - v' (an arc of
+    weight <= i always exists there, since every product arc projects
+    onto a G arc or onto one vertex), and a vertical pair (v = v') by
+    the tournament of ``fiber_tournament(H, t)``. The lifted layers need
+    not be acyclic from layer 2 on: the counts only need each pair
+    oriented once. The tests check the lift against the peel of the
+    materialized product (``product.pattern_product``).
     """
     if t < 1:
         raise ValueError("extension depth must be >= 1")
-    if isinstance(f, UndirectedGraph):
-        return _peeled_extension(f, None, t)
-    if not isinstance(f, ProductHost):
-        return _peeled_extension(f.graph, np.asarray(f.labels, dtype=np.int64),
-                                 t)
-    ext = _first_layer(f.graph.n, lifted_orientation(f), f.labels)
-    if t >= 2:
-        own = _own_extension(f.host, t).graph
-        tau = np.zeros((f.pattern_n, f.pattern_n), dtype=bool)
-        for a, b in fiber_tournament(f.pattern, t).arcs:
-            tau[a, b] = True
-        for i in range(2, t + 1):
-            pairs = extension_edges(ext.graph, i)
-            ext = _with_layer(ext, _lift_pairs(f, pairs, own, tau, i), i,
-                              f.labels)
+    if pattern is None:
+        return _peeled_extension(g, None, t)
+    k, n = pattern.n, g.n
+    own = _own_extension(g, t)
+    ext = _first_layer(k * n, _lift_arcs(pattern, own.layers[0], n),
+                       np.repeat(np.arange(k, dtype=np.int64), n))
+    tau = np.zeros((k, k), dtype=bool)
+    for a, b in fiber_tournament(pattern, t).arcs:
+        tau[a, b] = True
+    for i in range(2, t + 1):
+        pairs = extension_edges(ext.graph, i)
+        ext = _with_layer(ext, _lift_pairs(n, k, pairs, own.graph, tau, i), i)
     return ext
 
 

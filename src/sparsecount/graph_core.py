@@ -3,7 +3,7 @@
 Vertices are dense 0-based integers everywhere; file loaders compact
 arbitrary ids and keep the mapping. ``UndirectedGraph`` holds the simple
 host/pattern graphs, ``DirWLGraph`` the directed weighted labeled graphs
-produced by orientations, fraternal extensions and the labeled product.
+produced by orientations and fraternal extensions.
 Both are immutable after construction and every iteration order is
 deterministic, so repeated runs give bit-identical counts and
 decompositions.
@@ -36,7 +36,7 @@ class UndirectedGraph:
     Edges are stored once as (u, v) with u < v, sorted; adjacency is a CSR
     index built lazily, and so are the degeneracy order
     (``degeneracy.degeneracy_order``) and the graph's own fraternal
-    extension that product hosts over it lift (``fraternal``). No
+    extension that lifted product extensions follow (``fraternal``). No
     self-loops or parallel edges.
     """
 
@@ -129,7 +129,8 @@ class DirWLGraph:
     """Directed graph with positive integer arc weights and vertex labels.
 
     At most one of (u, v) and (v, u) may be present. Labels default to 0
-    (the trivial label); product hosts carry pattern-vertex labels.
+    (the trivial label); lifted product extensions carry pattern-vertex
+    labels.
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
@@ -191,10 +192,6 @@ class DirWLGraph:
     @property
     def arc_count(self) -> int:
         return self.src.shape[0]
-
-    def arcs(self) -> list[tuple[int, int, int]]:
-        return [(int(u), int(v), int(w))
-                for u, v, w in zip(self.src, self.dst, self.wgt)]
 
     def arc_set(self) -> frozenset:
         return frozenset((int(u), int(v)) for u, v in zip(self.src, self.dst))

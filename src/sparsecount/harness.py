@@ -25,7 +25,6 @@ from .graph_core import GraphFormatError, UndirectedGraph, load_edge_list
 from .hub_decomp import (find_width1_decomposition, hubset,
                          unique_reachability_graph)
 from .pattern_tools import licl, min_extension_depth, spasm
-from .product import label_pattern
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -142,7 +141,7 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
     """
     base_licl = licl(h)
     depth = t if t is not None else min_extension_depth(base_licl)
-    timings = {"product": 0.0, "host_extension": 0.0, "dp": 0.0}
+    timings = {"host_extension": 0.0, "dp": 0.0}
     total = 1
     n_ext = 0
     delta_plus = 0
@@ -150,7 +149,6 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
     try:
         for hc in _component_patterns(h):
             part = _count_component(g, hc, t)
-            timings["product"] += part.product_ms
             timings["host_extension"] += part.host_extension_ms
             timings["dp"] += part.dp_ms
             n_ext += part.n_extensions
@@ -247,14 +245,14 @@ def _cmd_analyze(args) -> int:
     t_min = min_extension_depth(base)
     depth = args.t if args.t is not None else t_min
     entries = spasm(h)
-    extensions = enumerate_pattern_extensions(label_pattern(h), depth)
+    extensions = enumerate_pattern_extensions(h, depth)
     # a count runs one DP per class of each component at its own depth
     parts = _component_patterns(h)
     n_classes = 0
     for hc in parts:
         d = _component_depth(hc, args.t)
         members = (extensions if len(parts) == 1 else
-                   enumerate_pattern_extensions(label_pattern(hc), d))
+                   enumerate_pattern_extensions(hc, d))
         n_classes += len(frat_classes(members, hc, d))
     witnesses = []
     for ext in extensions:

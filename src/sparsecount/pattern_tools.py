@@ -367,14 +367,22 @@ def _independent_partitions(n: int, adj):
     yield from rec(0)
 
 
-def spasm(h: UndirectedGraph) -> list[SpasmEntry]:
+def spasm(h: UndirectedGraph) -> tuple[SpasmEntry, ...]:
     """Quotients and exact coefficients with
     Sub(G, h) = sum_i c_i * Hom(G, quotient_i) for every simple G.
 
     Partitions of V(h) into independent blocks are weighted by the
     partition-lattice Moebius value prod_B (-1)^(|B|-1) (|B|-1)!, divided
     by |Aut(h)|; isomorphic quotients are merged and zero sums dropped.
+    The result is cached per (h.n, edges), so a caller that sizes the
+    spasm before counting through it computes it once.
     """
+    return _spasm(h.n, tuple(h.edge_list()))
+
+
+@functools.lru_cache(maxsize=64)
+def _spasm(n: int, edges: tuple) -> tuple[SpasmEntry, ...]:
+    h = UndirectedGraph(n, edges)
     adj = h.adjacency_sets()
     aut = automorphism_count(h)
     classes: dict[tuple[int, int], tuple[UndirectedGraph, Fraction]] = {}
@@ -399,7 +407,7 @@ def spasm(h: UndirectedGraph) -> list[SpasmEntry]:
     entries = [SpasmEntry(rep, acc / aut)
                for rep, acc in classes.values() if acc != 0]
     entries.sort(key=lambda e: (-e.quotient.n, canonical_form(e.quotient)))
-    return entries
+    return tuple(entries)
 
 
 def _is_acyclic(n: int, arcs) -> bool:

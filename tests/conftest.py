@@ -2,8 +2,9 @@
 
 Everything here is deliberately separate from the library code paths it
 checks: cycle enumeration for longest induced cycles, adjacency-power
-traces for cycle homomorphism counts, a label-respecting undirected
-homomorphism counter for product hosts, a search over every labeled hub
+traces for cycle homomorphism counts, the materialized labeled product
+peeled layer by layer (the oracle of the lifted product extension), a
+label-respecting undirected homomorphism counter for it, a search over every labeled hub
 tree for width-1 decompositions, and an exhaustive (batch
 canonicalized) catalogue of small connected patterns.
 """
@@ -16,7 +17,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from sparsecount import (HubTree, UndirectedGraph, hubset,
+from sparsecount import (HubTree, UndirectedGraph, hubset, pattern_product,
                          validate_decomposition)
 
 
@@ -146,16 +147,31 @@ def width1_tree_exists(g) -> bool:
                for parent in labeled_trees(len(hubs)))
 
 
-def labeled_product_hom_count(product, hl) -> int:
-    """Label-respecting homomorphisms H^L -> F by direct backtracking.
+def fiber_labels(k: int, n: int) -> np.ndarray:
+    """Labels of the product H x G: vertex <u, v> = u * n + v is labeled u."""
+    return np.arange(k * n, dtype=np.int64) // max(n, 1)
 
-    Every pattern vertex u must land in the fiber of u; edges of the
-    labeled pattern must map to product edges.
+
+def peeled_product_extension(h: UndirectedGraph, g: UndirectedGraph, t: int):
+    """The lift's oracle: the materialized labeled product H^L x G, each
+    extension layer oriented by the degeneracy peel of its own edges."""
+    from sparsecount.fraternal import _peeled_extension
+
+    return _peeled_extension(pattern_product(h, g), fiber_labels(h.n, g.n), t)
+
+
+def labeled_product_hom_count(product: UndirectedGraph, h: UndirectedGraph,
+                              n: int) -> int:
+    """Label-respecting homomorphisms H^L -> H x G by direct backtracking.
+
+    Every pattern vertex u must land in the fiber of u, the block
+    [u * n, (u+1) * n) of G's n vertices; edges of the pattern must map
+    to product edges.
     """
-    fgraph = product.graph
-    fadj = fgraph.adjacency_sets()
-    k = hl.graph.n
-    hadj = hl.graph.adjacency_sets()
+    fadj = product.adjacency_sets()
+    k = h.n
+    labels = fiber_labels(k, n)
+    hadj = h.adjacency_sets()
     count = 0
     assign = {}
 
@@ -164,9 +180,8 @@ def labeled_product_hom_count(product, hl) -> int:
         if u == k:
             count += 1
             return
-        lo = u * product.base_n
-        for x in range(lo, lo + product.base_n):
-            assert product.label_of(x) == u
+        for x in range(u * n, (u + 1) * n):
+            assert labels[x] == u
             if all(assign[w] in fadj[x] for w in hadj[u] if w < u):
                 assign[u] = x
                 rec(u + 1)

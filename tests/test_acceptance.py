@@ -10,7 +10,7 @@ from sparsecount import (DirWLGraph, brute_force_hom, brute_force_hom_wl,
                          count_subgraphs, enumerate_pattern_extensions,
                          find_width1_decomposition, label_pattern, licl,
                          min_extension_depth, optimal_extension,
-                         pattern_product, validate_decomposition,
+                         validate_decomposition,
                          validate_fraternity)
 from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_double_subdivision, generate_gnp,
@@ -60,8 +60,7 @@ def test_acceptance_2_partition_identity():
         depth = [1, 2, 3][i % 3]
         g = random_graph(rng.randint(2, 8), rng.uniform(0.25, 0.55), rng)
         hl = label_pattern(h)
-        product = pattern_product(hl, g)
-        host_ext = optimal_extension(product, depth)
+        host_ext = optimal_extension(g, depth, pattern=h)
         members = enumerate_pattern_extensions(hl, depth)
         total = sum(brute_force_hom_wl(host_ext.graph, m.graph, cap=10 ** 6)
                     for m in members)

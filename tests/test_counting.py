@@ -1,5 +1,5 @@
 import random
-from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +13,14 @@ from sparsecount import (DirWLGraph, HomMap, HubTree, NoWidth1Decomposition,
                          count_subgraphs, enumerate_pattern_extensions,
                          enumerate_root_homs, find_width1_decomposition,
                          label_pattern, max_outdegree, optimal_extension,
-                         pattern_product, validate_decomposition)
-from sparsecount import fastdp
+                         validate_decomposition)
+from sparsecount import counting, fastdp
 from sparsecount.counting import frat_classes
 from sparsecount.harness import generate_bounded_degeneracy, run_count_hom
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       cycle_hom_trace, disjoint_union, path_graph,
-                      random_graph, star_graph)
+                      peeled_product_extension, random_graph, star_graph)
 
 
 def test_hommap_encoding():
@@ -98,8 +98,7 @@ def test_bressan_dictionary_size_bound():
         h = random_graph(rng.randint(2, 4), 0.7, rng)
         g = random_graph(rng.randint(2, 9), 0.4, rng)
         hl = label_pattern(h)
-        product = pattern_product(hl, g)
-        host = optimal_extension(product, 1)
+        host = optimal_extension(g, 1, pattern=h)
         d = max(1, max_outdegree(host.graph))
         for member in enumerate_pattern_extensions(hl, 1):
             tree = find_width1_decomposition(member.graph)
@@ -121,8 +120,7 @@ def test_count_hom_extension_label_mismatch_zero():
 def test_count_hom_extension_k2_product():
     h = path_graph(2)
     hl = label_pattern(h)
-    product = pattern_product(hl, path_graph(2))
-    hostx = optimal_extension(product, 1)
+    hostx = optimal_extension(path_graph(2), 1, pattern=h)
     members = enumerate_pattern_extensions(hl, 1)
     counts = [count_hom_extension(m, hostx) for m in members]
     # layer 1 lifts the host's peel, which takes host vertex 0 before 1:
@@ -150,19 +148,35 @@ def _small_host(kind: str, n: int, seed: int) -> UndirectedGraph:
        st.sampled_from(connected_patterns_up_to(5)), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_lifted_and_exact_peel_extensions_agree(kind, n, seed, h, t):
-    # the lifted layer 1 (host peel) and the product's own exact peel are
-    # two acyclic orientations of the same product; the Frat-summed
-    # counts must not depend on which one the host extension starts from
+    # the lifted layer 1 (host peel) and the materialized product's own
+    # exact peel are two acyclic orientations of the same product; the
+    # Frat-summed counts must not depend on which one the host extension
+    # starts from
     g = _small_host(kind, n, seed)
     hl = label_pattern(h)
-    product = pattern_product(hl, g)
-    lifted = optimal_extension(product, t)
-    exact = optimal_extension(
-        SimpleNamespace(graph=product.graph, labels=product.labels), t)
+    lifted = optimal_extension(g, t, pattern=h)
+    exact = peeled_product_extension(h, g, t)
     members = enumerate_pattern_extensions(hl, t)
     via_lift = sum(count_hom_extension(m, lifted) for m in members)
     via_peel = sum(count_hom_extension(m, exact) for m in members)
     assert via_lift == via_peel == brute_force_hom(g, h)
+    if t == 1:
+        # a depth-1 count drops the labels: the unlabeled orientations
+        # of h counted on G's own degeneracy DAG, on G's n vertices
+        own = optimal_extension(g, 1)
+        bare = enumerate_pattern_extensions(h, 1)
+        via_own = sum(count_hom_extension(m, own) for m in bare)
+        hosts = []
+        real = counting.count_family
+
+        def family(hc, depth, host_ext):
+            hosts.append(host_ext)
+            return real(hc, depth, host_ext)
+
+        with mock.patch.object(counting, "count_family", family):
+            assert counting._count_component(g, h, 1).count == via_own
+        assert via_own == brute_force_hom(g, h)
+        assert [x.graph.n for x in hosts] == [own.graph.n] == [g.n]
 
 
 @pytest.mark.parametrize("k", [7, 8, 9])
@@ -174,10 +188,8 @@ def test_lifted_and_exact_peel_extensions_agree_on_long_cycles(k):
     g = random_graph(6, 0.5, random.Random(k))
     h = cycle_graph(k)
     hl = label_pattern(h)
-    product = pattern_product(hl, g)
-    lifted = optimal_extension(product, 3)
-    exact = optimal_extension(
-        SimpleNamespace(graph=product.graph, labels=product.labels), 3)
+    lifted = optimal_extension(g, 3, pattern=h)
+    exact = peeled_product_extension(h, g, 3)
     members = enumerate_pattern_extensions(hl, 3)
     via_lift = sum(count_hom_extension(members[c[0]], lifted) * len(c)
                    for c in frat_classes(members, h, 3))
@@ -191,7 +203,7 @@ def test_count_hom_extension_matches_wl_oracle():
         h = random_graph(4, 0.6, rng)
         g = random_graph(rng.randint(3, 12), 0.35, rng)
         hl = label_pattern(h)
-        hostx = optimal_extension(pattern_product(hl, g), 2)
+        hostx = optimal_extension(g, 2, pattern=h)
         for member in enumerate_pattern_extensions(hl, 2):
             got = count_hom_extension(member, hostx)
             want = brute_force_hom_wl(hostx.graph, member.graph, cap=10 ** 6)
@@ -238,7 +250,7 @@ def test_engines_agree(t, limit, monkeypatch):
         h = random_graph(rng.randint(2, 5), 0.55, rng)
         g = random_graph(rng.randint(2, 11), 0.4, rng)
         hl = label_pattern(h)
-        hostx = optimal_extension(pattern_product(hl, g), t)
+        hostx = optimal_extension(g, t, pattern=h)
         for member in enumerate_pattern_extensions(hl, t):
             tree = find_width1_decomposition(member.graph)
             fast = fastdp.extension_count(member.graph, tree, hostx.graph)
@@ -382,11 +394,16 @@ def test_thread_option_matches_serial(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_depth1_orbit_classes_count_alike(n, seed, h, t):
     # one DP per class stands for all of it only if every member of an
-    # Aut_tau(H) orbit counts the same on the lifted host extension
+    # Aut_tau(H) orbit counts the same on the host extension a count
+    # uses: G's own DAG with unlabeled members at depth 1, the lifted
+    # product extension with labeled members from depth 2 on
     g = random_graph(n, 0.45, random.Random(seed))
-    hl = label_pattern(h)
-    hostx = optimal_extension(pattern_product(hl, g), t)
-    members = enumerate_pattern_extensions(hl, t)
+    if t == 1:
+        hostx = optimal_extension(g, 1)
+        members = enumerate_pattern_extensions(h, 1)
+    else:
+        hostx = optimal_extension(g, t, pattern=h)
+        members = enumerate_pattern_extensions(label_pattern(h), t)
     classes = frat_classes(members, h, t)
     assert sorted(i for c in classes for i in c) == list(range(len(members)))
     for c in classes:

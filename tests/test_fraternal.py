@@ -108,7 +108,7 @@ def _random_product(rng):
     h = random_graph(rng.randint(2, 4), 0.7, rng)
     g = disjoint_union(random_graph(rng.randint(1, 6), 0.5, rng),
                        random_graph(rng.randint(0, 4), 0.5, rng))
-    return h, g, pattern_product(label_pattern(h), g)
+    return h, g, pattern_product(h, g)
 
 
 def test_optimal_extension_depth1_lifts_host_peel_on_products():
@@ -117,16 +117,17 @@ def test_optimal_extension_depth1_lifts_host_peel_on_products():
     rng = random.Random(29)
     for _ in range(30):
         h, g, product = _random_product(rng)
-        ext = optimal_extension(product, 1)
+        ext = optimal_extension(g, 1, pattern=h)
         order = degeneracy_order(g)
         pos = order.positions()
         n = g.n
         want = set()
-        for x, y in product.graph.edge_list():
+        for x, y in product.edge_list():
             want.add((x, y) if pos[x % n] < pos[y % n] else (y, x))
         arcs = {(int(u), int(v)) for u, v in ext.layers[0]}
         assert arcs == want
-        assert is_acyclic_arcs(product.graph.n, ext.layers[0])
+        assert ext.graph.n == product.n
+        assert is_acyclic_arcs(product.n, ext.layers[0])
         hdeg = int(h.degrees().max()) if h.m else 0
         assert max_outdegree(ext.graph) <= hdeg * order.kappa
         assert (ext.graph.wgt == 1).all()
@@ -139,10 +140,10 @@ def test_lifted_product_extensions_are_fraternal():
     rng = random.Random(31)
     for t in (2, 3):
         for _ in range(15):
-            _, _, product = _random_product(rng)
-            ext = optimal_extension(product, t)
+            h, g, product = _random_product(rng)
+            ext = optimal_extension(g, t, pattern=h)
             assert validate_fraternity(ext)
-            assert is_acyclic_arcs(product.graph.n, ext.layers[0])
+            assert is_acyclic_arcs(product.n, ext.layers[0])
             for i in range(2, t + 1):
                 keep = ext.graph.wgt < i
                 prefix = DirWLGraph.from_arrays(
@@ -155,8 +156,7 @@ def test_lifted_product_extensions_are_fraternal():
                 assert len(arcs) == len(extension_edges(prefix, i))
 
 
-def _product_automorphism(product, sigma):
-    n = product.base_n
+def _product_automorphism(n, sigma):
     return lambda x: sigma[x // n] * n + x % n
 
 
@@ -165,7 +165,6 @@ def test_tournament_automorphisms_keep_the_host_extension():
     # extension onto itself, arcs and weights alike (checking the
     # generators checks the group); patterns with triangles put vertical
     # pairs over pattern edges
-    from sparsecount import pattern_product
     from sparsecount.pattern_tools import fiber_tournament
 
     rng = random.Random(43)
@@ -174,26 +173,27 @@ def test_tournament_automorphisms_keep_the_host_extension():
     for t in (2, 3):
         for trial in range(24):
             if trial % 2:
-                h, _, product = _random_product(rng)
+                h, g, _ = _random_product(rng)
             else:
                 h = patterns[trial // 2 % len(patterns)]
                 g = random_graph(rng.randint(2, 7), 0.5, rng)
-                product = pattern_product(label_pattern(h), g)
-            ext = optimal_extension(product, t)
+            ext = optimal_extension(g, t, pattern=h)
             arcs = set(zip(ext.graph.src.tolist(), ext.graph.dst.tolist(),
                            ext.graph.wgt.tolist()))
             tour = fiber_tournament(h, t)
             for sigma in tour.generators:
-                phi = _product_automorphism(product, sigma)
+                phi = _product_automorphism(g.n, sigma)
                 assert {(phi(x), phi(y), w) for x, y, w in arcs} == arcs
     assert fiber_tournament(cycle_graph(6), 2).size == 6
     assert fiber_tournament(cycle_graph(6), 3).size == 3  # no half turn
 
 
 def test_host_extension_built_once_per_graph(monkeypatch):
-    # G's own extension is cached on G with read-only arrays; a deeper
-    # request adds only the missing rounds, and every product over G,
-    # such as the spasm quotients of a subgraph count, reads it
+    # a depth-1 count runs on G's degeneracy DAG and never touches G's
+    # cached extension; from depth 2 on, G's own extension is built once
+    # per graph with read-only arrays, a deeper request adds only the
+    # missing rounds, and every lifted product over G, such as the spasm
+    # quotients of a subgraph count, reads it
     import sparsecount.fraternal as fraternal
     from sparsecount import (brute_force_sub, count_homomorphisms,
                              count_subgraphs)
@@ -216,32 +216,37 @@ def test_host_extension_built_once_per_graph(monkeypatch):
     monkeypatch.setattr(fraternal, "_own_extension", own_tracked)
     g = random_graph(9, 0.45, random.Random(8))
     count_homomorphisms(g, cycle_graph(5))
-    assert g._extension is None and not served  # depth 1 lifts G's peel
-    # Sub(C8) counts C8 and two quotients with a 6-cycle at depth 2
+    assert built == [(g, 0, 1)]  # G's layer 1 only, its peel
+    assert g._extension is None and not served
+    # Sub(C8) counts C8 and two quotients with a 6-cycle at depth 2; the
+    # other quotients count at depth 1
     assert count_subgraphs(g, cycle_graph(8)) == \
         brute_force_sub(g, cycle_graph(8))
-    assert built == [(g, 0, 2)]
+    assert [b for b in built if b[2] >= 2] == [(g, 0, 2)]
+    assert all(b == (g, 0, 1) for b in built if b[2] < 2)
     assert len(served) == 3 and all(e is served[0] for e in served)
     own = g._extension
     for arr in (own.graph.src, own.graph.dst, own.graph.wgt, *own.layers):
         assert not arr.flags.writeable
+    built.clear()
     count_homomorphisms(g, cycle_graph(6), t=3)
-    assert built == [(g, 0, 2), (g, 2, 3)]
+    assert built == [(g, 2, 3)]
     count_homomorphisms(g, cycle_graph(7))  # depth 2 reads the depth-3 one
-    assert len(built) == 2 and served[-1] is g._extension
+    assert built == [(g, 2, 3)] and served[-1] is g._extension
     assert g._extension.depth == 3
+    deep, n_served = g._extension, len(served)
+    count_homomorphisms(g, cycle_graph(5))
+    assert g._extension is deep and len(served) == n_served
 
 
 def test_lift_without_a_host_arc_raises():
-    from sparsecount import pattern_product
     from sparsecount.fraternal import ExtensionLiftError
 
     g = cycle_graph(5)
-    product = pattern_product(label_pattern(path_graph(3)), g)
     depth1 = optimal_extension(g, 1)
     g._extension = FraternalExtension(depth1.graph, 2, depth1.layers * 2)
     with pytest.raises(ExtensionLiftError):
-        optimal_extension(product, 2)
+        optimal_extension(g, 2, pattern=path_graph(3))
 
 
 def test_optimal_extension_edgeless():
@@ -384,9 +389,7 @@ def test_extension_hom_sets_partition_the_base_count():
         g = random_graph(rng.randint(2, 7), 0.45, rng)
         t = 1 + trial % 2
         hl = label_pattern(h)
-        from sparsecount import pattern_product
-
-        host_ext = optimal_extension(pattern_product(hl, g), t)
+        host_ext = optimal_extension(g, t, pattern=h)
         seen = set()
         total = 0
         for member in enumerate_pattern_extensions(hl, t):

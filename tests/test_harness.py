@@ -5,7 +5,7 @@ import pytest
 
 from sparsecount import (UndirectedGraph, brute_force_hom, brute_force_sub,
                          canonical_form, cli_main, degeneracy_order,
-                         save_edge_list)
+                         max_outdegree, optimal_extension, save_edge_list)
 from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_double_subdivision, generate_gnp,
                                  generate_subdivision, run_count_hom)
@@ -86,7 +86,9 @@ def test_run_count_hom_report():
     assert report.licl == 4 and report.t == 1
     assert report.n_extensions == 14
     assert report.kappa <= 2
-    assert set(report.stage_timings_ms) == {"product", "host_extension", "dp"}
+    assert set(report.stage_timings_ms) == {"host_extension", "dp"}
+    # depth 1 counts on G's own DAG: Delta+ is its max outdegree
+    assert report.delta_plus == max_outdegree(optimal_extension(g, 1).graph)
     payload = json.loads(report.to_json())
     assert payload["count"] == report.count
     for key in ("licl", "t", "n_extensions", "kappa", "delta_plus",
@@ -125,6 +127,20 @@ def test_cli_count_sub_json_omits_unmeasured_keys(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 4 and payload["spasm_size"] == 1
     assert "n_extensions" not in payload and "delta_plus" not in payload
+
+
+def test_cli_count_sub_computes_the_spasm_once(tmp_path, capsys):
+    # count-sub sizes the spasm for its report and sums the count over
+    # it: one computation serves both
+    from sparsecount import pattern_tools
+
+    host = _write(tmp_path, "g.el", random_graph(10, 0.4, random.Random(4)))
+    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
+    pattern_tools._spasm.cache_clear()
+    assert cli_main(["count-sub", host, c6, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["spasm_size"] == len(pattern_tools.spasm(cycle_graph(6)))
+    assert pattern_tools._spasm.cache_info().misses == 1
 
 
 def test_cli_analyze(tmp_path, capsys):
@@ -244,11 +260,12 @@ def test_cli_host_index_cap_exit_code(tmp_path, capsys, monkeypatch):
     from sparsecount import fastdp
 
     # a bucket grid past the cap is refused as a usage error, naming its
-    # size, and no other engine counts instead
+    # size, and no other engine counts instead; only a product extension
+    # (t >= 2) has more than one label, so C6 at depth 2 reaches the cap
     monkeypatch.setattr(fastdp._HostIndex, "MAX_BUCKETS", 10)
     host = _write(tmp_path, "host.el", random_graph(8, 0.4, random.Random(5)))
-    c5 = _write(tmp_path, "c5.el", cycle_graph(5))
-    assert cli_main(["count-hom", host, c5]) == 2
+    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
+    assert cli_main(["count-hom", host, c6]) == 2
     assert "buckets is past the cap of 10" in capsys.readouterr().err
 
 

@@ -11,7 +11,7 @@ from sparsecount import (DirWLGraph, FraternalExtension, UndirectedGraph,
                          enumerate_pattern_extensions,
                          find_width1_decomposition, hubset, label_pattern,
                          min_extension_depth, licl, optimal_extension,
-                         pattern_product, reach, unique_reachability_graph,
+                         reach, unique_reachability_graph,
                          validate_decomposition, validate_fraternity)
 from sparsecount.hub_decomp import HubTree
 
@@ -207,7 +207,7 @@ def test_width1_nine_hub_tree_member_counts():
     assert len(hubset(member.graph)) == 9
     tree = find_width1_decomposition(member.graph)
     assert tree is not None and validate_decomposition(member.graph, tree)
-    hostx = optimal_extension(pattern_product(hl, cycle_graph(5)), 1)
+    hostx = optimal_extension(cycle_graph(5), 1, pattern=tree_pattern)
     got = count_hom_extension(member, hostx)
     assert got == brute_force_hom_wl(hostx.graph, member.graph, cap=80) == 53
 

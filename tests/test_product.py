@@ -2,8 +2,8 @@ import random
 
 from sparsecount import brute_force_hom, label_pattern, pattern_product
 
-from conftest import (cycle_graph, labeled_product_hom_count, path_graph,
-                      random_graph, UndirectedGraph)
+from conftest import (cycle_graph, fiber_labels, labeled_product_hom_count,
+                      path_graph, random_graph, UndirectedGraph)
 
 
 def test_label_pattern_self_labels():
@@ -15,26 +15,23 @@ def test_label_pattern_self_labels():
 
 
 def test_product_k2_k2():
-    hl = label_pattern(path_graph(2))
-    product = pattern_product(hl, path_graph(2))
-    assert product.graph.n == 4
-    assert product.graph.m == 2
+    product = pattern_product(path_graph(2), path_graph(2))
+    assert product.n == 4
+    assert product.m == 2
     # two disjoint edges crossing the fibers
-    assert product.graph.edge_set() == {(0, 3), (1, 2)}
+    assert product.edge_set() == {(0, 3), (1, 2)}
 
 
 def test_product_k2_path3():
-    hl = label_pattern(path_graph(2))
-    product = pattern_product(hl, path_graph(3))
-    assert product.graph.n == 6
-    assert product.graph.m == 4
+    product = pattern_product(path_graph(2), path_graph(3))
+    assert product.n == 6
+    assert product.m == 4
 
 
 def test_product_edgeless_host():
-    hl = label_pattern(cycle_graph(4))
-    product = pattern_product(hl, UndirectedGraph(5, []))
-    assert product.graph.n == 20
-    assert product.graph.m == 0
+    product = pattern_product(cycle_graph(4), UndirectedGraph(5, []))
+    assert product.n == 20
+    assert product.m == 0
 
 
 def test_product_size_identities():
@@ -42,20 +39,27 @@ def test_product_size_identities():
     for _ in range(25):
         h = random_graph(rng.randint(1, 5), 0.6, rng)
         g = random_graph(rng.randint(0, 10), 0.4, rng)
-        product = pattern_product(label_pattern(h), g)
-        assert product.graph.n == h.n * g.n
-        assert product.graph.m == 2 * h.m * g.m
+        product = pattern_product(h, g)
+        assert product.n == h.n * g.n
+        assert product.m == 2 * h.m * g.m
 
 
 def test_labels_and_backmap():
-    hl = label_pattern(path_graph(3))
+    # vertex <u, v> is u * n + v, labeled u: every product edge maps back
+    # to a pattern edge between its labels and a host edge between its
+    # host vertices
+    h = path_graph(3)
     g = random_graph(4, 0.5, random.Random(2))
-    product = pattern_product(hl, g)
-    for x in range(product.graph.n):
-        u, v = product.pair_of(x)
-        assert product.vertex_of(u, v) == x
-        assert product.label_of(x) == u
-        assert int(product.labels[x]) == u
+    n = g.n
+    product = pattern_product(h, g)
+    labels = fiber_labels(h.n, n)
+    for x in range(product.n):
+        u, v = divmod(x, n)
+        assert u * n + v == x and labels[x] == u
+    for x, y in product.edge_list():
+        (u, v), (up, vp) = divmod(x, n), divmod(y, n)
+        assert (min(u, up), max(u, up)) in h.edge_set()
+        assert (min(v, vp), max(v, vp)) in g.edge_set()
 
 
 def test_hom_count_preserved():
@@ -63,6 +67,6 @@ def test_hom_count_preserved():
     for trial in range(120):
         h = random_graph(rng.randint(1, 5), 0.55, rng)
         g = random_graph(rng.randint(1, 12), 0.35, rng)
-        hl = label_pattern(h)
-        product = pattern_product(hl, g)
-        assert labeled_product_hom_count(product, hl) == brute_force_hom(g, h)
+        product = pattern_product(h, g)
+        assert labeled_product_hom_count(product, h, g.n) == \
+            brute_force_hom(g, h)
