@@ -17,9 +17,9 @@ from .counting import (CountDict, HomMap, NoWidth1Decomposition,
                        enumerate_root_homs)
 from .degeneracy import DegeneracyOrder, degeneracy_order, degeneracy_orient
 from .fraternal import (ExtensionBlowupError, ExtensionLiftError,
-                        FraternalExtension, enumerate_pattern_extensions,
-                        extension_edges, optimal_extension,
-                        validate_fraternity)
+                        FraternalExtension, PatternExtension,
+                        enumerate_pattern_extensions, extension_edges,
+                        optimal_extension, validate_fraternity)
 from .graph_core import (DirWLGraph, GraphFormatError, UndirectedGraph,
                          load_edge_list, max_outdegree, save_edge_list)
 from .harness import (RunReport, cli_main, generate_bounded_degeneracy,

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import fastdp
-from .fraternal import (FraternalExtension, enumerate_pattern_extensions,
-                        optimal_extension)
+from .fraternal import (FraternalExtension, PatternExtension,
+                        enumerate_pattern_extensions, optimal_extension)
 from .graph_core import (DirWLGraph, UndirectedGraph, bfs_out_tree,
                          max_outdegree)
 from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
@@ -43,7 +43,8 @@ class NoWidth1Decomposition(Exception):
     brute force.
     """
 
-    def __init__(self, extension: FraternalExtension, quotient=None):
+    def __init__(self, extension: PatternExtension | FraternalExtension,
+                 quotient=None):
         self.extension = extension
         self.quotient = quotient
         msg = "no width-1 hub-tree decomposition for a pattern extension"
@@ -173,7 +174,7 @@ def bressan_count(pattern: DirWLGraph, tree: HubTree, bag: int,
     return result
 
 
-def count_hom_extension(pattern_ext: FraternalExtension,
+def count_hom_extension(pattern_ext: PatternExtension | FraternalExtension,
                         host_ext: FraternalExtension) -> int:
     """Weighted/labeled Hom(host_ext, pattern_ext) via the width-1 DP.
 
@@ -199,7 +200,7 @@ def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
     return parts
 
 
-def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,
+def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
                  depth: int) -> list[list[int]]:
     """Member indices of Frat(h, depth) grouped into classes of equal count.
 
@@ -212,14 +213,14 @@ def frat_classes(members: list[FraternalExtension], h: UndirectedGraph,
     depend only on the host coordinate) except the vertical pairs, which
     tau orients and s keeps, so <u,v> -> <s(u),v> is an automorphism of
     the labeled host extension.
-    Members are keyed by their (src, dst, weight) arcs. Classes are
-    ordered by, and list first, their first member in enumeration order.
+    Members are keyed by their sorted (src, dst, weight) arc tuples, so
+    no member graph is built. Classes are ordered by, and list first,
+    their first member in enumeration order.
     """
-    arcsets = [frozenset(zip(m.graph.src.tolist(), m.graph.dst.tolist(),
-                             m.graph.wgt.tolist())) for m in members]
-    roots = orbit_roots(arcsets, fiber_tournament(h, depth).generators,
-                        lambda s, arcs: frozenset((s[a], s[b], w)
-                                                  for a, b, w in arcs))
+    roots = orbit_roots([m.arcs for m in members],
+                        fiber_tournament(h, depth).generators,
+                        lambda s, arcs: tuple(sorted((s[a], s[b], w)
+                                                     for a, b, w in arcs)))
     classes: dict[int, list[int]] = {}
     for i, r in enumerate(roots):
         classes.setdefault(r, []).append(i)
@@ -231,7 +232,9 @@ def count_family(hc: UndirectedGraph, depth: int,
     """Sum of the extension DPs over Frat(hc, depth), and |Frat(hc, depth)|.
 
     Runs one DP per class of ``frat_classes``, in the calling thread, and
-    weights it by the class size. ``host_ext`` must be
+    weights it by the class size. Only each class's first member builds
+    its pattern graph (``PatternExtension.graph``); the others stay arc
+    tuples. ``host_ext`` must be
     ``optimal_extension(g, depth, pattern=hc)`` from depth 2 on, whose
     members are labeled by pattern vertex, and G's own
     ``optimal_extension(g, 1)`` at depth 1, whose members are unlabeled:

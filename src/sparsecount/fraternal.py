@@ -2,7 +2,9 @@
 
 One round of the extension procedure links the endpoints of every
 out-out wedge whose weight sum hits the round number. Pattern-side we
-branch over all orientations of each new layer (Frat(H, t)). Host-side
+branch over all orientations of each new layer (Frat(H, t)), on plain
+Python arc tuples; a member's numpy graph is built only when a count
+reads it. Host-side
 (MinFrat) G's own extension is peeled layer by layer: each layer is
 oriented by the degeneracy peel of its own edges. At depth 1 the count
 runs on G's own layer 1, its degeneracy DAG. From depth 2 on it runs on
@@ -108,43 +110,89 @@ def _with_layer(ext: FraternalExtension, arcs: np.ndarray,
     return FraternalExtension(graph, weight, ext.layers + (arcs,))
 
 
+class PatternExtension:
+    """One member of Frat(H, t): its arcs as (src, dst, weight) triples
+    sorted by (src, dst), in plain Python.
+
+    The ``DirWLGraph`` is built on the first read of ``graph`` and kept,
+    so a count builds one per class it runs a DP on, not one per member.
+    ``layers`` holds the arcs of weight 1..depth as (p, 2) arrays, sorted.
+    """
+
+    __slots__ = ("n", "depth", "arcs", "labels", "_graph")
+
+    def __init__(self, n: int, depth: int, arcs: tuple, labels=None):
+        self.n, self.depth, self.arcs, self.labels = n, depth, arcs, labels
+        self._graph = None
+
+    @property
+    def graph(self) -> DirWLGraph:
+        if self._graph is None:
+            self._graph = DirWLGraph(self.n, self.arcs, self.labels)
+        return self._graph
+
+    @property
+    def layers(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.array([(a, b) for a, b, w in self.arcs if w == i],
+                              dtype=np.int64).reshape(-1, 2)
+                     for i in range(1, self.depth + 1))
+
+
+def _round_pairs(arcs: tuple, t: int) -> list[tuple[int, int]]:
+    """``extension_edges`` on a member's sorted arc triples: the pairs
+    (u, w), u < w, closed at depth t, sorted."""
+    linked = {(a, b) if a < b else (b, a) for a, b, _ in arcs}
+    out: dict[int, list[tuple[int, int]]] = {}
+    for a, b, w in arcs:
+        out.setdefault(a, []).append((b, w))
+    pairs = set()
+    for nbrs in out.values():  # each ascending by target
+        for j, (u, wu) in enumerate(nbrs):
+            for x, wx in nbrs[j + 1:]:
+                if wu + wx == t and (u, x) not in linked:
+                    pairs.add((u, x))
+    return sorted(pairs)
+
+
 def enumerate_pattern_extensions(h, t: int, cap: int = DEFAULT_FRAT_CAP
-                                 ) -> list[FraternalExtension]:
+                                 ) -> list[PatternExtension]:
     """Frat(H, t): every t-fraternal extension over every acyclic
     orientation of the pattern.
 
     ``h`` is a bare UndirectedGraph, whose members carry label 0 (a
     depth-1 count runs them on G's own DAG), or a LabeledPattern, whose
     members carry their pattern vertex as label (counted on the lifted
-    product extension). Round i >= 2 computes the extension edges of
-    each member and branches over all 2^|E^i| orientations of the new
-    layer; members are distinct as arc-weight sets, never deduplicated
-    up to isomorphism. Aborts with ExtensionBlowupError if the member
-    count would pass ``cap``.
+    product extension). Members are plain-Python arc tuples: round
+    i >= 2 closes each member's out-out wedges from its out-lists
+    (``_round_pairs``) and branches over all 2^|E^i| orientations of the
+    new layer. No ``DirWLGraph`` is built here; a member builds its own
+    when its ``graph`` is first read. Members are distinct as arc-weight
+    sets, never deduplicated up to isomorphism. Aborts with
+    ExtensionBlowupError if the member count would pass ``cap``.
     """
     if t < 1:
         raise ValueError("extension depth must be >= 1")
-    members = [FraternalExtension(g, 1, (np.column_stack((g.src, g.dst)),))
-               for g in acyclic_orientations(h)]
-    if len(members) > cap:
-        raise ExtensionBlowupError(f"|Frat(H,1)| = {len(members)} exceeds cap {cap}")
+    graph = getattr(h, "graph", h)
+    labels = getattr(h, "labels", None)
+    arcsets = [tuple((a, b, 1) for a, b in arcs)
+               for arcs in acyclic_orientations(graph)]
+    if len(arcsets) > cap:
+        raise ExtensionBlowupError(f"|Frat(H,1)| = {len(arcsets)} exceeds cap {cap}")
     for i in range(2, t + 1):
-        nxt: list[FraternalExtension] = []
-        for ext in members:
-            pairs = extension_edges(ext.graph, i)
-            p = pairs.shape[0]
+        nxt: list[tuple] = []
+        for arcs in arcsets:
+            pairs = _round_pairs(arcs, i)
+            p = len(pairs)
             if len(nxt) + (1 << p) > cap:
                 raise ExtensionBlowupError(
                     f"|Frat(H,{i})| exceeds cap {cap}; "
                     f"raise the cap or lower the depth")
             for bits in range(1 << p):
-                arcs = pairs.copy()
-                for j in range(p):
-                    if bits >> j & 1:
-                        arcs[j, 0], arcs[j, 1] = pairs[j, 1], pairs[j, 0]
-                nxt.append(_with_layer(ext, arcs, i))
-        members = nxt
-    return members
+                nxt.append(tuple(sorted(arcs + tuple(
+                    (b, a, i) if bits >> j & 1 else (a, b, i)
+                    for j, (a, b) in enumerate(pairs)))))
+        arcsets = nxt
+    return [PatternExtension(graph.n, t, arcs, labels) for arcs in arcsets]
 
 
 def _first_layer(n: int, arcs: np.ndarray, labels) -> FraternalExtension:
@@ -170,6 +218,21 @@ def _peeled_extension(base: UndirectedGraph, labels, t: int,
     return ext
 
 
+def _read_only(ext: FraternalExtension) -> FraternalExtension:
+    for arr in (ext.graph.src, ext.graph.dst, ext.graph.wgt, *ext.layers):
+        arr.flags.writeable = False
+    return ext
+
+
+def _own_dag(g: UndirectedGraph) -> FraternalExtension:
+    """G's layer 1, its degeneracy DAG, built once per graph and cached
+    on G with read-only arrays, so every depth-1 count over G shares it
+    and the DP's host index cached on its graph."""
+    if g._dag is None:
+        g._dag = _read_only(_peeled_extension(g, None, 1))
+    return g._dag
+
+
 def _own_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
     """G's own extension to depth t or deeper, cached on G.
 
@@ -178,10 +241,7 @@ def _own_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
     """
     ext = g._extension
     if ext is None or ext.depth < t:
-        ext = _peeled_extension(g, None, t, ext)
-        for arr in (ext.graph.src, ext.graph.dst, ext.graph.wgt, *ext.layers):
-            arr.flags.writeable = False
-        g._extension = ext
+        ext = g._extension = _read_only(_peeled_extension(g, None, t, ext))
     return ext
 
 
@@ -237,7 +297,10 @@ def optimal_extension(g: UndirectedGraph, t: int,
     Without ``pattern`` every layer of G is oriented by the degeneracy
     peel of its own edges, so each layer is a DAG (the union may still
     be cyclic) and every vertex has label 0. At depth 1 that is G's
-    degeneracy DAG, the host of a depth-1 count.
+    degeneracy DAG, the host of a depth-1 count; it is built once per
+    graph and cached on G, like G's peel order and its deeper extension,
+    so every depth-1 count over G (each depth-1 spasm quotient of a
+    subgraph count) reads the same DAG and the same host index.
 
     With ``pattern`` H (k vertices) it is the extension of the labeled
     product H^L x G on k * n vertices, <u,v> = u * n + v labeled u,
@@ -256,7 +319,7 @@ def optimal_extension(g: UndirectedGraph, t: int,
     if t < 1:
         raise ValueError("extension depth must be >= 1")
     if pattern is None:
-        return _peeled_extension(g, None, t)
+        return _own_dag(g) if t == 1 else _peeled_extension(g, None, t)
     k, n = pattern.n, g.n
     own = _own_extension(g, t)
     ext = _first_layer(k * n, _lift_arcs(pattern, own.layers[0], n),
@@ -280,9 +343,10 @@ def validate_fraternity(ext, t: int | None = None, size_cap: int = 4096) -> bool
     out-pairs instead of all n^2 pairs. Intended for tests and debugging;
     the cost is quadratic in the outdegrees.
     """
-    g = ext.graph if isinstance(ext, FraternalExtension) else ext
+    extension = not isinstance(ext, DirWLGraph)
+    g = ext.graph if extension else ext
     if t is None:
-        if isinstance(ext, FraternalExtension):
+        if extension:
             t = ext.depth
         else:
             t = int(g.wgt.max()) if g.arc_count else 1

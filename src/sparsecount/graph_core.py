@@ -35,13 +35,14 @@ class UndirectedGraph:
 
     Edges are stored once as (u, v) with u < v, sorted; adjacency is a CSR
     index built lazily, and so are the degeneracy order
-    (``degeneracy.degeneracy_order``) and the graph's own fraternal
-    extension that lifted product extensions follow (``fraternal``). No
-    self-loops or parallel edges.
+    (``degeneracy.degeneracy_order``), the degeneracy DAG that depth-1
+    counts run on, and the graph's own fraternal extension that lifted
+    product extensions follow (``fraternal``). No self-loops or parallel
+    edges.
     """
 
     __slots__ = ("n", "edge_array", "id_map", "_indptr", "_nbrs", "_adj_sets",
-                 "_degeneracy", "_extension")
+                 "_degeneracy", "_dag", "_extension")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         arr = _as_pair_array(edges)
@@ -70,6 +71,7 @@ class UndirectedGraph:
         self._nbrs = None
         self._adj_sets = None
         self._degeneracy = None
+        self._dag = None
         self._extension = None
 
     @property
@@ -277,7 +279,9 @@ def load_edge_list(path) -> UndirectedGraph:
     """Read a whitespace-separated "u v" edge list; '#' starts a comment.
 
     Arbitrary ids are compacted to 0..n-1 (numeric sort when every token
-    parses as an integer, lexicographic otherwise); the mapping is kept in
+    parses as an integer, lexicographic otherwise; tokens that sort equal,
+    such as "7" and "07", keep their order of first appearance, so the
+    ids never depend on the string hash seed); the mapping is kept in
     ``id_map``. Self-loops and parallel edges are rejected with the
     offending line in the diagnostic.
     """
@@ -291,7 +295,7 @@ def load_edge_list(path) -> UndirectedGraph:
             if len(parts) < 2:
                 raise GraphFormatError(f"{path}:{lineno}: expected two ids")
             raw.append((parts[0], parts[1], lineno))
-    tokens = {t for u, v, _ in raw for t in (u, v)}
+    tokens = dict.fromkeys(t for u, v, _ in raw for t in (u, v))
     try:
         ordered = sorted(tokens, key=int)
     except ValueError:
@@ -303,7 +307,7 @@ def load_edge_list(path) -> UndirectedGraph:
         a, b = idx[u], idx[v]
         if a == b:
             raise GraphFormatError(f"{path}:{lineno}: self-loop at '{u}'")
-        key = (min(a, b), max(a, b))
+        key = (a, b) if a < b else (b, a)
         if key in seen:
             raise GraphFormatError(
                 f"{path}:{lineno}: parallel edge '{u} {v}' "

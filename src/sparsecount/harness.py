@@ -260,8 +260,7 @@ def _cmd_analyze(args) -> int:
         hubs = hubset(ext.graph)
         ur = unique_reachability_graph(ext.graph, hubs)
         witnesses.append({
-            "arcs": [[int(u), int(v), int(w)] for u, v, w in
-                     zip(ext.graph.src, ext.graph.dst, ext.graph.wgt)],
+            "arcs": [list(arc) for arc in ext.arcs],
             "hubset": [int(x) for x in hubs],
             "ur_edges": [[int(a), int(b)] for a, b in ur.edges],
             "width1": tree is not None,

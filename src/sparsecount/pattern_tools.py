@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .graph_core import DirWLGraph, UndirectedGraph
+from .graph_core import UndirectedGraph
 
 CANONICAL_SIZE_LIMIT = 10
 
@@ -428,27 +428,21 @@ def _is_acyclic(n: int, arcs) -> bool:
     return taken == n
 
 
-def acyclic_orientations(h, labels=None) -> list[DirWLGraph]:
-    """Every acyclic orientation of h, unit weights, labels carried over.
+def acyclic_orientations(h) -> list[tuple[tuple[int, int], ...]]:
+    """The arcs of every acyclic orientation of h, each sorted by
+    (src, dst).
 
-    Orientations are enumerated as all 2^|E| arc choices filtered by a
-    cycle check; members are distinct as arc sets, no isomorphism dedup.
-    Accepts an UndirectedGraph or anything with .graph/.labels.
+    Orientations are the 2^|E| bitmasks over ``h.edge_list()``, bit j
+    reversing edge j, in mask order, filtered by a cycle check; members
+    are distinct as arc sets, no isomorphism dedup. Accepts an
+    UndirectedGraph or anything with .graph.
     """
     graph: UndirectedGraph = getattr(h, "graph", h)
-    if labels is None:
-        labels = getattr(h, "labels", None)
     edges = graph.edge_list()
-    m = len(edges)
     result = []
-    for mask in range(1 << m):
-        arcs = []
-        for j, (u, v) in enumerate(edges):
-            if mask >> j & 1:
-                arcs.append((v, u))
-            else:
-                arcs.append((u, v))
+    for mask in range(1 << len(edges)):
+        arcs = [(v, u) if mask >> j & 1 else (u, v)
+                for j, (u, v) in enumerate(edges)]
         if _is_acyclic(graph.n, arcs):
-            result.append(DirWLGraph(graph.n, [(s, d, 1) for s, d in arcs],
-                                     labels=labels))
+            result.append(tuple(sorted(arcs)))
     return result

@@ -336,6 +336,48 @@ def test_count_subgraphs_known_values():
     assert count_subgraphs(complete_graph(4), k3) == 4
 
 
+def test_count_builds_only_what_it_uses(monkeypatch):
+    # Sub(C6) counts 10 spasm quotients: C6 at depth 2 and 9 at depth 1.
+    # Pattern graphs are built only for the 82 class representatives of
+    # their 320 Frat members, and the 9 depth-1 quotients share one
+    # degeneracy DAG of G and one host index over it.
+    import sparsecount.fraternal as fraternal
+
+    g = generate_bounded_degeneracy(20, 3, 5)
+    pattern_graphs = []
+    init = DirWLGraph._init_from
+
+    def tracked_init(self, n, *args):
+        if n <= 6:
+            pattern_graphs.append(n)
+        init(self, n, *args)
+
+    monkeypatch.setattr(DirWLGraph, "_init_from", tracked_init)
+    dags = []
+    peel = fraternal._peeled_extension
+
+    def tracked_peel(base, labels, t, ext=None):
+        if t == 1:
+            dags.append(base)
+        return peel(base, labels, t, ext)
+
+    monkeypatch.setattr(fraternal, "_peeled_extension", tracked_peel)
+    indexed = []
+
+    class TrackedIndex(fastdp._HostIndex):
+        def __init__(self, host):
+            indexed.append(host)
+            super().__init__(host)
+
+    monkeypatch.setattr(fastdp, "_HostIndex", TrackedIndex)
+    assert count_subgraphs(g, cycle_graph(6)) == \
+        brute_force_sub(g, cycle_graph(6))
+    assert len(pattern_graphs) == 82
+    assert dags == [g]
+    own = [h for h in indexed if h.n == g.n]
+    assert len(own) == 1 and own[0] is optimal_extension(g, 1).graph
+
+
 def test_count_subgraphs_random_oracle():
     rng = random.Random(77)
     for _ in range(15):

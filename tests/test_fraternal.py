@@ -91,6 +91,69 @@ def test_frat_cap_enforced():
         enumerate_pattern_extensions(hl, 2, cap=10)
 
 
+def eager_pattern_extensions(h, t):
+    """Frat(h, t) built graph by graph: every acyclic orientation as a
+    DirWLGraph, then per round ``extension_edges`` of each member and a
+    new graph per orientation of its new layer, in the same order."""
+    graph = getattr(h, "graph", h)
+    labels = getattr(h, "labels", None)
+    edges = graph.edge_list()
+    members = []
+    for mask in range(1 << len(edges)):
+        arcs = [(v, u) if mask >> j & 1 else (u, v)
+                for j, (u, v) in enumerate(edges)]
+        if is_acyclic_arcs(graph.n, arcs):
+            members.append(DirWLGraph(graph.n, [(a, b, 1) for a, b in arcs],
+                                      labels=labels))
+    for i in range(2, t + 1):
+        nxt = []
+        for g in members:
+            pairs = extension_edges(g, i)
+            for bits in range(1 << len(pairs)):
+                flip = (bits >> np.arange(len(pairs))) & 1 == 1
+                src = np.where(flip, pairs[:, 1], pairs[:, 0])
+                dst = np.where(flip, pairs[:, 0], pairs[:, 1])
+                nxt.append(DirWLGraph.from_arrays(
+                    g.n, np.concatenate((g.src, src)),
+                    np.concatenate((g.dst, dst)),
+                    np.concatenate((g.wgt, np.full(len(pairs), i))),
+                    g.labels))
+        members = nxt
+    return members
+
+
+def _differential_cases():
+    from conftest import connected_patterns_up_to
+
+    for h in connected_patterns_up_to(5):
+        yield h, 1
+        for t in (1, 2):
+            yield label_pattern(h), t
+    for k in (6, 7):
+        yield label_pattern(cycle_graph(k)), 2
+    yield label_pattern(cycle_graph(6)), 3
+
+
+def test_plain_python_members_match_the_eager_build():
+    from sparsecount.fraternal import _round_pairs
+
+    for h, t in _differential_cases():
+        members = enumerate_pattern_extensions(h, t)
+        eager = eager_pattern_extensions(h, t)
+        assert len(members) == len(eager)
+        for m, e in zip(members, eager):
+            assert m._graph is None  # built on the first read only
+            for name in ("src", "dst", "wgt", "labels"):
+                assert np.array_equal(getattr(m.graph, name),
+                                      getattr(e, name)), (h, t, name)
+            assert m.graph is m.graph
+        # each plain-Python round against extension_edges as the oracle
+        for i in range(2, t + 1):
+            for m in enumerate_pattern_extensions(h, i - 1):
+                assert _round_pairs(m.arcs, i) == \
+                    [tuple(p) for p in extension_edges(m.graph, i).tolist()]
+
+
 def test_optimal_extension_depth1_is_degeneracy_orientation():
     from sparsecount import degeneracy_orient
 
@@ -189,11 +252,11 @@ def test_tournament_automorphisms_keep_the_host_extension():
 
 
 def test_host_extension_built_once_per_graph(monkeypatch):
-    # a depth-1 count runs on G's degeneracy DAG and never touches G's
-    # cached extension; from depth 2 on, G's own extension is built once
-    # per graph with read-only arrays, a deeper request adds only the
-    # missing rounds, and every lifted product over G, such as the spasm
-    # quotients of a subgraph count, reads it
+    # a depth-1 count runs on G's degeneracy DAG, built once per graph,
+    # and never touches G's cached extension; from depth 2 on, G's own
+    # extension is built once per graph with read-only arrays, a deeper
+    # request adds only the missing rounds, and every lifted product over
+    # G, such as the spasm quotients of a subgraph count, reads it
     import sparsecount.fraternal as fraternal
     from sparsecount import (brute_force_sub, count_homomorphisms,
                              count_subgraphs)
@@ -224,6 +287,10 @@ def test_host_extension_built_once_per_graph(monkeypatch):
         brute_force_sub(g, cycle_graph(8))
     assert [b for b in built if b[2] >= 2] == [(g, 0, 2)]
     assert all(b == (g, 0, 1) for b in built if b[2] < 2)
+    assert built.count((g, 0, 1)) == 1  # every depth-1 quotient shares it
+    dag = optimal_extension(g, 1)
+    for arr in (dag.graph.src, dag.graph.dst, dag.graph.wgt, *dag.layers):
+        assert not arr.flags.writeable
     assert len(served) == 3 and all(e is served[0] for e in served)
     own = g._extension
     for arr in (own.graph.src, own.graph.dst, own.graph.wgt, *own.layers):

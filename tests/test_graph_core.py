@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +87,24 @@ def test_loader_compacts_ids_and_skips_comments(tmp_path):
     assert g.n == 3
     assert g.m == 3
     assert g.id_map == {"10": 0, "30": 1, "700": 2}
+
+
+def test_loader_ids_do_not_depend_on_the_hash_seed(tmp_path):
+    # "7" and "07" are equal as numbers; first appearance orders them
+    path = tmp_path / "ties.el"
+    path.write_text("7 1\n07 2\n1 2\n")
+    script = ("import json, sys; from sparsecount import load_edge_list; "
+              "print(json.dumps(load_edge_list(sys.argv[1]).id_map))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    maps = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        maps.append(json.loads(proc.stdout))
+    assert maps[0] == maps[1] == {"1": 0, "2": 1, "7": 2, "07": 3}
 
 
 def test_loader_diagnostics(tmp_path):
