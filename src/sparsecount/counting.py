@@ -24,7 +24,7 @@ from . import fastdp
 from .fraternal import (FraternalExtension, PatternExtension,
                         enumerate_pattern_extensions, optimal_extension)
 from .graph_core import (DirWLGraph, UndirectedGraph, bfs_out_tree,
-                         max_outdegree)
+                         max_outdegree, plain_labels)
 from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
                          reach)
 from .pattern_tools import (automorphism_count, connected_components,
@@ -80,28 +80,30 @@ class CountDict(dict):
         return 0
 
 
-def enumerate_root_homs(pattern: DirWLGraph, s: int,
-                        host: DirWLGraph) -> list[HomMap]:
+def enumerate_root_homs(pattern, s: int, host: DirWLGraph) -> list[HomMap]:
     """All total homomorphisms of the reachable sub-pattern H(s) into host.
 
-    The pattern is restricted to Reach(s) (which must be rooted at s, the
-    precondition of the width-1 DP). Candidates extend along a BFS
-    spanning out-tree from s; every non-tree arc is checked as soon as
-    both endpoints are assigned, with label equality and pattern-weight
-    >= host-weight on every mapped arc.
+    The pattern (a ``DirWLGraph`` or a ``PatternExtension``) is read
+    through its ``succ`` and restricted to Reach(s) (which must be rooted
+    at s, the precondition of the width-1 DP). Candidates extend along a
+    BFS spanning out-tree from s; every non-tree arc is checked as soon
+    as both endpoints are assigned, with label equality and
+    pattern-weight >= host-weight on every mapped arc. The host side
+    reads ``out_arcs`` and ``weight_of``.
     """
+    succ = pattern.succ
     order, parent = bfs_out_tree(pattern, s)
-    rset = frozenset(order)
     pos = {v: i for i, v in enumerate(order)}
-    tree_wmax = {v: pattern.weight_of(parent[v], v) for v in order[1:]}
+    tree_wmax = {}
     checks: dict[int, list[tuple[int, int, int]]] = {v: [] for v in order}
-    for a, b, w in zip(pattern.src, pattern.dst, pattern.wgt):
-        a, b, w = int(a), int(b), int(w)
-        if a in rset and b in rset and parent.get(b) != a:
-            late = a if pos[a] > pos[b] else b
-            checks[late].append((a, b, w))
+    for a in order:  # Reach(s) is closed under out-arcs
+        for b, w in succ[a]:
+            if parent[b] == a:
+                tree_wmax[b] = w
+            else:
+                checks[a if pos[a] > pos[b] else b].append((a, b, w))
     fibers = host.fibers()
-    labels = pattern.labels
+    labels = plain_labels(pattern)
     results: list[HomMap] = []
     assign: dict[int, int] = {}
 
@@ -110,7 +112,7 @@ def enumerate_root_homs(pattern: DirWLGraph, s: int,
             results.append(HomMap(assign.items()))
             return
         v = order[i]
-        lab = int(labels[v])
+        lab = labels[v]
         if i == 0:
             candidates = fibers.get(lab, ())
         else:
@@ -137,7 +139,7 @@ def enumerate_root_homs(pattern: DirWLGraph, s: int,
     return results
 
 
-def bressan_count(pattern: DirWLGraph, tree: HubTree, bag: int,
+def bressan_count(pattern, tree: HubTree, bag: int,
                   host: DirWLGraph) -> CountDict:
     """Generalized tree DP: C_B[phi] = ext(H(down(B)), host, phi).
 
@@ -179,13 +181,17 @@ def count_hom_extension(pattern_ext: PatternExtension | FraternalExtension,
     """Weighted/labeled Hom(host_ext, pattern_ext) via the width-1 DP.
 
     Runs ``fastdp.extension_count`` on a width-1 hub-tree decomposition
-    of the pattern extension. Raises NoWidth1Decomposition when no such
-    decomposition exists.
+    of the pattern extension. A ``PatternExtension`` is passed as it is,
+    so no pattern graph is built; a ``FraternalExtension`` passes its
+    graph. Raises NoWidth1Decomposition when no such decomposition
+    exists.
     """
-    tree = find_width1_decomposition(pattern_ext.graph)
+    pattern = (pattern_ext if isinstance(pattern_ext, PatternExtension)
+               else pattern_ext.graph)
+    tree = find_width1_decomposition(pattern)
     if tree is None:
         raise NoWidth1Decomposition(pattern_ext)
-    return fastdp.extension_count(pattern_ext.graph, tree, host_ext.graph)
+    return fastdp.extension_count(pattern, tree, host_ext.graph)
 
 
 def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
@@ -232,9 +238,9 @@ def count_family(hc: UndirectedGraph, depth: int,
     """Sum of the extension DPs over Frat(hc, depth), and |Frat(hc, depth)|.
 
     Runs one DP per class of ``frat_classes``, in the calling thread, and
-    weights it by the class size. Only each class's first member builds
-    its pattern graph (``PatternExtension.graph``); the others stay arc
-    tuples. ``host_ext`` must be
+    weights it by the class size. Each class's first member is counted
+    from its arc tuple's plain-Python ``succ``; no pattern graph is
+    built. ``host_ext`` must be
     ``optimal_extension(g, depth, pattern=hc)`` from depth 2 on, whose
     members are labeled by pattern vertex, and G's own
     ``optimal_extension(g, 1)`` at depth 1, whose members are unlabeled:

@@ -7,7 +7,10 @@ chunk along the BFS spanning out-tree (CSR buckets keyed by (source,
 target label) with weight-prefix counts). Non-tree arcs are checked by
 scanning the same buckets (``_HostIndex.has_arcs``), at most Delta+
 gathers per row. Columns stop being carried as soon as nothing
-downstream reads them. Everything is plain numpy.
+downstream reads them; a parent column whose last read is an expansion
+is dropped before that expansion gathers the others. Host-sized work is
+plain numpy; each bag's plan is compiled in plain Python from the
+pattern's ``succ`` adjacency.
 
 Every bag yields one ``_Table``: its rows' restrictions to the vertices
 it shares with its parent, packed into sorted int64 codes, with their
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import DirWLGraph, bfs_out_tree
+from .graph_core import DirWLGraph, bfs_out_tree, plain_labels
 from .hub_decomp import HubTree, reach
 
 CHUNK_ROOTS = 1 << 16
@@ -125,7 +128,8 @@ class _BagPlan:
     hub: int
     root_label: int
     order: tuple[int, ...]
-    steps: tuple[tuple[int, int, int, int], ...]  # (vertex, parent, wmax, label)
+    # (vertex, parent, wmax, label, columns last read by this expansion)
+    steps: tuple[tuple[int, int, int, int, tuple[int, ...]], ...]
     slots: tuple[_Slot, ...]                      # indexed by assigned count
     out_cols: tuple[int, ...]                     # shared with the parent
     children: tuple[int, ...]
@@ -135,34 +139,37 @@ class _BagPlan:
     tail: tuple | None = None
 
 
-def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
+def _build_plan(pattern, tree: HubTree, bag: int,
                 domains: dict[int, tuple[int, ...]]) -> _BagPlan:
-    """``domains`` maps each bag to the sorted vertices it shares with its
-    parent (none at the root)."""
+    """The bag's plan, compiled in plain Python from the pattern's
+    ``succ`` and ``labels`` (None reads as label 0), so every field holds
+    Python ints. ``pattern`` is a ``PatternExtension`` or a
+    ``DirWLGraph``. ``domains`` maps each bag to the sorted vertices it
+    shares with its parent (none at the root)."""
     hub = tree.bags[bag]
+    succ = pattern.succ
     order, parent = bfs_out_tree(pattern, hub)
     pos = {v: i for i, v in enumerate(order)}
-    rset = frozenset(order)
-    labels = pattern.labels
-    wmax = pattern.arc_weights([parent[v] for v in order[1:]], order[1:])
-    steps = tuple((v, parent[v], int(w), int(labels[v]))
-                  for v, w in zip(order[1:], wmax))
+    labels = plain_labels(pattern)
     nverts = len(order)
     checks_at: list[list[tuple]] = [[] for _ in range(nverts + 1)]
     lookups_at: list[list[int]] = [[] for _ in range(nverts + 1)]
-    for a, b, w in zip(pattern.src, pattern.dst, pattern.wgt):
-        a, b, w = int(a), int(b), int(w)
-        if a in rset and b in rset and parent.get(b) != a:
-            checks_at[max(pos[a], pos[b]) + 1].append(
-                (a, b, w, int(labels[b])))
+    tree_w = {}
+    # Reach(hub) is closed under out-arcs; ascending sources keep the
+    # checks in (src, dst) order
+    for a in sorted(order):
+        for b, w in succ[a]:
+            if parent[b] == a:
+                tree_w[b] = w
+            else:
+                checks_at[max(pos[a], pos[b]) + 1].append((a, b, w, labels[b]))
+    steps = [(v, parent[v], tree_w[v], labels[v]) for v in order[1:]]
     children = tree.children(bag)
     child_domains = [domains[ch] for ch in children]
     for idx, dom in enumerate(child_domains):
         lookups_at[max((pos[x] for x in dom), default=0) + 1].append(idx)
     # last slot at which each column is read
     last = {v: pos[v] + 1 for v in order}
-    for i, (v, p, w, lab) in enumerate(steps):
-        last[p] = max(last[p], i + 2)  # the expansion reads p before slot i+2
     for t_at in range(nverts + 1):
         for a, b, *_ in checks_at[t_at]:
             last[a] = max(last[a], t_at)
@@ -173,11 +180,21 @@ def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
     out_cols = domains[bag]
     for x in out_cols:
         last[x] = nverts + 1
+    # step i's expansion reads its parent p just before slot i + 2; when
+    # no later slot reads p, its last expansion drops it before gathering
+    # the other columns, and no slot does
+    final = {p: i for i, (v, p, *_) in enumerate(steps)}
+    steps = tuple((v, p, w, lab,
+                   (p,) if final[p] == i and last[p] < i + 2 else ())
+                  for i, (v, p, w, lab) in enumerate(steps))
+    for *_, drops in steps:
+        for p in drops:
+            last[p] = -1
     # fuse the last step into a per-row candidate count when nothing
     # reads the final vertex: no check, lookup or output column
     tail = None
     if steps:
-        v, p, wmax, lab = steps[-1]
+        v, p, wmax, lab, _ = steps[-1]
         if (not checks_at[nverts] and not lookups_at[nverts]
                 and v not in out_cols):
             tail = (p, wmax, lab)
@@ -191,7 +208,7 @@ def _build_plan(pattern: DirWLGraph, tree: HubTree, bag: int,
         post = tuple(v for v in dying if v in in_lookup)
         slots.append(_Slot(tuple(checks_at[t_at]), tuple(lookups_at[t_at]),
                            pre, post))
-    return _BagPlan(hub, int(labels[hub]), tuple(order), steps, tuple(slots),
+    return _BagPlan(hub, labels[hub], tuple(order), steps, tuple(slots),
                     out_cols, children, tuple(child_domains), tail)
 
 
@@ -285,7 +302,7 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan,
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
     fiber = hidx.fibers.get(plan.root_label)
-    labels = [lab for *_, lab in plan.steps]
+    labels = [step[3] for step in plan.steps]
     if plan.tail is not None:
         labels.append(plan.tail[2])
     if fiber is None or any(lab >= hidx.k for lab in labels):
@@ -298,8 +315,8 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan,
         if not _apply_slot(hidx, plan, tables, state, 1):
             continue
         dead = False
-        for i, (v, p, wmax, lab) in enumerate(plan.steps):
-            if not _expand(hidx, state, v, p, wmax, lab):
+        for i, step in enumerate(plan.steps):
+            if not _expand(hidx, state, *step):
                 dead = True
                 break
             if not _apply_slot(hidx, plan, tables, state, i + 2):
@@ -327,12 +344,16 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan,
 
 
 def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
-            wmax: int, lab: int) -> bool:
+            wmax: int, lab: int, dying: tuple[int, ...]) -> bool:
+    """Extend every row by each candidate image of v; the ``dying``
+    columns, read last here, are dropped before the gather."""
     bucket, cnt = hidx.bucket_counts(state.cols[p], wmax, lab)
     offs = np.cumsum(cnt, dtype=np.int64)
     ntotal = int(offs[-1]) if cnt.size else 0
     if ntotal == 0:
         return False
+    for x in dying:
+        del state.cols[x]
     ridx = np.repeat(np.arange(cnt.size), cnt)
     # row r's entries sit at bucket_start + (i - first output index of r)
     shift = hidx.bucket_start[bucket] - (offs - cnt)
@@ -392,12 +413,13 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     return state.nrows > 0
 
 
-def extension_count(pattern: DirWLGraph, tree: HubTree,
-                    host: DirWLGraph) -> int:
+def extension_count(pattern, tree: HubTree, host: DirWLGraph) -> int:
     """The count in the root's table, whose one code is 0.
 
-    Equals sum(bressan_count(pattern, tree, tree.root, host).values()),
-    the dict engine kept as its oracle. A bag B shares Reach(parent) &
+    ``pattern`` is a ``fraternal.PatternExtension`` (what a count passes)
+    or a ``DirWLGraph``; only its plain-Python side is read. Equals
+    sum(bressan_count(pattern, tree, tree.root, host).values()), the dict
+    engine kept as its oracle. A bag B shares Reach(parent) &
     Reach(B) with its parent; the oracle's Reach(parent) & Reach(down(B))
     is the same set on a width-1 tree, where a vertex reached by two bags
     is reached by every bag between them. Raises ValueError when the

@@ -3,8 +3,8 @@
 One round of the extension procedure links the endpoints of every
 out-out wedge whose weight sum hits the round number. Pattern-side we
 branch over all orientations of each new layer (Frat(H, t)), on plain
-Python arc tuples; a member's numpy graph is built only when a count
-reads it. Host-side
+Python arc tuples, and a count reads each member's plain-Python
+adjacency; no count builds a member's numpy graph. Host-side
 (MinFrat) G's own extension is peeled layer by layer: each layer is
 oriented by the degeneracy peel of its own edges. At depth 1 the count
 runs on G's own layer 1, its degeneracy DAG. From depth 2 on it runs on
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import degeneracy_orient
-from .graph_core import DirWLGraph, UndirectedGraph
+from .graph_core import DirWLGraph, UndirectedGraph, succ_lists
 from .pattern_tools import acyclic_orientations, fiber_tournament
 
 DEFAULT_FRAT_CAP = 10 ** 6
@@ -114,22 +114,36 @@ class PatternExtension:
     """One member of Frat(H, t): its arcs as (src, dst, weight) triples
     sorted by (src, dst), in plain Python.
 
-    The ``DirWLGraph`` is built on the first read of ``graph`` and kept,
-    so a count builds one per class it runs a DP on, not one per member.
-    ``layers`` holds the arcs of weight 1..depth as (p, 2) arrays, sorted.
+    A count reads the member itself: ``succ`` (built from the arcs on the
+    first read) feeds the BFS trees, reaches (cached in ``_reach_cache``),
+    the width-1 decomposition and the DP plans, all as Python ints.
+    ``labels`` is the pattern vertex of each vertex, or None for label 0.
+    The ``DirWLGraph`` is built only on a read of ``graph``, which no
+    count makes; tests and ``validate_fraternity`` do. ``layers`` holds
+    the arcs of weight 1..depth as (p, 2) arrays, sorted.
     """
 
-    __slots__ = ("n", "depth", "arcs", "labels", "_graph")
+    __slots__ = ("n", "depth", "arcs", "labels", "_graph", "_succ",
+                 "_reach_cache")
 
     def __init__(self, n: int, depth: int, arcs: tuple, labels=None):
         self.n, self.depth, self.arcs, self.labels = n, depth, arcs, labels
         self._graph = None
+        self._succ = None
+        self._reach_cache = {}
 
     @property
     def graph(self) -> DirWLGraph:
         if self._graph is None:
             self._graph = DirWLGraph(self.n, self.arcs, self.labels)
         return self._graph
+
+    @property
+    def succ(self) -> list[list[tuple[int, int]]]:
+        """``succ_lists`` of the arcs, built on the first read."""
+        if self._succ is None:
+            self._succ = succ_lists(self.n, self.arcs)
+        return self._succ
 
     @property
     def layers(self) -> tuple[np.ndarray, ...]:

@@ -132,11 +132,13 @@ class DirWLGraph:
 
     At most one of (u, v) and (v, u) may be present. Labels default to 0
     (the trivial label); lifted product extensions carry pattern-vertex
-    labels.
+    labels. ``succ`` is the plain-Python adjacency that pattern-side code
+    reads; a host graph never builds it.
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
-                 "_arc_codes", "_reach_cache", "_fibers", "_dp_index")
+                 "_arc_codes", "_reach_cache", "_fibers", "_dp_index",
+                 "_succ")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
                  labels: Sequence[int] | np.ndarray | None = None):
@@ -190,6 +192,7 @@ class DirWLGraph:
         self._reach_cache = {}
         self._fibers = None
         self._dp_index = None
+        self._succ = None
 
     @property
     def arc_count(self) -> int:
@@ -226,6 +229,14 @@ class DirWLGraph:
         lo, hi = self._out_indptr[v], self._out_indptr[v + 1]
         return self.dst[lo:hi], self.wgt[lo:hi]
 
+    @property
+    def succ(self) -> list[list[tuple[int, int]]]:
+        """``succ_lists`` of the arcs, built on the first read."""
+        if self._succ is None:
+            self._succ = succ_lists(self.n, zip(
+                self.src.tolist(), self.dst.tolist(), self.wgt.tolist()))
+        return self._succ
+
     def out_degrees(self) -> np.ndarray:
         self._build_out()
         return self._out_indptr[1:] - self._out_indptr[:-1]
@@ -254,21 +265,36 @@ def max_outdegree(g: DirWLGraph) -> int:
     return int(g.out_degrees().max())
 
 
-def bfs_out_tree(g: DirWLGraph, s: int) -> tuple[list[int], dict[int, int | None]]:
+def succ_lists(n: int, arcs) -> list[list[tuple[int, int]]]:
+    """Per vertex, its (target, weight) out-arcs, in the order of ``arcs``
+    (src, dst, weight), so ascending by target when they are sorted."""
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, w in arcs:
+        succ[a].append((b, w))
+    return succ
+
+
+def plain_labels(g) -> list[int]:
+    """A pattern's vertex labels as Python ints; None reads as all 0."""
+    return [0] * g.n if g.labels is None else [int(x) for x in g.labels]
+
+
+def bfs_out_tree(g, s: int) -> tuple[list[int], dict[int, int | None]]:
     """Breadth-first spanning out-tree of Reach(s), ties by vertex id.
 
-    Returns the visit order (s first) and the tree parent of every
-    visited vertex (None for s). The order covers exactly the vertices
-    reachable from s.
+    ``g`` is a pattern: a ``DirWLGraph`` or a ``fraternal.PatternExtension``,
+    read through its plain-Python ``succ``. Returns the visit order (s
+    first) and the tree parent of every visited vertex (None for s). The
+    order covers exactly the vertices reachable from s.
     """
+    succ = g.succ
     order = [s]
     parent: dict[int, int | None] = {s: None}
     head = 0
     while head < len(order):
         v = order[head]
         head += 1
-        for u in g.out_arcs(v)[0]:
-            u = int(u)
+        for u, _ in succ[v]:
             if u not in parent:
                 parent[u] = v
                 order.append(u)

@@ -256,9 +256,9 @@ def _cmd_analyze(args) -> int:
         n_classes += len(frat_classes(members, hc, d))
     witnesses = []
     for ext in extensions:
-        tree = find_width1_decomposition(ext.graph)
-        hubs = hubset(ext.graph)
-        ur = unique_reachability_graph(ext.graph, hubs)
+        tree = find_width1_decomposition(ext)
+        hubs = hubset(ext)
+        ur = unique_reachability_graph(ext, hubs)
         witnesses.append({
             "arcs": [list(arc) for arc in ext.arcs],
             "hubset": [int(x) for x in hubs],

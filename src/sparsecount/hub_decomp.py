@@ -8,18 +8,20 @@ in-arc, and the sources stay pairwise unreachable and jointly reach
 every vertex. A width-1 decomposition, when one exists, is a
 maximum-weight spanning tree over the hubs weighted by shared reach,
 and one such tree decides whether any exists.
+
+Everything here runs on patterns only, a ``DirWLGraph`` or a
+``fraternal.PatternExtension``, and reads their plain-Python ``succ``
+adjacency and ``_reach_cache``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .graph_core import DirWLGraph, bfs_out_tree
+from .graph_core import bfs_out_tree
 
 
-def reach(g: DirWLGraph, s) -> frozenset:
+def reach(g, s) -> frozenset:
     """Vertices with a directed path from some member of s (s included).
 
     Accepts a single vertex or an iterable. The reach of one vertex is
@@ -33,7 +35,7 @@ def reach(g: DirWLGraph, s) -> frozenset:
     return out
 
 
-def down_reach(g: DirWLGraph, tree: HubTree, bag: int) -> frozenset:
+def down_reach(g, tree: HubTree, bag: int) -> frozenset:
     """Union of Reach over every bag in the subtree rooted at bag."""
     verts: frozenset = frozenset()
     stack = [bag]
@@ -44,23 +46,22 @@ def down_reach(g: DirWLGraph, tree: HubTree, bag: int) -> frozenset:
     return verts
 
 
-def _reach_one(g: DirWLGraph, s: int) -> frozenset:
+def _reach_one(g, s: int) -> frozenset:
     cached = g._reach_cache.get(s)
     if cached is None:
         cached = g._reach_cache[s] = frozenset(bfs_out_tree(g, s)[0])
     return cached
 
 
-def hubset(g: DirWLGraph) -> tuple[int, ...]:
+def hubset(g) -> tuple[int, ...]:
     """The sources of g (its in-degree-0 vertices), ascending.
 
     Sources are pairwise unreachable. Raises ValueError when they do not
     reach every vertex, as on a digraph whose cycle no source reaches:
     such a graph has no hub-tree decomposition.
     """
-    has_in = np.zeros(g.n, dtype=bool)
-    has_in[g.dst] = True
-    hubs = tuple(np.flatnonzero(~has_in).tolist())
+    targets = {b for out in g.succ for b, _ in out}
+    hubs = tuple(v for v in range(g.n) if v not in targets)
     if len(reach(g, hubs)) != g.n:
         raise ValueError("the sources of the digraph do not reach every "
                          "vertex")
@@ -91,7 +92,7 @@ class URGraph:
         return True
 
 
-def unique_reachability_graph(g: DirWLGraph, sp) -> URGraph:
+def unique_reachability_graph(g, sp) -> URGraph:
     """Edge {s1, s2} iff some vertex is reached by s1 and s2 and by no
     other hub of sp."""
     hubs = tuple(sorted(sp))
@@ -141,7 +142,7 @@ class HubTree:
         return out[::-1]
 
 
-def validate_decomposition(g: DirWLGraph, tree: HubTree) -> bool:
+def validate_decomposition(g, tree: HubTree) -> bool:
     """True iff bags are hubs covering the hubset and every bag on a
     tree path contains the endpoints' shared reach."""
     hubs = set(hubset(g))
@@ -179,7 +180,7 @@ def validate_decomposition(g: DirWLGraph, tree: HubTree) -> bool:
     return True
 
 
-def find_width1_decomposition(g: DirWLGraph) -> HubTree | None:
+def find_width1_decomposition(g) -> HubTree | None:
     """A width-1 hub-tree decomposition of g, or None when none exists.
 
     Prim's maximum-weight spanning tree over the hubs, an edge {s, x}

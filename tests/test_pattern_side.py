@@ -1,0 +1,98 @@
+"""The pattern side of a count runs on plain-Python members.
+
+A count hands each class representative of Frat(H, t) to the hub-tree
+decomposition and the DP as its arc tuple's ``succ`` adjacency, never as
+a numpy ``DirWLGraph``. These tests check that path against the numpy
+graph each member still builds on request, and against the dict engine.
+"""
+
+import random
+from dataclasses import fields
+
+from sparsecount import (bressan_count, count_homomorphisms, count_subgraphs,
+                         enumerate_pattern_extensions, fastdp,
+                         find_width1_decomposition, label_pattern,
+                         optimal_extension)
+from sparsecount.counting import frat_classes
+from sparsecount.hub_decomp import reach
+
+from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
+                      random_graph)
+
+HOSTS = (complete_graph(4), random_graph(7, 0.5, random.Random(11)))
+
+
+def _cases():
+    """(pattern, what a count enumerates its members from, depth)."""
+    for h in connected_patterns_up_to(5):
+        yield h, h, 1
+        yield h, label_pattern(h), 2
+    for k in (6, 7):
+        yield cycle_graph(k), label_pattern(cycle_graph(k)), 2
+
+
+def _assert_plain_ints(value, where):
+    if isinstance(value, tuple):
+        for x in value:
+            _assert_plain_ints(x, where)
+    elif hasattr(value, "__dataclass_fields__"):
+        for f in fields(value):
+            _assert_plain_ints(getattr(value, f.name), (where, f.name))
+    else:
+        assert value is None or type(value) is int, (where, value)
+
+
+def _plans(pattern, tree):
+    order = tree.postorder()
+    domains = {bag: tuple(sorted(reach(pattern, tree.bags[tree.parent[bag]])
+                                 & reach(pattern, tree.bags[bag])))
+               for bag in order if bag != tree.root}
+    domains[tree.root] = ()
+    return [fastdp._build_plan(pattern, tree, bag, domains) for bag in order]
+
+
+def test_plain_members_match_their_graphs():
+    nonzero = 0
+    for h, source, t in _cases():
+        hosts = [optimal_extension(g, t, pattern=None if source is h else h)
+                 for g in HOSTS]
+        members = enumerate_pattern_extensions(source, t)
+        reps = {c[0] for c in frat_classes(members, h, t)}
+        for i, member in enumerate(members):
+            graph = member.graph
+            assert member.succ == graph.succ == [
+                list(zip(*(a.tolist() for a in graph.out_arcs(v))))
+                for v in range(graph.n)]
+            tree = find_width1_decomposition(member)
+            assert tree == find_width1_decomposition(graph)
+            if tree is None:
+                continue
+            plans = _plans(member, tree)
+            for plan in plans:
+                _assert_plain_ints(plan, (h, t))
+            assert plans == _plans(graph, tree)
+            # the DP runs on what a count runs: each class representative
+            for host in hosts if i in reps else ():
+                want = sum(bressan_count(graph, tree, tree.root,
+                                         host.graph).values())
+                assert fastdp.extension_count(member, tree,
+                                              host.graph) == want, (h, t)
+                nonzero += want > 0
+    assert nonzero > 1000
+
+
+def test_a_count_builds_no_succ_on_its_host(monkeypatch):
+    hosts = []
+    real = fastdp.extension_count
+
+    def recorded(pattern, tree, host):
+        hosts.append(host)
+        return real(pattern, tree, host)
+
+    monkeypatch.setattr(fastdp, "extension_count", recorded)
+    g = random_graph(12, 0.4, random.Random(5))
+    count_subgraphs(g, cycle_graph(6))
+    count_homomorphisms(g, cycle_graph(7))
+    assert {h.n for h in hosts} == {g.n, 6 * g.n, 7 * g.n}
+    assert all(h._succ is None for h in hosts)
+    assert all(h._reach_cache == {} for h in hosts)
