@@ -24,7 +24,7 @@ from . import fastdp
 from .fraternal import (FraternalExtension, PatternExtension,
                         enumerate_pattern_extensions, optimal_extension)
 from .graph_core import (DirWLGraph, UndirectedGraph, bfs_out_tree,
-                         max_outdegree, plain_labels)
+                         max_outdegree, plain_labels, succ_lists)
 from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
                          reach)
 from .pattern_tools import (automorphism_count, connected_components,
@@ -89,7 +89,8 @@ def enumerate_root_homs(pattern, s: int, host: DirWLGraph) -> list[HomMap]:
     BFS spanning out-tree from s; every non-tree arc is checked as soon
     as both endpoints are assigned, with label equality and
     pattern-weight >= host-weight on every mapped arc. The host side
-    reads ``out_arcs`` and ``weight_of``.
+    reads its arc arrays once per call, into out-lists and an arc-weight
+    dict, so no check touches numpy.
     """
     succ = pattern.succ
     order, parent = bfs_out_tree(pattern, s)
@@ -102,8 +103,11 @@ def enumerate_root_homs(pattern, s: int, host: DirWLGraph) -> list[HomMap]:
                 tree_wmax[b] = w
             else:
                 checks[a if pos[a] > pos[b] else b].append((a, b, w))
-    fibers = host.fibers()
     labels = plain_labels(pattern)
+    host_labels = host.labels.tolist()
+    arcs = list(zip(host.src.tolist(), host.dst.tolist(), host.wgt.tolist()))
+    host_out = succ_lists(host.n, arcs)
+    host_weight = {(x, y): w for x, y, w in arcs}
     results: list[HomMap] = []
     assign: dict[int, int] = {}
 
@@ -114,20 +118,17 @@ def enumerate_root_homs(pattern, s: int, host: DirWLGraph) -> list[HomMap]:
         v = order[i]
         lab = labels[v]
         if i == 0:
-            candidates = fibers.get(lab, ())
+            candidates = [x for x in range(host.n) if host_labels[x] == lab]
         else:
-            p_img = assign[parent[v]]
-            dsts, wts = host.out_arcs(p_img)
-            sel = (wts <= tree_wmax[v]) & (host.labels[dsts] == lab)
-            candidates = dsts[sel]
+            wmax = tree_wmax[v]
+            candidates = [y for y, w in host_out[assign[parent[v]]]
+                          if w <= wmax and host_labels[y] == lab]
         for c in candidates:
-            c = int(c)
             ok = True
             for a, b, w in checks[v]:
                 x = c if a == v else assign[a]
                 y = c if b == v else assign[b]
-                hw = host.weight_of(x, y)
-                if hw is None or hw > w:
+                if host_weight.get((x, y), w + 1) > w:
                     ok = False
                     break
             if ok:
@@ -177,21 +178,24 @@ def bressan_count(pattern, tree: HubTree, bag: int,
 
 
 def count_hom_extension(pattern_ext: PatternExtension | FraternalExtension,
-                        host_ext: FraternalExtension) -> int:
-    """Weighted/labeled Hom(host_ext, pattern_ext) via the width-1 DP.
+                        host: FraternalExtension | fastdp.TwoHopHost) -> int:
+    """Weighted/labeled Hom(host, pattern_ext) via the width-1 DP.
 
     Runs ``fastdp.extension_count`` on a width-1 hub-tree decomposition
     of the pattern extension. A ``PatternExtension`` is passed as it is,
     so no pattern graph is built; a ``FraternalExtension`` passes its
-    graph. Raises NoWidth1Decomposition when no such decomposition
-    exists.
+    graph. ``host`` is a host extension, read as a weight host, or the
+    ``fastdp.TwoHopHost`` of a depth-2 count. Raises
+    NoWidth1Decomposition when no such decomposition exists.
     """
     pattern = (pattern_ext if isinstance(pattern_ext, PatternExtension)
                else pattern_ext.graph)
     tree = find_width1_decomposition(pattern)
     if tree is None:
         raise NoWidth1Decomposition(pattern_ext)
-    return fastdp.extension_count(pattern, tree, host_ext.graph)
+    if isinstance(host, FraternalExtension):
+        host = host.graph
+    return fastdp.extension_count(pattern, tree, host)
 
 
 def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
@@ -218,7 +222,11 @@ def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
     on, every layer of the lifted product extension follows G (its arcs
     depend only on the host coordinate) except the vertical pairs, which
     tau orients and s keeps, so <u,v> -> <s(u),v> is an automorphism of
-    the labeled host extension.
+    the labeled host extension. At depth 2 the members are unlabeled and
+    counted on G's n vertices, where an arc (a, b, w) reads a class range
+    that depends only on w and on whether tau orients a -> b
+    (``fastdp.TwoHopHost``); s keeps both, so a relabeled member reads
+    the same ranges.
     Members are keyed by their sorted (src, dst, weight) arc tuples, so
     no member graph is built. Classes are ordered by, and list first,
     their first member in enumeration order.
@@ -240,17 +248,25 @@ def count_family(hc: UndirectedGraph, depth: int,
     Runs one DP per class of ``frat_classes``, in the calling thread, and
     weights it by the class size. Each class's first member is counted
     from its arc tuple's plain-Python ``succ``; no pattern graph is
-    built. ``host_ext`` must be
-    ``optimal_extension(g, depth, pattern=hc)`` from depth 2 on, whose
-    members are labeled by pattern vertex, and G's own
-    ``optimal_extension(g, 1)`` at depth 1, whose members are unlabeled:
-    a label-respecting hom of an orientation P of hc into the lifted
-    product's layer 1 is exactly a hom of P into G's degeneracy DAG.
+    built. ``host_ext`` is G's own ``optimal_extension(g, depth)`` at
+    depths 1 and 2, whose members are unlabeled, and the lifted
+    ``optimal_extension(g, depth, pattern=hc)`` from depth 3 on, whose
+    members are labeled by pattern vertex. At depth 1 a label-respecting
+    hom of an orientation P of hc into the lifted product's layer 1 is
+    exactly a hom of P into G's degeneracy DAG. At depth 2 the DPs run
+    on ``fastdp.two_hop_index`` of G's extension, over G's n vertices,
+    with the tau of ``fiber_tournament(hc, 2)``: the product's round-2
+    pairs factor into an H-side and a G-side condition, so every member
+    counts there what its labeled twin counts on the lifted extension.
     """
     members = enumerate_pattern_extensions(
-        hc if depth == 1 else label_pattern(hc), depth)
+        hc if depth <= 2 else label_pattern(hc), depth)
     classes = frat_classes(members, hc, depth)
-    total = sum(count_hom_extension(members[c[0]], host_ext) * len(c)
+    host = host_ext
+    if depth == 2:
+        host = fastdp.TwoHopHost(fastdp.two_hop_index(host_ext),
+                                 fiber_tournament(hc, 2).arcs)
+    total = sum(count_hom_extension(members[c[0]], host) * len(c)
                 for c in classes)
     return total, len(members)
 
@@ -260,7 +276,8 @@ class ComponentCount(NamedTuple):
 
     count: int
     n_extensions: int      # |Frat(hc, depth)|
-    delta_plus: int        # max out-degree of the host extension
+    delta_plus: int        # max out-degree of the host extension; at
+    #                        depth 2 of G's own, without the index's loops
     host_extension_ms: float
     dp_ms: float
 
@@ -274,9 +291,9 @@ def _count_component(g: UndirectedGraph, hc: UndirectedGraph,
                      t: int | None) -> ComponentCount:
     depth = _component_depth(hc, t)
     t0 = time.perf_counter()
-    # depth 1 keeps no fibers apart: the host is G's degeneracy DAG
+    # depths 1 and 2 keep no fibers apart: the host is G's own extension
     host_ext = optimal_extension(g, depth,
-                                 pattern=None if depth == 1 else hc)
+                                 pattern=None if depth <= 2 else hc)
     t1 = time.perf_counter()
     count, n_ext = count_family(hc, depth, host_ext)
     t2 = time.perf_counter()
@@ -293,7 +310,10 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     t (defaulting to the minimal depth for the pattern's longest induced
     cycle), then sums the per-extension DP counts. At depth 1 the host
     is G's own degeneracy DAG on its n vertices and the members are the
-    unlabeled acyclic orientations of h. From depth 2 on the host is the
+    unlabeled acyclic orientations of h. At depth 2 the host is G's own
+    extension to depth 2, still on its n vertices, indexed with four arc
+    classes that stand in for the labeled product's round-2 pairs, and
+    the members stay unlabeled. From depth 3 on the host is the
     extension of the labeled product h^L x G, lifted from G's own
     extension without building the product, and the members carry
     their pattern vertex as label. The DP runs once per Aut_tau(h) orbit

@@ -4,7 +4,9 @@ Semantically identical to the dict-based generalized tree DP in
 ``counting``, kept as its oracle; rows of numpy arrays stand in for
 partial homomorphisms. Per bag, the root fiber is expanded chunk by
 chunk along the BFS spanning out-tree (CSR buckets keyed by (source,
-target label) with weight-prefix counts). Non-tree arcs are checked by
+target label) with class-prefix counts, where a pattern arc reads a
+contiguous class range: weights 1..w on a weight host, arc classes on
+the depth-2 host over G's n vertices). Non-tree arcs are checked by
 scanning the same buckets (``_HostIndex.has_arcs``), at most Delta+
 gathers per row. Columns stop being carried as soon as nothing
 downstream reads them; a parent column whose last read is an expansion
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fraternal import FraternalExtension, _wedge_pairs
 from .graph_core import DirWLGraph, bfs_out_tree, plain_labels
 from .hub_decomp import HubTree, reach
 
@@ -46,60 +49,73 @@ def _widen(vals: np.ndarray, bound: int) -> np.ndarray:
 
 
 class _HostIndex:
-    """CSR over (source, target-label) buckets with weight-prefix counts.
+    """CSR over (source, target-label) buckets with class-prefix counts.
 
-    Each bucket lists its arcs sorted by (weight, target), so the arcs of
-    weight <= w are its first ``cnt_upto[w - 1, bucket]`` entries. A grid
-    past ``MAX_BUCKETS`` can be refused only at t >= 2: a depth-1 host is
-    G's own DAG with one label, n x 1 buckets, while a depth-t product
-    extension has k * n vertices x k labels.
+    Every arc has a class from 1 to ``ncls``: its weight on a weight
+    host, or its arc class on the two-hop host (``two_hop_index``). Each
+    bucket lists its arcs sorted by (class, target), so the arcs of class
+    lo..hi are a run of ``targets``: for lo = 1 it starts at
+    ``bucket_start`` and holds ``cnt_upto[hi - 1]`` arcs. For lo > 1,
+    the run's starts and its prefix counts from class lo are tabled on
+    first use (``_runs``), so every range costs the same two gathers. A
+    grid past ``MAX_BUCKETS`` is refused; only a lifted product extension
+    (t >= 3), with k * n vertices x k labels, can reach it: the depth-1
+    and depth-2 hosts have G's n vertices and one label, n buckets.
     """
 
     # (vertices x labels) bucket grid; a larger one is refused
     MAX_BUCKETS = 64_000_000
 
-    def __init__(self, g: DirWLGraph):
-        self.n = g.n
-        labels = g.labels
-        self.k = int(labels.max()) + 1 if g.n else 1
-        self.tmax = int(g.wgt.max()) if g.arc_count else 1
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
+                 cls: np.ndarray, ncls: int, fibers: dict, labels=None):
+        self.n = n
+        self.k = int(labels.max()) + 1 if labels is not None and n else 1
+        self.tmax = ncls
         nb = self.n * self.k
         if nb > self.MAX_BUCKETS:
             raise ValueError(f"host index of {self.n} vertices x {self.k} "
                              f"labels = {nb} buckets is past the cap of "
                              f"{self.MAX_BUCKETS}")
-        bucket = g.src * self.k + labels[g.dst]
-        order = np.lexsort((g.dst, g.wgt, bucket))
-        self.targets = g.dst[order].astype(np.int32)
+        bucket = src * self.k + labels[dst] if self.k > 1 else src
+        order = np.lexsort((dst, cls, bucket))
+        self.targets = dst[order].astype(np.int32)
         bsorted = bucket[order]
-        wsorted = g.wgt[order]
+        csorted = cls[order]
         counts = np.bincount(bsorted, minlength=nb)
         self.bucket_start = np.zeros(nb + 1, dtype=np.int64)
         np.cumsum(counts, out=self.bucket_start[1:])
         self.cnt_upto = np.zeros((self.tmax, nb), dtype=np.int32)
-        for w in range(1, self.tmax + 1):
-            self.cnt_upto[w - 1] = np.bincount(bsorted[wsorted <= w],
+        for c in range(1, self.tmax + 1):
+            self.cnt_upto[c - 1] = np.bincount(bsorted[csorted <= c],
                                                minlength=nb)
         self.fibers = {lab: arr.astype(np.int32)
-                       for lab, arr in g.fibers().items()}
+                       for lab, arr in fibers.items()}
+        self._runs = {1: (self.bucket_start, self.cnt_upto)}
 
-    def bucket_counts(self, verts: np.ndarray, wmax: int, lab: int):
-        """Per vertex: its ``lab`` bucket and that bucket's number of arcs
-        of weight <= wmax."""
+    def bucket_counts(self, verts: np.ndarray, lo: int, hi: int, lab: int):
+        """Per vertex: its ``lab`` bucket and how many arcs of class lo..hi
+        it holds, with the table whose entry at the bucket is where they
+        start in ``targets``."""
+        runs = self._runs.get(lo)
+        if runs is None:
+            skip = self.cnt_upto[lo - 2]
+            runs = self._runs[lo] = (self.bucket_start[:-1] + skip,
+                                     self.cnt_upto[lo - 1:] - skip)
+        starts, upto = runs
         bucket = verts.astype(np.int64) * self.k + lab
-        return bucket, self.cnt_upto[min(wmax, self.tmax) - 1, bucket]
+        return starts, bucket, upto[min(hi, self.tmax) - lo, bucket]
 
-    def has_arcs(self, a: np.ndarray, b: np.ndarray, wmax: int,
+    def has_arcs(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int,
                  lab_b: int) -> np.ndarray:
-        """Per row: is there a host arc a -> b of weight <= wmax?
+        """Per row: is there a host arc a -> b of class lo..hi?
 
         ``lab_b`` is the label of every b. Scans a's bucket one position
         at a time, so a row costs at most Delta+ gathers. Past a row's
         count a position holds some other arc (or, clipped, the last
         one) and is masked out.
         """
-        bucket, cnt = self.bucket_counts(a, wmax, lab_b)
-        start = self.bucket_start[bucket]
+        starts, bucket, cnt = self.bucket_counts(a, lo, hi, lab_b)
+        start = starts[bucket]
         found = np.zeros(a.shape[0], dtype=bool)
         for j in range(int(cnt.max(initial=0))):
             found |= (cnt > j) & (self.targets.take(start + j, mode="clip")
@@ -108,16 +124,83 @@ class _HostIndex:
 
 
 def _host_index(g: DirWLGraph) -> _HostIndex:
+    """The weight host over g, cached on it: an arc's class is its
+    weight."""
     if g._dp_index is None:
-        g._dp_index = _HostIndex(g)
+        g._dp_index = _HostIndex(
+            g.n, g.src, g.dst, g.wgt, int(g.wgt.max()) if g.arc_count else 1,
+            g.fibers(), g.labels)
     return g._dp_index
+
+
+def two_hop_index(ext: FraternalExtension) -> _HostIndex:
+    """The host of a depth-2 count over G's n vertices, one label, read
+    from G's own extension ``ext`` (its layers 1 and 2; deeper layers
+    are ignored) and cached on its graph. Per source, the arc classes
+    are:
+
+    1. a layer-1 (DAG) arc whose ends share no in-neighbour;
+    2. a DAG arc whose ends share an in-neighbour;
+    3. an arc of G's layer 2;
+    4. a loop x -> x at each vertex x with an in-arc.
+
+    A round-2 pair <a,x> - <b,y> of the lifted product extension exists
+    exactly when a and b share an H-neighbour, x and y share a DAG
+    in-neighbour (x = y when x has an in-arc) and the pair is not linked
+    at weight 1; it points as G's extension orients x - y, or as tau
+    orients a - b when x = y. So a pattern arc (a, b, 2), whose ends
+    share an H-neighbour and no H-edge, maps onto classes 2..3, or 2..4
+    when tau orients a -> b, and an arc (a, b, 1) onto the DAG, classes
+    1..2 (``TwoHopHost.arc_range``). The loops live only here, since a
+    ``DirWLGraph`` holds no self-arc.
+    """
+    graph = ext.graph
+    if graph._two_hop is None:
+        n = graph.n
+        dag, layer2 = ext.layers[0], ext.layers[1]
+        # _wedge_pairs before the "already linked" filter: a DAG arc
+        # closing a triangle still has ends that share an in-neighbour
+        shared = _wedge_pairs(graph, 2)
+        codes = (np.minimum(dag[:, 0], dag[:, 1]) * n
+                 + np.maximum(dag[:, 0], dag[:, 1]))
+        closed = np.isin(codes, shared[:, 0] * n + shared[:, 1])
+        loops = np.unique(dag[:, 1])
+        src = np.concatenate((dag[:, 0], layer2[:, 0], loops))
+        dst = np.concatenate((dag[:, 1], layer2[:, 1], loops))
+        cls = np.concatenate((1 + closed, np.full(layer2.shape[0], 3),
+                              np.full(loops.shape[0], 4)))
+        fibers = {0: np.arange(n)} if n else {}
+        graph._two_hop = _HostIndex(n, src, dst, cls, 4, fibers)
+    return graph._two_hop
+
+
+def _weight_range(a: int, b: int, w: int) -> tuple[int, int]:
+    """A pattern arc of weight w maps onto host arcs of weight 1..w."""
+    return 1, w
+
+
+@dataclass(frozen=True)
+class TwoHopHost:
+    """What a depth-2 count runs on: ``two_hop_index`` of G's own
+    extension, and the pattern pairs (a, b) that ``fiber_tournament(H,
+    2)`` orients a -> b."""
+
+    index: _HostIndex
+    tau: frozenset
+
+    def arc_range(self, a: int, b: int, w: int) -> tuple[int, int]:
+        """The classes a pattern arc (a, b, w) of a depth-2 member maps
+        onto."""
+        if w == 1:
+            return 1, 2
+        return 2, 4 if (a, b) in self.tau else 3
 
 
 @dataclass(frozen=True)
 class _Slot:
     """Everything to run after a fixed number of vertices are assigned."""
 
-    checks: tuple          # (a, b, wmax, label_b)
+    checks: tuple          # (a, b, lo, hi, label_b)
     lookups: tuple         # indices into the plan's children
     drops_pre: tuple       # columns dead before the lookups run
     drops_post: tuple      # columns last read by this slot's lookups
@@ -128,24 +211,27 @@ class _BagPlan:
     hub: int
     root_label: int
     order: tuple[int, ...]
-    # (vertex, parent, wmax, label, columns last read by this expansion)
-    steps: tuple[tuple[int, int, int, int, tuple[int, ...]], ...]
+    # (vertex, parent, lo, hi, label, columns last read by this
+    # expansion); lo..hi is the arc's class range
+    steps: tuple[tuple[int, int, int, int, int, tuple[int, ...]], ...]
     slots: tuple[_Slot, ...]                      # indexed by assigned count
     out_cols: tuple[int, ...]                     # shared with the parent
     children: tuple[int, ...]
     child_domains: tuple[tuple[int, ...], ...]
-    # fused last step (parent, wmax, label): the final vertex is counted
+    # fused last step (parent, lo, hi, label): the final vertex is counted
     # per row, never materialized
     tail: tuple | None = None
 
 
 def _build_plan(pattern, tree: HubTree, bag: int,
-                domains: dict[int, tuple[int, ...]]) -> _BagPlan:
+                domains: dict[int, tuple[int, ...]],
+                arc_range=_weight_range) -> _BagPlan:
     """The bag's plan, compiled in plain Python from the pattern's
     ``succ`` and ``labels`` (None reads as label 0), so every field holds
     Python ints. ``pattern`` is a ``PatternExtension`` or a
     ``DirWLGraph``. ``domains`` maps each bag to the sorted vertices it
-    shares with its parent (none at the root)."""
+    shares with its parent (none at the root). ``arc_range(a, b, w)`` is
+    the host's class range lo..hi for a pattern arc (a, b, w)."""
     hub = tree.bags[bag]
     succ = pattern.succ
     order, parent = bfs_out_tree(pattern, hub)
@@ -154,16 +240,17 @@ def _build_plan(pattern, tree: HubTree, bag: int,
     nverts = len(order)
     checks_at: list[list[tuple]] = [[] for _ in range(nverts + 1)]
     lookups_at: list[list[int]] = [[] for _ in range(nverts + 1)]
-    tree_w = {}
+    tree_rng = {}
     # Reach(hub) is closed under out-arcs; ascending sources keep the
     # checks in (src, dst) order
     for a in sorted(order):
         for b, w in succ[a]:
             if parent[b] == a:
-                tree_w[b] = w
+                tree_rng[b] = arc_range(a, b, w)
             else:
-                checks_at[max(pos[a], pos[b]) + 1].append((a, b, w, labels[b]))
-    steps = [(v, parent[v], tree_w[v], labels[v]) for v in order[1:]]
+                checks_at[max(pos[a], pos[b]) + 1].append(
+                    (a, b, *arc_range(a, b, w), labels[b]))
+    steps = [(v, parent[v], *tree_rng[v], labels[v]) for v in order[1:]]
     children = tree.children(bag)
     child_domains = [domains[ch] for ch in children]
     for idx, dom in enumerate(child_domains):
@@ -184,9 +271,9 @@ def _build_plan(pattern, tree: HubTree, bag: int,
     # no later slot reads p, its last expansion drops it before gathering
     # the other columns, and no slot does
     final = {p: i for i, (v, p, *_) in enumerate(steps)}
-    steps = tuple((v, p, w, lab,
+    steps = tuple((v, p, lo, hi, lab,
                    (p,) if final[p] == i and last[p] < i + 2 else ())
-                  for i, (v, p, w, lab) in enumerate(steps))
+                  for i, (v, p, lo, hi, lab) in enumerate(steps))
     for *_, drops in steps:
         for p in drops:
             last[p] = -1
@@ -194,10 +281,10 @@ def _build_plan(pattern, tree: HubTree, bag: int,
     # reads the final vertex: no check, lookup or output column
     tail = None
     if steps:
-        v, p, wmax, lab, _ = steps[-1]
+        v, p, lo, hi, lab, _ = steps[-1]
         if (not checks_at[nverts] and not lookups_at[nverts]
                 and v not in out_cols):
-            tail = (p, wmax, lab)
+            tail = (p, lo, hi, lab)
             steps = steps[:-1]
     slots = []
     for t_at in range(nverts + 1):
@@ -302,9 +389,9 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan,
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
     fiber = hidx.fibers.get(plan.root_label)
-    labels = [step[3] for step in plan.steps]
+    labels = [step[4] for step in plan.steps]
     if plan.tail is not None:
-        labels.append(plan.tail[2])
+        labels.append(plan.tail[3])
     if fiber is None or any(lab >= hidx.k for lab in labels):
         return _aggregate_table(key_chunks, val_chunks, hidx.n)
 
@@ -327,9 +414,9 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan,
         keys = _key_matrix(state, plan.out_cols)
         vals = state.vals
         if plan.tail is not None:
-            p, wmax, lab = plan.tail
-            counts = hidx.bucket_counts(state.cols[p], wmax,
-                                        lab)[1].astype(np.int64)
+            p, lo, hi, lab = plan.tail
+            counts = hidx.bucket_counts(state.cols[p], lo, hi,
+                                        lab)[2].astype(np.int64)
             vals = counts if vals is None else _widen(
                 vals, int(vals.max()) * int(counts.max())) * counts
             # rows with no candidate for the last vertex count zero
@@ -344,10 +431,10 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan,
 
 
 def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
-            wmax: int, lab: int, dying: tuple[int, ...]) -> bool:
+            lo: int, hi: int, lab: int, dying: tuple[int, ...]) -> bool:
     """Extend every row by each candidate image of v; the ``dying``
     columns, read last here, are dropped before the gather."""
-    bucket, cnt = hidx.bucket_counts(state.cols[p], wmax, lab)
+    starts, bucket, cnt = hidx.bucket_counts(state.cols[p], lo, hi, lab)
     offs = np.cumsum(cnt, dtype=np.int64)
     ntotal = int(offs[-1]) if cnt.size else 0
     if ntotal == 0:
@@ -355,8 +442,8 @@ def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
     for x in dying:
         del state.cols[x]
     ridx = np.repeat(np.arange(cnt.size), cnt)
-    # row r's entries sit at bucket_start + (i - first output index of r)
-    shift = hidx.bucket_start[bucket] - (offs - cnt)
+    # row r's entries sit at its run start + (i - first output index of r)
+    shift = starts[bucket] - (offs - cnt)
     newcol = hidx.targets[np.arange(ntotal, dtype=np.int64) + shift[ridx]]
     for key in list(state.cols):
         state.cols[key] = state.cols[key][ridx]
@@ -372,8 +459,8 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     slot = plan.slots[t_at]
     if slot.checks and state.nrows:
         mask = None
-        for a, b, w, lb in slot.checks:
-            ok = hidx.has_arcs(state.cols[a], state.cols[b], w, lb)
+        for a, b, lo, hi, lb in slot.checks:
+            ok = hidx.has_arcs(state.cols[a], state.cols[b], lo, hi, lb)
             mask = ok if mask is None else (mask & ok)
         for v in slot.drops_pre:
             state.cols.pop(v, None)
@@ -413,19 +500,29 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     return state.nrows > 0
 
 
-def extension_count(pattern, tree: HubTree, host: DirWLGraph) -> int:
+def extension_count(pattern, tree: HubTree,
+                    host: DirWLGraph | TwoHopHost) -> int:
     """The count in the root's table, whose one code is 0.
 
     ``pattern`` is a ``fraternal.PatternExtension`` (what a count passes)
-    or a ``DirWLGraph``; only its plain-Python side is read. Equals
+    or a ``DirWLGraph``; only its plain-Python side is read. ``host`` is
+    a weight host (a ``DirWLGraph``: a pattern arc of weight w maps onto
+    host arcs of weight 1..w), where the count equals
     sum(bressan_count(pattern, tree, tree.root, host).values()), the dict
-    engine kept as its oracle. A bag B shares Reach(parent) &
-    Reach(B) with its parent; the oracle's Reach(parent) & Reach(down(B))
-    is the same set on a width-1 tree, where a vertex reached by two bags
-    is reached by every bag between them. Raises ValueError when the
-    host's (vertex x label) bucket grid is past ``_HostIndex.MAX_BUCKETS``.
+    engine kept as its oracle; or the ``TwoHopHost`` of a depth-2 count,
+    where it equals the count of the labeled member on the lifted
+    ``fraternal.optimal_extension(g, 2, pattern=h)``. A bag B shares
+    Reach(parent) & Reach(B) with its parent; the oracle's Reach(parent)
+    & Reach(down(B)) is the same set on a width-1 tree, where a vertex
+    reached by two bags is reached by every bag between them. Raises
+    ValueError when the host's (vertex x label) bucket grid is past
+    ``_HostIndex.MAX_BUCKETS``, which only a lifted extension (t >= 3)
+    can reach.
     """
-    hidx = _host_index(host)
+    if isinstance(host, TwoHopHost):
+        hidx, arc_range = host.index, host.arc_range
+    else:
+        hidx, arc_range = _host_index(host), _weight_range
     order = tree.postorder()
     domains = {bag: tuple(sorted(reach(pattern, tree.bags[tree.parent[bag]])
                                  & reach(pattern, tree.bags[bag])))
@@ -433,7 +530,7 @@ def extension_count(pattern, tree: HubTree, host: DirWLGraph) -> int:
     domains[tree.root] = ()
     tables: dict[int, _Table] = {}
     for bag in order:
-        plan = _build_plan(pattern, tree, bag, domains)
+        plan = _build_plan(pattern, tree, bag, domains, arc_range)
         tables[bag] = _run_bag(hidx, plan,
                                [tables.pop(ch) for ch in plan.children])
     root = tables[tree.root]

@@ -7,15 +7,18 @@ Python arc tuples, and a count reads each member's plain-Python
 adjacency; no count builds a member's numpy graph. Host-side
 (MinFrat) G's own extension is peeled layer by layer: each layer is
 oriented by the degeneracy peel of its own edges. At depth 1 the count
-runs on G's own layer 1, its degeneracy DAG. From depth 2 on it runs on
-the extension of the labeled product H^L x G, which is lifted from G's
-own and never peeled or built: layer 1 is G's layer 1 arc for arc, and
-every later layer follows G's own extension, with a fixed tournament on
-pattern vertices for the pairs G cannot orient (two fibers over one
-host vertex). So the max outdegree follows G's, and the pattern
-automorphisms that keep the tournament are automorphisms of the host
-extension. A weighted digraph is a valid t-fraternal extension exactly
-when its weights form a t-fraternity function, which
+runs on G's own layer 1, its degeneracy DAG, and at depth 2 on G's own
+extension to depth 2, both over G's n vertices (``fastdp.two_hop_index``
+says how depth 2 stands in for the product). From depth 3 on it runs
+on the extension of the labeled product H^L x G, which is lifted from
+G's own and never peeled or built: layer 1 is G's layer 1 arc for arc,
+and every later layer follows G's own extension, with a fixed
+tournament on pattern vertices for the pairs G cannot orient (two
+fibers over one host vertex). So the max outdegree follows G's, and the
+pattern automorphisms that keep the tournament are automorphisms of the
+host extension. The lifted extension at depth 2 is kept as the depth-2
+host's test oracle. A weighted digraph is a valid t-fraternal extension
+exactly when its weights form a t-fraternity function, which
 ``validate_fraternity`` checks clause by clause.
 """
 
@@ -259,6 +262,17 @@ def _own_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
     return ext
 
 
+def _prefix(ext: FraternalExtension, t: int) -> FraternalExtension:
+    """``ext`` cut to its layers 1..t: ``ext`` itself when it is t deep."""
+    if ext.depth == t:
+        return ext
+    g = ext.graph
+    keep = g.wgt <= t
+    return _read_only(FraternalExtension(
+        DirWLGraph.from_arrays(g.n, g.src[keep], g.dst[keep], g.wgt[keep],
+                               g.labels), t, ext.layers[:t]))
+
+
 class ExtensionLiftError(RuntimeError):
     """A product pair has no orientation to lift: G's own extension has no
     arc of weight <= its round between its host vertices, or its two
@@ -311,13 +325,16 @@ def optimal_extension(g: UndirectedGraph, t: int,
     Without ``pattern`` every layer of G is oriented by the degeneracy
     peel of its own edges, so each layer is a DAG (the union may still
     be cyclic) and every vertex has label 0. At depth 1 that is G's
-    degeneracy DAG, the host of a depth-1 count; it is built once per
-    graph and cached on G, like G's peel order and its deeper extension,
-    so every depth-1 count over G (each depth-1 spasm quotient of a
-    subgraph count) reads the same DAG and the same host index.
+    degeneracy DAG, the host of a depth-1 count, and at depth 2 the
+    extension that a depth-2 count indexes (``fastdp.two_hop_index``).
+    Both are built once per graph and cached on G, like G's peel order,
+    so every depth-1 or depth-2 count over G (each spasm quotient of a
+    subgraph count) reads the same extension and the same host index. A
+    deeper cached extension is cut to its first t layers.
 
     With ``pattern`` H (k vertices) it is the extension of the labeled
-    product H^L x G on k * n vertices, <u,v> = u * n + v labeled u,
+    product H^L x G on k * n vertices, <u,v> = u * n + v labeled u, the
+    host of a count from depth 3 on and the oracle of the depth-2 host,
     lifted from G's own extension (built once and cached on G) and never
     built or peeled itself. Layer 1 is G's layer 1 arc for arc: <u,x> ->
     <u',y> for every edge uu' of H, both ways, and every arc x -> y.
@@ -333,7 +350,7 @@ def optimal_extension(g: UndirectedGraph, t: int,
     if t < 1:
         raise ValueError("extension depth must be >= 1")
     if pattern is None:
-        return _own_dag(g) if t == 1 else _peeled_extension(g, None, t)
+        return _own_dag(g) if t == 1 else _prefix(_own_extension(g, t), t)
     k, n = pattern.n, g.n
     own = _own_extension(g, t)
     ext = _first_layer(k * n, _lift_arcs(pattern, own.layers[0], n),

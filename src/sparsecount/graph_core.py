@@ -133,12 +133,14 @@ class DirWLGraph:
     At most one of (u, v) and (v, u) may be present. Labels default to 0
     (the trivial label); lifted product extensions carry pattern-vertex
     labels. ``succ`` is the plain-Python adjacency that pattern-side code
-    reads; a host graph never builds it.
+    reads; a host graph never builds it. ``_dp_index`` caches the DP's
+    weight host over the graph and, on G's own extension, ``_two_hop``
+    the depth-2 host over G's n vertices (``fastdp``).
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
                  "_arc_codes", "_reach_cache", "_fibers", "_dp_index",
-                 "_succ")
+                 "_two_hop", "_succ")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
                  labels: Sequence[int] | np.ndarray | None = None):
@@ -192,6 +194,7 @@ class DirWLGraph:
         self._reach_cache = {}
         self._fibers = None
         self._dp_index = None
+        self._two_hop = None
         self._succ = None
 
     @property
@@ -211,10 +214,6 @@ class DirWLGraph:
         pos = np.minimum(np.searchsorted(self._arc_codes, code),
                          self.arc_count - 1)
         return np.where(self._arc_codes[pos] == code, self.wgt[pos], 0)
-
-    def weight_of(self, u: int, v: int) -> int | None:
-        """Weight of arc (u, v), or None when absent."""
-        return int(self.arc_weights(u, v)) or None
 
     def _build_out(self):
         if self._out_indptr is None:

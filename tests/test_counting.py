@@ -339,9 +339,10 @@ def test_count_subgraphs_known_values():
 def test_count_builds_only_what_it_uses(monkeypatch):
     # Sub(C6) counts 10 spasm quotients: C6 at depth 2 and 9 at depth 1.
     # The 82 class representatives of their 320 Frat members are counted
-    # from their arc tuples, so no pattern graph is built, and the 9
-    # depth-1 quotients share one degeneracy DAG of G and one host index
-    # over it.
+    # from their arc tuples, so no pattern graph is built. The 9 depth-1
+    # quotients share one degeneracy DAG of G and one host index over it;
+    # C6 counts on one index over G's own extension to depth 2. No index
+    # has more than G's n vertices: no lifted 6n-vertex extension is built
     import sparsecount.fraternal as fraternal
 
     g = generate_bounded_degeneracy(20, 3, 5)
@@ -366,17 +367,21 @@ def test_count_builds_only_what_it_uses(monkeypatch):
     indexed = []
 
     class TrackedIndex(fastdp._HostIndex):
-        def __init__(self, host):
-            indexed.append(host)
-            super().__init__(host)
+        def __init__(self, n, *args, **kwargs):
+            indexed.append(n)
+            super().__init__(n, *args, **kwargs)
 
     monkeypatch.setattr(fastdp, "_HostIndex", TrackedIndex)
+    lifts = []
+    monkeypatch.setattr(fraternal, "_lift_arcs",
+                        lambda *args: lifts.append(args))
     assert count_subgraphs(g, cycle_graph(6)) == \
         brute_force_sub(g, cycle_graph(6))
     assert len(pattern_graphs) == 0
     assert dags == [g]
-    own = [h for h in indexed if h.n == g.n]
-    assert len(own) == 1 and own[0] is optimal_extension(g, 1).graph
+    assert indexed == [g.n, g.n] and not lifts
+    assert optimal_extension(g, 1).graph._dp_index is not None
+    assert optimal_extension(g, 2).graph._two_hop is not None
 
 
 def test_count_subgraphs_random_oracle():

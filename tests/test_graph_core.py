@@ -45,8 +45,6 @@ def test_weight_layers_partition_arcs():
     g = DirWLGraph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 3)])
     total = sum(int((g.wgt == i).sum()) for i in range(1, 4))
     assert total == g.arc_count
-    assert g.weight_of(1, 2) == 2
-    assert g.weight_of(2, 1) is None
 
 
 def test_arc_weights_vectorized():

@@ -10,8 +10,8 @@ from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_double_subdivision, generate_gnp,
                                  generate_subdivision, run_count_hom)
 
-from conftest import (complete_graph, cycle_graph, disjoint_union, path_graph,
-                      random_graph, triangle_count)
+from conftest import (complete_graph, cycle_graph, cycle_hom_trace,
+                      disjoint_union, path_graph, random_graph, triangle_count)
 
 
 def test_subdivision_triangle_becomes_nine_cycle():
@@ -94,6 +94,19 @@ def test_run_count_hom_report():
     for key in ("licl", "t", "n_extensions", "kappa", "delta_plus",
                 "stage_timings_ms"):
         assert key in payload
+
+
+def test_run_count_hom_delta_plus_at_depth_2():
+    # depth 2 counts on G's own extension to depth 2: Delta+ is its max
+    # outdegree over layers 1 and 2, the paper's class parameter, not that
+    # of a lifted product extension and without the index's loops
+    g = generate_bounded_degeneracy(60, 3, 4)
+    report = run_count_hom(g, cycle_graph(6))
+    assert report.t == 2 and report.count == cycle_hom_trace(g, 6)
+    own = optimal_extension(g, 2)
+    sources = [x for layer in own.layers for x, _ in layer.tolist()]
+    assert report.delta_plus == max_outdegree(own.graph) == \
+        max(sources.count(x) for x in set(sources))
 
 
 def _write(tmp_path, name, g):
@@ -260,13 +273,30 @@ def test_cli_host_index_cap_exit_code(tmp_path, capsys, monkeypatch):
     from sparsecount import fastdp
 
     # a bucket grid past the cap is refused as a usage error, naming its
-    # size, and no other engine counts instead; only a product extension
-    # (t >= 2) has more than one label, so C6 at depth 2 reaches the cap
+    # size, and no other engine counts instead; only a lifted product
+    # extension (t >= 3) has more than G's n vertices and one label, so
+    # C6 at depth 3 reaches the cap
     monkeypatch.setattr(fastdp._HostIndex, "MAX_BUCKETS", 10)
     host = _write(tmp_path, "host.el", random_graph(8, 0.4, random.Random(5)))
     c6 = _write(tmp_path, "c6.el", cycle_graph(6))
-    assert cli_main(["count-hom", host, c6]) == 2
+    assert cli_main(["count-hom", host, c6, "--t", "3"]) == 2
     assert "buckets is past the cap of 10" in capsys.readouterr().err
+
+
+def test_depth2_count_fits_a_cap_of_n_buckets(tmp_path, capsys,
+                                              monkeypatch):
+    from sparsecount import fastdp
+
+    # depth 2 indexes G's n vertices with one label: a cap below the
+    # lifted extension's 6n x 6 buckets still lets C6 count, at depth 3
+    # the same cap refuses
+    g = random_graph(8, 0.4, random.Random(5))
+    monkeypatch.setattr(fastdp._HostIndex, "MAX_BUCKETS", 2 * g.n)
+    host = _write(tmp_path, "host.el", g)
+    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
+    assert cli_main(["count-hom", host, c6]) == 0
+    assert int(capsys.readouterr().out) == brute_force_hom(g, cycle_graph(6))
+    assert cli_main(["count-hom", host, c6, "--t", "3"]) == 2
 
 
 def test_cli_exact_fallback_refused_past_cap(tmp_path, capsys):

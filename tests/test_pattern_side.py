@@ -93,6 +93,11 @@ def test_a_count_builds_no_succ_on_its_host(monkeypatch):
     g = random_graph(12, 0.4, random.Random(5))
     count_subgraphs(g, cycle_graph(6))
     count_homomorphisms(g, cycle_graph(7))
-    assert {h.n for h in hosts} == {g.n, 6 * g.n, 7 * g.n}
-    assert all(h._succ is None for h in hosts)
-    assert all(h._reach_cache == {} for h in hosts)
+    # depth 1 runs on G's DAG, depth 2 on the index over G's extension
+    graphs = [h for h in hosts if not isinstance(h, fastdp.TwoHopHost)]
+    two_hop = [h.index for h in hosts if isinstance(h, fastdp.TwoHopHost)]
+    assert graphs and two_hop
+    assert {h.n for h in graphs + two_hop} == {g.n}
+    graphs += [optimal_extension(g, 2).graph]
+    assert all(h._succ is None for h in graphs)
+    assert all(h._reach_cache == {} for h in graphs)

@@ -1,0 +1,124 @@
+"""A depth-2 count runs on G's n vertices, not on the lifted extension.
+
+``fastdp.two_hop_index`` holds G's own extension to depth 2 with four arc
+classes per source, and ``fastdp.TwoHopHost`` maps each arc of an
+unlabeled member of Frat(H, 2) onto a class range. These tests compare
+that host, class representative by representative, with the lifted
+k * n-vertex ``optimal_extension(g, 2, pattern=h)`` it replaces, and the
+totals with the peeled materialized product and brute force.
+"""
+
+from sparsecount import (UndirectedGraph, brute_force_hom, count_hom_extension,
+                         enumerate_pattern_extensions, fastdp, label_pattern,
+                         optimal_extension)
+from sparsecount.counting import count_family, frat_classes
+from sparsecount.harness import generate_bounded_degeneracy
+from sparsecount.pattern_tools import fiber_tournament
+
+from conftest import (connected_patterns_up_to, cycle_graph,
+                      cycle_hom_trace, peeled_product_extension)
+
+
+def _grid(r: int, c: int) -> UndirectedGraph:
+    edges = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
+    edges += [(i * c + j, (i + 1) * c + j) for i in range(r - 1)
+              for j in range(c)]
+    return UndirectedGraph(r * c, edges)
+
+
+def _road(r: int, length: int) -> UndirectedGraph:
+    """An r x r grid with a pendant path of ``length`` new vertices."""
+    grid = _grid(r, r)
+    path = [(r * r - 1 + i, r * r + i) for i in range(length)]
+    return UndirectedGraph(r * r + length, grid.edge_list() + path)
+
+
+def _triangles() -> UndirectedGraph:
+    """Triangles sharing edges and vertices: a DAG arc can close one."""
+    edges = {(i, i + 1) for i in range(8)} | {(i, i + 2) for i in range(7)}
+    edges |= {(0, 9), (1, 9), (4, 9)}
+    return UndirectedGraph(10, sorted(edges))
+
+
+HOSTS = (generate_bounded_degeneracy(11, 3, 2),
+         generate_bounded_degeneracy(12, 3, 9), _grid(3, 4), _road(3, 4),
+         _triangles())
+
+PATTERNS = connected_patterns_up_to(5) + [cycle_graph(k) for k in (6, 7, 8)]
+
+
+def _two_hop(g: UndirectedGraph, h: UndirectedGraph) -> fastdp.TwoHopHost:
+    return fastdp.TwoHopHost(fastdp.two_hop_index(optimal_extension(g, 2)),
+                             fiber_tournament(h, 2).arcs)
+
+
+def test_two_hop_host_matches_the_lift_member_by_member():
+    nonzero = 0
+    for h in PATTERNS:
+        bare = enumerate_pattern_extensions(h, 2)
+        labeled = enumerate_pattern_extensions(label_pattern(h), 2)
+        assert [m.arcs for m in bare] == [m.arcs for m in labeled]
+        classes = frat_classes(bare, h, 2)
+        for g in HOSTS:
+            host, lifted = _two_hop(g, h), optimal_extension(g, 2, pattern=h)
+            total = 0
+            for c in classes:
+                got = count_hom_extension(bare[c[0]], host)
+                assert got == count_hom_extension(labeled[c[0]], lifted), \
+                    (h.edge_list(), g.edge_list(), bare[c[0]].arcs)
+                nonzero += got > 0
+                total += got * len(c)
+            want = (cycle_hom_trace(g, h.n) if h.n > 5
+                    else brute_force_hom(g, h))
+            assert total == want, (h.edge_list(), g)
+    assert nonzero > 1000
+
+
+def test_two_hop_totals_match_the_peeled_product():
+    # every member on the product oriented by its own peel, which keeps
+    # no Aut_tau(H) symmetry, against one DP per class on G's n vertices
+    for h in connected_patterns_up_to(4) + [cycle_graph(6)]:
+        labeled = enumerate_pattern_extensions(label_pattern(h), 2)
+        for g in (HOSTS[0], HOSTS[3], HOSTS[4]):
+            peeled = peeled_product_extension(h, g, 2)
+            via_peel = sum(count_hom_extension(m, peeled) for m in labeled)
+            assert count_family(h, 2, optimal_extension(g, 2))[0] == \
+                via_peel == brute_force_hom(g, h)
+
+
+def test_two_hop_index_classes():
+    g = _triangles()
+    ext = optimal_extension(g, 2)
+    hidx = fastdp.two_hop_index(ext)
+    assert hidx is fastdp.two_hop_index(ext)  # cached on the extension
+    assert (hidx.n, hidx.k, hidx.tmax) == (g.n, 1, 4)
+    dag = [tuple(a) for a in ext.layers[0].tolist()]
+    parents = {}
+    for x, y in dag:
+        parents.setdefault(y, set()).add(x)
+    want = {(x, y, 2 if parents.get(x, set()) & parents.get(y, set())
+             else 1) for x, y in dag}
+    want |= {(x, y, 3) for x, y in ext.layers[1].tolist()}
+    want |= {(x, x, 4) for x in parents}
+    got = set()
+    for x in range(g.n):
+        first = int(hidx.bucket_start[x])
+        upto = [0] + hidx.cnt_upto[:, x].tolist()
+        for cls in range(1, 5):
+            got |= {(x, y, cls) for y in hidx.targets[
+                first + upto[cls - 1]:first + upto[cls]].tolist()}
+    assert got == want
+    assert {c for *_, c in want} == {1, 2, 3, 4}
+
+
+def test_two_hop_index_reads_only_layers_one_and_two():
+    # a depth-2 count after a depth-3 one reads the first two layers of
+    # G's deeper cached extension
+    for g in HOSTS:
+        two = optimal_extension(g, 2)
+        fresh = UndirectedGraph(g.n, g.edge_list())
+        deep = optimal_extension(fresh, 3)
+        assert deep.depth == 3 and optimal_extension(fresh, 2).depth == 2
+        a, b = fastdp.two_hop_index(two), fastdp.two_hop_index(deep)
+        assert (a.targets == b.targets).all()
+        assert (a.cnt_upto == b.cnt_upto).all()
