@@ -1,11 +1,14 @@
 """Near-linear homomorphism and subgraph counting on sparse host graphs.
 
-The pipeline: at depth 1, count every acyclic orientation of the
-pattern on the host's own degeneracy DAG; from depth 2 on, close
-out-out wedges into weighted fraternal extension layers of the
-pattern-labeled product host, each lifted from the host's own
-extension without building the product. Each pattern extension gets a
-width-1 hub-tree decomposition, and the generalized tree DP counts it.
+The pipeline: fold each pendant tree of the pattern into a weight
+vector over the host's vertices by message passing (a tree is counted
+by that alone), then count the 2-core with those vertex weights. At
+depth 1, count every acyclic orientation of the core on the host's own
+degeneracy DAG; from depth 2 on, close out-out wedges into weighted
+fraternal extension layers of the pattern-labeled product host, each
+lifted from the host's own extension without building the product.
+Each pattern extension gets a width-1 hub-tree decomposition, and the
+generalized tree DP counts it.
 Subgraph counts come from the exact rational spasm combination of
 homomorphism counts.
 """
@@ -28,11 +31,11 @@ from .harness import (RunReport, cli_main, generate_bounded_degeneracy,
 from .hub_decomp import (HubTree, URGraph, find_width1_decomposition,
                          hubset, reach, unique_reachability_graph,
                          validate_decomposition)
-from .pattern_tools import (FiberTournament, SpasmEntry,
+from .pattern_tools import (FiberTournament, PendantForest, SpasmEntry,
                             acyclic_orientations, automorphism_count,
                             automorphism_generators, canonical_form,
                             connected_components, fiber_tournament, licl,
-                            min_extension_depth, spasm)
+                            min_extension_depth, pendant_forest, spasm)
 from .product import LabeledPattern, label_pattern, pattern_product
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """The end-to-end pipeline and its oracles.
 
-``count_homomorphisms`` runs the whole pipeline (host extension,
-pattern extension family, per-extension DP on the one engine,
-``fastdp``) and ``count_subgraphs`` reduces subgraph counts to
-it through the spasm. ``count_family`` runs one DP per Aut_tau(H) orbit
-of Frat(H, t) and weights it by the orbit size (``frat_classes`` says
-why orbits count alike).
+``count_homomorphisms`` runs the whole pipeline (pendant trees folded
+into vertex weights, host extension, pattern extension family of the
+2-core, per-extension DP on the one engine, ``fastdp``) and
+``count_subgraphs`` reduces subgraph counts to it through the spasm.
+``count_family`` runs one DP per Aut_tau orbit of Frat(core, t) and
+weights it by the orbit size (``frat_classes`` says why orbits count
+alike).
 Oracles live here too, so every fast path has an exhaustive
 counterpart: ``enumerate_root_homs`` lists the label/weight/arc-respecting
 homomorphisms of a reachable sub-pattern, ``bressan_count`` is the
@@ -20,6 +21,8 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from . import fastdp
 from .fraternal import (FraternalExtension, PatternExtension,
                         enumerate_pattern_extensions, optimal_extension)
@@ -29,7 +32,7 @@ from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
                          reach)
 from .pattern_tools import (automorphism_count, connected_components,
                             fiber_tournament, licl, min_extension_depth,
-                            orbit_roots, spasm)
+                            orbit_roots, pendant_forest, spasm)
 from .product import label_pattern
 
 BRUTE_FORCE_HOM_CAP = 32  # host vertices brute_force_hom accepts by default
@@ -178,15 +181,18 @@ def bressan_count(pattern, tree: HubTree, bag: int,
 
 
 def count_hom_extension(pattern_ext: PatternExtension | FraternalExtension,
-                        host: FraternalExtension | fastdp.TwoHopHost) -> int:
+                        host: FraternalExtension | fastdp.TwoHopHost
+                        | fastdp.WeightedHost) -> int:
     """Weighted/labeled Hom(host, pattern_ext) via the width-1 DP.
 
     Runs ``fastdp.extension_count`` on a width-1 hub-tree decomposition
     of the pattern extension. A ``PatternExtension`` is passed as it is,
     so no pattern graph is built; a ``FraternalExtension`` passes its
-    graph. ``host`` is a host extension, read as a weight host, or the
-    ``fastdp.TwoHopHost`` of a depth-2 count. Raises
-    NoWidth1Decomposition when no such decomposition exists.
+    graph. ``host`` is a host extension, read as a weight host, the
+    ``fastdp.TwoHopHost`` of a depth-2 count, or either one with the
+    vertex weights of folded pendant trees (``fastdp.WeightedHost``, what
+    ``count_family`` passes). Raises NoWidth1Decomposition when no such
+    decomposition exists.
     """
     pattern = (pattern_ext if isinstance(pattern_ext, PatternExtension)
                else pattern_ext.graph)
@@ -211,28 +217,31 @@ def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
 
 
 def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
-                 depth: int) -> list[list[int]]:
+                 depth: int, colors: tuple | None = None
+                 ) -> list[list[int]]:
     """Member indices of Frat(h, depth) grouped into classes of equal count.
 
-    A class is an Aut_tau(h) orbit (``fiber_tournament(h, depth)``):
-    relabeling a member by such an automorphism s leaves its count
-    unchanged. At depth 1 the members are unlabeled and the host is G's
-    own DAG, so a relabeled member is an isomorphic pattern, and the
-    group is all of Aut(h) (there are no vertical pairs). From depth 2
-    on, every layer of the lifted product extension follows G (its arcs
-    depend only on the host coordinate) except the vertical pairs, which
-    tau orients and s keeps, so <u,v> -> <s(u),v> is an automorphism of
-    the labeled host extension. At depth 2 the members are unlabeled and
-    counted on G's n vertices, where an arc (a, b, w) reads a class range
-    that depends only on w and on whether tau orients a -> b
-    (``fastdp.TwoHopHost``); s keeps both, so a relabeled member reads
-    the same ranges.
+    A class is an Aut_tau(h) orbit (``fiber_tournament(h, depth,
+    colors)``): relabeling a member by such an automorphism s leaves its
+    count unchanged. With ``colors``, h is a 2-core whose vertices carry
+    the weights of their folded pendant trees, and s keeps every colour,
+    so it keeps the weights too. At depth 1 the members are unlabeled
+    and the host is G's own DAG, so a relabeled member is an isomorphic
+    pattern, and the group is all of Aut(h) that keeps the colours
+    (there are no vertical pairs). From depth 2 on, every layer of the
+    lifted product extension follows G (its arcs depend only on the host
+    coordinate) except the vertical pairs, which tau orients and s
+    keeps, so <u,v> -> <s(u),v> is an automorphism of the labeled host
+    extension. At depth 2 the members are unlabeled and counted on G's n
+    vertices, where an arc (a, b, w) reads a class range that depends
+    only on w and on whether tau orients a -> b (``fastdp.TwoHopHost``);
+    s keeps both, so a relabeled member reads the same ranges.
     Members are keyed by their sorted (src, dst, weight) arc tuples, so
     no member graph is built. Classes are ordered by, and list first,
     their first member in enumeration order.
     """
     roots = orbit_roots([m.arcs for m in members],
-                        fiber_tournament(h, depth).generators,
+                        fiber_tournament(h, depth, colors).generators,
                         lambda s, arcs: tuple(sorted((s[a], s[b], w)
                                                      for a, b, w in arcs)))
     classes: dict[int, list[int]] = {}
@@ -241,64 +250,119 @@ def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
     return list(classes.values())
 
 
-def count_family(hc: UndirectedGraph, depth: int,
-                 host_ext: FraternalExtension) -> tuple[int, int]:
-    """Sum of the extension DPs over Frat(hc, depth), and |Frat(hc, depth)|.
+class Fold(NamedTuple):
+    """A connected pattern with its pendant trees folded into weights."""
 
-    Runs one DP per class of ``frat_classes``, in the calling thread, and
-    weights it by the class size. Each class's first member is counted
-    from its arc tuple's plain-Python ``succ``; no pattern graph is
-    built. ``host_ext`` is G's own ``optimal_extension(g, depth)`` at
-    depths 1 and 2, whose members are unlabeled, and the lifted
-    ``optimal_extension(g, depth, pattern=hc)`` from depth 3 on, whose
-    members are labeled by pattern vertex. At depth 1 a label-respecting
-    hom of an orientation P of hc into the lifted product's layer 1 is
-    exactly a hom of P into G's degeneracy DAG. At depth 2 the DPs run
-    on ``fastdp.two_hop_index`` of G's extension, over G's n vertices,
-    with the tau of ``fiber_tournament(hc, 2)``: the product's round-2
-    pairs factor into an H-side and a G-side condition, so every member
-    counts there what its labeled twin counts on the lifted extension.
+    core: UndirectedGraph | None  # the 2-core; None for a tree
+    colors: tuple                 # per core vertex: its pendant forest's class
+    weights: tuple                # per core vertex (a tree: its root): its
+    #                               ``fastdp.pendant_weights`` vector or None
+
+
+def fold_pendant_trees(g: UndirectedGraph, hc: UndirectedGraph) -> Fold:
+    """hc peeled to its 2-core (``pattern_tools.pendant_forest``), each
+    pendant tree turned into a weight vector over G's n vertices.
+
+    Hom(G, hc) is the sum over homomorphisms phi of the core of the
+    product over core vertices v of weights[v][phi(v)]. When hc is a
+    tree it is the sum of its root's weights, and no DP runs.
     """
+    forest = pendant_forest(hc)
+    return Fold(forest.core, forest.colors,
+                fastdp.pendant_weights(g, forest))
+
+
+class FamilyCount(NamedTuple):
+    """What ``count_family`` counted and ran."""
+
+    count: int
+    n_extensions: int  # |Frat(core, depth)|
+    n_classes: int     # DPs run
+
+
+def count_family(fold: Fold, depth: int,
+                 host_ext: FraternalExtension) -> FamilyCount:
+    """Weighted sum of the extension DPs over Frat(core, depth) of a
+    folded pattern's 2-core.
+
+    Runs one DP per class of ``frat_classes`` (under the automorphisms
+    that keep the core's colours), in the calling thread, and weights it
+    by the class size. Each class's first member is counted from its arc
+    tuple's plain-Python ``succ``; no pattern graph is built. Every DP
+    runs on a ``fastdp.WeightedHost`` carrying the fold's weights.
+    ``host_ext`` is G's own ``optimal_extension(g, depth)`` at depths 1
+    and 2, whose members are unlabeled, and the lifted
+    ``optimal_extension(g, depth, pattern=core, colors=colors)`` from
+    depth 3 on, whose members are labeled by core vertex and whose
+    weights are lifted to its k * n vertices (<u,v> = u * n + v). At
+    depth 1 a label-respecting hom of an orientation P of the core into
+    the lifted product's layer 1 is exactly a hom of P into G's
+    degeneracy DAG. At depth 2 the DPs run on ``fastdp.two_hop_index``
+    of G's extension, over G's n vertices, with the tau of
+    ``fiber_tournament(core, 2, colors)``: the product's round-2 pairs
+    factor into an H-side and a G-side condition, so every member counts
+    there what its labeled twin counts on the lifted extension.
+    """
+    core, colors, weights = fold
     members = enumerate_pattern_extensions(
-        hc if depth <= 2 else label_pattern(hc), depth)
-    classes = frat_classes(members, hc, depth)
-    host = host_ext
+        core if depth <= 2 else label_pattern(core), depth)
+    classes = frat_classes(members, core, depth, colors)
+    host = host_ext.graph
     if depth == 2:
         host = fastdp.TwoHopHost(fastdp.two_hop_index(host_ext),
-                                 fiber_tournament(hc, 2).arcs)
+                                 fiber_tournament(core, 2, colors).arcs)
+    elif depth > 2:
+        weights = tuple(None if w is None else np.tile(w, core.n)
+                        for w in weights)
+    host = fastdp.WeightedHost(host, weights)
     total = sum(count_hom_extension(members[c[0]], host) * len(c)
                 for c in classes)
-    return total, len(members)
+    return FamilyCount(total, len(members), len(classes))
 
 
 class ComponentCount(NamedTuple):
-    """One connected pattern's count and what its run measured."""
+    """One connected pattern's count and what its run measured.
+
+    A tree is counted by message passing alone: it reads 0 extensions, 0
+    classes and Delta+ 0, since it enumerates no Frat member and builds
+    no host extension, and its message passing is timed as ``dp_ms``.
+    """
 
     count: int
-    n_extensions: int      # |Frat(hc, depth)|
+    n_extensions: int      # |Frat(core, depth)| of the 2-core
+    n_classes: int         # DPs run, one per class
     delta_plus: int        # max out-degree of the host extension; at
     #                        depth 2 of G's own, without the index's loops
     host_extension_ms: float
     dp_ms: float
 
 
-def _component_depth(hc: UndirectedGraph, t: int | None) -> int:
-    """The depth a count uses for the connected pattern hc."""
-    return t if t is not None else min_extension_depth(licl(hc))
+def _component_depth(core: UndirectedGraph, t: int | None) -> int:
+    """The depth a count uses for a connected pattern's 2-core, which has
+    the pattern's longest induced cycle."""
+    return t if t is not None else min_extension_depth(licl(core))
 
 
 def _count_component(g: UndirectedGraph, hc: UndirectedGraph,
                      t: int | None) -> ComponentCount:
-    depth = _component_depth(hc, t)
     t0 = time.perf_counter()
-    # depths 1 and 2 keep no fibers apart: the host is G's own extension
-    host_ext = optimal_extension(g, depth,
-                                 pattern=None if depth <= 2 else hc)
+    fold = fold_pendant_trees(g, hc)
+    if fold.core is None:
+        count = fastdp.weighted_total(fold.weights[0], g.n)
+        return ComponentCount(count, 0, 0, 0, 0.0,
+                              (time.perf_counter() - t0) * 1e3)
+    depth = _component_depth(fold.core, t)
     t1 = time.perf_counter()
-    count, n_ext = count_family(hc, depth, host_ext)
+    # depths 1 and 2 keep no fibers apart: the host is G's own extension
+    host_ext = optimal_extension(
+        g, depth, pattern=None if depth <= 2 else fold.core,
+        colors=fold.colors)
     t2 = time.perf_counter()
-    return ComponentCount(count, n_ext, max_outdegree(host_ext.graph),
-                          (t1 - t0) * 1e3, (t2 - t1) * 1e3)
+    family = count_family(fold, depth, host_ext)
+    t3 = time.perf_counter()
+    return ComponentCount(family.count, family.n_extensions,
+                          family.n_classes, max_outdegree(host_ext.graph),
+                          (t2 - t1) * 1e3, (t1 - t0 + t3 - t2) * 1e3)
 
 
 def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
@@ -306,9 +370,14 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
                         threads: int | None = None) -> int:
     """Hom(g, h) through the full near-linear pipeline.
 
-    Builds the host extension and the pattern extension family at depth
-    t (defaulting to the minimal depth for the pattern's longest induced
-    cycle), then sums the per-extension DP counts. At depth 1 the host
+    Each connected component is first peeled to its 2-core: every
+    pendant tree becomes a weight vector over G's vertices, by message
+    passing over G's CSR, and a tree component is counted by message
+    passing alone (no DP: a 16-vertex tree takes milliseconds). For the
+    core it builds the host extension and the pattern extension family
+    at depth t (defaulting to the minimal depth for the pattern's
+    longest induced cycle, which its pendant trees never raise), then
+    sums the weighted per-extension DP counts. At depth 1 the host
     is G's own degeneracy DAG on its n vertices and the members are the
     unlabeled acyclic orientations of h. At depth 2 the host is G's own
     extension to depth 2, still on its n vertices, indexed with four arc
@@ -316,12 +385,14 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     the members stay unlabeled. From depth 3 on the host is the
     extension of the labeled product h^L x G, lifted from G's own
     extension without building the product, and the members carry
-    their pattern vertex as label. The DP runs once per Aut_tau(h) orbit
-    of extensions, since relabeled members count alike: at depth 1
-    Aut_tau is all of Aut(h) (3 DPs for the 30 orientations of C5); at
-    depth 2 the clockwise tournament keeps the
-    rotations of a cycle (36 DPs for the 196 extensions of C6, 149 for
-    the 1152 of C8). Disconnected patterns multiply their
+    their pattern vertex as label. The DP runs once per Aut_tau orbit
+    of the core's extensions, since relabeled members count alike, where
+    Aut_tau keeps the tournament and every core vertex's pendant forest:
+    at depth 1 Aut_tau is all of Aut(h) for an h with no pendant tree (3
+    DPs for the 30 orientations of C5, and 15 for C5 with a tail); at
+    depth 2 the clockwise tournament keeps the rotations of a cycle (36
+    DPs for the 196 extensions of C6, 149 for the 1152 of C8).
+    Disconnected patterns multiply their
     per-component counts. Every DP runs in the calling thread on the one
     vectorized engine, which widens its values to exact Python ints
     wherever they could pass int64; ``threads`` is accepted and ignored.

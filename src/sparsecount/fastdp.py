@@ -22,10 +22,19 @@ the table's distinct prefixes, and queries replay those ranks. The root
 shares no vertex with a parent, so its table holds one code and the
 count; so does a child that shares none with its own parent.
 
+Every count is weighted (``WeightedHost``): a homomorphism counts the
+product of its pattern vertices' weights at their images, where a
+pattern vertex's weight is the number of ways its folded pendant trees
+map (``pendant_weights``, message passing over G's CSR) and 1 when none
+hangs at it. Each weight enters once, in the one bag where its vertex
+is not shared with the parent: the root fiber starts at its weight,
+and every expansion multiplies by the new column's weight.
+
 Values are int64. Before each multiply or sum, a bound on its result is
 computed from the operands' maxima; where it could pass int64 the value
 array is widened to exact Python ints (``dtype=object``) and stays
 widened from there on, so every count is exact on this one engine.
+``np.bincount(weights=...)`` is never used: it sums in float64.
 """
 
 from __future__ import annotations
@@ -35,8 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fraternal import FraternalExtension, _wedge_pairs
-from .graph_core import DirWLGraph, bfs_out_tree, plain_labels
+from .graph_core import DirWLGraph, UndirectedGraph, bfs_out_tree, plain_labels
 from .hub_decomp import HubTree, reach
+from .pattern_tools import PendantForest
 
 CHUNK_ROOTS = 1 << 16
 _I64_LIMIT = 2 ** 63 - 1
@@ -46,6 +56,55 @@ def _widen(vals: np.ndarray, bound: int) -> np.ndarray:
     """``vals`` as exact Python ints once ``bound``, an upper bound on what
     the next multiply or sum of them yields, could pass int64."""
     return vals.astype(object) if bound > _I64_LIMIT else vals
+
+
+def _top(vals: np.ndarray) -> int:
+    """The largest value, 0 for none; values are never negative."""
+    return int(vals.max()) if vals.size else 0
+
+
+def _times(vals: np.ndarray | None, other: np.ndarray) -> np.ndarray:
+    """``vals * other``, widened first where it could pass int64; None
+    reads as all ones."""
+    if vals is None:
+        return other
+    return _widen(vals, _top(vals) * _top(other)) * other
+
+
+def _prefix_sums(vals: np.ndarray) -> np.ndarray:
+    """0 and the running sums of ``vals``, widened first where the total
+    could pass int64."""
+    vals = _widen(vals, _top(vals) * vals.size)
+    out = np.zeros(vals.size + 1, dtype=vals.dtype)
+    np.cumsum(vals, out=out[1:])
+    return out
+
+
+def pendant_weights(g: UndirectedGraph, forest: PendantForest) -> tuple:
+    """Per core vertex v of ``forest`` (a tree's root for a tree): the
+    exact integer vector m_v over G's n vertices whose entry x counts the
+    homomorphisms of v's rooted pendant forest that send v to x, or None
+    when no tree hangs at v (weight 1 everywhere).
+
+    The tree-hom DP of Diaz, Serna and Thilikos (TCS 2002) as message
+    passing: every m starts as all ones, and peeling leaf u off its
+    neighbour p sets m_p <- m_p * (A m_u), with (A m)(x) the sum of m
+    over x's neighbours, read from G's CSR as differences of prefix sums.
+    """
+    indptr, nbrs = g.csr
+    m: dict[int, np.ndarray] = {}
+    for u, p in forest.peel:
+        mu = m.pop(u, None)
+        if mu is None:
+            mu = np.ones(g.n, dtype=np.int64)
+        sums = _prefix_sums(mu[nbrs])
+        m[p] = _times(m.get(p), sums[indptr[1:]] - sums[indptr[:-1]])
+    return tuple(m.get(v) for v in forest.core_vertices)
+
+
+def weighted_total(w: np.ndarray | None, n: int) -> int:
+    """The sum of a weight vector over n host vertices, n for None."""
+    return n if w is None else int(_widen(w, _top(w) * w.size).sum())
 
 
 class _HostIndex:
@@ -159,12 +218,18 @@ def two_hop_index(ext: FraternalExtension) -> _HostIndex:
         n = graph.n
         dag, layer2 = ext.layers[0], ext.layers[1]
         # _wedge_pairs before the "already linked" filter: a DAG arc
-        # closing a triangle still has ends that share an in-neighbour
+        # closing a triangle still has ends that share an in-neighbour.
+        # They are the ones G's round 2 found, cached on the graph, and
+        # their codes are sorted
         shared = _wedge_pairs(graph, 2)
+        shared = shared[:, 0] * n + shared[:, 1]
         codes = (np.minimum(dag[:, 0], dag[:, 1]) * n
                  + np.maximum(dag[:, 0], dag[:, 1]))
-        closed = np.isin(codes, shared[:, 0] * n + shared[:, 1])
-        loops = np.unique(dag[:, 1])
+        pos = np.minimum(np.searchsorted(shared, codes),
+                         max(shared.size - 1, 0))
+        closed = (shared[pos] == codes if shared.size
+                  else np.zeros(codes.size, dtype=bool))
+        loops = np.flatnonzero(np.bincount(dag[:, 1], minlength=n))
         src = np.concatenate((dag[:, 0], layer2[:, 0], loops))
         dst = np.concatenate((dag[:, 1], layer2[:, 1], loops))
         cls = np.concatenate((1 + closed, np.full(layer2.shape[0], 3),
@@ -197,6 +262,20 @@ class TwoHopHost:
 
 
 @dataclass(frozen=True)
+class WeightedHost:
+    """What every count runs on: a host and its per-vertex weights.
+
+    ``host`` is a weight host (a ``DirWLGraph``) or a ``TwoHopHost``.
+    ``weights`` holds, per pattern vertex, an exact integer array over
+    the host's vertices, or None for weight 1 everywhere; a homomorphism
+    phi counts the product of weights[a][phi(a)].
+    """
+
+    host: DirWLGraph | TwoHopHost
+    weights: tuple
+
+
+@dataclass(frozen=True)
 class _Slot:
     """Everything to run after a fixed number of vertices are assigned."""
 
@@ -218,9 +297,6 @@ class _BagPlan:
     out_cols: tuple[int, ...]                     # shared with the parent
     children: tuple[int, ...]
     child_domains: tuple[tuple[int, ...], ...]
-    # fused last step (parent, lo, hi, label): the final vertex is counted
-    # per row, never materialized
-    tail: tuple | None = None
 
 
 def _build_plan(pattern, tree: HubTree, bag: int,
@@ -277,15 +353,6 @@ def _build_plan(pattern, tree: HubTree, bag: int,
     for *_, drops in steps:
         for p in drops:
             last[p] = -1
-    # fuse the last step into a per-row candidate count when nothing
-    # reads the final vertex: no check, lookup or output column
-    tail = None
-    if steps:
-        v, p, lo, hi, lab, _ = steps[-1]
-        if (not checks_at[nverts] and not lookups_at[nverts]
-                and v not in out_cols):
-            tail = (p, lo, hi, lab)
-            steps = steps[:-1]
     slots = []
     for t_at in range(nverts + 1):
         dying = sorted(v for v in order if last[v] == t_at)
@@ -296,7 +363,7 @@ def _build_plan(pattern, tree: HubTree, bag: int,
         slots.append(_Slot(tuple(checks_at[t_at]), tuple(lookups_at[t_at]),
                            pre, post))
     return _BagPlan(hub, labels[hub], tuple(order), steps, tuple(slots),
-                    out_cols, children, tuple(child_domains), tail)
+                    out_cols, children, tuple(child_domains))
 
 
 def _pack(mat: np.ndarray, n: int, steps: tuple | None = None):
@@ -383,26 +450,31 @@ class _ChunkState:
         self.nrows = 0
 
 
-def _run_bag(hidx: _HostIndex, plan: _BagPlan,
+def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
              tables: list[_Table]) -> _Table:
-    """Evaluate one bag into its table, keyed by ``plan.out_cols``."""
+    """Evaluate one bag into its table, keyed by ``plan.out_cols``.
+
+    A vertex shared with the parent (in ``out_cols``) gets its weight
+    there, so its weight is not applied here."""
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
     fiber = hidx.fibers.get(plan.root_label)
-    labels = [step[4] for step in plan.steps]
-    if plan.tail is not None:
-        labels.append(plan.tail[3])
-    if fiber is None or any(lab >= hidx.k for lab in labels):
+    if fiber is None or any(step[4] >= hidx.k for step in plan.steps):
         return _aggregate_table(key_chunks, val_chunks, hidx.n)
+    weights = [None if v in plan.out_cols else host.weights[v]
+               for v in plan.order]
+    root_w = weights[0]
+    steps = [(*step, w) for step, w in zip(plan.steps, weights[1:])]
 
     for lo in range(0, fiber.size, CHUNK_ROOTS):
-        state = _ChunkState(cols={plan.order[0]: fiber[lo:lo + CHUNK_ROOTS]},
-                            vals=None)
-        state.nrows = state.cols[plan.order[0]].shape[0]
+        roots = fiber[lo:lo + CHUNK_ROOTS]
+        state = _ChunkState(cols={plan.order[0]: roots},
+                            vals=None if root_w is None else root_w[roots])
+        state.nrows = roots.shape[0]
         if not _apply_slot(hidx, plan, tables, state, 1):
             continue
         dead = False
-        for i, step in enumerate(plan.steps):
+        for i, step in enumerate(steps):
             if not _expand(hidx, state, *step):
                 dead = True
                 break
@@ -411,29 +483,18 @@ def _run_bag(hidx: _HostIndex, plan: _BagPlan,
                 break
         if dead or state.nrows == 0:
             continue
-        keys = _key_matrix(state, plan.out_cols)
-        vals = state.vals
-        if plan.tail is not None:
-            p, lo, hi, lab = plan.tail
-            counts = hidx.bucket_counts(state.cols[p], lo, hi,
-                                        lab)[2].astype(np.int64)
-            vals = counts if vals is None else _widen(
-                vals, int(vals.max()) * int(counts.max())) * counts
-            # rows with no candidate for the last vertex count zero
-            keep = counts > 0
-            if not keep.any():
-                continue
-            keys, vals = keys[keep], vals[keep]
-        key_chunks.append(keys)
-        val_chunks.append(vals if vals is not None
+        key_chunks.append(_key_matrix(state, plan.out_cols))
+        val_chunks.append(state.vals if state.vals is not None
                           else np.ones(state.nrows, dtype=np.int64))
     return _aggregate_table(key_chunks, val_chunks, hidx.n)
 
 
 def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
-            lo: int, hi: int, lab: int, dying: tuple[int, ...]) -> bool:
-    """Extend every row by each candidate image of v; the ``dying``
-    columns, read last here, are dropped before the gather."""
+            lo: int, hi: int, lab: int, dying: tuple[int, ...],
+            w: np.ndarray | None) -> bool:
+    """Extend every row by each candidate image of v, times v's weight
+    ``w`` there (None: 1); the ``dying`` columns, read last here, are
+    dropped before the gather."""
     starts, bucket, cnt = hidx.bucket_counts(state.cols[p], lo, hi, lab)
     offs = np.cumsum(cnt, dtype=np.int64)
     ntotal = int(offs[-1]) if cnt.size else 0
@@ -449,6 +510,8 @@ def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
         state.cols[key] = state.cols[key][ridx]
     if state.vals is not None:
         state.vals = state.vals[ridx]
+    if w is not None:
+        state.vals = _times(state.vals, w[newcol])
     state.cols[v] = newcol
     state.nrows = ntotal
     return True
@@ -490,28 +553,28 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
             state.nrows = int(ok.sum())
             if state.nrows == 0:
                 return False
-        if kept is None:
-            state.vals = looked
-        else:
-            state.vals = _widen(kept, int(kept.max())
-                                * int(looked.max())) * looked
+        state.vals = _times(kept, looked)
     for v in slot.drops_post:
         state.cols.pop(v, None)
     return state.nrows > 0
 
 
 def extension_count(pattern, tree: HubTree,
-                    host: DirWLGraph | TwoHopHost) -> int:
-    """The count in the root's table, whose one code is 0.
+                    host: DirWLGraph | TwoHopHost | WeightedHost) -> int:
+    """The weighted count in the root's table, whose one code is 0.
 
     ``pattern`` is a ``fraternal.PatternExtension`` (what a count passes)
     or a ``DirWLGraph``; only its plain-Python side is read. ``host`` is
-    a weight host (a ``DirWLGraph``: a pattern arc of weight w maps onto
-    host arcs of weight 1..w), where the count equals
-    sum(bressan_count(pattern, tree, tree.root, host).values()), the dict
-    engine kept as its oracle; or the ``TwoHopHost`` of a depth-2 count,
-    where it equals the count of the labeled member on the lifted
-    ``fraternal.optimal_extension(g, 2, pattern=h)``. A bag B shares
+    the ``WeightedHost`` a count passes, or a bare host, read with weight
+    1 everywhere. The bare host is a weight host (a ``DirWLGraph``: a
+    pattern arc of weight w maps onto host arcs of weight 1..w), where
+    the count equals sum(bressan_count(pattern, tree, tree.root,
+    host).values()), the dict engine kept as its oracle; or the
+    ``TwoHopHost`` of a depth-2 count, where it equals the count of the
+    labeled member on the lifted ``fraternal.optimal_extension(g, 2,
+    pattern=h)``. With weights, every homomorphism counts the product of
+    its vertices' weights, each applied in the one bag where its vertex
+    is not shared with the parent. A bag B shares
     Reach(parent) & Reach(B) with its parent; the oracle's Reach(parent)
     & Reach(down(B)) is the same set on a width-1 tree, where a vertex
     reached by two bags is reached by every bag between them. Raises
@@ -519,10 +582,13 @@ def extension_count(pattern, tree: HubTree,
     ``_HostIndex.MAX_BUCKETS``, which only a lifted extension (t >= 3)
     can reach.
     """
-    if isinstance(host, TwoHopHost):
-        hidx, arc_range = host.index, host.arc_range
+    if not isinstance(host, WeightedHost):
+        host = WeightedHost(host, (None,) * pattern.n)
+    base = host.host
+    if isinstance(base, TwoHopHost):
+        hidx, arc_range = base.index, base.arc_range
     else:
-        hidx, arc_range = _host_index(host), _weight_range
+        hidx, arc_range = _host_index(base), _weight_range
     order = tree.postorder()
     domains = {bag: tuple(sorted(reach(pattern, tree.bags[tree.parent[bag]])
                                  & reach(pattern, tree.bags[bag])))
@@ -531,7 +597,7 @@ def extension_count(pattern, tree: HubTree,
     tables: dict[int, _Table] = {}
     for bag in order:
         plan = _build_plan(pattern, tree, bag, domains, arc_range)
-        tables[bag] = _run_bag(hidx, plan,
+        tables[bag] = _run_bag(hidx, host, plan,
                                [tables.pop(ch) for ch in plan.children])
     root = tables[tree.root]
     return int(root.values[0]) if root.codes.size else 0

@@ -49,11 +49,32 @@ class FraternalExtension:
     layers: tuple[np.ndarray, ...]
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending, by a sort and a diff mask
+    (``np.unique`` hashes, which is slower on int64 codes)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 def _wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
-    """Unordered endpoint pairs of out-out wedges with weight sum t."""
+    """Unordered endpoint pairs of out-out wedges with weight sum t,
+    sorted, cached on g per t.
+
+    A wedge of sum t reads arcs of weight below t only, so a layer of
+    weight i >= t added later leaves them as they are: ``_with_layer``
+    hands the cached pairs on to the deeper graph, where
+    ``fastdp.two_hop_index`` reads those of sum 2.
+    """
+    pairs = g._wedges.get(t)
+    if pairs is None:
+        pairs = g._wedges[t] = _find_wedge_pairs(g, t)
+    return pairs
+
+
+def _find_wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
     n = g.n
     by_weight = {}
-    for a in np.unique(g.wgt).tolist():
+    for a in np.flatnonzero(np.bincount(g.wgt)).tolist():
         mask = g.wgt == a
         by_weight[a] = (g.src[mask], g.dst[mask])  # still sorted by src
     chunks = []
@@ -81,7 +102,7 @@ def _wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
         chunks.append(np.minimum(u, w) * n + np.maximum(u, w))
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
-    lo, hi = np.divmod(np.unique(np.concatenate(chunks)), n)
+    lo, hi = np.divmod(_sorted_unique(np.concatenate(chunks)), n)
     return np.column_stack((lo, hi))
 
 
@@ -110,6 +131,7 @@ def _with_layer(ext: FraternalExtension, arcs: np.ndarray,
     dst = np.concatenate((g.dst, arcs[:, 1]))
     wgt = np.concatenate((g.wgt, np.full(arcs.shape[0], weight, dtype=np.int64)))
     graph = DirWLGraph.from_arrays(g.n, src, dst, wgt, g.labels)
+    graph._wedges = {t: p for t, p in g._wedges.items() if t <= weight}
     return FraternalExtension(graph, weight, ext.layers + (arcs,))
 
 
@@ -241,36 +263,21 @@ def _read_only(ext: FraternalExtension) -> FraternalExtension:
     return ext
 
 
-def _own_dag(g: UndirectedGraph) -> FraternalExtension:
-    """G's layer 1, its degeneracy DAG, built once per graph and cached
-    on G with read-only arrays, so every depth-1 count over G shares it
-    and the DP's host index cached on its graph."""
-    if g._dag is None:
-        g._dag = _read_only(_peeled_extension(g, None, 1))
-    return g._dag
-
-
 def _own_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
-    """G's own extension to depth t or deeper, cached on G.
+    """G's own extension to depth t, cached on G with every shallower one.
 
     Each round is built once per graph: a deeper request continues the
-    cached extension. Its arrays are read-only.
+    deepest cached extension, and every depth keeps its own object, so
+    every count at depth t over G (each spasm quotient of a subgraph
+    count) reads the same extension and the same DP host index cached on
+    its graph. Depth 1 is G's degeneracy DAG. Arrays are read-only.
     """
-    ext = g._extension
-    if ext is None or ext.depth < t:
-        ext = g._extension = _read_only(_peeled_extension(g, None, t, ext))
-    return ext
-
-
-def _prefix(ext: FraternalExtension, t: int) -> FraternalExtension:
-    """``ext`` cut to its layers 1..t: ``ext`` itself when it is t deep."""
-    if ext.depth == t:
-        return ext
-    g = ext.graph
-    keep = g.wgt <= t
-    return _read_only(FraternalExtension(
-        DirWLGraph.from_arrays(g.n, g.src[keep], g.dst[keep], g.wgt[keep],
-                               g.labels), t, ext.layers[:t]))
+    exts = g._extension
+    while len(exts) < t:
+        exts += (_read_only(_peeled_extension(
+            g, None, len(exts) + 1, exts[-1] if exts else None)),)
+    g._extension = exts
+    return exts[t - 1]
 
 
 class ExtensionLiftError(RuntimeError):
@@ -317,8 +324,8 @@ def _lift_pairs(n: int, k: int, pairs: np.ndarray, own: DirWLGraph,
 
 
 def optimal_extension(g: UndirectedGraph, t: int,
-                      pattern: UndirectedGraph | None = None
-                      ) -> FraternalExtension:
+                      pattern: UndirectedGraph | None = None,
+                      colors: tuple | None = None) -> FraternalExtension:
     """MinFrat(G, t), or MinFrat(H^L x G, t) lifted from it: a
     t-fraternal extension with small outdegree.
 
@@ -327,10 +334,10 @@ def optimal_extension(g: UndirectedGraph, t: int,
     be cyclic) and every vertex has label 0. At depth 1 that is G's
     degeneracy DAG, the host of a depth-1 count, and at depth 2 the
     extension that a depth-2 count indexes (``fastdp.two_hop_index``).
-    Both are built once per graph and cached on G, like G's peel order,
-    so every depth-1 or depth-2 count over G (each spasm quotient of a
-    subgraph count) reads the same extension and the same host index. A
-    deeper cached extension is cut to its first t layers.
+    Every depth is built once per graph and cached on G, like G's peel
+    order, so every depth-1 or depth-2 count over G (each spasm quotient
+    of a subgraph count) reads the same extension and the same host
+    index, also after a deeper count.
 
     With ``pattern`` H (k vertices) it is the extension of the labeled
     product H^L x G on k * n vertices, <u,v> = u * n + v labeled u, the
@@ -342,7 +349,8 @@ def optimal_extension(g: UndirectedGraph, t: int,
     <u,v> - <u',v'> as G's own extension orients v - v' (an arc of
     weight <= i always exists there, since every product arc projects
     onto a G arc or onto one vertex), and a vertical pair (v = v') by
-    the tournament of ``fiber_tournament(H, t)``. The lifted layers need
+    the tournament of ``fiber_tournament(H, t, colors)``, the one the
+    count groups Frat(H, t) by. The lifted layers need
     not be acyclic from layer 2 on: the counts only need each pair
     oriented once. The tests check the lift against the peel of the
     materialized product (``product.pattern_product``).
@@ -350,13 +358,13 @@ def optimal_extension(g: UndirectedGraph, t: int,
     if t < 1:
         raise ValueError("extension depth must be >= 1")
     if pattern is None:
-        return _own_dag(g) if t == 1 else _prefix(_own_extension(g, t), t)
+        return _own_extension(g, t)
     k, n = pattern.n, g.n
     own = _own_extension(g, t)
     ext = _first_layer(k * n, _lift_arcs(pattern, own.layers[0], n),
                        np.repeat(np.arange(k, dtype=np.int64), n))
     tau = np.zeros((k, k), dtype=bool)
-    for a, b in fiber_tournament(pattern, t).arcs:
+    for a, b in fiber_tournament(pattern, t, colors).arcs:
         tau[a, b] = True
     for i in range(2, t + 1):
         pairs = extension_edges(ext.graph, i)

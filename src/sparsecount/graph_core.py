@@ -35,14 +35,14 @@ class UndirectedGraph:
 
     Edges are stored once as (u, v) with u < v, sorted; adjacency is a CSR
     index built lazily, and so are the degeneracy order
-    (``degeneracy.degeneracy_order``), the degeneracy DAG that depth-1
-    counts run on, and the graph's own fraternal extension that lifted
-    product extensions follow (``fraternal``). No self-loops or parallel
+    (``degeneracy.degeneracy_order``) and the graph's own fraternal
+    extension at every depth asked for (``fraternal``), whose depth 1,
+    the degeneracy DAG, depth-1 counts run on. No self-loops or parallel
     edges.
     """
 
     __slots__ = ("n", "edge_array", "id_map", "_indptr", "_nbrs", "_adj_sets",
-                 "_degeneracy", "_dag", "_extension")
+                 "_degeneracy", "_extension")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         arr = _as_pair_array(edges)
@@ -71,8 +71,7 @@ class UndirectedGraph:
         self._nbrs = None
         self._adj_sets = None
         self._degeneracy = None
-        self._dag = None
-        self._extension = None
+        self._extension = ()
 
     @property
     def m(self) -> int:
@@ -135,12 +134,13 @@ class DirWLGraph:
     labels. ``succ`` is the plain-Python adjacency that pattern-side code
     reads; a host graph never builds it. ``_dp_index`` caches the DP's
     weight host over the graph and, on G's own extension, ``_two_hop``
-    the depth-2 host over G's n vertices (``fastdp``).
+    the depth-2 host over G's n vertices (``fastdp``); ``_wedges`` the
+    out-out wedge pairs per weight sum (``fraternal._wedge_pairs``).
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
                  "_arc_codes", "_reach_cache", "_fibers", "_dp_index",
-                 "_two_hop", "_succ")
+                 "_two_hop", "_succ", "_wedges")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
                  labels: Sequence[int] | np.ndarray | None = None):
@@ -196,6 +196,7 @@ class DirWLGraph:
         self._dp_index = None
         self._two_hop = None
         self._succ = None
+        self._wedges = {}
 
     @property
     def arc_count(self) -> int:

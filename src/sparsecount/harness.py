@@ -24,7 +24,8 @@ from .fraternal import enumerate_pattern_extensions
 from .graph_core import GraphFormatError, UndirectedGraph, load_edge_list
 from .hub_decomp import (find_width1_decomposition, hubset,
                          unique_reachability_graph)
-from .pattern_tools import licl, min_extension_depth, spasm
+from .pattern_tools import (licl, min_extension_depth, pendant_forest,
+                            spasm)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -107,6 +108,10 @@ class RunReport:
     delta_plus: int | None
     stage_timings_ms: dict = field(default_factory=dict)
     fallback: bool = False
+    # DPs run (one per class of each 2-core's Frat), and components
+    # counted by message passing alone; None: not measured
+    n_classes: int | None = None
+    trees: int | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -114,6 +119,8 @@ class RunReport:
             "licl": self.licl,
             "t": self.t,
             "n_extensions": self.n_extensions,
+            "n_classes": self.n_classes,
+            "trees": self.trees,
             "n": self.n,
             "m": self.m,
             "kappa": self.kappa,
@@ -133,17 +140,21 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
                   exact_fallback: bool = False) -> RunReport:
     """count_homomorphisms with the per-stage timings its components report.
 
-    With ``exact_fallback`` a NoWidth1Decomposition is answered by brute
-    force on hosts of at most BRUTE_FORCE_HOM_CAP vertices and re-raised
-    on larger ones. A fallback report holds only the brute-force timing
-    and leaves out the extension count and Delta+, which the failed run
-    never returned.
+    ``n_extensions`` and ``n_classes`` are summed over the components'
+    2-cores, whose Frat a count enumerates and runs one DP per class of;
+    ``trees`` counts the components that are trees, counted by message
+    passing alone with no DP (their pendant-tree weights are timed as
+    "dp"). With ``exact_fallback`` a NoWidth1Decomposition is answered by
+    brute force on hosts of at most BRUTE_FORCE_HOM_CAP vertices and
+    re-raised on larger ones. A fallback report holds only the
+    brute-force timing and leaves out the extension and class counts and
+    Delta+, which the failed run never returned.
     """
     base_licl = licl(h)
     depth = t if t is not None else min_extension_depth(base_licl)
     timings = {"host_extension": 0.0, "dp": 0.0}
     total = 1
-    n_ext = 0
+    n_ext = n_classes = trees = 0
     delta_plus = 0
     fallback = False
     try:
@@ -152,6 +163,8 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
             timings["host_extension"] += part.host_extension_ms
             timings["dp"] += part.dp_ms
             n_ext += part.n_extensions
+            n_classes += part.n_classes
+            trees += pendant_forest(hc).core is None
             delta_plus = max(delta_plus, part.delta_plus)
             total *= part.count
     except NoWidth1Decomposition:
@@ -168,10 +181,10 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
         t0 = time.perf_counter()
         total = brute_force_hom(g, h)
         timings = {"brute_force": (time.perf_counter() - t0) * 1e3}
-        n_ext = delta_plus = None
+        n_ext = n_classes = trees = delta_plus = None
     kappa = degeneracy_order(g).kappa
     return RunReport(total, base_licl, depth, n_ext, None, g.n, g.m,
-                     kappa, delta_plus, timings, fallback)
+                     kappa, delta_plus, timings, fallback, n_classes, trees)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +259,26 @@ def _cmd_analyze(args) -> int:
     depth = args.t if args.t is not None else t_min
     entries = spasm(h)
     extensions = enumerate_pattern_extensions(h, depth)
-    # a count runs one DP per class of each component at its own depth
-    parts = _component_patterns(h)
-    n_classes = 0
-    for hc in parts:
-        d = _component_depth(hc, args.t)
-        members = (extensions if len(parts) == 1 else
-                   enumerate_pattern_extensions(hc, d))
-        n_classes += len(frat_classes(members, hc, d))
+    # a count peels each component to its 2-core and runs one DP per
+    # class of the core's Frat at its own depth; a tree runs none
+    components = []
+    for hc in _component_patterns(h):
+        forest = pendant_forest(hc)
+        part = {"n": hc.n, "m": hc.m, "core_n": 0, "t": None,
+                "n_extensions": 0, "n_classes": 0,
+                "counted_by": "message passing"}
+        if forest.core is not None:
+            core = forest.core
+            d = _component_depth(core, args.t)
+            members = (extensions if core.n == h.n else
+                       enumerate_pattern_extensions(core, d))
+            part.update(core_n=core.n, t=d, n_extensions=len(members),
+                        n_classes=len(frat_classes(members, core, d,
+                                                   forest.colors)),
+                        counted_by="dp")
+        components.append(part)
+    n_ext = sum(c["n_extensions"] for c in components)
+    n_classes = sum(c["n_classes"] for c in components)
     witnesses = []
     for ext in extensions:
         tree = find_width1_decomposition(ext)
@@ -278,8 +303,10 @@ def _cmd_analyze(args) -> int:
         "spasm": [{"n": e.quotient.n,
                    "edges": e.quotient.edge_list(),
                    "coefficient": str(e.coefficient)} for e in entries],
-        "n_extensions": len(extensions),
+        "n_frat": len(extensions),
+        "n_extensions": n_ext,
         "n_classes": n_classes,
+        "components": components,
         "extensions": witnesses,
     }
     if args.json:
@@ -292,10 +319,20 @@ def _cmd_analyze(args) -> int:
     for e in entries:
         print(f"  {e.coefficient!s:>8}  *  Hom(G, quotient n={e.quotient.n} "
               f"edges={e.quotient.edge_list()})")
-    print(f"|Frat(H,{depth})| = {len(extensions)} in {n_classes} classes "
-          f"(one DP each)")
+    for i, c in enumerate(components):
+        line = (f"{c['n_extensions']} in {c['n_classes']} classes "
+                f"(one DP each)")
+        if c["core_n"] == h.n:
+            print(f"|Frat(H,{c['t']})| = {line}")
+        elif c["core_n"]:
+            print(f"component {i} (n={c['n']}): 2-core n={c['core_n']}, "
+                  f"|Frat(core,{c['t']})| = {line}")
+        else:
+            print(f"component {i} (n={c['n']}): a tree, counted by "
+                  f"message passing (no DP)")
     width1 = sum(1 for w in witnesses if w["width1"])
-    print(f"width-1 witnesses: {width1}/{len(witnesses)}")
+    print(f"width-1 witnesses: {width1}/{len(witnesses)} "
+          f"of |Frat(H,{depth})| = {len(extensions)}")
     for i, w in enumerate(witnesses):
         tree = w["tree"]
         shape = ("absent" if tree is None else

@@ -1,7 +1,8 @@
 """Static analysis of the constant-size pattern graph.
 
 Longest induced cycle, minimal extension depth, the spasm with exact
-rational coefficients, automorphisms, and acyclic orientations. Inputs
+rational coefficients, automorphisms, acyclic orientations, and the peel
+of a pattern's pendant trees down to its 2-core. Inputs
 here are pattern-sized (a dozen vertices at most), so exhaustive
 enumeration is the right tool; all arithmetic on spasm coefficients is
 exact rational, never floating point.
@@ -88,13 +89,80 @@ def connected_components(h: UndirectedGraph) -> list[frozenset]:
     return comps
 
 
-def _automorphism_chain(h: UndirectedGraph, arcs: frozenset = frozenset()
+@dataclass(frozen=True)
+class PendantForest:
+    """A connected pattern peeled leaf by leaf down to its 2-core.
+
+    ``peel`` lists each peeled leaf with its one remaining neighbour, in
+    peel order, so a leaf's own pendant children come before it.
+    ``core`` is the 2-core, its vertices ``core_vertices`` (ascending)
+    renumbered 0.., or None when the pattern is a tree; then
+    ``core_vertices`` holds the tree's last vertex, its root. ``colors``
+    gives each core vertex the rank of its rooted pendant forest's AHU
+    code among the core's codes, so two core vertices share a colour
+    exactly when isomorphic forests hang at them.
+    """
+
+    peel: tuple[tuple[int, int], ...]
+    core: UndirectedGraph | None
+    core_vertices: tuple[int, ...]
+    colors: tuple[int, ...]
+
+
+def pendant_forest(h: UndirectedGraph) -> PendantForest:
+    """The peel of the connected pattern h to its 2-core, cached per h.
+
+    A pendant tree has no induced cycle, so h and its 2-core have the
+    same longest induced cycle and need the same extension depth. The
+    AHU code of a rooted tree is the sorted tuple of its children's
+    codes (Aho, Hopcroft and Ullman), equal exactly for isomorphic
+    rooted trees; unlike ``canonical_form`` it has no size limit.
+    """
+    return _pendant_forest(h.n, tuple(h.edge_list()))
+
+
+@functools.lru_cache(maxsize=256)
+def _pendant_forest(n: int, edges: tuple) -> PendantForest:
+    h = UndirectedGraph(n, edges)
+    adj = [set(nb) for nb in h.adjacency_sets()]
+    kids: list[list[tuple]] = [[] for _ in range(n)]
+    leaves = [v for v in range(n) if len(adj[v]) == 1]
+    peel = []
+    while leaves:
+        u = leaves.pop()
+        if len(adj[u]) != 1:  # the last vertex of a tree
+            continue
+        p = adj[u].pop()
+        adj[p].discard(u)
+        peel.append((u, p))
+        kids[p].append(tuple(sorted(kids[u])))
+        if len(adj[p]) == 1:
+            leaves.append(p)
+    left = [v for v in range(n) if adj[v]]
+    codes = [tuple(sorted(kids[v])) for v in left]
+    ranks = {c: i for i, c in enumerate(sorted(set(codes)))}
+    core = None
+    if left:
+        index = {v: i for i, v in enumerate(left)}
+        core = UndirectedGraph(len(left), [
+            (index[a], index[b]) for a, b in edges
+            if a in index and b in index])
+    else:
+        left = [peel[-1][1] if peel else 0]
+    return PendantForest(tuple(peel), core, tuple(left),
+                         tuple(ranks[c] for c in codes))
+
+
+def _automorphism_chain(h: UndirectedGraph, arcs: frozenset = frozenset(),
+                        colors: tuple | None = None
                         ) -> tuple[list[list[int]], int]:
-    """Generators of the automorphisms of h that keep ``arcs``, from a
-    stabilizer chain, and the group's order.
+    """Generators of the automorphisms of h that keep ``arcs`` and
+    ``colors``, from a stabilizer chain, and the group's order.
 
     ``arcs`` is a set of directed pairs (a, b); an automorphism keeps it
-    when it maps every arc onto an arc. Level i fixes the first i
+    when it maps every arc onto an arc. ``colors`` gives each vertex a
+    colour (None: all alike), which an automorphism keeps when it maps
+    every vertex onto one of its colour. Level i fixes the first i
     vertices of a search order and asks, for each image c of the next
     vertex v, for one automorphism sending v to c; the backtracking
     stops at its first completion. The images that complete form v's
@@ -106,6 +174,7 @@ def _automorphism_chain(h: UndirectedGraph, arcs: frozenset = frozenset()
     n = h.n
     adj = h.adjacency_sets()
     deg = [len(adj[v]) for v in range(n)]
+    color = colors if colors is not None else (0,) * n
 
     # visit vertices so each one touches an already-placed vertex when the
     # graph allows it; that makes the adjacency filter bite early
@@ -128,7 +197,7 @@ def _automorphism_chain(h: UndirectedGraph, arcs: frozenset = frozenset()
 
     def fits(i: int, c: int) -> bool:
         v = order[i]
-        if used[c] or deg[c] != deg[v]:
+        if used[c] or deg[c] != deg[v] or color[c] != color[v]:
             return False
         return all((u in adj[v]) == (img[u] in adj[c])
                    and ((u, v) in arcs) == ((img[u], c) in arcs)
@@ -260,10 +329,11 @@ def _order(perm: tuple) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _fiber_tournament(n: int, edges: tuple, t: int) -> FiberTournament:
+def _fiber_tournament(n: int, edges: tuple, t: int,
+                      colors: tuple | None) -> FiberTournament:
     h = UndirectedGraph(n, edges)
     pairs = sorted(_vertical_pairs(h, t))
-    gens = automorphism_generators(h) if pairs else []
+    gens = _automorphism_chain(h, colors=colors)[0] if pairs else []
     # K: a subgroup no element of which swaps a vertical pair, grown
     # greedily from the chain's generators and their products, highest
     # element order first (for a cycle a rotation, so K is all of Z_k
@@ -283,11 +353,12 @@ def _fiber_tournament(n: int, edges: tuple, t: int) -> FiberTournament:
         if a < b and (a, b) not in arcs and (b, a) not in arcs:
             arcs.update(p for p in pairs if orbit[p] == orbit[(a, b)])
     arcs = frozenset(arcs)
-    gens, size = _automorphism_chain(h, arcs)
+    gens, size = _automorphism_chain(h, arcs, colors)
     return FiberTournament(arcs, tuple(tuple(g) for g in gens), size)
 
 
-def fiber_tournament(h: UndirectedGraph, t: int) -> FiberTournament:
+def fiber_tournament(h: UndirectedGraph, t: int,
+                     colors: tuple | None = None) -> FiberTournament:
     """The vertical-pair tournament of depth-t product extensions over h.
 
     tau is chosen so that Aut_tau(h) is large: take a subgroup K of
@@ -295,11 +366,15 @@ def fiber_tournament(h: UndirectedGraph, t: int) -> FiberTournament:
     orient one pair per K-orbit, the rest of the orbit following it. K
     is grown greedily, so it is not always the largest such subgroup;
     when nothing better is found it is trivial, which is still correct.
-    At depth 1 there are no vertical pairs and Aut_tau(h) = Aut(h). The
-    result is cached per (h, t), so the host extension and the grouping
-    of Frat(h, t) read the same tau.
+    At depth 1 there are no vertical pairs and Aut_tau(h) = Aut(h).
+    With ``colors`` (one per vertex, as ``PendantForest.colors`` gives a
+    2-core's vertices) only the automorphisms that keep every colour
+    count, both for K and for Aut_tau(h). The result is cached per
+    (h, t, colors), so the host extension and the grouping of Frat(h, t)
+    read the same tau.
     """
-    return _fiber_tournament(h.n, tuple(h.edge_list()), t)
+    return _fiber_tournament(h.n, tuple(h.edge_list()), t,
+                             None if colors is None else tuple(colors))
 
 
 def canonical_form(h: UndirectedGraph) -> tuple[int, int]:

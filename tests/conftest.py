@@ -51,6 +51,17 @@ def random_graph(n: int, p: float, rng: random.Random) -> UndirectedGraph:
                                if rng.random() < p])
 
 
+def fold_hosts() -> tuple:
+    """Small hosts for the pendant-tree differential tests: a sparse
+    degeneracy-2 graph, a dense random graph, K4, and C5 with a pendant
+    path and an isolated vertex (where a pendant weight reads 0)."""
+    from sparsecount.harness import generate_bounded_degeneracy
+
+    tailed = UndirectedGraph(8, cycle_graph(5).edge_list() + [(0, 5), (5, 6)])
+    return (generate_bounded_degeneracy(10, 2, 3),
+            random_graph(7, 0.5, random.Random(1)), complete_graph(4), tailed)
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------

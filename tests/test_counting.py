@@ -169,14 +169,16 @@ def test_lifted_and_exact_peel_extensions_agree(kind, n, seed, h, t):
         hosts = []
         real = counting.count_family
 
-        def family(hc, depth, host_ext):
+        def family(fold, depth, host_ext):
             hosts.append(host_ext)
-            return real(hc, depth, host_ext)
+            return real(fold, depth, host_ext)
 
         with mock.patch.object(counting, "count_family", family):
             assert counting._count_component(g, h, 1).count == via_own
         assert via_own == brute_force_hom(g, h)
-        assert [x.graph.n for x in hosts] == [own.graph.n] == [g.n]
+        # a tree is counted by message passing, with no family and no host
+        tree = h.m == h.n - 1
+        assert [x.graph.n for x in hosts] == ([] if tree else [g.n])
 
 
 @pytest.mark.parametrize("k", [7, 8, 9])
@@ -542,8 +544,8 @@ _FAN_HOST = DirWLGraph(112, [(v, 0, 1) for v in range(1, 102)]
     ([(1, 0)] + [(p, 0) for p in range(2, 12)],
      (1, *range(2, 12)), (-1,) + (0,) * 10, 101 ** 11 + 10),
     # root r=2 -> c=0 and r -> z=1, nine children p -> c: 101^9 per row
-    # from the lookups fits int64, times the 11 tail choices of z on u
-    # does not
+    # from the lookups fits int64, summed over the 11 choices of z on u
+    # it does not
     ([(2, 0), (2, 1)] + [(p, 0) for p in range(3, 12)],
      (2, *range(3, 12)), (-1,) + (0,) * 9, 101 ** 9 * 111 + 110),
     # child q=2 -> c=0 carries nine children: 101 rows of 101^9 each sum

@@ -252,11 +252,11 @@ def test_tournament_automorphisms_keep_the_host_extension():
 
 
 def test_host_extension_built_once_per_graph(monkeypatch):
-    # a depth-1 count runs on G's degeneracy DAG, built once per graph,
-    # and never touches G's cached extension; from depth 2 on, G's own
-    # extension is built once per graph with read-only arrays, a deeper
-    # request adds only the missing rounds, and every lifted product over
-    # G, such as the spasm quotients of a subgraph count, reads it
+    # G's own extension is built once per graph and per depth, with
+    # read-only arrays: depth 1 is its degeneracy DAG, a deeper request
+    # adds only the missing rounds to the deepest one cached, and every
+    # count at one depth over G, such as the spasm quotients of a
+    # subgraph count, reads the same object, also after a deeper count
     import sparsecount.fraternal as fraternal
     from sparsecount import (brute_force_sub, count_homomorphisms,
                              count_subgraphs)
@@ -280,30 +280,47 @@ def test_host_extension_built_once_per_graph(monkeypatch):
     g = random_graph(9, 0.45, random.Random(8))
     count_homomorphisms(g, cycle_graph(5))
     assert built == [(g, 0, 1)]  # G's layer 1 only, its peel
-    assert g._extension is None and not served
+    dag = optimal_extension(g, 1)
+    assert g._extension == (dag,) and served == [dag, dag]
     # Sub(C8) counts C8 and two quotients with a 6-cycle at depth 2; the
-    # other quotients count at depth 1
+    # other quotients count at depth 1, or by message passing
     assert count_subgraphs(g, cycle_graph(8)) == \
         brute_force_sub(g, cycle_graph(8))
-    assert [b for b in built if b[2] >= 2] == [(g, 0, 2)]
-    assert all(b == (g, 0, 1) for b in built if b[2] < 2)
-    assert built.count((g, 0, 1)) == 1  # every depth-1 quotient shares it
-    dag = optimal_extension(g, 1)
-    for arr in (dag.graph.src, dag.graph.dst, dag.graph.wgt, *dag.layers):
-        assert not arr.flags.writeable
-    assert len(served) == 3 and all(e is served[0] for e in served)
-    own = g._extension
-    for arr in (own.graph.src, own.graph.dst, own.graph.wgt, *own.layers):
-        assert not arr.flags.writeable
+    assert built == [(g, 0, 1), (g, 1, 2)]  # the DAG continued once
+    two = optimal_extension(g, 2)
+    assert g._extension == (dag, two) and two.layers[0] is dag.layers[0]
+    assert {id(e) for e in served} == {id(dag), id(two)}
+    assert sum(e is two for e in served) >= 3
+    for ext in (dag, two):
+        for arr in (ext.graph.src, ext.graph.dst, ext.graph.wgt,
+                    *ext.layers):
+            assert not arr.flags.writeable
     built.clear()
     count_homomorphisms(g, cycle_graph(6), t=3)
     assert built == [(g, 2, 3)]
-    count_homomorphisms(g, cycle_graph(7))  # depth 2 reads the depth-3 one
-    assert built == [(g, 2, 3)] and served[-1] is g._extension
-    assert g._extension.depth == 3
-    deep, n_served = g._extension, len(served)
+    count_homomorphisms(g, cycle_graph(7))  # depth 2 after a depth-3 count
+    assert built == [(g, 2, 3)] and served[-1] is two
+    assert g._extension[-1].depth == 3
     count_homomorphisms(g, cycle_graph(5))
-    assert g._extension is deep and len(served) == n_served
+    assert served[-1] is dag and len(g._extension) == 3
+
+
+def test_depth2_extension_and_index_shared_after_a_deeper_count():
+    # after G's extension to depth 3 is built, every depth-2 request
+    # returns one object and one two-hop index, equal to a fresh build
+    from sparsecount import UndirectedGraph, fastdp
+    from sparsecount.fraternal import _own_extension
+
+    g = random_graph(12, 0.4, random.Random(3))
+    deep = _own_extension(g, 3)
+    first, second = optimal_extension(g, 2), optimal_extension(g, 2)
+    assert first is second and deep.depth == 3 and first.depth == 2
+    index = fastdp.two_hop_index(first)
+    assert fastdp.two_hop_index(second) is index
+    fresh = optimal_extension(UndirectedGraph(g.n, g.edge_list()), 2)
+    assert (first.graph.src == fresh.graph.src).all()
+    assert (first.graph.wgt == fresh.graph.wgt).all()
+    assert (fastdp.two_hop_index(fresh).targets == index.targets).all()
 
 
 def test_lift_without_a_host_arc_raises():
@@ -311,7 +328,8 @@ def test_lift_without_a_host_arc_raises():
 
     g = cycle_graph(5)
     depth1 = optimal_extension(g, 1)
-    g._extension = FraternalExtension(depth1.graph, 2, depth1.layers * 2)
+    g._extension = (depth1, FraternalExtension(depth1.graph, 2,
+                                               depth1.layers * 2))
     with pytest.raises(ExtensionLiftError):
         optimal_extension(g, 2, pattern=path_graph(3))
 

@@ -171,8 +171,9 @@ def test_cli_analyze(tmp_path, capsys):
 
 @pytest.mark.parametrize("h, classes", [
     (disjoint_union(complete_graph(3), complete_graph(3)), 2),
-    # C6 at depth 2 (36 classes) beside K2 at depth 1 (1 class)
-    (disjoint_union(cycle_graph(6), path_graph(2)), 37),
+    # C6 at depth 2 (36 classes) beside K2, a tree, counted by message
+    # passing with no DP
+    (disjoint_union(cycle_graph(6), path_graph(2)), 36),
 ])
 def test_cli_analyze_classes_per_component(tmp_path, capsys, monkeypatch, h,
                                            classes):

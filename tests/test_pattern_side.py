@@ -86,7 +86,7 @@ def test_a_count_builds_no_succ_on_its_host(monkeypatch):
     real = fastdp.extension_count
 
     def recorded(pattern, tree, host):
-        hosts.append(host)
+        hosts.append(host.host)  # the WeightedHost a count passes
         return real(pattern, tree, host)
 
     monkeypatch.setattr(fastdp, "extension_count", recorded)

@@ -39,9 +39,10 @@ print(json.dumps({{"missing": missing,
 
 # Pattern-side counters summed over the three tiny instances. They depend
 # on the patterns alone, so a refactor that routes a count around a
-# wrapped function changes them.
-PATTERN_COUNTS = {"fraternal.n_frat": 1502, "hub_decomp.calls": 234,
-                  "fastdp.calls": 234, "hub_decomp.bags": 489,
+# wrapped function changes them. Sub(C6) enumerates the Frat of each
+# quotient's 2-core and runs 61 DPs; its tree quotients run none.
+PATTERN_COUNTS = {"fraternal.n_frat": 1466, "hub_decomp.calls": 213,
+                  "fastdp.calls": 213, "hub_decomp.bags": 454,
                   "counting.spasm_terms": 10}
 
 
