@@ -2,17 +2,19 @@
 
 Semantically identical to the dict-based generalized tree DP in
 ``counting``, kept as its oracle; rows of numpy arrays stand in for
-partial homomorphisms. Per bag, the root fiber is expanded chunk by
-chunk along the BFS spanning out-tree (CSR buckets keyed by (source,
-target label) with class-prefix counts, where a pattern arc reads a
-contiguous class range: weights 1..w on a weight host, arc classes on
-the depth-2 host over G's n vertices). Non-tree arcs are checked by
-scanning the same buckets (``_HostIndex.has_arcs``), at most Delta+
-gathers per row. Columns stop being carried as soon as nothing
-downstream reads them; a parent column whose last read is an expansion
-is dropped before that expansion gathers the others. Host-sized work is
-plain numpy; each bag's plan is compiled in plain Python from the
-pattern's ``succ`` adjacency.
+partial homomorphisms. Per bag, the root fiber is expanded along the
+BFS spanning out-tree (CSR buckets keyed by (source, target label) with
+class-prefix counts, where a pattern arc reads a contiguous class range:
+weights 1..w on a weight host, arc classes on the depth-2 host over G's
+n vertices), depth-first in blocks of at most ``ROW_BLOCK`` rows: a
+block runs through the remaining steps before the next one starts, so
+the rows alive at once are bounded by the block size and Delta+, not by
+the host's size. Non-tree arcs are checked by scanning the same buckets
+(``_HostIndex.has_arcs``), at most Delta+ gathers per row. Columns stop
+being carried as soon as nothing downstream reads them; a parent column
+whose last read is an expansion is dropped before that expansion
+gathers the others. Host-sized work is plain numpy; each bag's plan is
+compiled in plain Python from the pattern's ``succ`` adjacency.
 
 Every bag yields one ``_Table``: its rows' restrictions to the vertices
 it shares with its parent, packed into sorted int64 codes, with their
@@ -48,7 +50,7 @@ from .graph_core import DirWLGraph, UndirectedGraph, bfs_out_tree, plain_labels
 from .hub_decomp import HubTree, reach
 from .pattern_tools import PendantForest
 
-CHUNK_ROOTS = 1 << 16
+ROW_BLOCK = 1 << 15
 _I64_LIMIT = 2 ** 63 - 1
 
 
@@ -433,7 +435,7 @@ def _aggregate_table(key_chunks, val_chunks, n: int) -> _Table:
     return _Table(cs[starts], np.add.reduceat(vals[srt], starts), steps, n)
 
 
-def _key_matrix(state: _ChunkState, cols: tuple[int, ...]) -> np.ndarray:
+def _key_matrix(state: _BlockState, cols: tuple[int, ...]) -> np.ndarray:
     """The live rows' values at ``cols``, one row each; width 0 when
     ``cols`` is empty."""
     if not cols:
@@ -441,13 +443,19 @@ def _key_matrix(state: _ChunkState, cols: tuple[int, ...]) -> np.ndarray:
     return np.stack([state.cols[x] for x in cols], axis=1)
 
 
-class _ChunkState:
+class _BlockState:
     __slots__ = ("cols", "vals", "nrows")
 
-    def __init__(self, cols, vals):
+    def __init__(self, cols, vals, nrows):
         self.cols = cols
         self.vals = vals
-        self.nrows = 0
+        self.nrows = nrows
+
+    def rows(self, lo: int, hi: int) -> _BlockState:
+        """Rows lo..hi - 1 as views of this state's arrays."""
+        return _BlockState({x: col[lo:hi] for x, col in self.cols.items()},
+                           None if self.vals is None else self.vals[lo:hi],
+                           min(hi, self.nrows) - lo)
 
 
 def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
@@ -455,7 +463,17 @@ def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
     """Evaluate one bag into its table, keyed by ``plan.out_cols``.
 
     A vertex shared with the parent (in ``out_cols``) gets its weight
-    there, so its weight is not applied here."""
+    there, so its weight is not applied here.
+
+    The rows are walked depth-first in blocks, on an explicit stack: a
+    state of more than ``ROW_BLOCK`` rows (the root fiber, or what an
+    expansion leaves) is cut into ``ROW_BLOCK``-row slices, views of its
+    arrays, and each slice runs through the remaining slots and steps
+    before the next one starts. So no slot or expansion reads more than
+    ``ROW_BLOCK`` rows, and the live rows are at most len(steps) x
+    ``ROW_BLOCK`` x the widest class range's outdegree, plus the root
+    fiber and the child tables. Each finished block adds its keys and
+    values to the bag's chunks, which are aggregated once."""
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
     fiber = hidx.fibers.get(plan.root_label)
@@ -466,30 +484,27 @@ def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
     root_w = weights[0]
     steps = [(*step, w) for step, w in zip(plan.steps, weights[1:])]
 
-    for lo in range(0, fiber.size, CHUNK_ROOTS):
-        roots = fiber[lo:lo + CHUNK_ROOTS]
-        state = _ChunkState(cols={plan.order[0]: roots},
-                            vals=None if root_w is None else root_w[roots])
-        state.nrows = roots.shape[0]
-        if not _apply_slot(hidx, plan, tables, state, 1):
+    state = _BlockState({plan.order[0]: fiber},
+                        None if root_w is None else root_w[fiber], fiber.size)
+    # (a state, the steps it has run); slot i + 1 runs next on it
+    stack = [(state, 0)]
+    while stack:
+        state, i = stack.pop()
+        if state.nrows > ROW_BLOCK:
+            stack.extend((state.rows(lo, lo + ROW_BLOCK), i) for lo in
+                         reversed(range(0, state.nrows, ROW_BLOCK)))
+        elif not _apply_slot(hidx, plan, tables, state, i + 1):
             continue
-        dead = False
-        for i, step in enumerate(steps):
-            if not _expand(hidx, state, *step):
-                dead = True
-                break
-            if not _apply_slot(hidx, plan, tables, state, i + 2):
-                dead = True
-                break
-        if dead or state.nrows == 0:
-            continue
-        key_chunks.append(_key_matrix(state, plan.out_cols))
-        val_chunks.append(state.vals if state.vals is not None
-                          else np.ones(state.nrows, dtype=np.int64))
+        elif i == len(steps):
+            key_chunks.append(_key_matrix(state, plan.out_cols))
+            val_chunks.append(state.vals if state.vals is not None
+                              else np.ones(state.nrows, dtype=np.int64))
+        elif _expand(hidx, state, *steps[i]):
+            stack.append((state, i + 1))
     return _aggregate_table(key_chunks, val_chunks, hidx.n)
 
 
-def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
+def _expand(hidx: _HostIndex, state: _BlockState, v: int, p: int,
             lo: int, hi: int, lab: int, dying: tuple[int, ...],
             w: np.ndarray | None) -> bool:
     """Extend every row by each candidate image of v, times v's weight
@@ -518,7 +533,7 @@ def _expand(hidx: _HostIndex, state: _ChunkState, v: int, p: int,
 
 
 def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
-                state: _ChunkState, t_at: int) -> bool:
+                state: _BlockState, t_at: int) -> bool:
     slot = plan.slots[t_at]
     if slot.checks and state.nrows:
         mask = None

@@ -135,6 +135,14 @@ class RunReport:
         return json.dumps(payload)
 
 
+def _core_licl(parts: list[UndirectedGraph]) -> int:
+    """The longest induced cycle of the pattern whose connected
+    components are ``parts``, read from their 2-cores: an induced cycle
+    lies in its component's 2-core, and a tree has none."""
+    cores = (pendant_forest(hc).core for hc in parts)
+    return max((licl(core) for core in cores if core is not None), default=0)
+
+
 def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
                   t: int | None = None,
                   exact_fallback: bool = False) -> RunReport:
@@ -150,7 +158,8 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
     brute-force timing and leaves out the extension and class counts and
     Delta+, which the failed run never returned.
     """
-    base_licl = licl(h)
+    parts = _component_patterns(h)
+    base_licl = _core_licl(parts)
     depth = t if t is not None else min_extension_depth(base_licl)
     timings = {"host_extension": 0.0, "dp": 0.0}
     total = 1
@@ -158,7 +167,7 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
     delta_plus = 0
     fallback = False
     try:
-        for hc in _component_patterns(h):
+        for hc in parts:
             part = _count_component(g, hc, t)
             timings["host_extension"] += part.host_extension_ms
             timings["dp"] += part.dp_ms
@@ -234,7 +243,7 @@ def _cmd_count_sub(args) -> int:
         return EXIT_NO_DECOMPOSITION
     elapsed = (time.perf_counter() - t0) * 1e3
     if args.json:
-        base = licl(h)
+        base = _core_licl(_component_patterns(h))
         report = RunReport(value, base, min_extension_depth(base), None,
                            len(entries), g.n, g.m,
                            degeneracy_order(g).kappa, None,
@@ -254,15 +263,19 @@ def _dump_extension(ext) -> None:
 
 def _cmd_analyze(args) -> int:
     h = load_edge_list(args.pattern)
-    base = licl(h)
+    parts = _component_patterns(h)
+    base = _core_licl(parts)
     t_min = min_extension_depth(base)
     depth = args.t if args.t is not None else t_min
-    entries = spasm(h)
+    try:
+        entries, spasm_error = spasm(h), None
+    except ValueError as exc:  # past CANONICAL_SIZE_LIMIT vertices
+        entries, spasm_error = None, str(exc)
     extensions = enumerate_pattern_extensions(h, depth)
     # a count peels each component to its 2-core and runs one DP per
     # class of the core's Frat at its own depth; a tree runs none
     components = []
-    for hc in _component_patterns(h):
+    for hc in parts:
         forest = pendant_forest(hc)
         part = {"n": hc.n, "m": hc.m, "core_n": 0, "t": None,
                 "n_extensions": 0, "n_classes": 0,
@@ -300,9 +313,10 @@ def _cmd_analyze(args) -> int:
         "licl": base,
         "t_min": t_min,
         "t": depth,
-        "spasm": [{"n": e.quotient.n,
-                   "edges": e.quotient.edge_list(),
-                   "coefficient": str(e.coefficient)} for e in entries],
+        "spasm": None if entries is None else [
+            {"n": e.quotient.n, "edges": e.quotient.edge_list(),
+             "coefficient": str(e.coefficient)} for e in entries],
+        "spasm_error": spasm_error,
         "n_frat": len(extensions),
         "n_extensions": n_ext,
         "n_classes": n_classes,
@@ -315,10 +329,13 @@ def _cmd_analyze(args) -> int:
     print(f"pattern: n={h.n} m={h.m}")
     print(f"licl: {base}")
     print(f"t_min: {t_min}  (analyzing at t={depth})")
-    print(f"spasm ({len(entries)} classes):")
-    for e in entries:
-        print(f"  {e.coefficient!s:>8}  *  Hom(G, quotient n={e.quotient.n} "
-              f"edges={e.quotient.edge_list()})")
+    if entries is None:
+        print(f"spasm: not computed ({spasm_error})")
+    else:
+        print(f"spasm ({len(entries)} classes):")
+        for e in entries:
+            print(f"  {e.coefficient!s:>8}  *  Hom(G, quotient "
+                  f"n={e.quotient.n} edges={e.quotient.edge_list()})")
     for i, c in enumerate(components):
         line = (f"{c['n_extensions']} in {c['n_classes']} classes "
                 f"(one DP each)")

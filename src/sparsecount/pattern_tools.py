@@ -450,8 +450,15 @@ def spasm(h: UndirectedGraph) -> tuple[SpasmEntry, ...]:
     partition-lattice Moebius value prod_B (-1)^(|B|-1) (|B|-1)!, divided
     by |Aut(h)|; isomorphic quotients are merged and zero sums dropped.
     The result is cached per (h.n, edges), so a caller that sizes the
-    spasm before counting through it computes it once.
+    spasm before counting through it computes it once. Every spasm holds
+    h itself, whose canonical form is past reach beyond
+    CANONICAL_SIZE_LIMIT vertices, so such an h raises ValueError
+    before any partition is enumerated.
     """
+    if h.n > CANONICAL_SIZE_LIMIT:
+        raise ValueError(f"spasm needs canonical_form, limited to "
+                         f"{CANONICAL_SIZE_LIMIT} vertices; the pattern "
+                         f"has {h.n}")
     return _spasm(h.n, tuple(h.edge_list()))
 
 

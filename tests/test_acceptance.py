@@ -151,7 +151,8 @@ def test_acceptance_7_known_values():
 
 def test_acceptance_8_scaling_smoke():
     c5 = cycle_graph(5)
-    # warm the jit kernels outside the timed region
+    # count C5 once on a small host, so its pattern-side caches are
+    # filled outside the timed region
     warm = generate_bounded_degeneracy(200, 3, 1)
     count_homomorphisms(warm, c5)
     times = []

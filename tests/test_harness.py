@@ -156,6 +156,22 @@ def test_cli_count_sub_computes_the_spasm_once(tmp_path, capsys):
     assert pattern_tools._spasm.cache_info().misses == 1
 
 
+def test_cli_count_sub_past_the_canonical_limit(tmp_path, capsys,
+                                                monkeypatch):
+    # an 11-vertex pattern is refused before any partition of its
+    # vertices is enumerated
+    from sparsecount import pattern_tools
+
+    def refuse(n, adj):
+        raise AssertionError("a partition was enumerated")
+
+    monkeypatch.setattr(pattern_tools, "_independent_partitions", refuse)
+    host = _write(tmp_path, "k4.el", complete_graph(4))
+    pat = _write(tmp_path, "c11.el", cycle_graph(11))
+    assert cli_main(["count-sub", host, pat]) == 2
+    assert "limited to 10 vertices" in capsys.readouterr().err
+
+
 def test_cli_analyze(tmp_path, capsys):
     c9 = _write(tmp_path, "c9.el", cycle_graph(9))
     assert cli_main(["analyze", c9, "--t", "1", "--json"]) == 0

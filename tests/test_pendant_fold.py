@@ -229,3 +229,61 @@ def test_reports_count_what_runs(capsys, tmp_path):
             for c in payload["components"]] == \
         [(4, 9, "dp"), (0, 0, "message passing")]
     assert (payload["n_extensions"], payload["n_classes"]) == (14, 9)
+
+
+@pytest.mark.parametrize("h", [
+    cycle_graph(5), C5_TAIL3, disjoint_union(cycle_graph(6), path_graph(2)),
+    TREE16])
+def test_report_licl_read_from_the_cores(h, monkeypatch):
+    # the report's licl and t are those of the whole pattern, but licl
+    # only ever runs on a 2-core, and not at all on a tree
+    from sparsecount import harness
+    from sparsecount.pattern_tools import licl, min_extension_depth
+
+    want = licl(h)
+    cores = [pendant_forest(hc).core for hc in counting._component_patterns(h)]
+    largest = max((c.n for c in cores if c is not None), default=0)
+    sizes = []
+    real = harness.licl
+
+    def tracked(p):
+        sizes.append(p.n)
+        return real(p)
+
+    monkeypatch.setattr(harness, "licl", tracked)
+    g = generate_bounded_degeneracy(20, 3, 1)
+    report = run_count_hom(g, h)
+    assert (report.licl, report.t) == (want, min_extension_depth(want))
+    assert report.count == count_homomorphisms(g, h)
+    assert all(n <= largest for n in sizes)
+    assert sizes or largest == 0
+
+
+def test_analyze_a_pattern_past_the_canonical_limit(tmp_path, capsys,
+                                                   monkeypatch):
+    # every spasm holds the pattern itself, past canonical_form's limit
+    # here: analyze reports no spasm, without canonicalizing anything,
+    # and keeps its component and witness output
+    from sparsecount import pattern_tools
+
+    def refuse(h):
+        raise AssertionError("canonical_form ran")
+
+    monkeypatch.setattr(pattern_tools, "canonical_form", refuse)
+    path = tmp_path / "tree.el"
+    save_edge_list(TREE16, path)
+    assert cli_main(["analyze", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["spasm"] is None
+    assert "limited to 10 vertices" in payload["spasm_error"]
+    assert payload["licl"] == 0
+    assert payload["components"] == [{
+        "n": 16, "m": 15, "core_n": 0, "t": None, "n_extensions": 0,
+        "n_classes": 0, "counted_by": "message passing"}]
+    assert len(payload["extensions"]) == payload["n_frat"] == 2 ** 15
+    path11 = tmp_path / "p11.el"
+    save_edge_list(path_graph(11), path11)
+    assert cli_main(["analyze", str(path11)]) == 0
+    out = capsys.readouterr().out
+    assert "spasm: not computed" in out
+    assert "a tree, counted by message passing (no DP)" in out
