@@ -3,18 +3,20 @@
 Semantically identical to the dict-based generalized tree DP in
 ``counting``, kept as its oracle; rows of numpy arrays stand in for
 partial homomorphisms. Per bag, the root fiber is expanded along the
-BFS spanning out-tree (CSR buckets keyed by (source, target label) with
-class-prefix counts, where a pattern arc reads a contiguous class range:
-weights 1..w on a weight host, arc classes on the depth-2 host over G's
-n vertices), depth-first in blocks of at most ``ROW_BLOCK`` rows: a
-block runs through the remaining steps before the next one starts, so
-the rows alive at once are bounded by the block size and Delta+, not by
-the host's size. Non-tree arcs are checked by scanning the same buckets
-(``_HostIndex.has_arcs``), at most Delta+ gathers per row. Columns stop
-being carried as soon as nothing downstream reads them; a parent column
-whose last read is an expansion is dropped before that expansion
-gathers the others. Host-sized work is plain numpy; each bag's plan is
-compiled in plain Python from the pattern's ``succ`` adjacency.
+BFS spanning out-tree, depth-first in blocks of at most ``ROW_BLOCK``
+rows: a block runs through the remaining steps before the next one
+starts, so the rows alive at once are bounded by the block size and
+Delta+, not by the host's size. A pattern arc reads a contiguous class
+range of host arcs (weights 1..w on a weight host, arc classes on the
+depth-2 host over G's n vertices), held as a table padded to the
+range's width D <= Delta+ per (source, target label) bucket
+(``_HostIndex.padded``): an expansion gathers each row's bucket in one
+take, and a non-tree arc is checked with D column gathers per row
+(``_HostIndex.has_arcs``). Columns stop being carried as soon as
+nothing downstream reads them; a parent column whose last read is an
+expansion is dropped before that expansion gathers the others.
+Host-sized work is plain numpy; each bag's plan is compiled in plain
+Python from the pattern's ``succ`` adjacency.
 
 Every bag yields one ``_Table``: its rows' restrictions to the vertices
 it shares with its parent, packed into sorted int64 codes, with their
@@ -110,18 +112,26 @@ def weighted_total(w: np.ndarray | None, n: int) -> int:
 
 
 class _HostIndex:
-    """CSR over (source, target-label) buckets with class-prefix counts.
+    """Padded out-arc tables over (source, target-label) buckets, one per
+    class range: the ELLPACK layout (Bell and Garland, SC 2009).
 
     Every arc has a class from 1 to ``ncls``: its weight on a weight
-    host, or its arc class on the two-hop host (``two_hop_index``). Each
-    bucket lists its arcs sorted by (class, target), so the arcs of class
-    lo..hi are a run of ``targets``: for lo = 1 it starts at
-    ``bucket_start`` and holds ``cnt_upto[hi - 1]`` arcs. For lo > 1,
-    the run's starts and its prefix counts from class lo are tabled on
-    first use (``_runs``), so every range costs the same two gathers. A
-    grid past ``MAX_BUCKETS`` is refused; only a lifted product extension
-    (t >= 3), with k * n vertices x k labels, can reach it: the depth-1
-    and depth-2 hosts have G's n vertices and one label, n buckets.
+    host, or its arc class on the two-hop host (``two_hop_index``). A
+    bucket is a source and a target label, ``src * k + label``; with one
+    label (k = 1, every host at depths 1 and 2) it is the source itself.
+    ``padded(lo, hi)`` lists, per bucket, its arcs of class lo..hi in
+    (class, target) order, padded with -1 to the range's width D, the
+    largest such count; D is at most Delta+, since G's extension is
+    oriented by degeneracy. A range is built on first use from the arcs
+    sorted by (bucket, class, target) and kept twice, row-major (buckets
+    x D) for ``_expand`` and as its contiguous transpose (D x buckets)
+    for ``has_arcs``: 2 x buckets x D x 4 bytes per range. A host whose
+    buckets x D is far above its arc count (n x Delta+ >> m: a few wide
+    buckets among many narrow ones) pays for that padding: a known
+    limit, left open. A grid past ``MAX_BUCKETS`` is refused; only a
+    lifted product extension (t >= 3), with k * n vertices x k labels,
+    can reach it: the depth-1 and depth-2 hosts have G's n vertices and
+    one label, n buckets.
     """
 
     # (vertices x labels) bucket grid; a larger one is refused
@@ -139,48 +149,48 @@ class _HostIndex:
                              f"{self.MAX_BUCKETS}")
         bucket = src * self.k + labels[dst] if self.k > 1 else src
         order = np.lexsort((dst, cls, bucket))
-        self.targets = dst[order].astype(np.int32)
-        bsorted = bucket[order]
-        csorted = cls[order]
-        counts = np.bincount(bsorted, minlength=nb)
-        self.bucket_start = np.zeros(nb + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.bucket_start[1:])
-        self.cnt_upto = np.zeros((self.tmax, nb), dtype=np.int32)
-        for c in range(1, self.tmax + 1):
-            self.cnt_upto[c - 1] = np.bincount(bsorted[csorted <= c],
-                                               minlength=nb)
+        # int32 holds every bucket id, since MAX_BUCKETS < 2**31
+        self._arcs = tuple(arr[order].astype(np.int32)
+                           for arr in (bucket, cls, dst))
         self.fibers = {lab: arr.astype(np.int32)
                        for lab, arr in fibers.items()}
-        self._runs = {1: (self.bucket_start, self.cnt_upto)}
+        self._padded: dict[tuple[int, int], tuple] = {}
 
-    def bucket_counts(self, verts: np.ndarray, lo: int, hi: int, lab: int):
-        """Per vertex: its ``lab`` bucket and how many arcs of class lo..hi
-        it holds, with the table whose entry at the bucket is where they
-        start in ``targets``."""
-        runs = self._runs.get(lo)
-        if runs is None:
-            skip = self.cnt_upto[lo - 2]
-            runs = self._runs[lo] = (self.bucket_start[:-1] + skip,
-                                     self.cnt_upto[lo - 1:] - skip)
-        starts, upto = runs
-        bucket = verts.astype(np.int64) * self.k + lab
-        return starts, bucket, upto[min(hi, self.tmax) - lo, bucket]
+    def padded(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The int32 table of class range lo..hi, (buckets x D) row-major,
+        and its contiguous transpose: row x lists bucket x's arcs of the
+        range, by (class, target), then -1."""
+        key = (lo, min(hi, self.tmax))
+        got = self._padded.get(key)
+        if got is None:
+            bucket, cls, dst = self._arcs
+            keep = (cls >= lo) & (cls <= key[1])
+            bucket, dst = bucket[keep], dst[keep]
+            counts = np.bincount(bucket, minlength=self.n * self.k)
+            rows = np.full((counts.size, int(counts.max(initial=0))), -1,
+                           dtype=np.int32)
+            first = np.cumsum(counts) - counts
+            rows[bucket, np.arange(bucket.size) - first[bucket]] = dst
+            got = self._padded[key] = (rows, np.ascontiguousarray(rows.T))
+        return got
+
+    def bucket(self, verts: np.ndarray, lab: int) -> np.ndarray:
+        """Each vertex's ``lab`` bucket: the vertex itself when k = 1."""
+        return verts if self.k == 1 else verts.astype(np.int64) * self.k + lab
 
     def has_arcs(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int,
                  lab_b: int) -> np.ndarray:
         """Per row: is there a host arc a -> b of class lo..hi?
 
-        ``lab_b`` is the label of every b. Scans a's bucket one position
-        at a time, so a row costs at most Delta+ gathers. Past a row's
-        count a position holds some other arc (or, clipped, the last
-        one) and is masked out.
+        ``lab_b`` is the label of every b. Gathers a's bucket from each of
+        the range's D columns and compares it with b, so a row costs D
+        gathers, at most Delta+; the padding, -1, matches no vertex, so
+        no count mask is needed.
         """
-        starts, bucket, cnt = self.bucket_counts(a, lo, hi, lab_b)
-        start = starts[bucket]
+        bucket = self.bucket(a, lab_b)
         found = np.zeros(a.shape[0], dtype=bool)
-        for j in range(int(cnt.max(initial=0))):
-            found |= (cnt > j) & (self.targets.take(start + j, mode="clip")
-                                  == b)
+        for col in self.padded(lo, hi)[1]:
+            found |= col.take(bucket) == b
         return found
 
 
@@ -509,18 +519,22 @@ def _expand(hidx: _HostIndex, state: _BlockState, v: int, p: int,
             w: np.ndarray | None) -> bool:
     """Extend every row by each candidate image of v, times v's weight
     ``w`` there (None: 1); the ``dying`` columns, read last here, are
-    dropped before the gather."""
-    starts, bucket, cnt = hidx.bucket_counts(state.cols[p], lo, hi, lab)
-    offs = np.cumsum(cnt, dtype=np.int64)
-    ntotal = int(offs[-1]) if cnt.size else 0
-    if ntotal == 0:
+    dropped before the gather. The candidates are the rows of p's
+    buckets in the range's padded table, one ``take``; the new rows
+    keep the parent rows' order, and within a row the bucket's (class,
+    target) order."""
+    rows = hidx.padded(lo, hi)[0]
+    width = rows.shape[1]
+    if width == 0:
+        return False
+    cand = rows.take(hidx.bucket(state.cols[p], lab), axis=0).ravel()
+    keep = np.flatnonzero(cand >= 0)
+    if keep.size == 0:
         return False
     for x in dying:
         del state.cols[x]
-    ridx = np.repeat(np.arange(cnt.size), cnt)
-    # row r's entries sit at its run start + (i - first output index of r)
-    shift = starts[bucket] - (offs - cnt)
-    newcol = hidx.targets[np.arange(ntotal, dtype=np.int64) + shift[ridx]]
+    ridx = keep // width
+    newcol = cand[keep]
     for key in list(state.cols):
         state.cols[key] = state.cols[key][ridx]
     if state.vals is not None:
@@ -528,7 +542,7 @@ def _expand(hidx: _HostIndex, state: _BlockState, v: int, p: int,
     if w is not None:
         state.vals = _times(state.vals, w[newcol])
     state.cols[v] = newcol
-    state.nrows = ntotal
+    state.nrows = keep.size
     return True
 
 
@@ -595,7 +609,8 @@ def extension_count(pattern, tree: HubTree,
     reached by two bags is reached by every bag between them. Raises
     ValueError when the host's (vertex x label) bucket grid is past
     ``_HostIndex.MAX_BUCKETS``, which only a lifted extension (t >= 3)
-    can reach.
+    can reach; each class range the count reads then holds 2 x buckets x
+    D int32 entries, D its widest bucket.
     """
     if not isinstance(host, WeightedHost):
         host = WeightedHost(host, (None,) * pattern.n)

@@ -8,6 +8,8 @@ k * n-vertex ``optimal_extension(g, 2, pattern=h)`` it replaces, and the
 totals with the peeled materialized product and brute force.
 """
 
+import numpy as np
+
 from sparsecount import (UndirectedGraph, brute_force_hom, count_hom_extension,
                          count_homomorphisms, enumerate_pattern_extensions,
                          fastdp, label_pattern, optimal_extension)
@@ -107,12 +109,10 @@ def test_two_hop_index_classes():
     want |= {(x, y, 3) for x, y in ext.layers[1].tolist()}
     want |= {(x, x, 4) for x in parents}
     got = set()
-    for x in range(g.n):
-        first = int(hidx.bucket_start[x])
-        upto = [0] + hidx.cnt_upto[:, x].tolist()
-        for cls in range(1, 5):
-            got |= {(x, y, cls) for y in hidx.targets[
-                first + upto[cls - 1]:first + upto[cls]].tolist()}
+    for cls in range(1, 5):
+        rows = hidx.padded(cls, cls)[0].tolist()
+        for x in range(g.n):
+            got |= {(x, y, cls) for y in rows[x] if y >= 0}
     assert got == want
     assert {c for *_, c in want} == {1, 2, 3, 4}
 
@@ -126,5 +126,7 @@ def test_two_hop_index_reads_only_layers_one_and_two():
         deep = optimal_extension(fresh, 3)
         assert deep.depth == 3 and optimal_extension(fresh, 2).depth == 2
         a, b = fastdp.two_hop_index(two), fastdp.two_hop_index(deep)
-        assert (a.targets == b.targets).all()
-        assert (a.cnt_upto == b.cnt_upto).all()
+        for lo in range(1, 5):
+            for hi in range(lo, 5):
+                assert np.array_equal(a.padded(lo, hi)[0],
+                                      b.padded(lo, hi)[0])
