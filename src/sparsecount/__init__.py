@@ -5,8 +5,10 @@ vector over the host's vertices by message passing (a tree is counted
 by that alone), then count the 2-core with those vertex weights. At
 depth 1, count every acyclic orientation of the core on the host's own
 degeneracy DAG; from depth 2 on, close out-out wedges into weighted
-fraternal extension layers of the pattern-labeled product host, each
-lifted from the host's own extension without building the product.
+fraternal extension layers of the host and of the core, and count each
+core extension on the host's own extension, over its n vertices, with
+its arcs classed by signature so that each stands in for the arcs of
+the pattern-labeled product's extension over it.
 Each pattern extension gets a width-1 hub-tree decomposition, and the
 generalized tree DP counts it.
 Subgraph counts come from the exact rational spasm combination of
@@ -19,8 +21,8 @@ from .counting import (CountDict, HomMap, NoWidth1Decomposition,
                        count_homomorphisms, count_subgraphs,
                        enumerate_root_homs)
 from .degeneracy import DegeneracyOrder, degeneracy_order, degeneracy_orient
-from .fraternal import (ExtensionBlowupError, ExtensionLiftError,
-                        FraternalExtension, PatternExtension,
+from .fraternal import (ExtensionBlowupError, FraternalExtension,
+                        PatternExtension,
                         enumerate_pattern_extensions, extension_edges,
                         optimal_extension, validate_fraternity)
 from .graph_core import (DirWLGraph, GraphFormatError, UndirectedGraph,
@@ -36,7 +38,7 @@ from .pattern_tools import (FiberTournament, PendantForest, SpasmEntry,
                             automorphism_generators, canonical_form,
                             connected_components, fiber_tournament, licl,
                             min_extension_depth, pendant_forest, spasm)
-from .product import LabeledPattern, label_pattern, pattern_product
+from .product import pattern_product
 
 __version__ = "0.1.0"
 

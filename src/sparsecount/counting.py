@@ -6,7 +6,10 @@ into vertex weights, host extension, pattern extension family of the
 ``count_subgraphs`` reduces subgraph counts to it through the spasm.
 ``count_family`` runs one DP per Aut_tau orbit of Frat(core, t) and
 weights it by the orbit size (``frat_classes`` says why orbits count
-alike).
+alike). Every DP runs on G's n vertices with unlabeled members: on G's
+degeneracy DAG at depth 1, and from depth 2 on on the signature host of
+G's own extension (``fastdp.signature_index``), which stands in for the
+extension of the labeled product H^L x G without building either.
 Oracles live here too, so every fast path has an exhaustive
 counterpart: ``enumerate_root_homs`` lists the label/weight/arc-respecting
 homomorphisms of a reachable sub-pattern, ``bressan_count`` is the
@@ -21,8 +24,6 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from . import fastdp
 from .fraternal import (FraternalExtension, PatternExtension,
                         enumerate_pattern_extensions, optimal_extension)
@@ -33,7 +34,6 @@ from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
 from .pattern_tools import (automorphism_count, connected_components,
                             fiber_tournament, licl, min_extension_depth,
                             orbit_roots, pendant_forest, spasm)
-from .product import label_pattern
 
 BRUTE_FORCE_HOM_CAP = 32  # host vertices brute_force_hom accepts by default
 
@@ -181,18 +181,18 @@ def bressan_count(pattern, tree: HubTree, bag: int,
 
 
 def count_hom_extension(pattern_ext: PatternExtension | FraternalExtension,
-                        host: FraternalExtension | fastdp.TwoHopHost
+                        host: FraternalExtension | fastdp.SignatureHost
                         | fastdp.WeightedHost) -> int:
-    """Weighted/labeled Hom(host, pattern_ext) via the width-1 DP.
+    """Weighted Hom(host, pattern_ext) via the width-1 DP.
 
     Runs ``fastdp.extension_count`` on a width-1 hub-tree decomposition
     of the pattern extension. A ``PatternExtension`` is passed as it is,
     so no pattern graph is built; a ``FraternalExtension`` passes its
     graph. ``host`` is a host extension, read as a weight host, the
-    ``fastdp.TwoHopHost`` of a depth-2 count, or either one with the
-    vertex weights of folded pendant trees (``fastdp.WeightedHost``, what
-    ``count_family`` passes). Raises NoWidth1Decomposition when no such
-    decomposition exists.
+    ``fastdp.SignatureHost`` of a count at depth t >= 2, or either one
+    with the vertex weights of folded pendant trees
+    (``fastdp.WeightedHost``, what ``count_family`` passes). Raises
+    NoWidth1Decomposition when no such decomposition exists.
     """
     pattern = (pattern_ext if isinstance(pattern_ext, PatternExtension)
                else pattern_ext.graph)
@@ -225,18 +225,14 @@ def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
     colors)``): relabeling a member by such an automorphism s leaves its
     count unchanged. With ``colors``, h is a 2-core whose vertices carry
     the weights of their folded pendant trees, and s keeps every colour,
-    so it keeps the weights too. At depth 1 the members are unlabeled
-    and the host is G's own DAG, so a relabeled member is an isomorphic
-    pattern, and the group is all of Aut(h) that keeps the colours
-    (there are no vertical pairs). From depth 2 on, every layer of the
-    lifted product extension follows G (its arcs depend only on the host
-    coordinate) except the vertical pairs, which tau orients and s
-    keeps, so <u,v> -> <s(u),v> is an automorphism of the labeled host
-    extension. At depth 2 the members are unlabeled and counted on G's n
-    vertices, where an arc (a, b, w) reads a class range that depends
-    only on w and on whether tau orients a -> b (``fastdp.TwoHopHost``);
-    s keeps both, so a relabeled member reads the same ranges.
-    Members are keyed by their sorted (src, dst, weight) arc tuples, so
+    so it keeps the weights too. At depth 1 the host is G's own DAG, so
+    a relabeled member is an isomorphic pattern, and the group is all of
+    Aut(h) that keeps the colours (there are no vertical pairs). From
+    depth 2 on a member arc (a, b, w) reads the host classes
+    {s : 1 <= F_t[s][a, b] <= w} (``fastdp.SignatureHost``), and F_t is
+    built from h's edges and tau alone, both of which s keeps: so
+    F_t[s][s(a), s(b)] = F_t[s][a, b], and a relabeled member reads the
+    same classes. Members are keyed by their sorted (src, dst, weight) arc tuples, so
     no member graph is built. Classes are ordered by, and list first,
     their first member in enumeration order.
     """
@@ -289,31 +285,25 @@ def count_family(fold: Fold, depth: int,
     that keep the core's colours), in the calling thread, and weights it
     by the class size. Each class's first member is counted from its arc
     tuple's plain-Python ``succ``; no pattern graph is built. Every DP
-    runs on a ``fastdp.WeightedHost`` carrying the fold's weights.
-    ``host_ext`` is G's own ``optimal_extension(g, depth)`` at depths 1
-    and 2, whose members are unlabeled, and the lifted
-    ``optimal_extension(g, depth, pattern=core, colors=colors)`` from
-    depth 3 on, whose members are labeled by core vertex and whose
-    weights are lifted to its k * n vertices (<u,v> = u * n + v). At
-    depth 1 a label-respecting hom of an orientation P of the core into
-    the lifted product's layer 1 is exactly a hom of P into G's
-    degeneracy DAG. At depth 2 the DPs run on ``fastdp.two_hop_index``
-    of G's extension, over G's n vertices, with the tau of
-    ``fiber_tournament(core, 2, colors)``: the product's round-2 pairs
-    factor into an H-side and a G-side condition, so every member counts
-    there what its labeled twin counts on the lifted extension.
+    runs on a ``fastdp.WeightedHost`` carrying the fold's weights, over
+    G's n vertices, with unlabeled members. ``host_ext`` is G's own
+    ``optimal_extension(g, depth)``. At depth 1 the DPs run on its
+    degeneracy DAG: a label-respecting hom of an orientation P of the
+    core into the product's layer 1 is exactly a hom of P into that DAG.
+    From depth 2 on they run on its ``fastdp.signature_index``, with the
+    tau of ``fiber_tournament(core, depth, colors)``: the product's
+    rounds factor into a G-side signature and an H-side weight per
+    signature, so every member counts there what its labeled twin counts
+    on the k * n-vertex product extension.
     """
     core, colors, weights = fold
-    members = enumerate_pattern_extensions(
-        core if depth <= 2 else label_pattern(core), depth)
+    members = enumerate_pattern_extensions(core, depth)
     classes = frat_classes(members, core, depth, colors)
     host = host_ext.graph
-    if depth == 2:
-        host = fastdp.TwoHopHost(fastdp.two_hop_index(host_ext),
-                                 fiber_tournament(core, 2, colors).arcs)
-    elif depth > 2:
-        weights = tuple(None if w is None else np.tile(w, core.n)
-                        for w in weights)
+    if depth >= 2:
+        sig = fastdp.signature_index(host_ext)
+        host = fastdp.SignatureHost(sig.index, fastdp.class_weights(
+            sig, core, fiber_tournament(core, depth, colors).arcs))
     host = fastdp.WeightedHost(host, weights)
     total = sum(count_hom_extension(members[c[0]], host) * len(c)
                 for c in classes)
@@ -323,16 +313,19 @@ def count_family(fold: Fold, depth: int,
 class ComponentCount(NamedTuple):
     """One connected pattern's count and what its run measured.
 
-    A tree is counted by message passing alone: it reads 0 extensions, 0
-    classes and Delta+ 0, since it enumerates no Frat member and builds
-    no host extension, and its message passing is timed as ``dp_ms``.
+    Every count runs on G's n vertices, so ``delta_plus`` is the max
+    outdegree of G's own extension at the component's depth, the paper's
+    class parameter, at every depth. A tree is counted by message
+    passing alone: it reads 0 extensions, 0 classes and Delta+ 0, since
+    it enumerates no Frat member and builds no host extension, and its
+    message passing is timed as ``dp_ms``.
     """
 
     count: int
     n_extensions: int      # |Frat(core, depth)| of the 2-core
     n_classes: int         # DPs run, one per class
-    delta_plus: int        # max out-degree of the host extension; at
-    #                        depth 2 of G's own, without the index's loops
+    delta_plus: int        # max out-degree of G's own extension at the
+    #                        depth, without the signature index's loops
     host_extension_ms: float
     dp_ms: float
 
@@ -353,10 +346,7 @@ def _count_component(g: UndirectedGraph, hc: UndirectedGraph,
                               (time.perf_counter() - t0) * 1e3)
     depth = _component_depth(fold.core, t)
     t1 = time.perf_counter()
-    # depths 1 and 2 keep no fibers apart: the host is G's own extension
-    host_ext = optimal_extension(
-        g, depth, pattern=None if depth <= 2 else fold.core,
-        colors=fold.colors)
+    host_ext = optimal_extension(g, depth)
     t2 = time.perf_counter()
     family = count_family(fold, depth, host_ext)
     t3 = time.perf_counter()
@@ -377,15 +367,13 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     core it builds the host extension and the pattern extension family
     at depth t (defaulting to the minimal depth for the pattern's
     longest induced cycle, which its pendant trees never raise), then
-    sums the weighted per-extension DP counts. At depth 1 the host
-    is G's own degeneracy DAG on its n vertices and the members are the
-    unlabeled acyclic orientations of h. At depth 2 the host is G's own
-    extension to depth 2, still on its n vertices, indexed with four arc
-    classes that stand in for the labeled product's round-2 pairs, and
-    the members stay unlabeled. From depth 3 on the host is the
-    extension of the labeled product h^L x G, lifted from G's own
-    extension without building the product, and the members carry
-    their pattern vertex as label. The DP runs once per Aut_tau orbit
+    sums the weighted per-extension DP counts. Every host is on G's n
+    vertices and every member is unlabeled. At depth 1 the host is G's
+    own degeneracy DAG and the members are the acyclic orientations of
+    h. From depth t = 2 on the host is G's own extension to depth t,
+    whose arcs and loops are classed by signature so that each class
+    stands in for the labeled product h^L x G's arcs over it
+    (``fastdp.signature_index``); the product is never built. The DP runs once per Aut_tau orbit
     of the core's extensions, since relabeled members count alike, where
     Aut_tau keeps the tournament and every core vertex's pendant forest:
     at depth 1 Aut_tau is all of Aut(h) for an h with no pendant tree (3
@@ -499,9 +487,7 @@ def brute_force_hom_wl(host: DirWLGraph, pattern: DirWLGraph,
     for u, v, w in zip(host.src, host.dst, host.wgt):
         out_w[u][int(v)] = int(w)
         in_w[v][int(u)] = int(w)
-    fibers = {}
-    for x in range(host.n):
-        fibers.setdefault(int(host.labels[x]), set()).add(x)
+    fibers = {lab: set(grp.tolist()) for lab, grp in host.fibers().items()}
     padj = [set() for _ in range(pattern.n)]
     arc_w = {}
     for a, b, w in zip(pattern.src, pattern.dst, pattern.wgt):

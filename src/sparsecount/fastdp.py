@@ -6,15 +6,17 @@ partial homomorphisms. Per bag, the root fiber is expanded along the
 BFS spanning out-tree, depth-first in blocks of at most ``ROW_BLOCK``
 rows: a block runs through the remaining steps before the next one
 starts, so the rows alive at once are bounded by the block size and
-Delta+, not by the host's size. A pattern arc reads a contiguous class
-range of host arcs (weights 1..w on a weight host, arc classes on the
-depth-2 host over G's n vertices), held as a table padded to the
-range's width D <= Delta+ per (source, target label) bucket
-(``_HostIndex.padded``): an expansion gathers each row's bucket in one
-take, and a non-tree arc is checked with D column gathers per row
-(``_HostIndex.has_arcs``). Columns stop being carried as soon as
-nothing downstream reads them; a parent column whose last read is an
-expansion is dropped before that expansion gathers the others.
+Delta+, not by the host's size. There is one host kind: G's n vertices
+with one label, so every root fiber is all n vertices. A pattern arc
+reads a set of host arc classes (weights 1..w on a weight host;
+signatures on the host of a count at depth t >= 2,
+``signature_index``), held as a table padded to the set's width
+D <= Delta+ (plus a loop) per source vertex (``_HostIndex.padded``):
+an expansion gathers each row's source in one take, and a non-tree arc
+is checked with D column gathers per row (``_HostIndex.has_arcs``).
+Columns stop being carried as soon as nothing downstream reads them; a
+parent column whose last read is an expansion is dropped before that
+expansion gathers the others.
 Host-sized work is plain numpy; each bag's plan is compiled in plain
 Python from the pattern's ``succ`` adjacency.
 
@@ -47,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fraternal import FraternalExtension, _wedge_pairs
-from .graph_core import DirWLGraph, UndirectedGraph, bfs_out_tree, plain_labels
+from .fraternal import FraternalExtension, _sorted_unique
+from .graph_core import DirWLGraph, UndirectedGraph, bfs_out_tree
 from .hub_decomp import HubTree, reach
 from .pattern_tools import PendantForest
 
@@ -112,85 +114,64 @@ def weighted_total(w: np.ndarray | None, n: int) -> int:
 
 
 class _HostIndex:
-    """Padded out-arc tables over (source, target-label) buckets, one per
-    class range: the ELLPACK layout (Bell and Garland, SC 2009).
+    """Padded out-arc tables over G's n vertices, one per class set: the
+    ELLPACK layout (Bell and Garland, SC 2009).
 
     Every arc has a class from 1 to ``ncls``: its weight on a weight
-    host, or its arc class on the two-hop host (``two_hop_index``). A
-    bucket is a source and a target label, ``src * k + label``; with one
-    label (k = 1, every host at depths 1 and 2) it is the source itself.
-    ``padded(lo, hi)`` lists, per bucket, its arcs of class lo..hi in
-    (class, target) order, padded with -1 to the range's width D, the
-    largest such count; D is at most Delta+, since G's extension is
-    oriented by degeneracy. A range is built on first use from the arcs
-    sorted by (bucket, class, target) and kept twice, row-major (buckets
-    x D) for ``_expand`` and as its contiguous transpose (D x buckets)
-    for ``has_arcs``: 2 x buckets x D x 4 bytes per range. A host whose
-    buckets x D is far above its arc count (n x Delta+ >> m: a few wide
-    buckets among many narrow ones) pays for that padding: a known
-    limit, left open. A grid past ``MAX_BUCKETS`` is refused; only a
-    lifted product extension (t >= 3), with k * n vertices x k labels,
-    can reach it: the depth-1 and depth-2 hosts have G's n vertices and
-    one label, n buckets.
+    host, or its signature on a signature host (``signature_index``). A
+    pattern arc reads a set of classes, and ``padded(classes)`` lists,
+    per source vertex, its arcs of those classes in (class, target)
+    order, padded with -1 to the set's width D, the largest such count;
+    D is at most Delta+ plus a loop, since G's extension is oriented by
+    degeneracy. A table is built on first use from the arcs sorted by
+    (source, class, target) and kept twice, row-major (n x D) for
+    ``_expand`` and as its contiguous transpose (D x n) for
+    ``has_arcs``: 2 x n x D x 4 bytes per class set. A host whose n x D
+    is far above its arc count (n x Delta+ >> m: a few wide sources
+    among many narrow ones) pays for that padding: a known limit, left
+    open. ``root`` lists all n vertices, the root fiber of every bag.
     """
 
-    # (vertices x labels) bucket grid; a larger one is refused
-    MAX_BUCKETS = 64_000_000
-
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
-                 cls: np.ndarray, ncls: int, fibers: dict, labels=None):
+                 cls: np.ndarray, ncls: int):
         self.n = n
-        self.k = int(labels.max()) + 1 if labels is not None and n else 1
-        self.tmax = ncls
-        nb = self.n * self.k
-        if nb > self.MAX_BUCKETS:
-            raise ValueError(f"host index of {self.n} vertices x {self.k} "
-                             f"labels = {nb} buckets is past the cap of "
-                             f"{self.MAX_BUCKETS}")
-        bucket = src * self.k + labels[dst] if self.k > 1 else src
-        order = np.lexsort((dst, cls, bucket))
-        # int32 holds every bucket id, since MAX_BUCKETS < 2**31
+        self.ncls = ncls
+        order = np.lexsort((dst, cls, src))
+        # int32 holds every vertex id and class
         self._arcs = tuple(arr[order].astype(np.int32)
-                           for arr in (bucket, cls, dst))
-        self.fibers = {lab: arr.astype(np.int32)
-                       for lab, arr in fibers.items()}
-        self._padded: dict[tuple[int, int], tuple] = {}
+                           for arr in (src, cls, dst))
+        self.root = np.arange(n, dtype=np.int32)
+        self._padded: dict[tuple[int, ...], tuple] = {}
 
-    def padded(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The int32 table of class range lo..hi, (buckets x D) row-major,
-        and its contiguous transpose: row x lists bucket x's arcs of the
-        range, by (class, target), then -1."""
-        key = (lo, min(hi, self.tmax))
-        got = self._padded.get(key)
+    def padded(self, classes: tuple[int, ...]
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The int32 table of a class set, (n x D) row-major, and its
+        contiguous transpose: row x lists x's arcs of those classes, by
+        (class, target), then -1."""
+        got = self._padded.get(classes)
         if got is None:
-            bucket, cls, dst = self._arcs
-            keep = (cls >= lo) & (cls <= key[1])
-            bucket, dst = bucket[keep], dst[keep]
-            counts = np.bincount(bucket, minlength=self.n * self.k)
-            rows = np.full((counts.size, int(counts.max(initial=0))), -1,
+            src, cls, dst = self._arcs
+            keep = np.isin(cls, classes)
+            src, dst = src[keep], dst[keep]
+            counts = np.bincount(src, minlength=self.n)
+            rows = np.full((self.n, int(counts.max(initial=0))), -1,
                            dtype=np.int32)
             first = np.cumsum(counts) - counts
-            rows[bucket, np.arange(bucket.size) - first[bucket]] = dst
-            got = self._padded[key] = (rows, np.ascontiguousarray(rows.T))
+            rows[src, np.arange(src.size) - first[src]] = dst
+            got = self._padded[classes] = (rows, np.ascontiguousarray(rows.T))
         return got
 
-    def bucket(self, verts: np.ndarray, lab: int) -> np.ndarray:
-        """Each vertex's ``lab`` bucket: the vertex itself when k = 1."""
-        return verts if self.k == 1 else verts.astype(np.int64) * self.k + lab
+    def has_arcs(self, a: np.ndarray, b: np.ndarray,
+                 classes: tuple[int, ...]) -> np.ndarray:
+        """Per row: is there a host arc a -> b of one of ``classes``?
 
-    def has_arcs(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int,
-                 lab_b: int) -> np.ndarray:
-        """Per row: is there a host arc a -> b of class lo..hi?
-
-        ``lab_b`` is the label of every b. Gathers a's bucket from each of
-        the range's D columns and compares it with b, so a row costs D
-        gathers, at most Delta+; the padding, -1, matches no vertex, so
-        no count mask is needed.
+        Gathers a's row from each of the set's D columns and compares it
+        with b, so a row costs D gathers, at most Delta+ plus a loop; the
+        padding, -1, matches no vertex, so no count mask is needed.
         """
-        bucket = self.bucket(a, lab_b)
         found = np.zeros(a.shape[0], dtype=bool)
-        for col in self.padded(lo, hi)[1]:
-            found |= col.take(bucket) == b
+        for col in self.padded(classes)[1]:
+            found |= col.take(a) == b
         return found
 
 
@@ -199,91 +180,232 @@ def _host_index(g: DirWLGraph) -> _HostIndex:
     weight."""
     if g._dp_index is None:
         g._dp_index = _HostIndex(
-            g.n, g.src, g.dst, g.wgt, int(g.wgt.max()) if g.arc_count else 1,
-            g.fibers(), g.labels)
+            g.n, g.src, g.dst, g.wgt, int(g.wgt.max()) if g.arc_count else 1)
     return g._dp_index
 
 
-def two_hop_index(ext: FraternalExtension) -> _HostIndex:
-    """The host of a depth-2 count over G's n vertices, one label, read
-    from G's own extension ``ext`` (its layers 1 and 2; deeper layers
-    are ignored) and cached on its graph. Per source, the arc classes
-    are:
+@dataclass(frozen=True)
+class _Round:
+    """Round i of ``signature_index``, per class c of the round (c = 0
+    is none): ``prev[c]``, its class at round i - 1 (0: none), whether
+    it holds loops (``loop[c]``), and its pairs of round-(i - 1)
+    classes, (``first[j]``, ``second[j]``) for every j with
+    ``pair_cls[j] == c`` (ascending)."""
 
-    1. a layer-1 (DAG) arc whose ends share no in-neighbour;
-    2. a DAG arc whose ends share an in-neighbour;
-    3. an arc of G's layer 2;
-    4. a loop x -> x at each vertex x with an in-arc.
-
-    A round-2 pair <a,x> - <b,y> of the lifted product extension exists
-    exactly when a and b share an H-neighbour, x and y share a DAG
-    in-neighbour (x = y when x has an in-arc) and the pair is not linked
-    at weight 1; it points as G's extension orients x - y, or as tau
-    orients a - b when x = y. So a pattern arc (a, b, 2), whose ends
-    share an H-neighbour and no H-edge, maps onto classes 2..3, or 2..4
-    when tau orients a -> b, and an arc (a, b, 1) onto the DAG, classes
-    1..2 (``TwoHopHost.arc_range``). The loops live only here, since a
-    ``DirWLGraph`` holds no self-arc.
-    """
-    graph = ext.graph
-    if graph._two_hop is None:
-        n = graph.n
-        dag, layer2 = ext.layers[0], ext.layers[1]
-        # _wedge_pairs before the "already linked" filter: a DAG arc
-        # closing a triangle still has ends that share an in-neighbour.
-        # They are the ones G's round 2 found, cached on the graph, and
-        # their codes are sorted
-        shared = _wedge_pairs(graph, 2)
-        shared = shared[:, 0] * n + shared[:, 1]
-        codes = (np.minimum(dag[:, 0], dag[:, 1]) * n
-                 + np.maximum(dag[:, 0], dag[:, 1]))
-        pos = np.minimum(np.searchsorted(shared, codes),
-                         max(shared.size - 1, 0))
-        closed = (shared[pos] == codes if shared.size
-                  else np.zeros(codes.size, dtype=bool))
-        loops = np.flatnonzero(np.bincount(dag[:, 1], minlength=n))
-        src = np.concatenate((dag[:, 0], layer2[:, 0], loops))
-        dst = np.concatenate((dag[:, 1], layer2[:, 1], loops))
-        cls = np.concatenate((1 + closed, np.full(layer2.shape[0], 3),
-                              np.full(loops.shape[0], 4)))
-        fibers = {0: np.arange(n)} if n else {}
-        graph._two_hop = _HostIndex(n, src, dst, cls, 4, fibers)
-    return graph._two_hop
-
-
-def _weight_range(a: int, b: int, w: int) -> tuple[int, int]:
-    """A pattern arc of weight w maps onto host arcs of weight 1..w."""
-    return 1, w
+    prev: np.ndarray
+    loop: np.ndarray
+    pair_cls: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
 
 
 @dataclass(frozen=True)
-class TwoHopHost:
-    """What a depth-2 count runs on: ``two_hop_index`` of G's own
-    extension, and the pattern pairs (a, b) that ``fiber_tournament(H,
-    2)`` orients a -> b."""
+class Signatures:
+    """G's side of a depth-t count: the index of the elements whose
+    signature is not none, and the rounds that refined their classes."""
 
     index: _HostIndex
-    tau: frozenset
+    rounds: tuple[_Round, ...]
 
-    def arc_range(self, a: int, b: int, w: int) -> tuple[int, int]:
-        """The classes a pattern arc (a, b, w) of a depth-2 member maps
-        onto."""
-        if w == 1:
-            return 1, 2
-        return 2, 4 if (a, b) in self.tau else 3
+
+def signature_index(ext: FraternalExtension) -> Signatures:
+    """The host of a count at depth t = ``ext.depth`` >= 2, over G's n
+    vertices with one label, read from G's own extension ``ext`` and
+    cached on its graph.
+
+    Its elements are the arcs x -> y of ``ext`` (weights 1..t) and a
+    loop x -> x at every vertex. The extension of the labeled product
+    H^L x G to depth t can hold an arc <a,x> -> <b,y> only over an
+    element (x, y): its layer 1 is G's DAG lifted, and a round-i pair
+    closes over a pair of G that G closes by round i, and orients the
+    same way, or over one vertex. Every element gets a signature,
+    refined round by round:
+
+    - sigma_1(x, y): "DAG arc" for an arc of weight 1, none otherwise;
+    - sigma_i(x, y): sigma_{i-1}(x, y), whether x = y, and the set of
+      pairs (sigma_{i-1}(z, x), sigma_{i-1}(z, y)) over every centre z
+      with elements (z, x) and (z, y); z = x or z = y reads the loop.
+
+    The round-i rule of the product reads nothing of G beyond these, so
+    the product's weight of <a,x> -> <b,y> is F_t[sigma_t(x, y)][a, b],
+    with F computed from H, its tournament and ``rounds`` alone
+    (``class_weights``). A pair whose classes carry no weights p and
+    i - p (``carry``, one bit per product weight a class can take for
+    some H) never closes at round i and is left out, and a class that
+    carries no weight is none, so it holds no arc of the index. At t = 2
+    that leaves at most four classes, in this order:
+
+    1. a DAG arc whose ends share no in-neighbour;
+    2. a DAG arc whose ends share an in-neighbour;
+    3. an arc of G's layer 2;
+    4. a loop x -> x at a vertex x with an in-arc.
+
+    Each round numbers the classes that occur from 1 up, in the
+    lexicographic order of (previous class, none last; loop or not;
+    sorted pair codes), which at t = 2 is this order. The loops live
+    only here, since a ``DirWLGraph`` holds no self-arc.
+    """
+    graph = ext.graph
+    if graph._signatures is None:
+        n = graph.n
+        verts = np.arange(n, dtype=np.int64)
+        codes = np.concatenate((graph.src * n + graph.dst, verts * (n + 1)))
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        src, dst = np.divmod(codes, max(n, 1))
+        cls = np.concatenate((graph.wgt == 1, np.zeros(n, dtype=bool))
+                             )[order].astype(np.int64)
+        carry = np.array([0, 1 << 1], dtype=np.int64)
+        rounds = []
+        for i in range(2, ext.depth + 1):
+            cls, carry, rnd = _refine(n, src, dst, codes, cls, carry, i)
+            rounds.append(rnd)
+        keep = cls > 0
+        graph._signatures = Signatures(
+            _HostIndex(n, src[keep], dst[keep], cls[keep], carry.size - 1),
+            tuple(rounds))
+    return graph._signatures
+
+
+def _refine(n: int, src: np.ndarray, dst: np.ndarray, codes: np.ndarray,
+            cls: np.ndarray, carry: np.ndarray, i: int) -> tuple:
+    """Round i of ``signature_index``: every element's class, every
+    class's carried weights, and the round's ``_Round``. Elements are
+    sorted by (source, target), with codes ``src * n + dst``."""
+    size = carry.size  # round i - 1 classes, none included
+    live = np.flatnonzero(cls)
+    # every ordered pair (e1, e2) of live elements out of one centre,
+    # e1 = e2 included, kept where (dst[e1], dst[e2]) is an element
+    z = src[live]
+    start = np.searchsorted(z, z)
+    rep = np.searchsorted(z, z, side="right") - start
+    e1 = np.repeat(live, rep)
+    within = np.arange(e1.size) - np.repeat(np.cumsum(rep) - rep, rep)
+    e2 = live[np.repeat(start, rep) + within]
+    query = dst[e1] * n + dst[e2]
+    pos = np.minimum(np.searchsorted(codes, query), max(codes.size - 1, 0))
+    hit = codes[pos] == query if codes.size else np.zeros(0, dtype=bool)
+    elem, one, two = pos[hit], cls[e1[hit]], cls[e2[hit]]
+    closes = np.zeros((size, size), dtype=bool)
+    for p in range(1, i):
+        closes |= ((carry[:, None] >> p) & (carry[None, :] >> (i - p))
+                   & 1).astype(bool)
+    keep = closes[one, two]
+    key = _sorted_unique(elem[keep] * size ** 2
+                         + one[keep] * size + two[keep])
+    elem, pair = np.divmod(key, size ** 2)
+    # one row per element: (previous class, none last; loop; its pair
+    # codes ascending, then -1)
+    counts = np.bincount(elem, minlength=codes.size)
+    rows = np.full((codes.size, 2 + int(counts.max(initial=0))), -1,
+                   dtype=np.int64)
+    rows[:, 0] = np.where(cls > 0, cls, size)
+    rows[:, 1] = src == dst
+    rows[elem, 2 + np.arange(elem.size) - (np.cumsum(counts) - counts)[elem]] \
+        = pair
+    # distinct rows in lexicographic order (np.unique(axis=0) is ~8x
+    # slower), each element's row numbered among them
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    uniq = rows[new]
+    inv = np.empty(rows.shape[0], dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    prev = np.where(uniq[:, 0] == size, 0, uniq[:, 0])
+    grown = (uniq[:, 2] >= 0 if uniq.shape[1] > 2
+             else np.zeros(uniq.shape[0], dtype=bool))
+    carried = carry[prev] | (grown.astype(np.int64) << i)
+    alive = carried > 0
+    ids = np.cumsum(alive) * alive
+    kept = uniq[alive]
+    row, col = np.nonzero(kept[:, 2:] >= 0)
+    first, second = np.divmod(kept[row, 2 + col], size)
+    rnd = _Round(np.concatenate(([0], prev[alive])),
+                 np.concatenate(([False], kept[:, 1] == 1)),
+                 row + 1, first, second)
+    return ids[inv], np.concatenate(([0], carried[alive])), rnd
+
+
+def class_weights(sig: Signatures, h: UndirectedGraph,
+                  tau: frozenset) -> np.ndarray:
+    """F_t of ``signature_index``: per class s of its last round (s = 0
+    is none), the k x k matrix whose entry (a, b) is the weight of the
+    product arc <a,x> -> <b,y> over an element (x, y) of class s, 0
+    where there is none; tau orients pattern pairs as
+    ``fiber_tournament(h, t)`` does.
+
+    The product's own round rule: F_1 is 1 on the edges of h (class 1,
+    "DAG arc"). At round i a class keeps its previous class's weights,
+    and an (a, b) with none yet takes weight i when some centre c has
+    weights p and i - p to a and b through one of the class's pairs, and
+    on a loop also a != b and tau orients a -> b. The pair is then
+    linked neither way: the reverse arc <b,y> -> <a,x> lies over (y, x),
+    which is no element unless x = y, and on a loop tau orients each
+    pair one way only."""
+    k = h.n
+    weights = np.zeros((2, k, k), dtype=np.int64)
+    edges = h.edge_array
+    weights[1, edges[:, 0], edges[:, 1]] = 1
+    weights[1, edges[:, 1], edges[:, 0]] = 1
+    orient = np.zeros((k, k), dtype=bool)
+    for a, b in tau:
+        orient[a, b] = True
+    for i, rnd in enumerate(sig.rounds, 2):
+        base = weights[rnd.prev]
+        close = np.zeros(base.shape, dtype=bool)
+        if rnd.pair_cls.size:
+            hit = np.zeros((rnd.pair_cls.size, k, k), dtype=bool)
+            for p in range(1, i):
+                one = (weights[rnd.first] == p).astype(np.int32)
+                two = (weights[rnd.second] == i - p).astype(np.int32)
+                hit |= np.matmul(one.transpose(0, 2, 1), two) > 0
+            starts = np.flatnonzero(np.diff(rnd.pair_cls, prepend=-1))
+            close[rnd.pair_cls[starts]] = np.logical_or.reduceat(
+                hit, starts, axis=0)
+        close &= ~rnd.loop[:, None, None] | orient
+        weights = np.where(base > 0, base, np.where(close, i, 0))
+    return weights
+
+
+class SignatureHost:
+    """What a count at depth t >= 2 runs on: the index of
+    ``signature_index`` of G's own depth-t extension, and the
+    ``class_weights`` F_t of its pattern h and tournament tau. A pattern
+    arc (a, b, w) reads the classes {s : 1 <= F_t[s][a, b] <= w}: the
+    host arcs x -> y whose product twin <a,x> -> <b,y> exists with
+    weight at most w. So an unlabeled member counts on G's n vertices
+    what its labeled twin counts on the k * n-vertex product
+    extension."""
+
+    __slots__ = ("index", "weights", "_reads")
+
+    def __init__(self, index: _HostIndex, weights: np.ndarray):
+        self.index = index
+        self.weights = weights
+        self._reads: dict[tuple[int, int, int], tuple[int, ...]] = {}
+
+    def read(self, a: int, b: int, w: int) -> tuple[int, ...]:
+        """The classes a pattern arc (a, b, w) maps onto."""
+        got = self._reads.get((a, b, w))
+        if got is None:
+            col = self.weights[:, a, b]
+            got = self._reads[(a, b, w)] = tuple(
+                np.flatnonzero((col >= 1) & (col <= w)).tolist())
+        return got
 
 
 @dataclass(frozen=True)
 class WeightedHost:
     """What every count runs on: a host and its per-vertex weights.
 
-    ``host`` is a weight host (a ``DirWLGraph``) or a ``TwoHopHost``.
+    ``host`` is a weight host (a ``DirWLGraph``) or a ``SignatureHost``.
     ``weights`` holds, per pattern vertex, an exact integer array over
     the host's vertices, or None for weight 1 everywhere; a homomorphism
     phi counts the product of weights[a][phi(a)].
     """
 
-    host: DirWLGraph | TwoHopHost
+    host: DirWLGraph | SignatureHost
     weights: tuple
 
 
@@ -291,7 +413,7 @@ class WeightedHost:
 class _Slot:
     """Everything to run after a fixed number of vertices are assigned."""
 
-    checks: tuple          # (a, b, lo, hi, label_b)
+    checks: tuple          # (a, b, classes)
     lookups: tuple         # indices into the plan's children
     drops_pre: tuple       # columns dead before the lookups run
     drops_post: tuple      # columns last read by this slot's lookups
@@ -300,11 +422,10 @@ class _Slot:
 @dataclass(frozen=True)
 class _BagPlan:
     hub: int
-    root_label: int
     order: tuple[int, ...]
-    # (vertex, parent, lo, hi, label, columns last read by this
-    # expansion); lo..hi is the arc's class range
-    steps: tuple[tuple[int, int, int, int, int, tuple[int, ...]], ...]
+    # (vertex, parent, classes the arc reads, columns last read by this
+    # expansion)
+    steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
     slots: tuple[_Slot, ...]                      # indexed by assigned count
     out_cols: tuple[int, ...]                     # shared with the parent
     children: tuple[int, ...]
@@ -312,33 +433,30 @@ class _BagPlan:
 
 
 def _build_plan(pattern, tree: HubTree, bag: int,
-                domains: dict[int, tuple[int, ...]],
-                arc_range=_weight_range) -> _BagPlan:
+                domains: dict[int, tuple[int, ...]], read) -> _BagPlan:
     """The bag's plan, compiled in plain Python from the pattern's
-    ``succ`` and ``labels`` (None reads as label 0), so every field holds
-    Python ints. ``pattern`` is a ``PatternExtension`` or a
-    ``DirWLGraph``. ``domains`` maps each bag to the sorted vertices it
-    shares with its parent (none at the root). ``arc_range(a, b, w)`` is
-    the host's class range lo..hi for a pattern arc (a, b, w)."""
+    ``succ``, so every field holds Python ints. ``pattern`` is a
+    ``PatternExtension`` or a ``DirWLGraph``. ``domains`` maps each bag
+    to the sorted vertices it shares with its parent (none at the root).
+    ``read(a, b, w)`` is the tuple of host classes a pattern arc
+    (a, b, w) maps onto."""
     hub = tree.bags[bag]
     succ = pattern.succ
     order, parent = bfs_out_tree(pattern, hub)
     pos = {v: i for i, v in enumerate(order)}
-    labels = plain_labels(pattern)
     nverts = len(order)
     checks_at: list[list[tuple]] = [[] for _ in range(nverts + 1)]
     lookups_at: list[list[int]] = [[] for _ in range(nverts + 1)]
-    tree_rng = {}
+    tree_read = {}
     # Reach(hub) is closed under out-arcs; ascending sources keep the
     # checks in (src, dst) order
     for a in sorted(order):
         for b, w in succ[a]:
             if parent[b] == a:
-                tree_rng[b] = arc_range(a, b, w)
+                tree_read[b] = read(a, b, w)
             else:
-                checks_at[max(pos[a], pos[b]) + 1].append(
-                    (a, b, *arc_range(a, b, w), labels[b]))
-    steps = [(v, parent[v], *tree_rng[v], labels[v]) for v in order[1:]]
+                checks_at[max(pos[a], pos[b]) + 1].append((a, b, read(a, b, w)))
+    steps = [(v, parent[v], tree_read[v]) for v in order[1:]]
     children = tree.children(bag)
     child_domains = [domains[ch] for ch in children]
     for idx, dom in enumerate(child_domains):
@@ -359,9 +477,9 @@ def _build_plan(pattern, tree: HubTree, bag: int,
     # no later slot reads p, its last expansion drops it before gathering
     # the other columns, and no slot does
     final = {p: i for i, (v, p, *_) in enumerate(steps)}
-    steps = tuple((v, p, lo, hi, lab,
+    steps = tuple((v, p, classes,
                    (p,) if final[p] == i and last[p] < i + 2 else ())
-                  for i, (v, p, lo, hi, lab) in enumerate(steps))
+                  for i, (v, p, classes) in enumerate(steps))
     for *_, drops in steps:
         for p in drops:
             last[p] = -1
@@ -374,7 +492,7 @@ def _build_plan(pattern, tree: HubTree, bag: int,
         post = tuple(v for v in dying if v in in_lookup)
         slots.append(_Slot(tuple(checks_at[t_at]), tuple(lookups_at[t_at]),
                            pre, post))
-    return _BagPlan(hub, labels[hub], tuple(order), steps, tuple(slots),
+    return _BagPlan(hub, tuple(order), steps, tuple(slots),
                     out_cols, children, tuple(child_domains))
 
 
@@ -481,14 +599,13 @@ def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
     arrays, and each slice runs through the remaining slots and steps
     before the next one starts. So no slot or expansion reads more than
     ``ROW_BLOCK`` rows, and the live rows are at most len(steps) x
-    ``ROW_BLOCK`` x the widest class range's outdegree, plus the root
-    fiber and the child tables. Each finished block adds its keys and
-    values to the bag's chunks, which are aggregated once."""
+    ``ROW_BLOCK`` x the widest class set's outdegree, plus the root
+    fiber (all n vertices) and the child tables. Each finished block
+    adds its keys and values to the bag's chunks, which are aggregated
+    once."""
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
-    fiber = hidx.fibers.get(plan.root_label)
-    if fiber is None or any(step[4] >= hidx.k for step in plan.steps):
-        return _aggregate_table(key_chunks, val_chunks, hidx.n)
+    fiber = hidx.root
     weights = [None if v in plan.out_cols else host.weights[v]
                for v in plan.order]
     root_w = weights[0]
@@ -515,19 +632,18 @@ def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
 
 
 def _expand(hidx: _HostIndex, state: _BlockState, v: int, p: int,
-            lo: int, hi: int, lab: int, dying: tuple[int, ...],
+            classes: tuple[int, ...], dying: tuple[int, ...],
             w: np.ndarray | None) -> bool:
     """Extend every row by each candidate image of v, times v's weight
     ``w`` there (None: 1); the ``dying`` columns, read last here, are
-    dropped before the gather. The candidates are the rows of p's
-    buckets in the range's padded table, one ``take``; the new rows
-    keep the parent rows' order, and within a row the bucket's (class,
-    target) order."""
-    rows = hidx.padded(lo, hi)[0]
+    dropped before the gather. The candidates are p's rows in the class
+    set's padded table, one ``take``; the new rows keep the parent
+    rows' order, and within a row the (class, target) order."""
+    rows = hidx.padded(classes)[0]
     width = rows.shape[1]
     if width == 0:
         return False
-    cand = rows.take(hidx.bucket(state.cols[p], lab), axis=0).ravel()
+    cand = rows.take(state.cols[p], axis=0).ravel()
     keep = np.flatnonzero(cand >= 0)
     if keep.size == 0:
         return False
@@ -551,8 +667,8 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     slot = plan.slots[t_at]
     if slot.checks and state.nrows:
         mask = None
-        for a, b, lo, hi, lb in slot.checks:
-            ok = hidx.has_arcs(state.cols[a], state.cols[b], lo, hi, lb)
+        for a, b, classes in slot.checks:
+            ok = hidx.has_arcs(state.cols[a], state.cols[b], classes)
             mask = ok if mask is None else (mask & ok)
         for v in slot.drops_pre:
             state.cols.pop(v, None)
@@ -588,8 +704,13 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     return state.nrows > 0
 
 
+def _labeled(g) -> bool:
+    labels = getattr(g, "labels", None)
+    return labels is not None and bool(np.any(np.asarray(labels) != 0))
+
+
 def extension_count(pattern, tree: HubTree,
-                    host: DirWLGraph | TwoHopHost | WeightedHost) -> int:
+                    host: DirWLGraph | SignatureHost | WeightedHost) -> int:
     """The weighted count in the root's table, whose one code is 0.
 
     ``pattern`` is a ``fraternal.PatternExtension`` (what a count passes)
@@ -599,26 +720,31 @@ def extension_count(pattern, tree: HubTree,
     pattern arc of weight w maps onto host arcs of weight 1..w), where
     the count equals sum(bressan_count(pattern, tree, tree.root,
     host).values()), the dict engine kept as its oracle; or the
-    ``TwoHopHost`` of a depth-2 count, where it equals the count of the
-    labeled member on the lifted ``fraternal.optimal_extension(g, 2,
-    pattern=h)``. With weights, every homomorphism counts the product of
-    its vertices' weights, each applied in the one bag where its vertex
-    is not shared with the parent. A bag B shares
-    Reach(parent) & Reach(B) with its parent; the oracle's Reach(parent)
-    & Reach(down(B)) is the same set on a width-1 tree, where a vertex
-    reached by two bags is reached by every bag between them. Raises
-    ValueError when the host's (vertex x label) bucket grid is past
-    ``_HostIndex.MAX_BUCKETS``, which only a lifted extension (t >= 3)
-    can reach; each class range the count reads then holds 2 x buckets x
-    D int32 entries, D its widest bucket.
+    ``SignatureHost`` of a count at depth t >= 2, where it equals the
+    count of the member's labeled twin on the extension of H^L x G
+    (the tests lift it from G's own as their oracle). With weights,
+    every homomorphism counts the product of its vertices' weights, each
+    applied in the one bag where its vertex is not shared with the
+    parent. A bag B shares Reach(parent) & Reach(B) with its parent; the
+    oracle's Reach(parent) & Reach(down(B)) is the same set on a width-1
+    tree, where a vertex reached by two bags is reached by every bag
+    between them. Every root fiber is all of the host's vertices:
+    raises ValueError when the host or the pattern carries a nonzero
+    vertex label, which this engine does not read.
     """
     if not isinstance(host, WeightedHost):
         host = WeightedHost(host, (None,) * pattern.n)
     base = host.host
-    if isinstance(base, TwoHopHost):
-        hidx, arc_range = base.index, base.arc_range
+    if _labeled(pattern) or _labeled(base):
+        raise ValueError("the DP engine reads no vertex labels: count a "
+                         "labeled pattern or host with bressan_count")
+    if isinstance(base, SignatureHost):
+        hidx, read = base.index, base.read
     else:
-        hidx, arc_range = _host_index(base), _weight_range
+        hidx = _host_index(base)
+
+        def read(a: int, b: int, w: int) -> tuple[int, ...]:
+            return tuple(range(1, min(w, hidx.ncls) + 1))
     order = tree.postorder()
     domains = {bag: tuple(sorted(reach(pattern, tree.bags[tree.parent[bag]])
                                  & reach(pattern, tree.bags[bag])))
@@ -626,7 +752,7 @@ def extension_count(pattern, tree: HubTree,
     domains[tree.root] = ()
     tables: dict[int, _Table] = {}
     for bag in order:
-        plan = _build_plan(pattern, tree, bag, domains, arc_range)
+        plan = _build_plan(pattern, tree, bag, domains, read)
         tables[bag] = _run_bag(hidx, host, plan,
                                [tables.pop(ch) for ch in plan.children])
     root = tables[tree.root]

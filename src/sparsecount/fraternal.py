@@ -6,19 +6,13 @@ branch over all orientations of each new layer (Frat(H, t)), on plain
 Python arc tuples, and a count reads each member's plain-Python
 adjacency; no count builds a member's numpy graph. Host-side
 (MinFrat) G's own extension is peeled layer by layer: each layer is
-oriented by the degeneracy peel of its own edges. At depth 1 the count
-runs on G's own layer 1, its degeneracy DAG, and at depth 2 on G's own
-extension to depth 2, both over G's n vertices (``fastdp.two_hop_index``
-says how depth 2 stands in for the product). From depth 3 on it runs
-on the extension of the labeled product H^L x G, which is lifted from
-G's own and never peeled or built: layer 1 is G's layer 1 arc for arc,
-and every later layer follows G's own extension, with a fixed
-tournament on pattern vertices for the pairs G cannot orient (two
-fibers over one host vertex). So the max outdegree follows G's, and the
-pattern automorphisms that keep the tournament are automorphisms of the
-host extension. The lifted extension at depth 2 is kept as the depth-2
-host's test oracle. A weighted digraph is a valid t-fraternal extension
-exactly when its weights form a t-fraternity function, which
+oriented by the degeneracy peel of its own edges. Every count runs on
+G's n vertices: at depth 1 on G's own layer 1, its degeneracy DAG, and
+from depth 2 on on G's own extension to that depth, whose arcs and
+loops ``fastdp.signature_index`` classes so that each stands in for
+the arcs of the labeled product H^L x G's extension over it. So the max
+outdegree is G's own. A weighted digraph is a valid t-fraternal
+extension exactly when its weights form a t-fraternity function, which
 ``validate_fraternity`` checks clause by clause.
 """
 
@@ -31,7 +25,7 @@ import numpy as np
 
 from .degeneracy import degeneracy_orient
 from .graph_core import DirWLGraph, UndirectedGraph, succ_lists
-from .pattern_tools import acyclic_orientations, fiber_tournament
+from .pattern_tools import acyclic_orientations
 
 DEFAULT_FRAT_CAP = 10 ** 6
 
@@ -58,20 +52,7 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 def _wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
     """Unordered endpoint pairs of out-out wedges with weight sum t,
-    sorted, cached on g per t.
-
-    A wedge of sum t reads arcs of weight below t only, so a layer of
-    weight i >= t added later leaves them as they are: ``_with_layer``
-    hands the cached pairs on to the deeper graph, where
-    ``fastdp.two_hop_index`` reads those of sum 2.
-    """
-    pairs = g._wedges.get(t)
-    if pairs is None:
-        pairs = g._wedges[t] = _find_wedge_pairs(g, t)
-    return pairs
-
-
-def _find_wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
+    sorted."""
     n = g.n
     by_weight = {}
     for a in np.flatnonzero(np.bincount(g.wgt)).tolist():
@@ -130,8 +111,7 @@ def _with_layer(ext: FraternalExtension, arcs: np.ndarray,
     src = np.concatenate((g.src, arcs[:, 0]))
     dst = np.concatenate((g.dst, arcs[:, 1]))
     wgt = np.concatenate((g.wgt, np.full(arcs.shape[0], weight, dtype=np.int64)))
-    graph = DirWLGraph.from_arrays(g.n, src, dst, wgt, g.labels)
-    graph._wedges = {t: p for t, p in g._wedges.items() if t <= weight}
+    graph = DirWLGraph.from_arrays(g.n, src, dst, wgt)
     return FraternalExtension(graph, weight, ext.layers + (arcs,))
 
 
@@ -142,17 +122,15 @@ class PatternExtension:
     A count reads the member itself: ``succ`` (built from the arcs on the
     first read) feeds the BFS trees, reaches (cached in ``_reach_cache``),
     the width-1 decomposition and the DP plans, all as Python ints.
-    ``labels`` is the pattern vertex of each vertex, or None for label 0.
     The ``DirWLGraph`` is built only on a read of ``graph``, which no
     count makes; tests and ``validate_fraternity`` do. ``layers`` holds
     the arcs of weight 1..depth as (p, 2) arrays, sorted.
     """
 
-    __slots__ = ("n", "depth", "arcs", "labels", "_graph", "_succ",
-                 "_reach_cache")
+    __slots__ = ("n", "depth", "arcs", "_graph", "_succ", "_reach_cache")
 
-    def __init__(self, n: int, depth: int, arcs: tuple, labels=None):
-        self.n, self.depth, self.arcs, self.labels = n, depth, arcs, labels
+    def __init__(self, n: int, depth: int, arcs: tuple):
+        self.n, self.depth, self.arcs = n, depth, arcs
         self._graph = None
         self._succ = None
         self._reach_cache = {}
@@ -160,7 +138,7 @@ class PatternExtension:
     @property
     def graph(self) -> DirWLGraph:
         if self._graph is None:
-            self._graph = DirWLGraph(self.n, self.arcs, self.labels)
+            self._graph = DirWLGraph(self.n, self.arcs)
         return self._graph
 
     @property
@@ -193,16 +171,13 @@ def _round_pairs(arcs: tuple, t: int) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def enumerate_pattern_extensions(h, t: int, cap: int = DEFAULT_FRAT_CAP
+def enumerate_pattern_extensions(h: UndirectedGraph, t: int,
+                                 cap: int = DEFAULT_FRAT_CAP
                                  ) -> list[PatternExtension]:
     """Frat(H, t): every t-fraternal extension over every acyclic
     orientation of the pattern.
 
-    ``h`` is a bare UndirectedGraph, whose members carry label 0 (a
-    depth-1 count runs them on G's own DAG), or a LabeledPattern, whose
-    members carry their pattern vertex as label (counted on the lifted
-    product extension). Members are plain-Python arc tuples: round
-    i >= 2 closes each member's out-out wedges from its out-lists
+    Members are unlabeled plain-Python arc tuples: round i >= 2 closes each member's out-out wedges from its out-lists
     (``_round_pairs``) and branches over all 2^|E^i| orientations of the
     new layer. No ``DirWLGraph`` is built here; a member builds its own
     when its ``graph`` is first read. Members are distinct as arc-weight
@@ -211,10 +186,8 @@ def enumerate_pattern_extensions(h, t: int, cap: int = DEFAULT_FRAT_CAP
     """
     if t < 1:
         raise ValueError("extension depth must be >= 1")
-    graph = getattr(h, "graph", h)
-    labels = getattr(h, "labels", None)
     arcsets = [tuple((a, b, 1) for a, b in arcs)
-               for arcs in acyclic_orientations(graph)]
+               for arcs in acyclic_orientations(h)]
     if len(arcsets) > cap:
         raise ExtensionBlowupError(f"|Frat(H,1)| = {len(arcsets)} exceeds cap {cap}")
     for i in range(2, t + 1):
@@ -231,25 +204,25 @@ def enumerate_pattern_extensions(h, t: int, cap: int = DEFAULT_FRAT_CAP
                     (b, a, i) if bits >> j & 1 else (a, b, i)
                     for j, (a, b) in enumerate(pairs)))))
         arcsets = nxt
-    return [PatternExtension(graph.n, t, arcs, labels) for arcs in arcsets]
+    return [PatternExtension(h.n, t, arcs) for arcs in arcsets]
 
 
-def _first_layer(n: int, arcs: np.ndarray, labels) -> FraternalExtension:
+def _first_layer(n: int, arcs: np.ndarray) -> FraternalExtension:
     """Layer 1 from its arcs in any order; the layer keeps them sorted
     by (src, dst), as the graph holds them."""
     ones = np.ones(arcs.shape[0], dtype=np.int64)
-    graph = DirWLGraph.from_arrays(n, arcs[:, 0], arcs[:, 1], ones, labels)
+    graph = DirWLGraph.from_arrays(n, arcs[:, 0], arcs[:, 1], ones)
     return FraternalExtension(graph, 1, (np.column_stack((graph.src,
                                                           graph.dst)),))
 
 
-def _peeled_extension(base: UndirectedGraph, labels, t: int,
+def _peeled_extension(base: UndirectedGraph, t: int,
                       ext: FraternalExtension | None = None
                       ) -> FraternalExtension:
     """Rounds up to t of base's extension, each layer oriented by its own
     degeneracy peel; continues ``ext`` when given."""
     if ext is None:
-        ext = _first_layer(base.n, degeneracy_orient(base), labels)
+        ext = _first_layer(base.n, degeneracy_orient(base))
     for i in range(ext.depth + 1, t + 1):
         layer = UndirectedGraph(base.n, extension_edges(ext.graph, i))
         arcs = degeneracy_orient(layer)
@@ -263,113 +236,29 @@ def _read_only(ext: FraternalExtension) -> FraternalExtension:
     return ext
 
 
-def _own_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
-    """G's own extension to depth t, cached on G with every shallower one.
+def optimal_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
+    """MinFrat(G, t): a t-fraternal extension of G with small outdegree,
+    cached on G with every shallower one.
 
-    Each round is built once per graph: a deeper request continues the
+    Every layer is oriented by the degeneracy peel of its own edges, so
+    each layer is a DAG (the union may still be cyclic) and every vertex
+    has label 0. At depth 1 that is G's degeneracy DAG, the host of a
+    depth-1 count, and from depth 2 on the extension that a depth-t
+    count indexes over G's n vertices (``fastdp.signature_index``). Each
+    round is built once per graph: a deeper request continues the
     deepest cached extension, and every depth keeps its own object, so
-    every count at depth t over G (each spasm quotient of a subgraph
-    count) reads the same extension and the same DP host index cached on
-    its graph. Depth 1 is G's degeneracy DAG. Arrays are read-only.
-    """
-    exts = g._extension
-    while len(exts) < t:
-        exts += (_read_only(_peeled_extension(
-            g, None, len(exts) + 1, exts[-1] if exts else None)),)
-    g._extension = exts
-    return exts[t - 1]
-
-
-class ExtensionLiftError(RuntimeError):
-    """A product pair has no orientation to lift: G's own extension has no
-    arc of weight <= its round between its host vertices, or its two
-    fibers have no tournament arc. Either means a broken invariant."""
-
-
-def _lift_arcs(h: UndirectedGraph, arcs: np.ndarray, n: int) -> np.ndarray:
-    """Layer 1 of the product: <u,x> -> <u',y> for every edge uu' of H,
-    taken both ways, and every arc x -> y of G's layer 1."""
-    he = h.edge_array
-    fro = np.concatenate((he[:, 0], he[:, 1]))[:, None] * n
-    to = np.concatenate((he[:, 1], he[:, 0]))[:, None] * n
-    return np.column_stack(((fro + arcs[:, 0]).ravel(),
-                            (to + arcs[:, 1]).ravel()))
-
-
-def _lift_pairs(n: int, k: int, pairs: np.ndarray, own: DirWLGraph,
-                tau: np.ndarray, i: int) -> np.ndarray:
-    """Orient round-i product pairs <u,v> - <u',v'> (over k fibers of n
-    vertices) as G's own extension orients v - v', and vertical pairs
-    (v = v') as tau orients u - u'."""
-    fiber, v = np.divmod(pairs, n)
-
-    def has_arc(a, b):
-        w = own.arc_weights(a, b)
-        return (w > 0) & (w <= i)
-
-    vertical = v[:, 0] == v[:, 1]
-    forward = (has_arc(v[:, 0], v[:, 1])
-               | vertical & tau[fiber[:, 0], fiber[:, 1]])
-    backward = (has_arc(v[:, 1], v[:, 0])
-                | vertical & tau[fiber[:, 1], fiber[:, 0]])
-    if not (forward | backward).all():
-        x, y = pairs[np.argmin(forward | backward)]
-        raise ExtensionLiftError(
-            f"round {i}: no arc to lift onto product pair <{x // n},{x % n}>"
-            f" - <{y // n},{y % n}>")
-    src = np.where(forward, pairs[:, 0], pairs[:, 1])
-    dst = np.where(forward, pairs[:, 1], pairs[:, 0])
-    order = np.argsort(src * (k * n) + dst, kind="stable")
-    return np.column_stack((src[order], dst[order]))
-
-
-def optimal_extension(g: UndirectedGraph, t: int,
-                      pattern: UndirectedGraph | None = None,
-                      colors: tuple | None = None) -> FraternalExtension:
-    """MinFrat(G, t), or MinFrat(H^L x G, t) lifted from it: a
-    t-fraternal extension with small outdegree.
-
-    Without ``pattern`` every layer of G is oriented by the degeneracy
-    peel of its own edges, so each layer is a DAG (the union may still
-    be cyclic) and every vertex has label 0. At depth 1 that is G's
-    degeneracy DAG, the host of a depth-1 count, and at depth 2 the
-    extension that a depth-2 count indexes (``fastdp.two_hop_index``).
-    Every depth is built once per graph and cached on G, like G's peel
-    order, so every depth-1 or depth-2 count over G (each spasm quotient
-    of a subgraph count) reads the same extension and the same host
-    index, also after a deeper count.
-
-    With ``pattern`` H (k vertices) it is the extension of the labeled
-    product H^L x G on k * n vertices, <u,v> = u * n + v labeled u, the
-    host of a count from depth 3 on and the oracle of the depth-2 host,
-    lifted from G's own extension (built once and cached on G) and never
-    built or peeled itself. Layer 1 is G's layer 1 arc for arc: <u,x> ->
-    <u',y> for every edge uu' of H, both ways, and every arc x -> y.
-    Layer i >= 2 takes the round-i pairs of the product and orients
-    <u,v> - <u',v'> as G's own extension orients v - v' (an arc of
-    weight <= i always exists there, since every product arc projects
-    onto a G arc or onto one vertex), and a vertical pair (v = v') by
-    the tournament of ``fiber_tournament(H, t, colors)``, the one the
-    count groups Frat(H, t) by. The lifted layers need
-    not be acyclic from layer 2 on: the counts only need each pair
-    oriented once. The tests check the lift against the peel of the
-    materialized product (``product.pattern_product``).
+    every count over G at one depth (each spasm quotient of a subgraph
+    count) reads the same extension and the same host index cached on
+    its graph, also after a deeper count. Arrays are read-only.
     """
     if t < 1:
         raise ValueError("extension depth must be >= 1")
-    if pattern is None:
-        return _own_extension(g, t)
-    k, n = pattern.n, g.n
-    own = _own_extension(g, t)
-    ext = _first_layer(k * n, _lift_arcs(pattern, own.layers[0], n),
-                       np.repeat(np.arange(k, dtype=np.int64), n))
-    tau = np.zeros((k, k), dtype=bool)
-    for a, b in fiber_tournament(pattern, t, colors).arcs:
-        tau[a, b] = True
-    for i in range(2, t + 1):
-        pairs = extension_edges(ext.graph, i)
-        ext = _with_layer(ext, _lift_pairs(n, k, pairs, own.graph, tau, i), i)
-    return ext
+    exts = g._extension
+    while len(exts) < t:
+        exts += (_read_only(_peeled_extension(
+            g, len(exts) + 1, exts[-1] if exts else None)),)
+    g._extension = exts
+    return exts[t - 1]
 
 
 def validate_fraternity(ext, t: int | None = None, size_cap: int = 4096) -> bool:

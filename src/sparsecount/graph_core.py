@@ -130,17 +130,16 @@ class DirWLGraph:
     """Directed graph with positive integer arc weights and vertex labels.
 
     At most one of (u, v) and (v, u) may be present. Labels default to 0
-    (the trivial label); lifted product extensions carry pattern-vertex
-    labels. ``succ`` is the plain-Python adjacency that pattern-side code
-    reads; a host graph never builds it. ``_dp_index`` caches the DP's
-    weight host over the graph and, on G's own extension, ``_two_hop``
-    the depth-2 host over G's n vertices (``fastdp``); ``_wedges`` the
-    out-out wedge pairs per weight sum (``fraternal._wedge_pairs``).
+    (the trivial label); only the oracles read them, and the DP engine
+    refuses a graph with a nonzero label. ``succ`` is the plain-Python
+    adjacency that pattern-side code reads; a host graph never builds it. ``_dp_index`` caches the DP's weight host over the
+    graph and, on G's own extension, ``_signatures`` the host of a count
+    at the extension's depth over G's n vertices (``fastdp``).
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
                  "_arc_codes", "_reach_cache", "_fibers", "_dp_index",
-                 "_two_hop", "_succ", "_wedges")
+                 "_signatures", "_succ")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
                  labels: Sequence[int] | np.ndarray | None = None):
@@ -194,9 +193,8 @@ class DirWLGraph:
         self._reach_cache = {}
         self._fibers = None
         self._dp_index = None
-        self._two_hop = None
+        self._signatures = None
         self._succ = None
-        self._wedges = {}
 
     @property
     def arc_count(self) -> int:
@@ -275,8 +273,9 @@ def succ_lists(n: int, arcs) -> list[list[tuple[int, int]]]:
 
 
 def plain_labels(g) -> list[int]:
-    """A pattern's vertex labels as Python ints; None reads as all 0."""
-    return [0] * g.n if g.labels is None else [int(x) for x in g.labels]
+    """A pattern's vertex labels as Python ints; none reads as all 0."""
+    labels = getattr(g, "labels", None)
+    return [0] * g.n if labels is None else [int(x) for x in labels]
 
 
 def bfs_out_tree(g, s: int) -> tuple[list[int], dict[int, int | None]]:

@@ -271,11 +271,12 @@ def _cmd_analyze(args) -> int:
         entries, spasm_error = spasm(h), None
     except ValueError as exc:  # past CANONICAL_SIZE_LIMIT vertices
         entries, spasm_error = None, str(exc)
-    extensions = enumerate_pattern_extensions(h, depth)
     # a count peels each component to its 2-core and runs one DP per
-    # class of the core's Frat at its own depth; a tree runs none
+    # class of the core's Frat at its own depth; a tree runs none. The
+    # witnesses are those of the members a count runs on
     components = []
-    for hc in parts:
+    members = []
+    for i, hc in enumerate(parts):
         forest = pendant_forest(hc)
         part = {"n": hc.n, "m": hc.m, "core_n": 0, "t": None,
                 "n_extensions": 0, "n_classes": 0,
@@ -283,21 +284,22 @@ def _cmd_analyze(args) -> int:
         if forest.core is not None:
             core = forest.core
             d = _component_depth(core, args.t)
-            members = (extensions if core.n == h.n else
-                       enumerate_pattern_extensions(core, d))
-            part.update(core_n=core.n, t=d, n_extensions=len(members),
-                        n_classes=len(frat_classes(members, core, d,
+            frat = enumerate_pattern_extensions(core, d)
+            part.update(core_n=core.n, t=d, n_extensions=len(frat),
+                        n_classes=len(frat_classes(frat, core, d,
                                                    forest.colors)),
                         counted_by="dp")
+            members += [(i, ext) for ext in frat]
         components.append(part)
     n_ext = sum(c["n_extensions"] for c in components)
     n_classes = sum(c["n_classes"] for c in components)
     witnesses = []
-    for ext in extensions:
+    for i, ext in members:
         tree = find_width1_decomposition(ext)
         hubs = hubset(ext)
         ur = unique_reachability_graph(ext, hubs)
         witnesses.append({
+            "component": i,
             "arcs": [list(arc) for arc in ext.arcs],
             "hubset": [int(x) for x in hubs],
             "ur_edges": [[int(a), int(b)] for a, b in ur.edges],
@@ -317,7 +319,7 @@ def _cmd_analyze(args) -> int:
             {"n": e.quotient.n, "edges": e.quotient.edge_list(),
              "coefficient": str(e.coefficient)} for e in entries],
         "spasm_error": spasm_error,
-        "n_frat": len(extensions),
+        "n_frat": len(witnesses),
         "n_extensions": n_ext,
         "n_classes": n_classes,
         "components": components,
@@ -349,13 +351,13 @@ def _cmd_analyze(args) -> int:
                   f"message passing (no DP)")
     width1 = sum(1 for w in witnesses if w["width1"])
     print(f"width-1 witnesses: {width1}/{len(witnesses)} "
-          f"of |Frat(H,{depth})| = {len(extensions)}")
+          f"of the 2-cores' Frat members")
     for i, w in enumerate(witnesses):
         tree = w["tree"]
         shape = ("absent" if tree is None else
                  f"bags={tree['bags']} parent={tree['parent']}")
-        print(f"  extension {i}: hubset={w['hubset']} "
-              f"ur={w['ur_edges']} tree: {shape}")
+        print(f"  extension {i} (component {w['component']}): "
+              f"hubset={w['hubset']} ur={w['ur_edges']} tree: {shape}")
     return EXIT_OK
 
 

@@ -1,34 +1,21 @@
-"""The labeled pattern H^L and the labeled product H^L x G, as an oracle.
+"""The labeled product H^L x G, as an oracle.
 
 Fraternal extension by itself does not preserve homomorphism counts past
-depth 1, so from depth 2 on the pipeline counts label-respecting
-homomorphisms into the categorical product instead: every pattern
-vertex u may only land in the fiber of host vertices labeled u, and
-Hom(G, H) equals the label-respecting count from H^L into the product
-exactly. The pipeline never builds the product: its extension is lifted
-from G's own (``fraternal.optimal_extension``). ``pattern_product``
-builds it for the tests, which peel it as the lift's oracle.
+depth 1, so from depth 2 on a count stands for the label-respecting
+count into the categorical product: every pattern vertex u may only
+land in the fiber of host vertices <u, v>, and Hom(G, H) equals the
+label-respecting count from H^L into the product exactly. The pipeline
+never builds the product nor its extension: it counts unlabeled members
+on G's n vertices, on arcs classed by signature
+(``fastdp.signature_index``). ``pattern_product`` builds the product for
+the tests, which peel its extension as an oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph_core import UndirectedGraph
-
-
-@dataclass(frozen=True)
-class LabeledPattern:
-    """The pattern with every vertex labeled by itself."""
-
-    graph: UndirectedGraph
-    labels: tuple[int, ...]
-
-
-def label_pattern(h: UndirectedGraph) -> LabeledPattern:
-    return LabeledPattern(h, tuple(range(h.n)))
 
 
 def pattern_product(h: UndirectedGraph, g: UndirectedGraph) -> UndirectedGraph:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately separate from the library code paths it
 checks: cycle enumeration for longest induced cycles, adjacency-power
-traces for cycle homomorphism counts, the materialized labeled product
-peeled layer by layer (the oracle of the lifted product extension), a
+traces for cycle homomorphism counts, the extension of the labeled
+product lifted from G's own (the oracle of the signature host) and the
+materialized product peeled layer by layer (the oracle of the lift), a
 label-respecting undirected homomorphism counter for it, a search over every labeled hub
 tree for width-1 decompositions, and an exhaustive (batch
 canonicalized) catalogue of small connected patterns.
@@ -17,8 +18,12 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from sparsecount import (HubTree, UndirectedGraph, hubset, pattern_product,
+from sparsecount import (DirWLGraph, FraternalExtension, HubTree,
+                         UndirectedGraph, count_hom_extension, extension_edges,
+                         fastdp, hubset, optimal_extension, pattern_product,
                          validate_decomposition)
+from sparsecount.fraternal import _first_layer, _peeled_extension, _with_layer
+from sparsecount.pattern_tools import fiber_tournament
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +169,130 @@ def fiber_labels(k: int, n: int) -> np.ndarray:
 
 
 def peeled_product_extension(h: UndirectedGraph, g: UndirectedGraph, t: int):
-    """The lift's oracle: the materialized labeled product H^L x G, each
-    extension layer oriented by the degeneracy peel of its own edges."""
-    from sparsecount.fraternal import _peeled_extension
+    """The lift's oracle: the materialized product H x G, each extension
+    layer oriented by the degeneracy peel of its own edges. Unlabeled,
+    like ``lifted_extension``: fiber u is the block [u * n, (u+1) * n)."""
+    return _peeled_extension(pattern_product(h, g), t)
 
-    return _peeled_extension(pattern_product(h, g), fiber_labels(h.n, g.n), t)
+
+class ExtensionLiftError(RuntimeError):
+    """A product pair has no orientation to lift: G's own extension has no
+    arc of weight <= its round between its host vertices, or its two
+    fibers have no tournament arc. Either means a broken invariant."""
+
+
+def _lift_arcs(h: UndirectedGraph, arcs: np.ndarray, n: int) -> np.ndarray:
+    """Layer 1 of the product: <u,x> -> <u',y> for every edge uu' of H,
+    taken both ways, and every arc x -> y of G's layer 1."""
+    he = h.edge_array
+    fro = np.concatenate((he[:, 0], he[:, 1]))[:, None] * n
+    to = np.concatenate((he[:, 1], he[:, 0]))[:, None] * n
+    return np.column_stack(((fro + arcs[:, 0]).ravel(),
+                            (to + arcs[:, 1]).ravel()))
+
+
+def _lift_pairs(n: int, k: int, pairs: np.ndarray, own: DirWLGraph,
+                tau: np.ndarray, i: int) -> np.ndarray:
+    """Orient round-i product pairs <u,v> - <u',v'> (over k fibers of n
+    vertices) as G's own extension orients v - v', and vertical pairs
+    (v = v') as tau orients u - u'."""
+    fiber, v = np.divmod(pairs, n)
+
+    def has_arc(a, b):
+        w = own.arc_weights(a, b)
+        return (w > 0) & (w <= i)
+
+    vertical = v[:, 0] == v[:, 1]
+    forward = (has_arc(v[:, 0], v[:, 1])
+               | vertical & tau[fiber[:, 0], fiber[:, 1]])
+    backward = (has_arc(v[:, 1], v[:, 0])
+                | vertical & tau[fiber[:, 1], fiber[:, 0]])
+    if not (forward | backward).all():
+        x, y = pairs[np.argmin(forward | backward)]
+        raise ExtensionLiftError(
+            f"round {i}: no arc to lift onto product pair <{x // n},{x % n}>"
+            f" - <{y // n},{y % n}>")
+    src = np.where(forward, pairs[:, 0], pairs[:, 1])
+    dst = np.where(forward, pairs[:, 1], pairs[:, 0])
+    order = np.argsort(src * (k * n) + dst, kind="stable")
+    return np.column_stack((src[order], dst[order]))
+
+
+def lifted_extension(g: UndirectedGraph, t: int, h: UndirectedGraph,
+                     colors: tuple | None = None) -> FraternalExtension:
+    """The oracle of the signature host: the extension of the labeled
+    product H^L x G to depth t on k * n vertices, <u,v> = u * n + v,
+    lifted from G's own extension without building the product.
+
+    Layer 1 is G's layer 1 arc for arc: <u,x> -> <u',y> for every edge
+    uu' of H, both ways, and every arc x -> y. Layer i >= 2 takes the
+    round-i pairs of the product and orients <u,v> - <u',v'> as G's own
+    extension orients v - v' (an arc of weight <= i always exists there,
+    since every product arc projects onto a G arc or onto one vertex),
+    and a vertical pair (v = v') by the tournament of
+    ``fiber_tournament(H, t, colors)``. The lifted layers need not be
+    acyclic from layer 2 on. Unlabeled: ``count_on_lift`` reads fiber u
+    as the block [u * n, (u+1) * n).
+    """
+    k, n = h.n, g.n
+    own = optimal_extension(g, t)
+    ext = _first_layer(k * n, _lift_arcs(h, own.layers[0], n))
+    tau = np.zeros((k, k), dtype=bool)
+    for a, b in fiber_tournament(h, t, colors).arcs:
+        tau[a, b] = True
+    for i in range(2, t + 1):
+        pairs = extension_edges(ext.graph, i)
+        ext = _with_layer(ext, _lift_pairs(n, k, pairs, own.graph, tau, i), i)
+    return ext
+
+
+@functools.lru_cache(maxsize=4)
+def _fiber_host(graph: DirWLGraph, depth: int, k: int) -> fastdp.WeightedHost:
+    fiber = fiber_labels(k, graph.n // k)
+    cls = ((graph.wgt - 1) * k + fiber[graph.src]) * k + fiber[graph.dst] + 1
+    ncls = depth * k * k
+    weights = np.zeros((ncls + 1, k, k), dtype=np.int64)
+    for w in range(1, depth + 1):
+        for a in range(k):
+            for b in range(k):
+                weights[((w - 1) * k + a) * k + b + 1, a, b] = w
+    index = fastdp._HostIndex(graph.n, graph.src, graph.dst, cls, ncls)
+    return fastdp.WeightedHost(fastdp.SignatureHost(index, weights), tuple(
+        (fiber == u).astype(np.int64) for u in range(k)))
+
+
+def signature_host(g: UndirectedGraph, h: UndirectedGraph,
+                   t: int) -> fastdp.SignatureHost:
+    """The host a depth-t count of h runs on (t >= 2), with h's bare
+    tournament."""
+    sig = fastdp.signature_index(optimal_extension(g, t))
+    return fastdp.SignatureHost(sig.index, fastdp.class_weights(
+        sig, h, fiber_tournament(h, t).arcs))
+
+
+def count_on_lift(member, lifted) -> int:
+    """Hom of a member's labeled twin into a product extension over k
+    fibers (``lifted_extension`` or ``peeled_product_extension``): pattern
+    vertex u may only land in fiber u. The engine reads no labels, so
+    the extension becomes a ``fastdp.SignatureHost`` whose classes are
+    (weight, source fiber, target fiber), an arc (u, u', w) reading those
+    of fibers u, u' and weight at most w, and fiber u weighs 1 for
+    pattern vertex u and 0 elsewhere (for a root with no out-arc)."""
+    return count_hom_extension(
+        member, _fiber_host(lifted.graph, max(lifted.depth, 1), member.n))
+
+
+def with_fiber_labels(graph: DirWLGraph, k: int) -> DirWLGraph:
+    """A product extension's graph with <u,v> labeled u, for the label-
+    reading oracles (``bressan_count``, ``brute_force_hom_wl``)."""
+    return DirWLGraph.from_arrays(graph.n, graph.src, graph.dst, graph.wgt,
+                                  fiber_labels(k, graph.n // k))
+
+
+def self_labeled(member) -> DirWLGraph:
+    """A member's graph with every vertex labeled by itself: its labeled
+    twin H^L, for the label-reading oracles."""
+    return DirWLGraph(member.n, member.arcs, labels=range(member.n))
 
 
 def labeled_product_hom_count(product: UndirectedGraph, h: UndirectedGraph,

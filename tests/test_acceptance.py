@@ -8,7 +8,7 @@ import time
 from sparsecount import (DirWLGraph, brute_force_hom, brute_force_hom_wl,
                          brute_force_sub, count_homomorphisms,
                          count_subgraphs, enumerate_pattern_extensions,
-                         find_width1_decomposition, label_pattern, licl,
+                         find_width1_decomposition, licl,
                          min_extension_depth, optimal_extension,
                          validate_decomposition,
                          validate_fraternity)
@@ -17,7 +17,8 @@ from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_subdivision)
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
-                      random_graph, triangle_count)
+                      lifted_extension, random_graph, self_labeled,
+                      triangle_count, with_fiber_labels)
 
 SEED = 20260811
 
@@ -59,10 +60,9 @@ def test_acceptance_2_partition_identity():
         h = small[i % len(small)]
         depth = [1, 2, 3][i % 3]
         g = random_graph(rng.randint(2, 8), rng.uniform(0.25, 0.55), rng)
-        hl = label_pattern(h)
-        host_ext = optimal_extension(g, depth, pattern=h)
-        members = enumerate_pattern_extensions(hl, depth)
-        total = sum(brute_force_hom_wl(host_ext.graph, m.graph, cap=10 ** 6)
+        host = with_fiber_labels(lifted_extension(g, depth, h).graph, h.n)
+        members = enumerate_pattern_extensions(h, depth)
+        total = sum(brute_force_hom_wl(host, self_labeled(m), cap=10 ** 6)
                     for m in members)
         assert total == brute_force_hom(g, h), (i, h.edge_list(), depth)
         checked += 1
@@ -91,8 +91,7 @@ def test_acceptance_4_width1_guarantee():
     trees = 0
     for h in connected_patterns_up_to(6):
         depth = min_extension_depth(licl(h))
-        hl = label_pattern(h)
-        for member in enumerate_pattern_extensions(hl, depth):
+        for member in enumerate_pattern_extensions(h, depth):
             tree = find_width1_decomposition(member.graph)
             assert tree is not None, (h.edge_list(), depth)
             assert validate_decomposition(member.graph, tree)
@@ -114,8 +113,7 @@ def test_acceptance_5_fraternity_validity():
     members_checked = 0
     for h in connected_patterns_up_to(6):
         depth = min_extension_depth(licl(h))
-        hl = label_pattern(h)
-        for member in enumerate_pattern_extensions(hl, depth):
+        for member in enumerate_pattern_extensions(h, depth):
             assert validate_fraternity(member), h.edge_list()
             members_checked += 1
     report(5, "fraternity-function validity",

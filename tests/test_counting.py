@@ -1,7 +1,6 @@
 import random
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +11,17 @@ from sparsecount import (DirWLGraph, HomMap, HubTree, NoWidth1Decomposition,
                          count_hom_extension, count_homomorphisms,
                          count_subgraphs, enumerate_pattern_extensions,
                          enumerate_root_homs, find_width1_decomposition,
-                         label_pattern, max_outdegree, optimal_extension,
+                         max_outdegree, optimal_extension,
                          validate_decomposition)
 from sparsecount import counting, fastdp
 from sparsecount.counting import frat_classes
 from sparsecount.harness import generate_bounded_degeneracy, run_count_hom
 
-from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
-                      cycle_hom_trace, disjoint_union, path_graph,
-                      peeled_product_extension, random_graph, star_graph)
+from conftest import (complete_graph, connected_patterns_up_to, count_on_lift,
+                      cycle_graph, cycle_hom_trace, disjoint_union,
+                      lifted_extension, path_graph, peeled_product_extension,
+                      random_graph, self_labeled, signature_host,
+                      star_graph, with_fiber_labels)
 
 
 def test_hommap_encoding():
@@ -97,32 +98,35 @@ def test_bressan_dictionary_size_bound():
     for _ in range(20):
         h = random_graph(rng.randint(2, 4), 0.7, rng)
         g = random_graph(rng.randint(2, 9), 0.4, rng)
-        hl = label_pattern(h)
-        host = optimal_extension(g, 1, pattern=h)
-        d = max(1, max_outdegree(host.graph))
-        for member in enumerate_pattern_extensions(hl, 1):
-            tree = find_width1_decomposition(member.graph)
-            counts = bressan_count(member.graph, tree, tree.root, host.graph)
-            assert len(counts) <= host.graph.n * d ** (h.n - 1)
+        host = with_fiber_labels(lifted_extension(g, 1, h).graph, h.n)
+        d = max(1, max_outdegree(host))
+        for member in enumerate_pattern_extensions(h, 1):
+            pattern = self_labeled(member)
+            tree = find_width1_decomposition(pattern)
+            counts = bressan_count(pattern, tree, tree.root, host)
+            assert len(counts) <= host.n * d ** (h.n - 1)
 
 
 def test_count_hom_extension_label_mismatch_zero():
-    from sparsecount import FraternalExtension
-
+    # a label no host vertex carries admits no map; the label-reading
+    # oracles count it, since the engine reads no labels
     pattern = DirWLGraph(1, [], labels=[7])
     host = DirWLGraph(3, [], labels=[0, 1, 2])
-    no_arcs = np.empty((0, 2), dtype=np.int64)
-    member = FraternalExtension(pattern, 1, (no_arcs,))
-    hostx = FraternalExtension(host, 1, (no_arcs,))
-    assert count_hom_extension(member, hostx) == 0
+    tree = find_width1_decomposition(pattern)
+    assert sum(bressan_count(pattern, tree, tree.root, host).values()) == 0
+    assert brute_force_hom_wl(host, pattern) == 0
 
 
 def test_count_hom_extension_k2_product():
     h = path_graph(2)
-    hl = label_pattern(h)
-    hostx = optimal_extension(path_graph(2), 1, pattern=h)
-    members = enumerate_pattern_extensions(hl, 1)
-    counts = [count_hom_extension(m, hostx) for m in members]
+    hostx = with_fiber_labels(lifted_extension(path_graph(2), 1, h).graph,
+                              h.n)
+    counts = []
+    for member in enumerate_pattern_extensions(h, 1):
+        pattern = self_labeled(member)
+        tree = find_width1_decomposition(pattern)
+        counts.append(sum(bressan_count(pattern, tree, tree.root,
+                                        hostx).values()))
     # layer 1 lifts the host's peel, which takes host vertex 0 before 1:
     # <0,0> -> <1,1> runs from fiber 0 to fiber 1 and <1,0> -> <0,1> from
     # fiber 1 to fiber 0, so each pattern orientation collects one
@@ -153,13 +157,13 @@ def test_lifted_and_exact_peel_extensions_agree(kind, n, seed, h, t):
     # Frat-summed counts must not depend on which one the host extension
     # starts from
     g = _small_host(kind, n, seed)
-    hl = label_pattern(h)
-    lifted = optimal_extension(g, t, pattern=h)
+    lifted = lifted_extension(g, t, h)
     exact = peeled_product_extension(h, g, t)
-    members = enumerate_pattern_extensions(hl, t)
-    via_lift = sum(count_hom_extension(m, lifted) for m in members)
-    via_peel = sum(count_hom_extension(m, exact) for m in members)
+    members = enumerate_pattern_extensions(h, t)
+    via_lift = sum(count_on_lift(m, lifted) for m in members)
+    via_peel = sum(count_on_lift(m, exact) for m in members)
     assert via_lift == via_peel == brute_force_hom(g, h)
+    assert count_homomorphisms(g, h, t=t) == via_lift
     if t == 1:
         # a depth-1 count drops the labels: the unlabeled orientations
         # of h counted on G's own degeneracy DAG, on G's n vertices
@@ -184,19 +188,22 @@ def test_lifted_and_exact_peel_extensions_agree(kind, n, seed, h, t):
 @pytest.mark.parametrize("k", [7, 8, 9])
 def test_lifted_and_exact_peel_extensions_agree_on_long_cycles(k):
     # C7-C9 at t = 3 put vertical pairs at every distance up to 3 (the
-    # half turn of C8 is left in Aut_tau); the lifted host, counted one
-    # DP per class, and the exact peel, counted member by member, must
-    # both give trace(A^k)
+    # half turn of C8 is left in Aut_tau); the signature host and the
+    # lifted host, counted one DP per class, and the exact peel, counted
+    # member by member, must all give trace(A^k)
     g = random_graph(6, 0.5, random.Random(k))
     h = cycle_graph(k)
-    hl = label_pattern(h)
-    lifted = optimal_extension(g, 3, pattern=h)
+    host = signature_host(g, h, 3)
+    lifted = lifted_extension(g, 3, h)
     exact = peeled_product_extension(h, g, 3)
-    members = enumerate_pattern_extensions(hl, 3)
-    via_lift = sum(count_hom_extension(members[c[0]], lifted) * len(c)
-                   for c in frat_classes(members, h, 3))
-    via_peel = sum(count_hom_extension(m, exact) for m in members)
-    assert via_lift == via_peel == cycle_hom_trace(g, k) > 0
+    members = enumerate_pattern_extensions(h, 3)
+    classes = frat_classes(members, h, 3)
+    via_host = sum(count_hom_extension(members[c[0]], host) * len(c)
+                   for c in classes)
+    via_lift = sum(count_on_lift(members[c[0]], lifted) * len(c)
+                   for c in classes)
+    via_peel = sum(count_on_lift(m, exact) for m in members)
+    assert via_host == via_lift == via_peel == cycle_hom_trace(g, k) > 0
 
 
 def test_count_hom_extension_matches_wl_oracle():
@@ -204,12 +211,14 @@ def test_count_hom_extension_matches_wl_oracle():
     for _ in range(25):
         h = random_graph(4, 0.6, rng)
         g = random_graph(rng.randint(3, 12), 0.35, rng)
-        hl = label_pattern(h)
-        hostx = optimal_extension(g, 2, pattern=h)
-        for member in enumerate_pattern_extensions(hl, 2):
-            got = count_hom_extension(member, hostx)
-            want = brute_force_hom_wl(hostx.graph, member.graph, cap=10 ** 6)
-            assert got == want
+        hostx = lifted_extension(g, 2, h)
+        labeled = with_fiber_labels(hostx.graph, h.n)
+        host = signature_host(g, h, 2)
+        for member in enumerate_pattern_extensions(h, 2):
+            want = brute_force_hom_wl(labeled, self_labeled(member),
+                                      cap=10 ** 6)
+            assert count_on_lift(member, hostx) == want
+            assert count_hom_extension(member, host) == want
 
 
 def test_fast_engine_width0_child_table():
@@ -234,7 +243,8 @@ def test_fast_engine_width0_child_table():
 ])
 def test_engines_agree(t, limit, monkeypatch):
     # at t >= 2 the host extension is weighted, so the vectorized engine's
-    # weight-prefix arc checks are compared with the dict engine oracle
+    # arc checks, on the signature host and on the lift with fiber
+    # weights, are compared with the dict engine on the labeled lift
     real = fastdp._pack
     made = []
 
@@ -251,13 +261,16 @@ def test_engines_agree(t, limit, monkeypatch):
     for _ in range(30):
         h = random_graph(rng.randint(2, 5), 0.55, rng)
         g = random_graph(rng.randint(2, 11), 0.4, rng)
-        hl = label_pattern(h)
-        hostx = optimal_extension(g, t, pattern=h)
-        for member in enumerate_pattern_extensions(hl, t):
+        lifted = lifted_extension(g, t, h)
+        labeled = with_fiber_labels(lifted.graph, h.n)
+        host = (optimal_extension(g, 1).graph if t == 1
+                else signature_host(g, h, t))
+        for member in enumerate_pattern_extensions(h, t):
             tree = find_width1_decomposition(member.graph)
-            fast = fastdp.extension_count(member.graph, tree, hostx.graph)
-            ref = bressan_count(member.graph, tree, tree.root, hostx.graph)
-            assert fast == sum(ref.values())
+            ref = sum(bressan_count(self_labeled(member), tree, tree.root,
+                                    labeled).values())
+            assert fastdp.extension_count(member, tree, host) == ref
+            assert count_on_lift(member, lifted) == ref
     assert any(made) == (limit is not None)
     assert not all(made)
 
@@ -318,6 +331,7 @@ def test_deeper_than_minimal_depth_still_exact():
         want = brute_force_hom(g, h)
         assert count_homomorphisms(g, h, t=2) == want
         assert count_homomorphisms(g, h, t=3) == want
+        assert count_homomorphisms(g, h, t=4) == want
 
 
 def test_no_width1_at_forced_depth():
@@ -343,8 +357,8 @@ def test_count_builds_only_what_it_uses(monkeypatch):
     # The 82 class representatives of their 320 Frat members are counted
     # from their arc tuples, so no pattern graph is built. The 9 depth-1
     # quotients share one degeneracy DAG of G and one host index over it;
-    # C6 counts on one index over G's own extension to depth 2. No index
-    # has more than G's n vertices: no lifted 6n-vertex extension is built
+    # C6 counts on one signature index over G's own extension to depth 2.
+    # No index has more than G's n vertices
     import sparsecount.fraternal as fraternal
 
     g = generate_bounded_degeneracy(20, 3, 5)
@@ -360,10 +374,10 @@ def test_count_builds_only_what_it_uses(monkeypatch):
     dags = []
     peel = fraternal._peeled_extension
 
-    def tracked_peel(base, labels, t, ext=None):
+    def tracked_peel(base, t, ext=None):
         if t == 1:
             dags.append(base)
-        return peel(base, labels, t, ext)
+        return peel(base, t, ext)
 
     monkeypatch.setattr(fraternal, "_peeled_extension", tracked_peel)
     indexed = []
@@ -374,16 +388,13 @@ def test_count_builds_only_what_it_uses(monkeypatch):
             super().__init__(n, *args, **kwargs)
 
     monkeypatch.setattr(fastdp, "_HostIndex", TrackedIndex)
-    lifts = []
-    monkeypatch.setattr(fraternal, "_lift_arcs",
-                        lambda *args: lifts.append(args))
     assert count_subgraphs(g, cycle_graph(6)) == \
         brute_force_sub(g, cycle_graph(6))
     assert len(pattern_graphs) == 0
     assert dags == [g]
-    assert indexed == [g.n, g.n] and not lifts
+    assert indexed == [g.n, g.n]
     assert optimal_extension(g, 1).graph._dp_index is not None
-    assert optimal_extension(g, 2).graph._two_hop is not None
+    assert optimal_extension(g, 2).graph._signatures is not None
 
 
 def test_count_subgraphs_random_oracle():
@@ -444,16 +455,12 @@ def test_thread_option_matches_serial(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_depth1_orbit_classes_count_alike(n, seed, h, t):
     # one DP per class stands for all of it only if every member of an
-    # Aut_tau(H) orbit counts the same on the host extension a count
-    # uses: G's own DAG with unlabeled members at depth 1, the lifted
-    # product extension with labeled members from depth 2 on
+    # Aut_tau(H) orbit counts the same on the host a count uses: G's own
+    # DAG at depth 1, the signature host of G's own extension from depth
+    # 2 on, with unlabeled members at every depth
     g = random_graph(n, 0.45, random.Random(seed))
-    if t == 1:
-        hostx = optimal_extension(g, 1)
-        members = enumerate_pattern_extensions(h, 1)
-    else:
-        hostx = optimal_extension(g, t, pattern=h)
-        members = enumerate_pattern_extensions(label_pattern(h), t)
+    hostx = optimal_extension(g, 1) if t == 1 else signature_host(g, h, t)
+    members = enumerate_pattern_extensions(h, t)
     classes = frat_classes(members, h, t)
     assert sorted(i for c in classes for i in c) == list(range(len(members)))
     for c in classes:
@@ -580,15 +587,19 @@ def test_subgraph_error_names_offending_quotient(monkeypatch):
     assert info.value.quotient.n == 7
 
 
-def test_fast_engine_refuses_past_max_buckets():
-    # a host label far past the bucket-grid cap is refused, naming the
-    # grid size, rather than allocating the index or counting elsewhere
-    host = DirWLGraph(3, [(0, 1, 1), (1, 2, 1)],
-                      labels=[0, 10 ** 9, 2 * 10 ** 9])
-    pattern = DirWLGraph(2, [(0, 1, 1)], labels=[0, 10 ** 9])
+def test_fast_engine_refuses_labels():
+    # every root fiber is all of the host's vertices, so a labeled host
+    # or pattern is refused rather than counted as if unlabeled; the
+    # oracles still read labels
+    host = DirWLGraph(3, [(0, 1, 1), (1, 2, 1)], labels=[0, 1, 0])
+    pattern = DirWLGraph(2, [(0, 1, 1)], labels=[0, 1])
     tree = find_width1_decomposition(pattern)
-    with pytest.raises(ValueError, match="6000000003 buckets"):
-        fastdp.extension_count(pattern, tree, host)
+    for p, g in ((pattern, host), (pattern, DirWLGraph(3, [(0, 1, 1)])),
+                 (DirWLGraph(2, [(0, 1, 1)]), host)):
+        with pytest.raises(ValueError, match="reads no vertex labels"):
+            fastdp.extension_count(p, tree, g)
+    assert sum(bressan_count(pattern, tree, tree.root, host).values()) == \
+        brute_force_hom_wl(host, pattern) == 1
 
 
 def test_default_engine_is_vectorized_on_small_hosts(monkeypatch):

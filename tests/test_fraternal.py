@@ -5,12 +5,14 @@ import pytest
 
 from sparsecount import (DirWLGraph, ExtensionBlowupError, acyclic_orientations,
                          enumerate_pattern_extensions, extension_edges,
-                         label_pattern, max_outdegree, optimal_extension,
+                         max_outdegree, optimal_extension,
                          validate_fraternity)
 from sparsecount.fraternal import FraternalExtension
 
-from conftest import (complete_graph, cycle_graph, disjoint_union,
-                      is_acyclic_arcs, path_graph, random_graph, star_graph)
+from conftest import (ExtensionLiftError, complete_graph, cycle_graph,
+                      disjoint_union, is_acyclic_arcs, lifted_extension,
+                      path_graph, random_graph, self_labeled, star_graph,
+                      with_fiber_labels)
 
 
 def pairs_of(pairs):
@@ -45,14 +47,12 @@ def test_extension_edges_skips_existing_and_weights():
 
 def test_frat_depth1_is_acyclic_orientations():
     for h in (path_graph(3), cycle_graph(4), complete_graph(3)):
-        hl = label_pattern(h)
-        members = enumerate_pattern_extensions(hl, 1)
-        assert len(members) == len(acyclic_orientations(hl))
+        members = enumerate_pattern_extensions(h, 1)
+        assert len(members) == len(acyclic_orientations(h))
 
 
 def test_frat_branches_per_wedge():
-    hl = label_pattern(path_graph(3))
-    members = enumerate_pattern_extensions(hl, 2)
+    members = enumerate_pattern_extensions(path_graph(3), 2)
     # the center-out orientation gains one pair, oriented both ways
     wedge_base = {(1, 0), (1, 2)}
     branched = [m for m in members
@@ -65,10 +65,9 @@ def test_frat_branches_per_wedge():
 
 
 def test_wedge_free_member_persists_at_higher_depth():
-    hl = label_pattern(path_graph(3))
     chain = {(0, 1), (1, 2)}
     for t in (2, 3):
-        members = enumerate_pattern_extensions(hl, t)
+        members = enumerate_pattern_extensions(path_graph(3), t)
         chains = [m for m in members
                   if {(int(u), int(v)) for u, v in m.layers[0]} == chain]
         assert len(chains) == 1
@@ -77,8 +76,7 @@ def test_wedge_free_member_persists_at_higher_depth():
 
 def test_frat_shared_unit_layer():
     h = cycle_graph(4)
-    hl = label_pattern(h)
-    for member in enumerate_pattern_extensions(hl, 2):
+    for member in enumerate_pattern_extensions(h, 2):
         undirected = {(min(int(u), int(v)), max(int(u), int(v)))
                       for u, v in member.layers[0]}
         assert undirected == h.edge_set()
@@ -86,25 +84,21 @@ def test_frat_shared_unit_layer():
 
 
 def test_frat_cap_enforced():
-    hl = label_pattern(cycle_graph(6))
     with pytest.raises(ExtensionBlowupError):
-        enumerate_pattern_extensions(hl, 2, cap=10)
+        enumerate_pattern_extensions(cycle_graph(6), 2, cap=10)
 
 
 def eager_pattern_extensions(h, t):
     """Frat(h, t) built graph by graph: every acyclic orientation as a
     DirWLGraph, then per round ``extension_edges`` of each member and a
     new graph per orientation of its new layer, in the same order."""
-    graph = getattr(h, "graph", h)
-    labels = getattr(h, "labels", None)
-    edges = graph.edge_list()
+    edges = h.edge_list()
     members = []
     for mask in range(1 << len(edges)):
         arcs = [(v, u) if mask >> j & 1 else (u, v)
                 for j, (u, v) in enumerate(edges)]
-        if is_acyclic_arcs(graph.n, arcs):
-            members.append(DirWLGraph(graph.n, [(a, b, 1) for a, b in arcs],
-                                      labels=labels))
+        if is_acyclic_arcs(h.n, arcs):
+            members.append(DirWLGraph(h.n, [(a, b, 1) for a, b in arcs]))
     for i in range(2, t + 1):
         nxt = []
         for g in members:
@@ -126,12 +120,11 @@ def _differential_cases():
     from conftest import connected_patterns_up_to
 
     for h in connected_patterns_up_to(5):
-        yield h, 1
         for t in (1, 2):
-            yield label_pattern(h), t
+            yield h, t
     for k in (6, 7):
-        yield label_pattern(cycle_graph(k)), 2
-    yield label_pattern(cycle_graph(6)), 3
+        yield cycle_graph(k), 2
+    yield cycle_graph(6), 3
 
 
 def test_plain_python_members_match_the_eager_build():
@@ -180,7 +173,7 @@ def test_optimal_extension_depth1_lifts_host_peel_on_products():
     rng = random.Random(29)
     for _ in range(30):
         h, g, product = _random_product(rng)
-        ext = optimal_extension(g, 1, pattern=h)
+        ext = lifted_extension(g, 1, h)
         order = degeneracy_order(g)
         pos = order.positions()
         n = g.n
@@ -204,14 +197,14 @@ def test_lifted_product_extensions_are_fraternal():
     for t in (2, 3):
         for _ in range(15):
             h, g, product = _random_product(rng)
-            ext = optimal_extension(g, t, pattern=h)
+            ext = lifted_extension(g, t, h)
             assert validate_fraternity(ext)
             assert is_acyclic_arcs(product.n, ext.layers[0])
             for i in range(2, t + 1):
                 keep = ext.graph.wgt < i
                 prefix = DirWLGraph.from_arrays(
                     ext.graph.n, ext.graph.src[keep], ext.graph.dst[keep],
-                    ext.graph.wgt[keep], ext.graph.labels)
+                    ext.graph.wgt[keep])
                 arcs = [(int(u), int(v)) for u, v in ext.layers[i - 1]]
                 assert len(set(arcs)) == len(arcs)
                 assert {(min(a), max(a)) for a in arcs} == \
@@ -240,7 +233,7 @@ def test_tournament_automorphisms_keep_the_host_extension():
             else:
                 h = patterns[trial // 2 % len(patterns)]
                 g = random_graph(rng.randint(2, 7), 0.5, rng)
-            ext = optimal_extension(g, t, pattern=h)
+            ext = lifted_extension(g, t, h)
             arcs = set(zip(ext.graph.src.tolist(), ext.graph.dst.tolist(),
                            ext.graph.wgt.tolist()))
             tour = fiber_tournament(h, t)
@@ -257,6 +250,7 @@ def test_host_extension_built_once_per_graph(monkeypatch):
     # adds only the missing rounds to the deepest one cached, and every
     # count at one depth over G, such as the spasm quotients of a
     # subgraph count, reads the same object, also after a deeper count
+    import sparsecount.counting as counting
     import sparsecount.fraternal as fraternal
     from sparsecount import (brute_force_sub, count_homomorphisms,
                              count_subgraphs)
@@ -264,24 +258,23 @@ def test_host_extension_built_once_per_graph(monkeypatch):
     built = []
     real = fraternal._peeled_extension
 
-    def tracked(base, labels, t, ext=None):
+    def tracked(base, t, ext=None):
         built.append((base, 0 if ext is None else ext.depth, t))
-        return real(base, labels, t, ext)
+        return real(base, t, ext)
 
     monkeypatch.setattr(fraternal, "_peeled_extension", tracked)
-    served = []
-    real_own = fraternal._own_extension
+    served = []  # what each count reads
 
     def own_tracked(host, t):
-        served.append(real_own(host, t))
+        served.append(optimal_extension(host, t))
         return served[-1]
 
-    monkeypatch.setattr(fraternal, "_own_extension", own_tracked)
+    monkeypatch.setattr(counting, "optimal_extension", own_tracked)
     g = random_graph(9, 0.45, random.Random(8))
     count_homomorphisms(g, cycle_graph(5))
     assert built == [(g, 0, 1)]  # G's layer 1 only, its peel
     dag = optimal_extension(g, 1)
-    assert g._extension == (dag,) and served == [dag, dag]
+    assert g._extension == (dag,) and served == [dag]
     # Sub(C8) counts C8 and two quotients with a 6-cycle at depth 2; the
     # other quotients count at depth 1, or by message passing
     assert count_subgraphs(g, cycle_graph(8)) == \
@@ -307,35 +300,34 @@ def test_host_extension_built_once_per_graph(monkeypatch):
 
 def test_depth2_extension_and_index_shared_after_a_deeper_count():
     # after G's extension to depth 3 is built, every depth-2 request
-    # returns one object and one two-hop index, equal to a fresh build
+    # returns one object and one depth-2 index, equal to a fresh build
     from sparsecount import UndirectedGraph, fastdp
-    from sparsecount.fraternal import _own_extension
-
     g = random_graph(12, 0.4, random.Random(3))
-    deep = _own_extension(g, 3)
+    deep = optimal_extension(g, 3)
     first, second = optimal_extension(g, 2), optimal_extension(g, 2)
     assert first is second and deep.depth == 3 and first.depth == 2
-    index = fastdp.two_hop_index(first)
-    assert fastdp.two_hop_index(second) is index
+    index = fastdp.signature_index(first).index
+    assert fastdp.signature_index(second).index is index
     fresh = optimal_extension(UndirectedGraph(g.n, g.edge_list()), 2)
     assert (first.graph.src == fresh.graph.src).all()
     assert (first.graph.wgt == fresh.graph.wgt).all()
-    again = fastdp.two_hop_index(fresh)
+    again = fastdp.signature_index(fresh).index
     for lo in range(1, 5):
         for hi in range(lo, 5):
-            assert np.array_equal(again.padded(lo, hi)[0],
-                                  index.padded(lo, hi)[0])
+            classes = tuple(range(lo, hi + 1))
+            assert np.array_equal(again.padded(classes)[0],
+                                  index.padded(classes)[0])
 
 
 def test_lift_without_a_host_arc_raises():
-    from sparsecount.fraternal import ExtensionLiftError
-
+    # the tests' lift refuses a product pair that G's own extension does
+    # not orient, rather than dropping it
     g = cycle_graph(5)
     depth1 = optimal_extension(g, 1)
     g._extension = (depth1, FraternalExtension(depth1.graph, 2,
                                                depth1.layers * 2))
     with pytest.raises(ExtensionLiftError):
-        optimal_extension(g, 2, pattern=path_graph(3))
+        lifted_extension(g, 2, path_graph(3))
 
 
 def test_optimal_extension_edgeless():
@@ -418,8 +410,7 @@ def test_validate_fraternity_open_wedge_fails():
 
 def test_validate_fraternity_pattern_members():
     for h in (path_graph(4), cycle_graph(4), complete_graph(4)):
-        hl = label_pattern(h)
-        for member in enumerate_pattern_extensions(hl, 2):
+        for member in enumerate_pattern_extensions(h, 2):
             assert validate_fraternity(member)
 
 
@@ -477,12 +468,11 @@ def test_extension_hom_sets_partition_the_base_count():
         h = random_graph(k, 0.6, rng)
         g = random_graph(rng.randint(2, 7), 0.45, rng)
         t = 1 + trial % 2
-        hl = label_pattern(h)
-        host_ext = optimal_extension(g, t, pattern=h)
+        host = with_fiber_labels(lifted_extension(g, t, h).graph, k)
         seen = set()
         total = 0
-        for member in enumerate_pattern_extensions(hl, t):
-            homs = enumerate_wl_homs(host_ext.graph, member.graph)
+        for member in enumerate_pattern_extensions(h, t):
+            homs = enumerate_wl_homs(host, self_labeled(member))
             assert seen.isdisjoint(homs)  # no map counted twice
             seen.update(homs)
             total += len(homs)

@@ -11,7 +11,8 @@ from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_subdivision, run_count_hom)
 
 from conftest import (complete_graph, cycle_graph, cycle_hom_trace,
-                      disjoint_union, path_graph, random_graph, triangle_count)
+                      disjoint_union, lifted_extension, path_graph,
+                      random_graph, triangle_count)
 
 
 def test_subdivision_triangle_becomes_nine_cycle():
@@ -109,6 +110,26 @@ def test_run_count_hom_delta_plus_at_depth_2():
         max(sources.count(x) for x in set(sources))
 
 
+def test_run_count_hom_delta_plus_at_depth_3(tmp_path, capsys):
+    # depth 3 counts on G's own extension to depth 3 too, over its n
+    # vertices: Delta+ is its max outdegree over layers 1 to 3, below
+    # that of the 6n-vertex lifted product extension
+    g = generate_bounded_degeneracy(100, 3, 7)
+    report = run_count_hom(g, cycle_graph(6), t=3)
+    assert report.t == 3 and report.count == cycle_hom_trace(g, 6)
+    own = optimal_extension(g, 3)
+    sources = [x for layer in own.layers for x, _ in layer.tolist()]
+    assert report.delta_plus == max_outdegree(own.graph) == \
+        max(sources.count(x) for x in set(sources))
+    lifted = lifted_extension(g, 3, cycle_graph(6)).graph
+    assert report.delta_plus < max_outdegree(lifted)
+    host = _write(tmp_path, "host.el", g)
+    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
+    assert cli_main(["count-hom", host, c6, "--t", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["delta_plus"] == \
+        report.delta_plus
+
+
 def _write(tmp_path, name, g):
     path = tmp_path / name
     save_edge_list(g, path)
@@ -199,6 +220,11 @@ def test_cli_analyze_classes_per_component(tmp_path, capsys, monkeypatch, h,
     assert cli_main(["analyze", pat, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_classes"] == classes
+    # the witnesses are those of the 2-cores' members, at their depths
+    cores = [i for i, c in enumerate(payload["components"]) if c["core_n"]]
+    assert payload["n_frat"] == payload["n_extensions"] == \
+        len(payload["extensions"])
+    assert sorted({w["component"] for w in payload["extensions"]}) == cores
     calls = []
     real = counting.count_hom_extension
 
@@ -284,36 +310,6 @@ def test_cli_empty_pattern_is_usage_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "at least one vertex" in captured.err
         assert captured.out == ""
-
-
-def test_cli_host_index_cap_exit_code(tmp_path, capsys, monkeypatch):
-    from sparsecount import fastdp
-
-    # a bucket grid past the cap is refused as a usage error, naming its
-    # size, and no other engine counts instead; only a lifted product
-    # extension (t >= 3) has more than G's n vertices and one label, so
-    # C6 at depth 3 reaches the cap
-    monkeypatch.setattr(fastdp._HostIndex, "MAX_BUCKETS", 10)
-    host = _write(tmp_path, "host.el", random_graph(8, 0.4, random.Random(5)))
-    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
-    assert cli_main(["count-hom", host, c6, "--t", "3"]) == 2
-    assert "buckets is past the cap of 10" in capsys.readouterr().err
-
-
-def test_depth2_count_fits_a_cap_of_n_buckets(tmp_path, capsys,
-                                              monkeypatch):
-    from sparsecount import fastdp
-
-    # depth 2 indexes G's n vertices with one label: a cap below the
-    # lifted extension's 6n x 6 buckets still lets C6 count, at depth 3
-    # the same cap refuses
-    g = random_graph(8, 0.4, random.Random(5))
-    monkeypatch.setattr(fastdp._HostIndex, "MAX_BUCKETS", 2 * g.n)
-    host = _write(tmp_path, "host.el", g)
-    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
-    assert cli_main(["count-hom", host, c6]) == 0
-    assert int(capsys.readouterr().out) == brute_force_hom(g, cycle_graph(6))
-    assert cli_main(["count-hom", host, c6, "--t", "3"]) == 2
 
 
 def test_cli_exact_fallback_refused_past_cap(tmp_path, capsys):

@@ -7,15 +7,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsecount import (DirWLGraph, FraternalExtension, UndirectedGraph,
-                         brute_force_hom_wl, count_hom_extension,
+                         bressan_count, brute_force_hom_wl,
                          enumerate_pattern_extensions,
-                         find_width1_decomposition, hubset, label_pattern,
-                         min_extension_depth, licl, optimal_extension,
+                         find_width1_decomposition, hubset,
+                         min_extension_depth, licl,
                          reach, unique_reachability_graph,
                          validate_decomposition, validate_fraternity)
 from sparsecount.hub_decomp import HubTree
 
-from conftest import connected_patterns_up_to, cycle_graph, width1_tree_exists
+from conftest import (connected_patterns_up_to, cycle_graph, lifted_extension,
+                      width1_tree_exists, with_fiber_labels)
 
 
 def in_in_wedge():
@@ -70,7 +71,7 @@ def test_hubs_of_pattern_extensions_are_layer1_sources():
     cases += [(cycle_graph(6), 2), (cycle_graph(7), 2), (cycle_graph(6), 3)]
     members = 0
     for h, t in cases:
-        for member in enumerate_pattern_extensions(label_pattern(h), t):
+        for member in enumerate_pattern_extensions(h, t):
             g = member.graph
             sources = set(range(g.n)) - set(member.layers[0][:, 1].tolist())
             assert hubset(g) == tuple(sorted(sources))
@@ -162,8 +163,7 @@ def test_width1_guarantee_small_patterns():
     for h in connected_patterns_up_to(4):
         if licl(h) >= 6:
             continue
-        hl = label_pattern(h)
-        for member in enumerate_pattern_extensions(hl, min_extension_depth(licl(h))):
+        for member in enumerate_pattern_extensions(h, min_extension_depth(licl(h))):
             tree = find_width1_decomposition(member.graph)
             assert tree is not None
             assert validate_decomposition(member.graph, tree)
@@ -172,8 +172,7 @@ def test_width1_guarantee_small_patterns():
 def test_ur_forest_for_valid_patterns():
     for h in connected_patterns_up_to(4):
         t = min_extension_depth(licl(h))
-        hl = label_pattern(h)
-        for member in enumerate_pattern_extensions(hl, t):
+        for member in enumerate_pattern_extensions(h, t):
             ur = unique_reachability_graph(member.graph, hubset(member.graph))
             assert ur.is_forest()
 
@@ -199,17 +198,17 @@ def test_width1_nine_hub_tree_member_counts():
             (12, 3), (9, 3), (4, 5), (6, 5), (6, 8), (8, 14), (9, 11),
             (9, 15)]
     tree_pattern = UndirectedGraph(16, arcs)
-    hl = label_pattern(tree_pattern)
     member = FraternalExtension(
-        DirWLGraph(16, [(u, v, 1) for u, v in arcs], labels=hl.labels), 1,
+        DirWLGraph(16, [(u, v, 1) for u, v in arcs], labels=range(16)), 1,
         (np.array(sorted(arcs), dtype=np.int64),))
     assert validate_fraternity(member.graph, t=1)
     assert len(hubset(member.graph)) == 9
     tree = find_width1_decomposition(member.graph)
     assert tree is not None and validate_decomposition(member.graph, tree)
-    hostx = optimal_extension(cycle_graph(5), 1, pattern=tree_pattern)
-    got = count_hom_extension(member, hostx)
-    assert got == brute_force_hom_wl(hostx.graph, member.graph, cap=80) == 53
+    hostx = with_fiber_labels(
+        lifted_extension(cycle_graph(5), 1, tree_pattern).graph, 16)
+    got = sum(bressan_count(member.graph, tree, tree.root, hostx).values())
+    assert got == brute_force_hom_wl(hostx, member.graph, cap=80) == 53
 
 
 def _agrees_with_oracle(g: DirWLGraph) -> bool:
@@ -249,7 +248,7 @@ def test_width1_matches_exhaustive_oracle(g):
 
 def test_width1_matches_oracle_on_c6_depth1():
     # Frat(C6, 1) holds members with and without a width-1 decomposition
-    exts = enumerate_pattern_extensions(label_pattern(cycle_graph(6)), 1)
+    exts = enumerate_pattern_extensions(cycle_graph(6), 1)
     found = [find_width1_decomposition(ext.graph) is not None for ext in exts]
     assert any(found) and not all(found)
     for ext in exts:

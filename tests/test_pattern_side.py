@@ -11,24 +11,36 @@ from dataclasses import fields
 
 from sparsecount import (bressan_count, count_homomorphisms, count_subgraphs,
                          enumerate_pattern_extensions, fastdp,
-                         find_width1_decomposition, label_pattern,
-                         optimal_extension)
+                         find_width1_decomposition, optimal_extension)
 from sparsecount.counting import frat_classes
 from sparsecount.hub_decomp import reach
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
-                      random_graph)
+                      lifted_extension, random_graph, self_labeled,
+                      signature_host, with_fiber_labels)
 
 HOSTS = (complete_graph(4), random_graph(7, 0.5, random.Random(11)))
 
 
 def _cases():
-    """(pattern, what a count enumerates its members from, depth)."""
+    """(pattern, depth)."""
     for h in connected_patterns_up_to(5):
-        yield h, h, 1
-        yield h, label_pattern(h), 2
+        yield h, 1
+        yield h, 2
     for k in (6, 7):
-        yield cycle_graph(k), label_pattern(cycle_graph(k)), 2
+        yield cycle_graph(k), 2
+
+
+def _hosts(h, t):
+    """(the host a count runs on, the dict engine's host and whether it
+    is the labeled lift) per host of HOSTS."""
+    for g in HOSTS:
+        if t == 1:
+            dag = optimal_extension(g, 1).graph
+            yield dag, dag, False
+        else:
+            lifted = lifted_extension(g, t, h).graph
+            yield signature_host(g, h, t), with_fiber_labels(lifted, h.n), True
 
 
 def _assert_plain_ints(value, where):
@@ -48,15 +60,16 @@ def _plans(pattern, tree):
                                  & reach(pattern, tree.bags[bag])))
                for bag in order if bag != tree.root}
     domains[tree.root] = ()
-    return [fastdp._build_plan(pattern, tree, bag, domains) for bag in order]
+    return [fastdp._build_plan(pattern, tree, bag, domains,
+                               lambda a, b, w: tuple(range(1, w + 1)))
+            for bag in order]
 
 
 def test_plain_members_match_their_graphs():
     nonzero = 0
-    for h, source, t in _cases():
-        hosts = [optimal_extension(g, t, pattern=None if source is h else h)
-                 for g in HOSTS]
-        members = enumerate_pattern_extensions(source, t)
+    for h, t in _cases():
+        hosts = list(_hosts(h, t))
+        members = enumerate_pattern_extensions(h, t)
         reps = {c[0] for c in frat_classes(members, h, t)}
         for i, member in enumerate(members):
             graph = member.graph
@@ -72,11 +85,12 @@ def test_plain_members_match_their_graphs():
                 _assert_plain_ints(plan, (h, t))
             assert plans == _plans(graph, tree)
             # the DP runs on what a count runs: each class representative
-            for host in hosts if i in reps else ():
-                want = sum(bressan_count(graph, tree, tree.root,
-                                         host.graph).values())
+            for host, ref, labeled in hosts if i in reps else ():
+                want = sum(bressan_count(
+                    self_labeled(member) if labeled else graph, tree,
+                    tree.root, ref).values())
                 assert fastdp.extension_count(member, tree,
-                                              host.graph) == want, (h, t)
+                                              host) == want, (h, t)
                 nonzero += want > 0
     assert nonzero > 1000
 
@@ -94,8 +108,8 @@ def test_a_count_builds_no_succ_on_its_host(monkeypatch):
     count_subgraphs(g, cycle_graph(6))
     count_homomorphisms(g, cycle_graph(7))
     # depth 1 runs on G's DAG, depth 2 on the index over G's extension
-    graphs = [h for h in hosts if not isinstance(h, fastdp.TwoHopHost)]
-    two_hop = [h.index for h in hosts if isinstance(h, fastdp.TwoHopHost)]
+    graphs = [h for h in hosts if not isinstance(h, fastdp.SignatureHost)]
+    two_hop = [h.index for h in hosts if isinstance(h, fastdp.SignatureHost)]
     assert graphs and two_hop
     assert {h.n for h in graphs + two_hop} == {g.n}
     graphs += [optimal_extension(g, 2).graph]

@@ -16,7 +16,7 @@ import pytest
 
 from sparsecount import (UndirectedGraph, brute_force_hom, brute_force_sub,
                          cli_main, count_homomorphisms, count_subgraphs,
-                         enumerate_pattern_extensions, fastdp, label_pattern,
+                         enumerate_pattern_extensions, fastdp,
                          save_edge_list)
 from sparsecount import counting
 from sparsecount.counting import fold_pendant_trees, frat_classes
@@ -109,9 +109,9 @@ def test_subgraph_counts_with_pendant_trees(h):
 
 
 def test_depth3_cycle_with_a_pendant_vertex():
-    # C9 plus one pendant vertex at depth 3: the lifted host carries the
-    # weight deg(x) tiled over its nine fibers, and Hom is the sum over x
-    # of deg(x) times the closed 9-walks at x
+    # C9 plus one pendant vertex at depth 3: the signature host over G's
+    # n vertices carries the weight deg(x), and Hom is the sum over x of
+    # deg(x) times the closed 9-walks at x
     g = complete_graph(4)
     h = UndirectedGraph(10, cycle_graph(9).edge_list() + [(4, 9)])
     # K4 is 3-regular, so the sum is 3 * trace(A^9)
@@ -120,8 +120,8 @@ def test_depth3_cycle_with_a_pendant_vertex():
 
 @pytest.mark.parametrize("t", [2, 3])
 def test_weights_at_forced_depths(t):
-    # the depth-2 host and the lifted depth-3 host with pendant weights
-    # on core vertices other than 0
+    # the depth-2 and depth-3 signature hosts with pendant weights on
+    # core vertices other than 0
     paw = UndirectedGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     c4_tails = UndirectedGraph(7, cycle_graph(4).edge_list()
                                + [(1, 4), (4, 5), (3, 6)])
@@ -154,8 +154,7 @@ def test_class_members_count_alike_on_the_host_a_count_builds(h, t,
         (s[a], s[b]) in fiber_tournament(core, t).arcs
         for s in coloured.generators
         for a, b in fiber_tournament(core, t).arcs)
-    members = enumerate_pattern_extensions(
-        core if t == 2 else label_pattern(core), t)
+    members = enumerate_pattern_extensions(core, t)
     classes = frat_classes(members, core, t, colors)
     assert len(classes) < len(members)
     hosts = []
@@ -263,13 +262,15 @@ def test_analyze_a_pattern_past_the_canonical_limit(tmp_path, capsys,
                                                    monkeypatch):
     # every spasm holds the pattern itself, past canonical_form's limit
     # here: analyze reports no spasm, without canonicalizing anything,
-    # and keeps its component and witness output
-    from sparsecount import pattern_tools
+    # and keeps its component and witness output. A tree has no 2-core,
+    # so no Frat member is enumerated and no witness listed
+    from sparsecount import harness, pattern_tools
 
-    def refuse(h):
-        raise AssertionError("canonical_form ran")
+    def refuse(*args):
+        raise AssertionError("canonical_form or a Frat enumeration ran")
 
     monkeypatch.setattr(pattern_tools, "canonical_form", refuse)
+    monkeypatch.setattr(harness, "enumerate_pattern_extensions", refuse)
     path = tmp_path / "tree.el"
     save_edge_list(TREE16, path)
     assert cli_main(["analyze", str(path), "--json"]) == 0
@@ -280,7 +281,7 @@ def test_analyze_a_pattern_past_the_canonical_limit(tmp_path, capsys,
     assert payload["components"] == [{
         "n": 16, "m": 15, "core_n": 0, "t": None, "n_extensions": 0,
         "n_classes": 0, "counted_by": "message passing"}]
-    assert len(payload["extensions"]) == payload["n_frat"] == 2 ** 15
+    assert payload["extensions"] == [] and payload["n_frat"] == 0
     path11 = tmp_path / "p11.el"
     save_edge_list(path_graph(11), path11)
     assert cli_main(["analyze", str(path11)]) == 0

@@ -1,17 +1,9 @@
 import random
 
-from sparsecount import brute_force_hom, label_pattern, pattern_product
+from sparsecount import brute_force_hom, pattern_product
 
 from conftest import (cycle_graph, fiber_labels, labeled_product_hom_count,
                       path_graph, random_graph, UndirectedGraph)
-
-
-def test_label_pattern_self_labels():
-    hl = label_pattern(path_graph(2))
-    assert hl.labels == (0, 1)
-    hl = label_pattern(cycle_graph(6))
-    assert hl.labels == tuple(range(6))
-    assert label_pattern(UndirectedGraph(0, [])).labels == ()
 
 
 def test_product_k2_k2():

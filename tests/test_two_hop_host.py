@@ -1,25 +1,26 @@
 """A depth-2 count runs on G's n vertices, not on the lifted extension.
 
-``fastdp.two_hop_index`` holds G's own extension to depth 2 with four arc
-classes per source, and ``fastdp.TwoHopHost`` maps each arc of an
-unlabeled member of Frat(H, 2) onto a class range. These tests compare
-that host, class representative by representative, with the lifted
-k * n-vertex ``optimal_extension(g, 2, pattern=h)`` it replaces, and the
-totals with the peeled materialized product and brute force.
+At depth 2 ``fastdp.signature_index`` holds G's own extension to depth 2
+with four arc classes per source, and ``fastdp.SignatureHost`` maps each
+arc of an unlabeled member of Frat(H, 2) onto a set of them. These tests
+compare that host, class representative by representative, with the
+lifted k * n-vertex extension of the labeled product
+(``conftest.lifted_extension``), and the totals with the peeled
+materialized product and brute force.
 """
 
 import numpy as np
 
 from sparsecount import (UndirectedGraph, brute_force_hom, count_hom_extension,
                          count_homomorphisms, enumerate_pattern_extensions,
-                         fastdp, label_pattern, optimal_extension)
+                         fastdp, optimal_extension)
 from sparsecount.counting import (count_family, fold_pendant_trees,
                                   frat_classes)
 from sparsecount.harness import generate_bounded_degeneracy
-from sparsecount.pattern_tools import fiber_tournament
 
-from conftest import (connected_patterns_up_to, cycle_graph,
-                      cycle_hom_trace, peeled_product_extension)
+from conftest import (connected_patterns_up_to, count_on_lift, cycle_graph,
+                      cycle_hom_trace, lifted_extension,
+                      peeled_product_extension, signature_host)
 
 
 def _grid(r: int, c: int) -> UndirectedGraph:
@@ -50,25 +51,18 @@ HOSTS = (generate_bounded_degeneracy(11, 3, 2),
 PATTERNS = connected_patterns_up_to(5) + [cycle_graph(k) for k in (6, 7, 8)]
 
 
-def _two_hop(g: UndirectedGraph, h: UndirectedGraph) -> fastdp.TwoHopHost:
-    return fastdp.TwoHopHost(fastdp.two_hop_index(optimal_extension(g, 2)),
-                             fiber_tournament(h, 2).arcs)
-
-
 def test_two_hop_host_matches_the_lift_member_by_member():
     nonzero = 0
     for h in PATTERNS:
-        bare = enumerate_pattern_extensions(h, 2)
-        labeled = enumerate_pattern_extensions(label_pattern(h), 2)
-        assert [m.arcs for m in bare] == [m.arcs for m in labeled]
-        classes = frat_classes(bare, h, 2)
+        members = enumerate_pattern_extensions(h, 2)
+        classes = frat_classes(members, h, 2)
         for g in HOSTS:
-            host, lifted = _two_hop(g, h), optimal_extension(g, 2, pattern=h)
+            host, lifted = signature_host(g, h, 2), lifted_extension(g, 2, h)
             total = 0
             for c in classes:
-                got = count_hom_extension(bare[c[0]], host)
-                assert got == count_hom_extension(labeled[c[0]], lifted), \
-                    (h.edge_list(), g.edge_list(), bare[c[0]].arcs)
+                got = count_hom_extension(members[c[0]], host)
+                assert got == count_on_lift(members[c[0]], lifted), \
+                    (h.edge_list(), g.edge_list(), members[c[0]].arcs)
                 nonzero += got > 0
                 total += got * len(c)
             want = (cycle_hom_trace(g, h.n) if h.n > 5
@@ -82,10 +76,10 @@ def test_two_hop_totals_match_the_peeled_product():
     # no Aut_tau(H) symmetry, against one weighted DP per class of the
     # 2-core on G's n vertices (a tree runs no DP)
     for h in connected_patterns_up_to(4) + [cycle_graph(6)]:
-        labeled = enumerate_pattern_extensions(label_pattern(h), 2)
+        members = enumerate_pattern_extensions(h, 2)
         for g in (HOSTS[0], HOSTS[3], HOSTS[4]):
             peeled = peeled_product_extension(h, g, 2)
-            via_peel = sum(count_hom_extension(m, peeled) for m in labeled)
+            via_peel = sum(count_on_lift(m, peeled) for m in members)
             fold = fold_pendant_trees(g, h)
             if fold.core is not None:
                 assert count_family(fold, 2, optimal_extension(g, 2)
@@ -97,9 +91,9 @@ def test_two_hop_totals_match_the_peeled_product():
 def test_two_hop_index_classes():
     g = _triangles()
     ext = optimal_extension(g, 2)
-    hidx = fastdp.two_hop_index(ext)
-    assert hidx is fastdp.two_hop_index(ext)  # cached on the extension
-    assert (hidx.n, hidx.k, hidx.tmax) == (g.n, 1, 4)
+    hidx = fastdp.signature_index(ext).index
+    assert hidx is fastdp.signature_index(ext).index  # cached on the graph
+    assert (hidx.n, hidx.ncls) == (g.n, 4)
     dag = [tuple(a) for a in ext.layers[0].tolist()]
     parents = {}
     for x, y in dag:
@@ -110,7 +104,7 @@ def test_two_hop_index_classes():
     want |= {(x, x, 4) for x in parents}
     got = set()
     for cls in range(1, 5):
-        rows = hidx.padded(cls, cls)[0].tolist()
+        rows = hidx.padded((cls,))[0].tolist()
         for x in range(g.n):
             got |= {(x, y, cls) for y in rows[x] if y >= 0}
     assert got == want
@@ -118,15 +112,17 @@ def test_two_hop_index_classes():
 
 
 def test_two_hop_index_reads_only_layers_one_and_two():
-    # a depth-2 count after a depth-3 one reads the first two layers of
-    # G's deeper cached extension
+    # a depth-2 count after a depth-3 one indexes the depth-2 extension
+    # of G's cache, which holds only layers 1 and 2, as a fresh one does
     for g in HOSTS:
         two = optimal_extension(g, 2)
         fresh = UndirectedGraph(g.n, g.edge_list())
         deep = optimal_extension(fresh, 3)
         assert deep.depth == 3 and optimal_extension(fresh, 2).depth == 2
-        a, b = fastdp.two_hop_index(two), fastdp.two_hop_index(deep)
+        a = fastdp.signature_index(two).index
+        b = fastdp.signature_index(optimal_extension(fresh, 2)).index
         for lo in range(1, 5):
             for hi in range(lo, 5):
-                assert np.array_equal(a.padded(lo, hi)[0],
-                                      b.padded(lo, hi)[0])
+                classes = tuple(range(lo, hi + 1))
+                assert np.array_equal(a.padded(classes)[0],
+                                      b.padded(classes)[0])
