@@ -97,10 +97,12 @@ def orient_by_rank(pairs: np.ndarray, rank: np.ndarray) -> np.ndarray:
 
     ``rank`` holds one value per vertex and must differ across the two
     ends of every edge; any such ranking gives an acyclic layer. Arcs
-    come out sorted by (src, dst).
+    come out sorted by (src, dst): the codes ``src * n + dst`` are
+    distinct for a simple graph's edges, so numpy's default sort (a
+    vectorized quicksort) sorts them and ``divmod`` decodes them.
     """
     forward = rank[pairs[:, 0]] < rank[pairs[:, 1]]
     src = np.where(forward, pairs[:, 0], pairs[:, 1])
     dst = np.where(forward, pairs[:, 1], pairs[:, 0])
-    order = np.argsort(src * rank.shape[0] + dst, kind="stable")
-    return np.column_stack((src[order], dst[order]))
+    n = max(rank.shape[0], 1)
+    return np.column_stack(np.divmod(np.sort(src * n + dst), n))

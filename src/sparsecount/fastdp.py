@@ -7,11 +7,12 @@ BFS spanning out-tree, depth-first in blocks of at most ``ROW_BLOCK``
 rows: a block runs through the remaining steps before the next one
 starts, so the rows alive at once are bounded by the block size and
 Delta+, not by the host's size. There is one host kind: G's n vertices
-with one label, so every root fiber is all n vertices. A pattern arc
-reads a set of host arc classes (weights 1..w on a weight host;
-signatures on the host of a count at depth t >= 2,
-``signature_index``), held as a table padded to the set's width
-D <= Delta+ (plus a loop) per source vertex (``_HostIndex.padded``):
+with one label, so a root fiber is all n vertices, less those where
+the root's weight is 0. A pattern arc reads a set of host arc classes
+(weights 1..w on a weight host; signatures on the host of a count at
+depth t >= 2, ``signature_index``), held as a table padded to the
+set's width D <= Delta+ (plus a loop) per source vertex
+(``_HostIndex.padded``):
 an expansion gathers each row's source in one take, and a non-tree arc
 is checked with D column gathers per row (``_HostIndex.has_arcs``).
 Columns stop being carried as soon as nothing downstream reads them; a
@@ -123,20 +124,25 @@ class _HostIndex:
     per source vertex, its arcs of those classes in (class, target)
     order, padded with -1 to the set's width D, the largest such count;
     D is at most Delta+ plus a loop, since G's extension is oriented by
-    degeneracy. A table is built on first use from the arcs sorted by
-    (source, class, target) and kept twice, row-major (n x D) for
+    degeneracy. The arcs must come sorted by (source, target), as a
+    ``DirWLGraph`` holds them: a stable sort by the int64 key
+    source x (ncls + 1) + class then orders them by (source, class,
+    target), in a fraction of a lexsort's time, since the key is
+    already sorted by source. A table is built on first use from the
+    sorted arcs and kept twice, row-major (n x D) for
     ``_expand`` and as its contiguous transpose (D x n) for
     ``has_arcs``: 2 x n x D x 4 bytes per class set. A host whose n x D
     is far above its arc count (n x Delta+ >> m: a few wide sources
     among many narrow ones) pays for that padding: a known limit, left
-    open. ``root`` lists all n vertices, the root fiber of every bag.
+    open. ``root`` lists all n vertices, the root fiber of a bag whose
+    root carries no weight.
     """
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
                  cls: np.ndarray, ncls: int):
         self.n = n
         self.ncls = ncls
-        order = np.lexsort((dst, cls, src))
+        order = np.argsort(src * (ncls + 1) + cls, kind="stable")
         # int32 holds every vertex id and class
         self._arcs = tuple(arr[order].astype(np.int32)
                            for arr in (src, cls, dst))
@@ -551,13 +557,17 @@ class _Table:
 
 
 def _aggregate_table(key_chunks, val_chunks, n: int) -> _Table:
+    """One table from a bag's finished blocks: their key rows packed,
+    and the values of equal codes summed. The sort need not be stable:
+    the values are integers (widened first if their sum could pass
+    int64), so each sum is exact in any order."""
     if not key_chunks:
         empty = np.empty(0, dtype=np.int64)
         return _Table(empty, empty, (), n)
     vals = np.concatenate(val_chunks)
     vals = _widen(vals, int(vals.max()) * vals.shape[0])
     codes, steps = _pack(np.concatenate(key_chunks, axis=0), n)
-    srt = np.argsort(codes, kind="stable")
+    srt = np.argsort(codes)
     cs = codes[srt]
     starts = np.concatenate(([0], np.nonzero(cs[1:] != cs[:-1])[0] + 1))
     return _Table(cs[starts], np.add.reduceat(vals[srt], starts), steps, n)
@@ -591,7 +601,9 @@ def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
     """Evaluate one bag into its table, keyed by ``plan.out_cols``.
 
     A vertex shared with the parent (in ``out_cols``) gets its weight
-    there, so its weight is not applied here.
+    there, so its weight is not applied here. The root fiber keeps only
+    the vertices where the root's weight is nonzero: a row of weight 0
+    adds 0 to every sum it reaches.
 
     The rows are walked depth-first in blocks, on an explicit stack: a
     state of more than ``ROW_BLOCK`` rows (the root fiber, or what an
@@ -605,10 +617,11 @@ def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
     once."""
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
-    fiber = hidx.root
     weights = [None if v in plan.out_cols else host.weights[v]
                for v in plan.order]
     root_w = weights[0]
+    fiber = (hidx.root if root_w is None
+             else np.flatnonzero(root_w).astype(np.int32))
     steps = [(*step, w) for step, w in zip(plan.steps, weights[1:])]
 
     state = _BlockState({plan.order[0]: fiber},
@@ -728,7 +741,7 @@ def extension_count(pattern, tree: HubTree,
     parent. A bag B shares Reach(parent) & Reach(B) with its parent; the
     oracle's Reach(parent) & Reach(down(B)) is the same set on a width-1
     tree, where a vertex reached by two bags is reached by every bag
-    between them. Every root fiber is all of the host's vertices:
+    between them. Every root fiber is drawn from all host vertices:
     raises ValueError when the host or the pattern carries a nonzero
     vertex label, which this engine does not read.
     """

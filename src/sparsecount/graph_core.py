@@ -57,14 +57,12 @@ class UndirectedGraph:
                 raise GraphFormatError(f"self-loop at vertex {bad}")
             lo = np.minimum(arr[:, 0], arr[:, 1])
             hi = np.maximum(arr[:, 0], arr[:, 1])
-            codes = lo * n + hi
-            order = np.argsort(codes, kind="stable")
-            codes = codes[order]
+            codes = np.sort(lo * n + hi)
             if np.any(codes[1:] == codes[:-1]):
                 dup = int(np.nonzero(codes[1:] == codes[:-1])[0][0])
                 u, v = divmod(int(codes[dup]), n)
                 raise GraphFormatError(f"parallel edge {u} {v}")
-            arr = np.column_stack((lo[order], hi[order]))
+            arr = np.column_stack(np.divmod(codes, n))
         self.edge_array = arr
         self.id_map: dict | None = None
         self._indptr = None
@@ -80,10 +78,10 @@ class UndirectedGraph:
     def _build_csr(self):
         if self._indptr is not None:
             return
-        ends = np.concatenate((self.edge_array[:, 0], self.edge_array[:, 1]))
-        nbrs = np.concatenate((self.edge_array[:, 1], self.edge_array[:, 0]))
-        order = np.argsort(ends * self.n + nbrs, kind="stable")
-        ends, nbrs = ends[order], nbrs[order]
+        n = max(self.n, 1)
+        lo, hi = self.edge_array.T
+        ends, nbrs = np.divmod(
+            np.sort(np.concatenate((lo * n + hi, hi * n + lo))), n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         counts = np.bincount(ends, minlength=self.n)
         np.cumsum(counts, out=indptr[1:])
