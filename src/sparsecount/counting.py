@@ -6,10 +6,10 @@ into vertex weights, host extension, pattern extension family of the
 ``count_subgraphs`` reduces subgraph counts to it through the spasm.
 ``count_family`` runs one DP per Aut_tau orbit of Frat(core, t) and
 weights it by the orbit size (``frat_classes`` says why orbits count
-alike). Every DP runs on G's n vertices with unlabeled members: on G's
-degeneracy DAG at depth 1, and from depth 2 on on the signature host of
-G's own extension (``fastdp.signature_index``), which stands in for the
-extension of the labeled product H^L x G without building either.
+alike). Every DP runs on G's n vertices with unlabeled members, on the
+signature host of G's own extension (``fastdp.signature_index``), which
+stands in for the extension of the labeled product H^L x G without
+building either.
 Oracles live here too, so every fast path has an exhaustive
 counterpart: ``enumerate_root_homs`` lists the label/weight/arc-respecting
 homomorphisms of a reachable sub-pattern, ``bressan_count`` is the
@@ -46,8 +46,7 @@ class NoWidth1Decomposition(Exception):
     brute force.
     """
 
-    def __init__(self, extension: PatternExtension | FraternalExtension,
-                 quotient=None):
+    def __init__(self, extension: PatternExtension, quotient=None):
         self.extension = extension
         self.quotient = quotient
         msg = "no width-1 hub-tree decomposition for a pattern extension"
@@ -180,28 +179,22 @@ def bressan_count(pattern, tree: HubTree, bag: int,
     return result
 
 
-def count_hom_extension(pattern_ext: PatternExtension | FraternalExtension,
-                        host: FraternalExtension | fastdp.SignatureHost
-                        | fastdp.WeightedHost) -> int:
+def count_hom_extension(pattern_ext: PatternExtension,
+                        host: fastdp.SignatureHost | fastdp.WeightedHost
+                        ) -> int:
     """Weighted Hom(host, pattern_ext) via the width-1 DP.
 
     Runs ``fastdp.extension_count`` on a width-1 hub-tree decomposition
-    of the pattern extension. A ``PatternExtension`` is passed as it is,
-    so no pattern graph is built; a ``FraternalExtension`` passes its
-    graph. ``host`` is a host extension, read as a weight host, the
-    ``fastdp.SignatureHost`` of a count at depth t >= 2, or either one
-    with the vertex weights of folded pendant trees
+    of the pattern extension, read from its arc tuple, so no pattern
+    graph is built. ``host`` is the ``fastdp.SignatureHost`` of a count,
+    bare or with the vertex weights of folded pendant trees
     (``fastdp.WeightedHost``, what ``count_family`` passes). Raises
     NoWidth1Decomposition when no such decomposition exists.
     """
-    pattern = (pattern_ext if isinstance(pattern_ext, PatternExtension)
-               else pattern_ext.graph)
-    tree = find_width1_decomposition(pattern)
+    tree = find_width1_decomposition(pattern_ext)
     if tree is None:
         raise NoWidth1Decomposition(pattern_ext)
-    if isinstance(host, FraternalExtension):
-        host = host.graph
-    return fastdp.extension_count(pattern, tree, host)
+    return fastdp.extension_count(pattern_ext, tree, host)
 
 
 def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
@@ -225,15 +218,13 @@ def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
     colors)``): relabeling a member by such an automorphism s leaves its
     count unchanged. With ``colors``, h is a 2-core whose vertices carry
     the weights of their folded pendant trees, and s keeps every colour,
-    so it keeps the weights too. At depth 1 the host is G's own DAG, so
-    a relabeled member is an isomorphic pattern, and the group is all of
-    Aut(h) that keeps the colours (there are no vertical pairs). From
-    depth 2 on a member arc (a, b, w) reads the host classes
-    {s : 1 <= F_t[s][a, b] <= w} (``fastdp.SignatureHost``), and F_t is
-    built from h's edges and tau alone, both of which s keeps: so
+    so it keeps the weights too. A member arc (a, b, w) reads the host
+    classes {s : 1 <= F_t[s][a, b] <= w} (``fastdp.SignatureHost``), and
+    F_t is built from h's edges and tau alone, both of which s keeps: so
     F_t[s][s(a), s(b)] = F_t[s][a, b], and a relabeled member reads the
-    same classes. Members are keyed by their sorted (src, dst, weight) arc tuples, so
-    no member graph is built. Classes are ordered by, and list first,
+    same classes. At depth 1 there are no vertical pairs, so the group
+    is all of Aut(h) that keeps the colours. Members are keyed by their
+    sorted (src, dst, weight) arc tuples, so no member graph is built. Classes are ordered by, and list first,
     their first member in enumeration order.
     """
     roots = orbit_roots([m.arcs for m in members],
@@ -287,24 +278,21 @@ def count_family(fold: Fold, depth: int,
     tuple's plain-Python ``succ``; no pattern graph is built. Every DP
     runs on a ``fastdp.WeightedHost`` carrying the fold's weights, over
     G's n vertices, with unlabeled members. ``host_ext`` is G's own
-    ``optimal_extension(g, depth)``. At depth 1 the DPs run on its
-    degeneracy DAG: a label-respecting hom of an orientation P of the
-    core into the product's layer 1 is exactly a hom of P into that DAG.
-    From depth 2 on they run on its ``fastdp.signature_index``, with the
-    tau of ``fiber_tournament(core, depth, colors)``: the product's
-    rounds factor into a G-side signature and an H-side weight per
-    signature, so every member counts there what its labeled twin counts
-    on the k * n-vertex product extension.
+    ``optimal_extension(g, depth)``, and the DPs run on its
+    ``fastdp.signature_index``, with the tau of ``fiber_tournament(core,
+    depth, colors)``: the product's rounds factor into a G-side
+    signature and an H-side weight per signature, so every member counts
+    there what its labeled twin counts on the k * n-vertex product
+    extension. At depth 1 there are no rounds, and the host is G's
+    degeneracy DAG.
     """
     core, colors, weights = fold
     members = enumerate_pattern_extensions(core, depth)
     classes = frat_classes(members, core, depth, colors)
-    host = host_ext.graph
-    if depth >= 2:
-        sig = fastdp.signature_index(host_ext)
-        host = fastdp.SignatureHost(sig.index, fastdp.class_weights(
-            sig, core, fiber_tournament(core, depth, colors).arcs))
-    host = fastdp.WeightedHost(host, weights)
+    sig = fastdp.signature_index(host_ext)
+    tau = fiber_tournament(core, depth, colors).arcs
+    host = fastdp.WeightedHost(fastdp.SignatureHost(
+        sig.index, fastdp.class_weights(sig, core, tau)), weights)
     total = sum(count_hom_extension(members[c[0]], host) * len(c)
                 for c in classes)
     return FamilyCount(total, len(members), len(classes))
@@ -368,20 +356,19 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     at depth t (defaulting to the minimal depth for the pattern's
     longest induced cycle, which its pendant trees never raise), then
     sums the weighted per-extension DP counts. Every host is on G's n
-    vertices and every member is unlabeled. At depth 1 the host is G's
-    own degeneracy DAG and the members are the acyclic orientations of
-    h. From depth t = 2 on the host is G's own extension to depth t,
-    whose arcs and loops are classed by signature so that each class
-    stands in for the labeled product h^L x G's arcs over it
-    (``fastdp.signature_index``); the product is never built. The DP runs once per Aut_tau orbit
-    of the core's extensions, since relabeled members count alike, where
-    Aut_tau keeps the tournament and every core vertex's pendant forest:
-    at depth 1 Aut_tau is all of Aut(h) for an h with no pendant tree (3
-    DPs for the 30 orientations of C5, and 15 for C5 with a tail); at
-    depth 2 the clockwise tournament keeps the rotations of a cycle (36
-    DPs for the 196 extensions of C6, 149 for the 1152 of C8).
-    Disconnected patterns multiply their
-    per-component counts. Every DP runs in the calling thread on the one
+    vertices and every member is unlabeled. The host is G's own
+    extension to depth t, whose arcs and loops are classed by signature
+    so that each class stands in for the labeled product h^L x G's arcs
+    over it (``fastdp.signature_index``); the product is never built. At
+    depth 1 that is G's own degeneracy DAG, and the members are the
+    acyclic orientations of h. The DP runs once per Aut_tau orbit of the
+    core's extensions, since relabeled members count alike, where Aut_tau
+    keeps the tournament and every core vertex's pendant forest: at
+    depth 1 Aut_tau is all of Aut(h) for an h with no pendant tree (3 DPs
+    for the 30 orientations of C5, and 15 for C5 with a tail); at depth 2
+    the clockwise tournament keeps the rotations of a cycle (36 DPs for
+    the 196 extensions of C6, 149 for the 1152 of C8). Disconnected
+    patterns multiply their per-component counts. Every DP runs in the calling thread on the one
     vectorized engine, which widens its values to exact Python ints
     wherever they could pass int64; ``threads`` is accepted and ignored.
     Raises NoWidth1Decomposition when some pattern extension has no

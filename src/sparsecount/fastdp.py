@@ -6,15 +6,15 @@ partial homomorphisms. Per bag, the root fiber is expanded along the
 BFS spanning out-tree, depth-first in blocks of at most ``ROW_BLOCK``
 rows: a block runs through the remaining steps before the next one
 starts, so the rows alive at once are bounded by the block size and
-Delta+, not by the host's size. There is one host kind: G's n vertices
-with one label, so a root fiber is all n vertices, less those where
-the root's weight is 0. A pattern arc reads a set of host arc classes
-(weights 1..w on a weight host; signatures on the host of a count at
-depth t >= 2, ``signature_index``), held as a table padded to the
-set's width D <= Delta+ (plus a loop) per source vertex
-(``_HostIndex.padded``):
-an expansion gathers each row's source in one take, and a non-tree arc
-is checked with D column gathers per row (``_HostIndex.has_arcs``).
+Delta+, not by the host's size. There is one host kind, at every depth
+t: the ``SignatureHost`` of G's own depth-t extension, on G's n
+vertices with one label, so a root fiber is all n vertices, less those
+where the root's weight is 0. A pattern arc reads a set of its arc
+classes (``signature_index``), held as a table padded to the set's
+width D <= Delta+ (plus a loop) per source vertex
+(``_HostIndex.padded``): an expansion gathers each row's source in one
+take, and a non-tree arc is checked with D column gathers per row
+(``_HostIndex.has_arcs``).
 Columns stop being carried as soon as nothing downstream reads them; a
 parent column whose last read is an expansion is dropped before that
 expansion gathers the others.
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fraternal import FraternalExtension, _sorted_unique
-from .graph_core import DirWLGraph, UndirectedGraph, bfs_out_tree
+from .graph_core import UndirectedGraph, bfs_out_tree
 from .hub_decomp import HubTree, reach
 from .pattern_tools import PendantForest
 
@@ -118,20 +118,19 @@ class _HostIndex:
     """Padded out-arc tables over G's n vertices, one per class set: the
     ELLPACK layout (Bell and Garland, SC 2009).
 
-    Every arc has a class from 1 to ``ncls``: its weight on a weight
-    host, or its signature on a signature host (``signature_index``). A
-    pattern arc reads a set of classes, and ``padded(classes)`` lists,
-    per source vertex, its arcs of those classes in (class, target)
-    order, padded with -1 to the set's width D, the largest such count;
-    D is at most Delta+ plus a loop, since G's extension is oriented by
-    degeneracy. The arcs must come sorted by (source, target), as a
-    ``DirWLGraph`` holds them: a stable sort by the int64 key
-    source x (ncls + 1) + class then orders them by (source, class,
-    target), in a fraction of a lexsort's time, since the key is
-    already sorted by source. A table is built on first use from the
-    sorted arcs and kept twice, row-major (n x D) for
-    ``_expand`` and as its contiguous transpose (D x n) for
-    ``has_arcs``: 2 x n x D x 4 bytes per class set. A host whose n x D
+    Every arc has a class from 1 to ``ncls``, its signature
+    (``signature_index``). A pattern arc reads a set of classes, and
+    ``padded(classes)`` lists, per source vertex, its arcs of those
+    classes in (class, target) order, padded with -1 to the set's width
+    D, the largest such count; D is at most Delta+ plus a loop, since G's
+    extension is oriented by degeneracy. The arcs must come sorted by
+    (source, target), as a ``DirWLGraph`` holds them: a stable sort by
+    the int64 key source x (ncls + 1) + class then orders them by
+    (source, class, target), in a fraction of a lexsort's time, since the
+    key is already sorted by source. A table is built on first use from
+    the sorted arcs and kept twice, row-major (n x D) for ``_expand`` and
+    as its contiguous transpose (D x n) for ``has_arcs``: 2 x n x D x 4
+    bytes per class set. A host whose n x D
     is far above its arc count (n x Delta+ >> m: a few wide sources
     among many narrow ones) pays for that padding: a known limit, left
     open. ``root`` lists all n vertices, the root fiber of a bag whose
@@ -181,15 +180,6 @@ class _HostIndex:
         return found
 
 
-def _host_index(g: DirWLGraph) -> _HostIndex:
-    """The weight host over g, cached on it: an arc's class is its
-    weight."""
-    if g._dp_index is None:
-        g._dp_index = _HostIndex(
-            g.n, g.src, g.dst, g.wgt, int(g.wgt.max()) if g.arc_count else 1)
-    return g._dp_index
-
-
 @dataclass(frozen=True)
 class _Round:
     """Round i of ``signature_index``, per class c of the round (c = 0
@@ -215,7 +205,7 @@ class Signatures:
 
 
 def signature_index(ext: FraternalExtension) -> Signatures:
-    """The host of a count at depth t = ``ext.depth`` >= 2, over G's n
+    """The host of a count at depth t = ``ext.depth``, over G's n
     vertices with one label, read from G's own extension ``ext`` and
     cached on its graph.
 
@@ -238,8 +228,9 @@ def signature_index(ext: FraternalExtension) -> Signatures:
     (``class_weights``). A pair whose classes carry no weights p and
     i - p (``carry``, one bit per product weight a class can take for
     some H) never closes at round i and is left out, and a class that
-    carries no weight is none, so it holds no arc of the index. At t = 2
-    that leaves at most four classes, in this order:
+    carries no weight is none, so it holds no arc of the index. At t = 1
+    there are no rounds: class 1 is the DAG arcs and the loops are none.
+    At t = 2 that leaves at most four classes, in this order:
 
     1. a DAG arc whose ends share no in-neighbour;
     2. a DAG arc whose ends share an in-neighbour;
@@ -375,14 +366,14 @@ def class_weights(sig: Signatures, h: UndirectedGraph,
 
 
 class SignatureHost:
-    """What a count at depth t >= 2 runs on: the index of
-    ``signature_index`` of G's own depth-t extension, and the
-    ``class_weights`` F_t of its pattern h and tournament tau. A pattern
-    arc (a, b, w) reads the classes {s : 1 <= F_t[s][a, b] <= w}: the
-    host arcs x -> y whose product twin <a,x> -> <b,y> exists with
-    weight at most w. So an unlabeled member counts on G's n vertices
-    what its labeled twin counts on the k * n-vertex product
-    extension."""
+    """What a count at depth t runs on: the index of ``signature_index``
+    of G's own depth-t extension, and the ``class_weights`` F_t of its
+    pattern h and tournament tau. A pattern arc (a, b, w) reads the
+    classes {s : 1 <= F_t[s][a, b] <= w}: the host arcs x -> y whose
+    product twin <a,x> -> <b,y> exists with weight at most w. So an
+    unlabeled member counts on G's n vertices what its labeled twin
+    counts on the k * n-vertex product extension. At t = 1 every member
+    arc reads (1,), the DAG arcs."""
 
     __slots__ = ("index", "weights", "_reads")
 
@@ -403,15 +394,15 @@ class SignatureHost:
 
 @dataclass(frozen=True)
 class WeightedHost:
-    """What every count runs on: a host and its per-vertex weights.
+    """What every count runs on: a ``SignatureHost`` and its per-vertex
+    weights.
 
-    ``host`` is a weight host (a ``DirWLGraph``) or a ``SignatureHost``.
     ``weights`` holds, per pattern vertex, an exact integer array over
     the host's vertices, or None for weight 1 everywhere; a homomorphism
     phi counts the product of weights[a][phi(a)].
     """
 
-    host: DirWLGraph | SignatureHost
+    host: SignatureHost
     weights: tuple
 
 
@@ -717,47 +708,35 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     return state.nrows > 0
 
 
-def _labeled(g) -> bool:
-    labels = getattr(g, "labels", None)
-    return labels is not None and bool(np.any(np.asarray(labels) != 0))
-
-
 def extension_count(pattern, tree: HubTree,
-                    host: DirWLGraph | SignatureHost | WeightedHost) -> int:
+                    host: SignatureHost | WeightedHost) -> int:
     """The weighted count in the root's table, whose one code is 0.
 
     ``pattern`` is a ``fraternal.PatternExtension`` (what a count passes)
     or a ``DirWLGraph``; only its plain-Python side is read. ``host`` is
-    the ``WeightedHost`` a count passes, or a bare host, read with weight
-    1 everywhere. The bare host is a weight host (a ``DirWLGraph``: a
-    pattern arc of weight w maps onto host arcs of weight 1..w), where
-    the count equals sum(bressan_count(pattern, tree, tree.root,
-    host).values()), the dict engine kept as its oracle; or the
-    ``SignatureHost`` of a count at depth t >= 2, where it equals the
-    count of the member's labeled twin on the extension of H^L x G
-    (the tests lift it from G's own as their oracle). With weights,
-    every homomorphism counts the product of its vertices' weights, each
-    applied in the one bag where its vertex is not shared with the
-    parent. A bag B shares Reach(parent) & Reach(B) with its parent; the
-    oracle's Reach(parent) & Reach(down(B)) is the same set on a width-1
-    tree, where a vertex reached by two bags is reached by every bag
-    between them. Every root fiber is drawn from all host vertices:
-    raises ValueError when the host or the pattern carries a nonzero
-    vertex label, which this engine does not read.
+    the ``WeightedHost`` a count passes, or a bare ``SignatureHost``,
+    read with weight 1 everywhere. On the host of a count the result
+    equals the count of the member's labeled twin on the extension of
+    H^L x G (the tests lift it from G's own as their oracle). On an index
+    whose classes are arc weights, with F_t[s] = s everywhere, a pattern
+    arc of weight w reads classes 1..w, and the result equals
+    sum(bressan_count(pattern, tree, tree.root, graph).values()), the
+    dict engine kept as its oracle. With weights, every homomorphism
+    counts the product of its vertices' weights, each applied in the one
+    bag where its vertex is not shared with the parent. A bag B shares
+    Reach(parent) & Reach(B) with its parent; the oracle's Reach(parent)
+    & Reach(down(B)) is the same set on a width-1 tree, where a vertex
+    reached by two bags is reached by every bag between them. Every root
+    fiber is drawn from all host vertices: raises ValueError when the
+    pattern carries a nonzero vertex label, which this engine does not
+    read.
     """
     if not isinstance(host, WeightedHost):
         host = WeightedHost(host, (None,) * pattern.n)
-    base = host.host
-    if _labeled(pattern) or _labeled(base):
+    if np.any(getattr(pattern, "labels", 0) != 0):
         raise ValueError("the DP engine reads no vertex labels: count a "
-                         "labeled pattern or host with bressan_count")
-    if isinstance(base, SignatureHost):
-        hidx, read = base.index, base.read
-    else:
-        hidx = _host_index(base)
-
-        def read(a: int, b: int, w: int) -> tuple[int, ...]:
-            return tuple(range(1, min(w, hidx.ncls) + 1))
+                         "labeled pattern with bressan_count")
+    hidx, read = host.host.index, host.host.read
     order = tree.postorder()
     domains = {bag: tuple(sorted(reach(pattern, tree.bags[tree.parent[bag]])
                                  & reach(pattern, tree.bags[bag])))

@@ -7,10 +7,10 @@ Python arc tuples, and a count reads each member's plain-Python
 adjacency; no count builds a member's numpy graph. Host-side
 (MinFrat) G's own extension is peeled layer by layer: each layer is
 oriented by the degeneracy peel of its own edges. Every count runs on
-G's n vertices: at depth 1 on G's own layer 1, its degeneracy DAG, and
-from depth 2 on on G's own extension to that depth, whose arcs and
-loops ``fastdp.signature_index`` classes so that each stands in for
-the arcs of the labeled product H^L x G's extension over it. So the max
+G's n vertices, on G's own extension to its depth (at depth 1 its
+degeneracy DAG), whose arcs and loops ``fastdp.signature_index``
+classes so that each stands in for the arcs of the labeled product
+H^L x G's extension over it. So the max
 outdegree is G's own. A weighted digraph is a valid t-fraternal
 extension exactly when its weights form a t-fraternity function, which
 ``validate_fraternity`` checks clause by clause.
@@ -242,9 +242,9 @@ def optimal_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
 
     Every layer is oriented by the degeneracy peel of its own edges, so
     each layer is a DAG (the union may still be cyclic) and every vertex
-    has label 0. At depth 1 that is G's degeneracy DAG, the host of a
-    depth-1 count, and from depth 2 on the extension that a depth-t
-    count indexes over G's n vertices (``fastdp.signature_index``). Each
+    has label 0. It is the extension that a depth-t count indexes over
+    G's n vertices (``fastdp.signature_index``); at depth 1 that is G's
+    degeneracy DAG. Each
     round is built once per graph: a deeper request continues the
     deepest cached extension, and every depth keeps its own object, so
     every count over G at one depth (each spasm quotient of a subgraph

@@ -129,15 +129,15 @@ class DirWLGraph:
 
     At most one of (u, v) and (v, u) may be present. Labels default to 0
     (the trivial label); only the oracles read them, and the DP engine
-    refuses a graph with a nonzero label. ``succ`` is the plain-Python
-    adjacency that pattern-side code reads; a host graph never builds it. ``_dp_index`` caches the DP's weight host over the
-    graph and, on G's own extension, ``_signatures`` the host of a count
-    at the extension's depth over G's n vertices (``fastdp``).
+    refuses a pattern with a nonzero label. ``succ`` is the plain-Python
+    adjacency that pattern-side code reads; a host graph never builds it.
+    On G's own extension, ``_signatures`` caches the host of a count at
+    the extension's depth over G's n vertices (``fastdp``).
     """
 
     __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
-                 "_arc_codes", "_reach_cache", "_fibers", "_dp_index",
-                 "_signatures", "_succ")
+                 "_arc_codes", "_reach_cache", "_fibers", "_signatures",
+                 "_succ")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
                  labels: Sequence[int] | np.ndarray | None = None):
@@ -190,7 +190,6 @@ class DirWLGraph:
         self._arc_codes = None
         self._reach_cache = {}
         self._fibers = None
-        self._dp_index = None
         self._signatures = None
         self._succ = None
 

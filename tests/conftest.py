@@ -261,9 +261,20 @@ def _fiber_host(graph: DirWLGraph, depth: int, k: int) -> fastdp.WeightedHost:
         (fiber == u).astype(np.int64) for u in range(k)))
 
 
+def weight_host(graph: DirWLGraph, k: int) -> fastdp.SignatureHost:
+    """``graph`` as a host for patterns on k vertices, read as the dict
+    engine reads it: an arc's class is its weight, and F[s] = s
+    everywhere, so a pattern arc of weight w reads the arcs of weight
+    1..w."""
+    wmax = int(graph.wgt.max()) if graph.arc_count else 1
+    weights = np.repeat(np.arange(wmax + 1), k * k).reshape(wmax + 1, k, k)
+    return fastdp.SignatureHost(fastdp._HostIndex(
+        graph.n, graph.src, graph.dst, graph.wgt, wmax), weights)
+
+
 def signature_host(g: UndirectedGraph, h: UndirectedGraph,
                    t: int) -> fastdp.SignatureHost:
-    """The host a depth-t count of h runs on (t >= 2), with h's bare
+    """The host a depth-t count of h runs on, with h's bare
     tournament."""
     sig = fastdp.signature_index(optimal_extension(g, t))
     return fastdp.SignatureHost(sig.index, fastdp.class_weights(

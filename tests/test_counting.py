@@ -21,7 +21,7 @@ from conftest import (complete_graph, connected_patterns_up_to, count_on_lift,
                       cycle_graph, cycle_hom_trace, disjoint_union,
                       lifted_extension, path_graph, peeled_product_extension,
                       random_graph, self_labeled, signature_host,
-                      star_graph, with_fiber_labels)
+                      star_graph, weight_host, with_fiber_labels)
 
 
 def test_hommap_encoding():
@@ -166,8 +166,9 @@ def test_lifted_and_exact_peel_extensions_agree(kind, n, seed, h, t):
     assert count_homomorphisms(g, h, t=t) == via_lift
     if t == 1:
         # a depth-1 count drops the labels: the unlabeled orientations
-        # of h counted on G's own degeneracy DAG, on G's n vertices
-        own = optimal_extension(g, 1)
+        # of h counted on the signature host of G's own degeneracy DAG,
+        # on G's n vertices
+        own = signature_host(g, h, 1)
         bare = enumerate_pattern_extensions(h, 1)
         via_own = sum(count_hom_extension(m, own) for m in bare)
         hosts = []
@@ -228,7 +229,7 @@ def test_fast_engine_width0_child_table():
     pattern = DirWLGraph(4, [(0, 1, 1), (2, 3, 1)])
     host = DirWLGraph(5, [(0, 1, 1), (0, 2, 1), (3, 4, 1)])
     tree = find_width1_decomposition(pattern)
-    assert fastdp.extension_count(pattern, tree, host) == 9
+    assert fastdp.extension_count(pattern, tree, weight_host(host, 4)) == 9
     assert sum(bressan_count(pattern, tree, tree.root, host).values()) == 9
 
 
@@ -242,9 +243,9 @@ def test_fast_engine_width0_child_table():
     pytest.param(2, 10 ** 4, id="2-compressed"),
 ])
 def test_engines_agree(t, limit, monkeypatch):
-    # at t >= 2 the host extension is weighted, so the vectorized engine's
-    # arc checks, on the signature host and on the lift with fiber
-    # weights, are compared with the dict engine on the labeled lift
+    # the vectorized engine's arc checks, on the signature host and on
+    # the lift with fiber weights, are compared with the dict engine on
+    # the labeled lift
     real = fastdp._pack
     made = []
 
@@ -263,8 +264,7 @@ def test_engines_agree(t, limit, monkeypatch):
         g = random_graph(rng.randint(2, 11), 0.4, rng)
         lifted = lifted_extension(g, t, h)
         labeled = with_fiber_labels(lifted.graph, h.n)
-        host = (optimal_extension(g, 1).graph if t == 1
-                else signature_host(g, h, t))
+        host = signature_host(g, h, t)
         for member in enumerate_pattern_extensions(h, t):
             tree = find_width1_decomposition(member.graph)
             ref = sum(bressan_count(self_labeled(member), tree, tree.root,
@@ -356,9 +356,9 @@ def test_count_builds_only_what_it_uses(monkeypatch):
     # Sub(C6) counts 10 spasm quotients: C6 at depth 2 and 9 at depth 1.
     # The 82 class representatives of their 320 Frat members are counted
     # from their arc tuples, so no pattern graph is built. The 9 depth-1
-    # quotients share one degeneracy DAG of G and one host index over it;
-    # C6 counts on one signature index over G's own extension to depth 2.
-    # No index has more than G's n vertices
+    # quotients share one degeneracy DAG of G and one signature index
+    # over it; C6 counts on one signature index over G's own extension to
+    # depth 2. No index has more than G's n vertices
     import sparsecount.fraternal as fraternal
 
     g = generate_bounded_degeneracy(20, 3, 5)
@@ -393,7 +393,7 @@ def test_count_builds_only_what_it_uses(monkeypatch):
     assert len(pattern_graphs) == 0
     assert dags == [g]
     assert indexed == [g.n, g.n]
-    assert optimal_extension(g, 1).graph._dp_index is not None
+    assert optimal_extension(g, 1).graph._signatures is not None
     assert optimal_extension(g, 2).graph._signatures is not None
 
 
@@ -455,11 +455,11 @@ def test_thread_option_matches_serial(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_depth1_orbit_classes_count_alike(n, seed, h, t):
     # one DP per class stands for all of it only if every member of an
-    # Aut_tau(H) orbit counts the same on the host a count uses: G's own
-    # DAG at depth 1, the signature host of G's own extension from depth
-    # 2 on, with unlabeled members at every depth
+    # Aut_tau(H) orbit counts the same on the host a count uses: the
+    # signature host of G's own extension, with unlabeled members at
+    # every depth
     g = random_graph(n, 0.45, random.Random(seed))
-    hostx = optimal_extension(g, 1) if t == 1 else signature_host(g, h, t)
+    hostx = signature_host(g, h, t)
     members = enumerate_pattern_extensions(h, t)
     classes = frat_classes(members, h, t)
     assert sorted(i for c in classes for i in c) == list(range(len(members)))
@@ -571,7 +571,8 @@ def test_dp_values_past_int64_stay_exact(arcs, bags, parent, want):
     assert validate_decomposition(pattern, tree)
     ref = bressan_count(pattern, tree, tree.root, _FAN_HOST)
     assert sum(ref.values()) == want
-    assert fastdp.extension_count(pattern, tree, _FAN_HOST) == want
+    assert fastdp.extension_count(pattern, tree,
+                                  weight_host(_FAN_HOST, n)) == want
 
 
 def test_subgraph_error_names_offending_quotient(monkeypatch):
@@ -588,16 +589,14 @@ def test_subgraph_error_names_offending_quotient(monkeypatch):
 
 
 def test_fast_engine_refuses_labels():
-    # every root fiber is all of the host's vertices, so a labeled host
-    # or pattern is refused rather than counted as if unlabeled; the
-    # oracles still read labels
+    # every root fiber is all of the host's vertices, so a labeled
+    # pattern is refused rather than counted as if unlabeled; the oracles
+    # still read labels
     host = DirWLGraph(3, [(0, 1, 1), (1, 2, 1)], labels=[0, 1, 0])
     pattern = DirWLGraph(2, [(0, 1, 1)], labels=[0, 1])
     tree = find_width1_decomposition(pattern)
-    for p, g in ((pattern, host), (pattern, DirWLGraph(3, [(0, 1, 1)])),
-                 (DirWLGraph(2, [(0, 1, 1)]), host)):
-        with pytest.raises(ValueError, match="reads no vertex labels"):
-            fastdp.extension_count(p, tree, g)
+    with pytest.raises(ValueError, match="reads no vertex labels"):
+        fastdp.extension_count(pattern, tree, weight_host(host, 2))
     assert sum(bressan_count(pattern, tree, tree.root, host).values()) == \
         brute_force_hom_wl(host, pattern) == 1
 

@@ -28,7 +28,7 @@ from sparsecount import (DirWLGraph, GraphFormatError, UndirectedGraph,
 from sparsecount.degeneracy import degeneracy_orient, orient_by_rank
 from sparsecount.harness import generate_bounded_degeneracy
 
-from conftest import cycle_graph
+from conftest import cycle_graph, weight_host
 
 # (module, function) -> why the site keeps a stable sort or a lexsort
 STABLE_SORTS = {
@@ -125,7 +125,7 @@ def test_dirwl_arcs_and_host_index_match_stable_sorts(case, rnd):
     for got, col in zip(hidx._arcs, (g.src, cls, g.dst)):
         assert got.dtype == np.int32
         assert np.array_equal(got, col[want])
-    weights = fastdp._host_index(g)._arcs
+    weights = weight_host(g, 1).index._arcs
     want = np.lexsort((g.dst, g.wgt, g.src))
     for got, col in zip(weights, (g.src, g.wgt, g.dst)):
         assert np.array_equal(got, col[want])

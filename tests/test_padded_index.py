@@ -3,12 +3,12 @@
 ``fastdp._HostIndex.padded(classes)`` lists, per source vertex, its arcs
 of those classes in (class, target) order, then -1, to the width D of
 the set's fullest source. These tests read it against plain-Python
-lists built from the host's arcs, on G's depth-1 DAG, on the depth-2
-signature host (loops included), on a weight host of k * n vertices (an
-unlabeled lifted depth-3 extension), on a weight host with one source
-far wider than the rest and on a depth-3 signature host, whose pattern
-arcs read sets that are not ranges, and check ``has_arcs`` and
-``_expand`` on the same hosts.
+lists built from the host's arcs, on the depth-1 signature host (G's
+DAG), on the depth-2 signature host (loops included), on a weight host
+of k * n vertices (an unlabeled lifted depth-3 extension), on a weight
+host with one source far wider than the rest and on a depth-3
+signature host, whose pattern arcs read sets that are not ranges, and
+check ``has_arcs`` and ``_expand`` on the same hosts.
 """
 
 import random
@@ -19,7 +19,7 @@ import pytest
 from sparsecount import DirWLGraph, UndirectedGraph, fastdp, optimal_extension
 from sparsecount.harness import generate_bounded_degeneracy
 
-from conftest import cycle_graph, lifted_extension
+from conftest import cycle_graph, lifted_extension, weight_host
 
 G = generate_bounded_degeneracy(40, 3, seed=11)
 
@@ -37,10 +37,13 @@ def _two_hop_arcs(ext) -> list[tuple[int, int, int]]:
     return arcs + [(x, x, 4) for x in sorted(parents)]
 
 
-def _weight_host(graph: DirWLGraph):
-    arcs = list(zip(graph.src.tolist(), graph.dst.tolist(),
+def _arcs(graph: DirWLGraph) -> list[tuple[int, int, int]]:
+    return list(zip(graph.src.tolist(), graph.dst.tolist(),
                     graph.wgt.tolist()))
-    return fastdp._host_index(graph), arcs, graph
+
+
+def _weight_host(graph: DirWLGraph):
+    return weight_host(graph, 1).index, _arcs(graph), graph
 
 
 def _wide() -> DirWLGraph:
@@ -53,14 +56,17 @@ def _wide() -> DirWLGraph:
 
 
 def _hosts():
-    """(name, index, (src, dst, class) arcs, weight host or None)."""
+    """(name, index, (src, dst, class) arcs, arc-weight oracle graph or
+    None). The DAG's arcs all weigh 1, its one class."""
+    dag = optimal_extension(G, 1).graph
     two = optimal_extension(G, 2)
     lifted = lifted_extension(generate_bounded_degeneracy(12, 3, seed=4), 3,
                               cycle_graph(5)).graph
     three = fastdp.signature_index(optimal_extension(G, 3)).index
     src, cls, dst = (a.tolist() for a in three._arcs)
     return [
-        ("dag", *_weight_host(optimal_extension(G, 1).graph)),
+        ("dag", fastdp.signature_index(optimal_extension(G, 1)).index,
+         _arcs(dag), dag),
         ("two-hop", fastdp.signature_index(two).index, _two_hop_arcs(two),
          None),
         ("lifted", *_weight_host(lifted)),
@@ -111,7 +117,7 @@ def test_rows_list_each_buckets_arcs_then_padding(name, hidx, arcs, graph):
 
 
 def test_one_bucket_far_wider_than_the_rest():
-    hidx = fastdp._host_index(_wide())
+    hidx = weight_host(_wide(), 1).index
     rows = hidx.padded((1, 2))[0]
     counts = (rows >= 0).sum(axis=1)
     assert rows.shape[1] == counts[0] == 40
@@ -144,7 +150,7 @@ def test_has_arcs_matches_the_arc_oracle(name, hidx, arcs, graph):
     rng = random.Random(5)
     cls_of = {(x, y): c for x, y, c in arcs}
     if graph is not None:
-        # the weight host's own searchsorted lookup
+        # the graph's own searchsorted lookup
         def oracle(a, b):
             return graph.arc_weights(a, b).tolist()
     else:

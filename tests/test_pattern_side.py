@@ -36,8 +36,8 @@ def _hosts(h, t):
     is the labeled lift) per host of HOSTS."""
     for g in HOSTS:
         if t == 1:
-            dag = optimal_extension(g, 1).graph
-            yield dag, dag, False
+            yield (signature_host(g, h, 1), optimal_extension(g, 1).graph,
+                   False)
         else:
             lifted = lifted_extension(g, t, h).graph
             yield signature_host(g, h, t), with_fiber_labels(lifted, h.n), True
@@ -107,11 +107,13 @@ def test_a_count_builds_no_succ_on_its_host(monkeypatch):
     g = random_graph(12, 0.4, random.Random(5))
     count_subgraphs(g, cycle_graph(6))
     count_homomorphisms(g, cycle_graph(7))
-    # depth 1 runs on G's DAG, depth 2 on the index over G's extension
-    graphs = [h for h in hosts if not isinstance(h, fastdp.SignatureHost)]
-    two_hop = [h.index for h in hosts if isinstance(h, fastdp.SignatureHost)]
-    assert graphs and two_hop
-    assert {h.n for h in graphs + two_hop} == {g.n}
-    graphs += [optimal_extension(g, 2).graph]
+    # every depth runs on the signature index over G's own extension:
+    # depth 1 on its DAG, depth 2 on its two layers
+    assert all(isinstance(h, fastdp.SignatureHost) for h in hosts)
+    exts = [optimal_extension(g, t) for t in (1, 2)]
+    assert {id(h.index) for h in hosts} == {
+        id(fastdp.signature_index(ext).index) for ext in exts}
+    assert {h.index.n for h in hosts} == {g.n}
+    graphs = [ext.graph for ext in exts]
     assert all(h._succ is None for h in graphs)
     assert all(h._reach_cache == {} for h in graphs)

@@ -1,11 +1,11 @@
-"""Every count at depth t >= 2 runs on G's n vertices, with one label.
+"""Every count runs on G's n vertices, with one label.
 
 ``fastdp.signature_index`` classes the arcs and loops of G's own
 depth-t extension by signature, and ``fastdp.class_weights`` gives, per
 class, the k x k weights of the product arcs over it. These tests check
 those weights against the extension of the labeled product H^L x G
 lifted from G's own (``conftest.lifted_extension``), arc for arc and
-weight for weight at t = 2, 3 and 4, and the counts of a depth-3 host
+weight for weight at t = 1, 2, 3 and 4, and the counts of a depth-3 host
 against the lift member by member.
 """
 
@@ -49,7 +49,7 @@ PATTERNS = {"C9": cycle_graph(9), "C6": cycle_graph(6),
             "K3": complete_graph(3), "K4-e": K4_MINUS_E}
 
 
-@pytest.mark.parametrize("t", [2, 3, 4])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_class_weights_match_the_lift_arc_for_arc(t):
     # every index arc x -> y of class s stands for the product arcs
     # <a,x> -> <b,y> of weight F_t[s][a, b] > 0, and those are all of
