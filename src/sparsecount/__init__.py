@@ -15,30 +15,25 @@ Subgraph counts come from the exact rational spasm combination of
 homomorphism counts.
 """
 
-from .counting import (CountDict, HomMap, NoWidth1Decomposition,
-                       brute_force_hom, brute_force_hom_wl, brute_force_sub,
-                       bressan_count, count_hom_extension,
-                       count_homomorphisms, count_subgraphs,
-                       enumerate_root_homs)
+from .counting import (NoWidth1Decomposition, brute_force_hom,
+                       brute_force_sub, count_hom_extension,
+                       count_homomorphisms, count_subgraphs)
 from .degeneracy import DegeneracyOrder, degeneracy_order, degeneracy_orient
 from .fraternal import (ExtensionBlowupError, FraternalExtension,
-                        PatternExtension,
-                        enumerate_pattern_extensions, extension_edges,
-                        optimal_extension, validate_fraternity)
+                        PatternExtension, enumerate_pattern_extensions,
+                        extension_edges, optimal_extension)
 from .graph_core import (DirWLGraph, GraphFormatError, UndirectedGraph,
                          load_edge_list, max_outdegree, save_edge_list)
 from .harness import (RunReport, cli_main, generate_bounded_degeneracy,
                       generate_double_subdivision, generate_gnp,
                       generate_subdivision, run_count_hom)
 from .hub_decomp import (HubTree, URGraph, find_width1_decomposition,
-                         hubset, reach, unique_reachability_graph,
-                         validate_decomposition)
+                         hubset, reach, unique_reachability_graph)
 from .pattern_tools import (FiberTournament, PendantForest, SpasmEntry,
                             acyclic_orientations, automorphism_count,
                             automorphism_generators, canonical_form,
                             connected_components, fiber_tournament, licl,
                             min_extension_depth, pendant_forest, spasm)
-from .product import pattern_product
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""The end-to-end pipeline and its oracles.
+"""The end-to-end pipeline.
 
 ``count_homomorphisms`` runs the whole pipeline (pendant trees folded
 into vertex weights, host extension, pattern extension family of the
@@ -9,13 +9,10 @@ weights it by the orbit size (``frat_classes`` says why orbits count
 alike). Every DP runs on G's n vertices with unlabeled members, on the
 signature host of G's own extension (``fastdp.signature_index``), which
 stands in for the extension of the labeled product H^L x G without
-building either.
-Oracles live here too, so every fast path has an exhaustive
-counterpart: ``enumerate_root_homs`` lists the label/weight/arc-respecting
-homomorphisms of a reachable sub-pattern, ``bressan_count`` is the
-generalized width-1 tree DP over hub-tree decompositions as dictionaries,
-and the ``brute_force_*`` functions enumerate every map. No production
-path calls them. All counts are exact Python integers end to end.
+building either. ``brute_force_hom`` and ``brute_force_sub`` enumerate
+every map, for ``verify``, ``--exact-fallback`` and the benchmark's
+check on tiny instances. All counts are exact Python integers end to
+end.
 """
 
 from __future__ import annotations
@@ -27,10 +24,8 @@ from typing import NamedTuple
 from . import fastdp
 from .fraternal import (FraternalExtension, PatternExtension,
                         enumerate_pattern_extensions, optimal_extension)
-from .graph_core import (DirWLGraph, UndirectedGraph, bfs_out_tree,
-                         max_outdegree, plain_labels, succ_lists)
-from .hub_decomp import (HubTree, down_reach, find_width1_decomposition,
-                         reach)
+from .graph_core import UndirectedGraph, max_outdegree
+from .hub_decomp import find_width1_decomposition
 from .pattern_tools import (automorphism_count, connected_components,
                             fiber_tournament, licl, min_extension_depth,
                             orbit_roots, pendant_forest, spasm)
@@ -55,140 +50,14 @@ class NoWidth1Decomposition(Exception):
         super().__init__(msg)
 
 
-class HomMap(tuple):
-    """Partial pattern-to-host assignment in canonical encoding.
-
-    A HomMap is the sorted tuple of (pattern_vertex, host_vertex) pairs,
-    so it is hashable and serves directly as a dictionary key.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, pairs=()):
-        return super().__new__(cls, sorted(pairs))
-
-    def restrict(self, vertices) -> "HomMap":
-        vs = set(vertices)
-        return HomMap(p for p in self if p[0] in vs)
-
-    def assignment(self) -> dict[int, int]:
-        return dict(self)
-
-
-class CountDict(dict):
-    """Counts keyed by canonical restriction; absent keys read as 0."""
-
-    def __missing__(self, key):
-        return 0
-
-
-def enumerate_root_homs(pattern, s: int, host: DirWLGraph) -> list[HomMap]:
-    """All total homomorphisms of the reachable sub-pattern H(s) into host.
-
-    The pattern (a ``DirWLGraph`` or a ``PatternExtension``) is read
-    through its ``succ`` and restricted to Reach(s) (which must be rooted
-    at s, the precondition of the width-1 DP). Candidates extend along a
-    BFS spanning out-tree from s; every non-tree arc is checked as soon
-    as both endpoints are assigned, with label equality and
-    pattern-weight >= host-weight on every mapped arc. The host side
-    reads its arc arrays once per call, into out-lists and an arc-weight
-    dict, so no check touches numpy.
-    """
-    succ = pattern.succ
-    order, parent = bfs_out_tree(pattern, s)
-    pos = {v: i for i, v in enumerate(order)}
-    tree_wmax = {}
-    checks: dict[int, list[tuple[int, int, int]]] = {v: [] for v in order}
-    for a in order:  # Reach(s) is closed under out-arcs
-        for b, w in succ[a]:
-            if parent[b] == a:
-                tree_wmax[b] = w
-            else:
-                checks[a if pos[a] > pos[b] else b].append((a, b, w))
-    labels = plain_labels(pattern)
-    host_labels = host.labels.tolist()
-    arcs = list(zip(host.src.tolist(), host.dst.tolist(), host.wgt.tolist()))
-    host_out = succ_lists(host.n, arcs)
-    host_weight = {(x, y): w for x, y, w in arcs}
-    results: list[HomMap] = []
-    assign: dict[int, int] = {}
-
-    def rec(i: int):
-        if i == len(order):
-            results.append(HomMap(assign.items()))
-            return
-        v = order[i]
-        lab = labels[v]
-        if i == 0:
-            candidates = [x for x in range(host.n) if host_labels[x] == lab]
-        else:
-            wmax = tree_wmax[v]
-            candidates = [y for y, w in host_out[assign[parent[v]]]
-                          if w <= wmax and host_labels[y] == lab]
-        for c in candidates:
-            ok = True
-            for a, b, w in checks[v]:
-                x = c if a == v else assign[a]
-                y = c if b == v else assign[b]
-                if host_weight.get((x, y), w + 1) > w:
-                    ok = False
-                    break
-            if ok:
-                assign[v] = c
-                rec(i + 1)
-        assign.pop(v, None)
-
-    rec(0)
-    return results
-
-
-def bressan_count(pattern, tree: HubTree, bag: int,
-                  host: DirWLGraph) -> CountDict:
-    """Generalized tree DP: C_B[phi] = ext(H(down(B)), host, phi).
-
-    Leaves assign 1 to every root homomorphism of H(B); an internal bag
-    aggregates each child dictionary by restriction to
-    Reach(B) & Reach(down(child)) and multiplies the aggregated values
-    across children per root homomorphism.
-    """
-    hub = tree.bags[bag]
-    homs = enumerate_root_homs(pattern, hub, host)
-    result = CountDict()
-    children = tree.children(bag)
-    if not children:
-        for phi in homs:
-            result[phi] = 1
-        return result
-    reach_b = reach(pattern, hub)
-    aggs = []
-    for child in children:
-        child_counts = bressan_count(pattern, tree, child, host)
-        domain = reach_b & down_reach(pattern, tree, child)
-        agg = CountDict()
-        for phi, val in child_counts.items():
-            agg[phi.restrict(domain)] += val
-        aggs.append((domain, agg))
-    for phi in homs:
-        total = 1
-        for domain, agg in aggs:
-            total *= agg[phi.restrict(domain)]
-            if total == 0:
-                break
-        if total:
-            result[phi] = total
-    return result
-
-
 def count_hom_extension(pattern_ext: PatternExtension,
-                        host: fastdp.SignatureHost | fastdp.WeightedHost
-                        ) -> int:
+                        host: fastdp.SignatureHost) -> int:
     """Weighted Hom(host, pattern_ext) via the width-1 DP.
 
     Runs ``fastdp.extension_count`` on a width-1 hub-tree decomposition
     of the pattern extension, read from its arc tuple, so no pattern
     graph is built. ``host`` is the ``fastdp.SignatureHost`` of a count,
-    bare or with the vertex weights of folded pendant trees
-    (``fastdp.WeightedHost``, what ``count_family`` passes). Raises
+    with or without the vertex weights of folded pendant trees. Raises
     NoWidth1Decomposition when no such decomposition exists.
     """
     tree = find_width1_decomposition(pattern_ext)
@@ -224,8 +93,9 @@ def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
     F_t[s][s(a), s(b)] = F_t[s][a, b], and a relabeled member reads the
     same classes. At depth 1 there are no vertical pairs, so the group
     is all of Aut(h) that keeps the colours. Members are keyed by their
-    sorted (src, dst, weight) arc tuples, so no member graph is built. Classes are ordered by, and list first,
-    their first member in enumeration order.
+    sorted (src, dst, weight) arc tuples, so no member graph is built.
+    Classes are ordered by, and list first, their first member in
+    enumeration order.
     """
     roots = orbit_roots([m.arcs for m in members],
                         fiber_tournament(h, depth, colors).generators,
@@ -276,7 +146,7 @@ def count_family(fold: Fold, depth: int,
     that keep the core's colours), in the calling thread, and weights it
     by the class size. Each class's first member is counted from its arc
     tuple's plain-Python ``succ``; no pattern graph is built. Every DP
-    runs on a ``fastdp.WeightedHost`` carrying the fold's weights, over
+    runs on a ``fastdp.SignatureHost`` carrying the fold's weights, over
     G's n vertices, with unlabeled members. ``host_ext`` is G's own
     ``optimal_extension(g, depth)``, and the DPs run on its
     ``fastdp.signature_index``, with the tau of ``fiber_tournament(core,
@@ -291,8 +161,8 @@ def count_family(fold: Fold, depth: int,
     classes = frat_classes(members, core, depth, colors)
     sig = fastdp.signature_index(host_ext)
     tau = fiber_tournament(core, depth, colors).arcs
-    host = fastdp.WeightedHost(fastdp.SignatureHost(
-        sig.index, fastdp.class_weights(sig, core, tau)), weights)
+    host = fastdp.SignatureHost(
+        sig.index, fastdp.class_weights(sig, core, tau), weights)
     total = sum(count_hom_extension(members[c[0]], host) * len(c)
                 for c in classes)
     return FamilyCount(total, len(members), len(classes))
@@ -368,9 +238,10 @@ def count_homomorphisms(g: UndirectedGraph, h: UndirectedGraph,
     for the 30 orientations of C5, and 15 for C5 with a tail); at depth 2
     the clockwise tournament keeps the rotations of a cycle (36 DPs for
     the 196 extensions of C6, 149 for the 1152 of C8). Disconnected
-    patterns multiply their per-component counts. Every DP runs in the calling thread on the one
-    vectorized engine, which widens its values to exact Python ints
-    wherever they could pass int64; ``threads`` is accepted and ignored.
+    patterns multiply their per-component counts. Every DP runs in the
+    calling thread on the one vectorized engine, which widens its values
+    to exact Python ints wherever they could pass int64; ``threads`` is
+    accepted and ignored.
     Raises NoWidth1Decomposition when some pattern extension has no
     width-1 decomposition, which happens when LICL(h) >= 3(t+1).
     """
@@ -452,66 +323,6 @@ def brute_force_hom(g: UndirectedGraph, h: UndirectedGraph,
                 if not cand:
                     return
         for c in cand:
-            assign[v] = c
-            rec(i + 1)
-        assign.pop(v, None)
-
-    rec(0)
-    return count
-
-
-def brute_force_hom_wl(host: DirWLGraph, pattern: DirWLGraph,
-                       cap: int = 32) -> int:
-    """Exhaustive weighted/labeled count of maps pattern -> host.
-
-    Label equality per vertex, host arc present per pattern arc, and
-    pattern weight >= host weight on every mapped arc.
-    """
-    if host.n > cap:
-        raise ValueError(f"host has {host.n} > {cap} vertices")
-    out_w = [dict() for _ in range(host.n)]
-    in_w = [dict() for _ in range(host.n)]
-    for u, v, w in zip(host.src, host.dst, host.wgt):
-        out_w[u][int(v)] = int(w)
-        in_w[v][int(u)] = int(w)
-    fibers = {lab: set(grp.tolist()) for lab, grp in host.fibers().items()}
-    padj = [set() for _ in range(pattern.n)]
-    arc_w = {}
-    for a, b, w in zip(pattern.src, pattern.dst, pattern.wgt):
-        a, b, w = int(a), int(b), int(w)
-        padj[a].add(b)
-        padj[b].add(a)
-        arc_w[(a, b)] = w
-    order = _search_order(padj, pattern.n)
-    pos = {v: i for i, v in enumerate(order)}
-    assign: dict[int, int] = {}
-    count = 0
-
-    def candidates(v: int):
-        base = fibers.get(int(pattern.labels[v]), set())
-        cand = None
-        for u in sorted(padj[v]):
-            if pos[u] >= pos[v]:
-                continue
-            img = assign[u]
-            if (u, v) in arc_w:
-                wmax = arc_w[(u, v)]
-                step = {y for y, w in out_w[img].items() if w <= wmax}
-            else:
-                wmax = arc_w[(v, u)]
-                step = {y for y, w in in_w[img].items() if w <= wmax}
-            cand = step if cand is None else cand & step
-            if not cand:
-                return set()
-        return base if cand is None else cand & base
-
-    def rec(i: int):
-        nonlocal count
-        if i == pattern.n:
-            count += 1
-            return
-        v = order[i]
-        for c in candidates(v):
             assign[v] = c
             rec(i + 1)
         assign.pop(v, None)

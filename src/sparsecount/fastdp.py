@@ -1,13 +1,13 @@
 """The vectorized width-1 DP engine that every count runs.
 
-Semantically identical to the dict-based generalized tree DP in
-``counting``, kept as its oracle; rows of numpy arrays stand in for
-partial homomorphisms. Per bag, the root fiber is expanded along the
-BFS spanning out-tree, depth-first in blocks of at most ``ROW_BLOCK``
-rows: a block runs through the remaining steps before the next one
-starts, so the rows alive at once are bounded by the block size and
-Delta+, not by the host's size. There is one host kind, at every depth
-t: the ``SignatureHost`` of G's own depth-t extension, on G's n
+Semantically identical to the dict-based generalized tree DP that the
+tests keep as its oracle (``tests/oracles.py``); rows of numpy arrays
+stand in for partial homomorphisms. Per bag, the root fiber is expanded
+along the BFS spanning out-tree, depth-first in blocks of at most
+``ROW_BLOCK`` rows: a block runs through the remaining steps before the
+next one starts, so the rows alive at once are bounded by the block size
+and Delta+, not by the host's size. There is one host kind, at every
+depth t: the ``SignatureHost`` of G's own depth-t extension, on G's n
 vertices with one label, so a root fiber is all n vertices, less those
 where the root's weight is 0. A pattern arc reads a set of its arc
 classes (``signature_index``), held as a table padded to the set's
@@ -31,13 +31,14 @@ table's distinct prefixes, and queries replay those ranks. The root
 shares no vertex with a parent, so its table holds one code and the
 count; so does a child that shares none with its own parent.
 
-Every count is weighted (``WeightedHost``): a homomorphism counts the
-product of its pattern vertices' weights at their images, where a
-pattern vertex's weight is the number of ways its folded pendant trees
-map (``pendant_weights``, message passing over G's CSR) and 1 when none
-hangs at it. Each weight enters once, in the one bag where its vertex
-is not shared with the parent: the root fiber starts at its weight,
-and every expansion multiplies by the new column's weight.
+Every count is weighted (``SignatureHost.vertex_weights``): a
+homomorphism counts the product of its pattern vertices' weights at
+their images, where a pattern vertex's weight is the number of ways its
+folded pendant trees map (``pendant_weights``, message passing over G's
+CSR) and 1 when none hangs at it. Each weight enters once, in the one
+bag where its vertex is not shared with the parent: the root fiber
+starts at its weight, and every expansion multiplies by the new column's
+weight.
 
 Values are int64. Before each multiply or sum, a bound on its result is
 computed from the operands' maxima; where it could pass int64 the value
@@ -375,44 +376,39 @@ def class_weights(sig: Signatures, h: UndirectedGraph,
 
 
 class SignatureHost:
-    """What a count at depth t runs on: the index of ``signature_index``
-    of G's own depth-t extension, and the ``class_weights`` F_t of its
-    pattern h and tournament tau. A pattern arc (a, b, w) reads the
-    classes {s : 1 <= F_t[s][a, b] <= w}: the host arcs x -> y whose
-    product twin <a,x> -> <b,y> exists with weight at most w. So an
-    unlabeled member counts on G's n vertices what its labeled twin
-    counts on the k * n-vertex product extension. At t = 1 every member
-    arc reads (1,), the DAG arcs."""
+    """What every count at depth t runs on: the index of
+    ``signature_index`` of G's own depth-t extension, the
+    ``class_weights`` F_t of its pattern h and tournament tau, and the
+    pattern's vertex weights.
 
-    __slots__ = ("index", "weights", "_reads")
+    A pattern arc (a, b, w) reads the classes {s : 1 <= F_t[s][a, b] <=
+    w}: the host arcs x -> y whose product twin <a,x> -> <b,y> exists
+    with weight at most w. So an unlabeled member counts on G's n
+    vertices what its labeled twin counts on the k * n-vertex product
+    extension. At t = 1 every member arc reads (1,), the DAG arcs.
+    ``vertex_weights`` holds, per pattern vertex, an exact integer array
+    over the host's vertices or None, and a homomorphism phi counts the
+    product of vertex_weights[a][phi(a)]; None, for one vertex or for
+    the whole tuple, is weight 1 everywhere.
+    """
 
-    def __init__(self, index: _HostIndex, weights: np.ndarray):
+    __slots__ = ("index", "class_weights", "vertex_weights", "_reads")
+
+    def __init__(self, index: _HostIndex, class_weights: np.ndarray,
+                 vertex_weights: tuple | None = None):
         self.index = index
-        self.weights = weights
+        self.class_weights = class_weights
+        self.vertex_weights = vertex_weights
         self._reads: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     def read(self, a: int, b: int, w: int) -> tuple[int, ...]:
         """The classes a pattern arc (a, b, w) maps onto."""
         got = self._reads.get((a, b, w))
         if got is None:
-            col = self.weights[:, a, b]
+            col = self.class_weights[:, a, b]
             got = self._reads[(a, b, w)] = tuple(
                 np.flatnonzero((col >= 1) & (col <= w)).tolist())
         return got
-
-
-@dataclass(frozen=True)
-class WeightedHost:
-    """What every count runs on: a ``SignatureHost`` and its per-vertex
-    weights.
-
-    ``weights`` holds, per pattern vertex, an exact integer array over
-    the host's vertices, or None for weight 1 everywhere; a homomorphism
-    phi counts the product of weights[a][phi(a)].
-    """
-
-    host: SignatureHost
-    weights: tuple
 
 
 @dataclass(frozen=True)
@@ -646,7 +642,7 @@ class _BlockState:
                            min(hi, self.nrows) - lo)
 
 
-def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
+def _run_bag(hidx: _HostIndex, host: SignatureHost, plan: _BagPlan,
              tables: list[_Table]) -> _Table:
     """Evaluate one bag into its table, keyed by ``plan.out_cols``.
 
@@ -667,8 +663,9 @@ def _run_bag(hidx: _HostIndex, host: WeightedHost, plan: _BagPlan,
     once."""
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
-    weights = [None if v in plan.out_cols else host.weights[v]
-               for v in plan.order]
+    vertex_weights = host.vertex_weights
+    weights = [None if vertex_weights is None or v in plan.out_cols
+               else vertex_weights[v] for v in plan.order]
     root_w = weights[0]
     fiber = (hidx.root if root_w is None
              else np.flatnonzero(root_w).astype(np.int32))
@@ -767,20 +764,20 @@ def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
     return state.nrows > 0
 
 
-def extension_count(pattern, tree: HubTree,
-                    host: SignatureHost | WeightedHost) -> int:
+def extension_count(pattern, tree: HubTree, host: SignatureHost) -> int:
     """The weighted count in the root's table, whose one code is 0.
 
-    ``pattern`` is a ``fraternal.PatternExtension`` (what a count passes)
-    or a ``DirWLGraph``; only its plain-Python side is read. ``host`` is
-    the ``WeightedHost`` a count passes, or a bare ``SignatureHost``,
-    read with weight 1 everywhere. On the host of a count the result
-    equals the count of the member's labeled twin on the extension of
-    H^L x G (the tests lift it from G's own as their oracle). On an index
-    whose classes are arc weights, with F_t[s] = s everywhere, a pattern
-    arc of weight w reads classes 1..w, and the result equals
-    sum(bressan_count(pattern, tree, tree.root, graph).values()), the
-    dict engine kept as its oracle. With weights, every homomorphism
+    ``pattern`` is a ``fraternal.PatternExtension`` (what a count
+    passes) or a ``DirWLGraph``; only its plain-Python side is read.
+    ``host`` is the ``SignatureHost`` of a count; without vertex weights
+    it is read with weight 1 everywhere. On the host of a count the
+    result equals the count of the member's labeled twin on the
+    extension of H^L x G (the tests lift it from G's own as their
+    oracle). On an index whose classes are arc weights, with F_t[s] = s
+    everywhere, a pattern arc of weight w reads classes 1..w, and the
+    result equals sum(bressan_count(pattern, tree, tree.root,
+    graph).values()), the dict engine the tests keep as its oracle
+    (``tests/oracles.py``). With vertex weights, every homomorphism
     counts the product of its vertices' weights, each applied in the one
     bag where its vertex is not shared with the parent. A bag B shares
     Reach(parent) & Reach(B) with its parent; the oracle's Reach(parent)
@@ -790,12 +787,9 @@ def extension_count(pattern, tree: HubTree,
     pattern carries a nonzero vertex label, which this engine does not
     read.
     """
-    if not isinstance(host, WeightedHost):
-        host = WeightedHost(host, (None,) * pattern.n)
     if np.any(getattr(pattern, "labels", 0) != 0):
-        raise ValueError("the DP engine reads no vertex labels: count a "
-                         "labeled pattern with bressan_count")
-    hidx, read = host.host.index, host.host.read
+        raise ValueError("the DP engine reads no vertex labels")
+    hidx, read = host.index, host.read
     order = tree.postorder()
     domains = {bag: tuple(sorted(reach(pattern, tree.bags[tree.parent[bag]])
                                  & reach(pattern, tree.bags[bag])))

@@ -12,13 +12,12 @@ degeneracy DAG), whose arcs and loops ``fastdp.signature_index``
 classes so that each stands in for the arcs of the labeled product
 H^L x G's extension over it. So the max
 outdegree is G's own. A weighted digraph is a valid t-fraternal
-extension exactly when its weights form a t-fraternity function, which
-``validate_fraternity`` checks clause by clause.
+extension exactly when its weights form a t-fraternity function; the
+tests check that clause by clause (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +122,7 @@ class PatternExtension:
     first read) feeds the BFS trees, reaches (cached in ``_reach_cache``),
     the width-1 decomposition and the DP plans, all as Python ints.
     The ``DirWLGraph`` is built only on a read of ``graph``, which no
-    count makes; tests and ``validate_fraternity`` do. ``layers`` holds
+    count makes; the tests do. ``layers`` holds
     the arcs of weight 1..depth as (p, 2) arrays, sorted.
     """
 
@@ -177,10 +176,11 @@ def enumerate_pattern_extensions(h: UndirectedGraph, t: int,
     """Frat(H, t): every t-fraternal extension over every acyclic
     orientation of the pattern.
 
-    Members are unlabeled plain-Python arc tuples: round i >= 2 closes each member's out-out wedges from its out-lists
-    (``_round_pairs``) and branches over all 2^|E^i| orientations of the
-    new layer. No ``DirWLGraph`` is built here; a member builds its own
-    when its ``graph`` is first read. Members are distinct as arc-weight
+    Members are unlabeled plain-Python arc tuples: round i >= 2 closes
+    each member's out-out wedges from its out-lists (``_round_pairs``)
+    and branches over all 2^|E^i| orientations of the new layer. No
+    ``DirWLGraph`` is built here; a member builds its own when its
+    ``graph`` is first read. Members are distinct as arc-weight
     sets, never deduplicated up to isomorphism. Aborts with
     ExtensionBlowupError if the member count would pass ``cap``.
     """
@@ -259,43 +259,3 @@ def optimal_extension(g: UndirectedGraph, t: int) -> FraternalExtension:
             g, len(exts) + 1, exts[-1] if exts else None)),)
     g._extension = exts
     return exts[t - 1]
-
-
-def validate_fraternity(ext, t: int | None = None, size_cap: int = 4096) -> bool:
-    """Check the three t-fraternity clauses on a weighted digraph.
-
-    For every vertex pair, with absent arcs read as infinity: the pair's
-    minimum weight is 1, or it equals the minimum wedge sum
-    min_z w(z,x) + w(z,y), or both exceed t. Only pairs that carry an arc
-    or a wedge can violate a clause, so the scan is over arcs and
-    out-pairs instead of all n^2 pairs. Intended for tests and debugging;
-    the cost is quadratic in the outdegrees.
-    """
-    extension = not isinstance(ext, DirWLGraph)
-    g = ext.graph if extension else ext
-    if t is None:
-        if extension:
-            t = ext.depth
-        else:
-            t = int(g.wgt.max()) if g.arc_count else 1
-    if g.n > size_cap:
-        raise ValueError(f"validate_fraternity capped at {size_cap} vertices")
-    pairw: dict[tuple[int, int], int] = {}
-    for u, v, w in zip(g.src, g.dst, g.wgt):
-        pairw[(min(int(u), int(v)), max(int(u), int(v)))] = int(w)
-    wedge: dict[tuple[int, int], float] = {}
-    for v in range(g.n):
-        dst, wt = g.out_arcs(v)
-        for i in range(dst.shape[0]):
-            for j in range(i + 1, dst.shape[0]):
-                key = (int(dst[i]), int(dst[j]))
-                s = int(wt[i]) + int(wt[j])
-                if s < wedge.get(key, math.inf):
-                    wedge[key] = s
-    for key in pairw.keys() | wedge.keys():
-        mw = pairw.get(key, math.inf)
-        zm = wedge.get(key, math.inf)
-        if mw == 1 or mw == zm or (mw > t and zm > t):
-            continue
-        return False
-    return True

@@ -2,7 +2,7 @@
 
 Vertices are dense 0-based integers everywhere; file loaders compact
 arbitrary ids and keep the mapping. ``UndirectedGraph`` holds the simple
-host/pattern graphs, ``DirWLGraph`` the directed weighted labeled graphs
+host/pattern graphs, ``DirWLGraph`` the directed weighted graphs
 produced by orientations and fraternal extensions.
 Both are immutable after construction and every iteration order is
 deterministic, so repeated runs give bit-identical counts and
@@ -11,7 +11,7 @@ decompositions.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -125,38 +125,37 @@ class UndirectedGraph:
 
 
 class DirWLGraph:
-    """Directed graph with positive integer arc weights and vertex labels.
+    """Directed graph with positive integer arc weights.
 
-    At most one of (u, v) and (v, u) may be present. Labels default to 0
-    (the trivial label); only the oracles read them, and the DP engine
-    refuses a pattern with a nonzero label. ``succ`` is the plain-Python
-    adjacency that pattern-side code reads; a host graph never builds it.
-    On G's own extension, ``_signatures`` caches the host of a count at
+    At most one of (u, v) and (v, u) may be present. It carries no vertex
+    labels: the tests' oracles read a subclass that does
+    (``tests/oracles.py``), and the DP engine refuses a pattern with a
+    nonzero label. ``succ`` is the plain-Python adjacency that
+    pattern-side code reads; a host graph never builds it. On G's own
+    extension, ``_signatures`` caches the host of a count at
     the extension's depth over G's n vertices (``fastdp``).
     """
 
-    __slots__ = ("n", "src", "dst", "wgt", "labels", "_out_indptr",
-                 "_arc_codes", "_reach_cache", "_fibers", "_signatures",
-                 "_succ")
+    __slots__ = ("n", "src", "dst", "wgt", "_out_indptr", "_arc_codes",
+                 "_reach_cache", "_signatures", "_succ")
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = (),
-                 labels: Sequence[int] | np.ndarray | None = None):
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = ()):
         trips = np.asarray(list(arcs) if not isinstance(arcs, np.ndarray) else arcs,
                            dtype=np.int64)
         if trips.size == 0:
             trips = trips.reshape(0, 3)
         if trips.ndim != 2 or trips.shape[1] != 3:
             raise GraphFormatError("expected (src, dst, weight) triples")
-        self._init_from(n, trips[:, 0], trips[:, 1], trips[:, 2], labels)
+        self._init_from(n, trips[:, 0], trips[:, 1], trips[:, 2])
 
     @classmethod
     def from_arrays(cls, n: int, src: np.ndarray, dst: np.ndarray,
-                    wgt: np.ndarray, labels=None) -> "DirWLGraph":
+                    wgt: np.ndarray) -> "DirWLGraph":
         g = cls.__new__(cls)
-        g._init_from(n, src, dst, wgt, labels)
+        g._init_from(n, src, dst, wgt)
         return g
 
-    def _init_from(self, n, src, dst, wgt, labels):
+    def _init_from(self, n, src, dst, wgt):
         self.n = int(n)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -180,16 +179,9 @@ class DirWLGraph:
                 u, v = divmod(int(both[0]), n)
                 raise GraphFormatError(f"antiparallel arc pair {u} {v}")
         self.src, self.dst, self.wgt = src, dst, wgt
-        if labels is None:
-            self.labels = np.zeros(n, dtype=np.int64)
-        else:
-            self.labels = np.asarray(labels, dtype=np.int64)
-            if self.labels.shape != (n,):
-                raise GraphFormatError("label array has wrong length")
         self._out_indptr = None
         self._arc_codes = None
         self._reach_cache = {}
-        self._fibers = None
         self._signatures = None
         self._succ = None
 
@@ -236,20 +228,6 @@ class DirWLGraph:
         self._build_out()
         return self._out_indptr[1:] - self._out_indptr[:-1]
 
-    def fibers(self) -> dict[int, np.ndarray]:
-        """Vertex ids grouped by label, each group ascending."""
-        if self._fibers is None:
-            if self.n == 0:
-                self._fibers = {}
-            else:
-                order = np.argsort(self.labels, kind="stable")
-                lab = self.labels[order]
-                cuts = np.nonzero(lab[1:] != lab[:-1])[0] + 1
-                groups = np.split(order, cuts)
-                self._fibers = {int(g_lab[0]): grp for g_lab, grp in
-                                zip(np.split(lab, cuts), groups)}
-        return self._fibers
-
     def __repr__(self):
         return f"DirWLGraph(n={self.n}, arcs={self.arc_count})"
 
@@ -267,12 +245,6 @@ def succ_lists(n: int, arcs) -> list[list[tuple[int, int]]]:
     for a, b, w in arcs:
         succ[a].append((b, w))
     return succ
-
-
-def plain_labels(g) -> list[int]:
-    """A pattern's vertex labels as Python ints; none reads as all 0."""
-    labels = getattr(g, "labels", None)
-    return [0] * g.n if labels is None else [int(x) for x in labels]
 
 
 def bfs_out_tree(g, s: int) -> tuple[list[int], dict[int, int | None]]:

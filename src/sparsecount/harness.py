@@ -255,9 +255,8 @@ def _cmd_count_sub(args) -> int:
 
 
 def _dump_extension(ext) -> None:
-    g = ext.graph
     print(f"offending extension (depth {ext.depth}):", file=sys.stderr)
-    for u, v, w in zip(g.src, g.dst, g.wgt):
+    for u, v, w in ext.arcs:
         print(f"  {u} -> {v}  weight {w}", file=sys.stderr)
 
 

@@ -35,17 +35,6 @@ def reach(g, s) -> frozenset:
     return out
 
 
-def down_reach(g, tree: HubTree, bag: int) -> frozenset:
-    """Union of Reach over every bag in the subtree rooted at bag."""
-    verts: frozenset = frozenset()
-    stack = [bag]
-    while stack:
-        b = stack.pop()
-        verts |= reach(g, tree.bags[b])
-        stack.extend(tree.children(b))
-    return verts
-
-
 def _reach_one(g, s: int) -> frozenset:
     cached = g._reach_cache.get(s)
     if cached is None:
@@ -120,18 +109,6 @@ class HubTree:
     def children(self, i: int) -> tuple[int, ...]:
         return tuple(j for j, p in enumerate(self.parent) if p == i)
 
-    def path(self, i: int, j: int) -> list[int]:
-        """Node indices on the unique i-j path, endpoints included."""
-        anc_i = [i]
-        while self.parent[anc_i[-1]] != -1:
-            anc_i.append(self.parent[anc_i[-1]])
-        seen = {v: d for d, v in enumerate(anc_i)}
-        up_j = [j]
-        while up_j[-1] not in seen:
-            up_j.append(self.parent[up_j[-1]])
-        meet = up_j[-1]
-        return anc_i[:seen[meet] + 1] + up_j[:-1][::-1]
-
     def postorder(self) -> list[int]:
         out = []
         stack = [self.root]
@@ -140,44 +117,6 @@ class HubTree:
             out.append(b)
             stack.extend(self.children(b))
         return out[::-1]
-
-
-def validate_decomposition(g, tree: HubTree) -> bool:
-    """True iff bags are hubs covering the hubset and every bag on a
-    tree path contains the endpoints' shared reach."""
-    hubs = set(hubset(g))
-    bags = tree.bags
-    b = len(bags)
-    if b == 0 or len(tree.parent) != b:
-        return False
-    if tree.parent[tree.root] != -1:
-        return False
-    if sum(1 for p in tree.parent if p == -1) != 1:
-        return False
-    for i, p in enumerate(tree.parent):
-        if i != tree.root and not (0 <= p < b):
-            return False
-    # parent pointers must form a tree (every node walks up to the root)
-    for i in range(b):
-        seen = set()
-        v = i
-        while v != tree.root:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = tree.parent[v]
-    if not set(bags) <= hubs:
-        return False
-    if set(bags) != hubs:
-        return False
-    reaches = [reach(g, x) for x in bags]
-    for i in range(b):
-        for j in range(i + 1, b):
-            shared = reaches[i] & reaches[j]
-            for k in tree.path(i, j):
-                if not shared <= reaches[k]:
-                    return False
-    return True
 
 
 def find_width1_decomposition(g) -> HubTree | None:

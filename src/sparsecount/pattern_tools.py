@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .graph_core import UndirectedGraph
 
@@ -370,8 +370,8 @@ def fiber_tournament(h: UndirectedGraph, t: int,
     With ``colors`` (one per vertex, as ``PendantForest.colors`` gives a
     2-core's vertices) only the automorphisms that keep every colour
     count, both for K and for Aut_tau(h). The result is cached per
-    (h, t, colors), so the signature host's weights and the grouping of
-    Frat(h, t) read the same tau.
+    (h, t, colors), so the signature host's class weights and the
+    grouping of Frat(h, t) read the same tau.
     """
     return _fiber_tournament(h.n, tuple(h.edge_list()), t,
                              None if colors is None else tuple(colors))

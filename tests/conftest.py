@@ -1,13 +1,14 @@
 """Shared builders and independent oracles for the test suite.
 
-Everything here is deliberately separate from the library code paths it
-checks: cycle enumeration for longest induced cycles, adjacency-power
-traces for cycle homomorphism counts, the extension of the labeled
-product lifted from G's own (the oracle of the signature host) and the
-materialized product peeled layer by layer (the oracle of the lift), a
-label-respecting undirected homomorphism counter for it, a search over every labeled hub
-tree for width-1 decompositions, and an exhaustive (batch
-canonicalized) catalogue of small connected patterns.
+Everything here, and in ``oracles.py``, is deliberately separate from
+the library code paths it checks: cycle enumeration for longest induced
+cycles, adjacency-power traces for cycle homomorphism counts, the
+extension of the labeled product lifted from G's own (the oracle of the
+signature host) and the materialized product peeled layer by layer (the
+oracle of the lift), a label-respecting undirected homomorphism counter
+for it, a search over every labeled hub tree for width-1
+decompositions, and an exhaustive (batch canonicalized) catalogue of
+small connected patterns.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import numpy as np
 
 from sparsecount import (DirWLGraph, FraternalExtension, HubTree,
                          UndirectedGraph, count_hom_extension, extension_edges,
-                         fastdp, hubset, optimal_extension, pattern_product,
-                         validate_decomposition)
+                         fastdp, hubset, optimal_extension)
 from sparsecount.fraternal import _first_layer, _peeled_extension, _with_layer
 from sparsecount.pattern_tools import fiber_tournament
+
+from oracles import LabeledGraph, pattern_product, validate_decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,8 @@ def lifted_extension(g: UndirectedGraph, t: int, h: UndirectedGraph,
 
 
 @functools.lru_cache(maxsize=4)
-def _fiber_host(graph: DirWLGraph, depth: int, k: int) -> fastdp.WeightedHost:
+def _fiber_host(graph: DirWLGraph, depth: int,
+                k: int) -> fastdp.SignatureHost:
     fiber = fiber_labels(k, graph.n // k)
     cls = ((graph.wgt - 1) * k + fiber[graph.src]) * k + fiber[graph.dst] + 1
     ncls = depth * k * k
@@ -257,7 +260,7 @@ def _fiber_host(graph: DirWLGraph, depth: int, k: int) -> fastdp.WeightedHost:
             for b in range(k):
                 weights[((w - 1) * k + a) * k + b + 1, a, b] = w
     index = fastdp._HostIndex(graph.n, graph.src, graph.dst, cls, ncls)
-    return fastdp.WeightedHost(fastdp.SignatureHost(index, weights), tuple(
+    return fastdp.SignatureHost(index, weights, tuple(
         (fiber == u).astype(np.int64) for u in range(k)))
 
 
@@ -293,17 +296,18 @@ def count_on_lift(member, lifted) -> int:
         member, _fiber_host(lifted.graph, max(lifted.depth, 1), member.n))
 
 
-def with_fiber_labels(graph: DirWLGraph, k: int) -> DirWLGraph:
+def with_fiber_labels(graph: DirWLGraph, k: int) -> LabeledGraph:
     """A product extension's graph with <u,v> labeled u, for the label-
     reading oracles (``bressan_count``, ``brute_force_hom_wl``)."""
-    return DirWLGraph.from_arrays(graph.n, graph.src, graph.dst, graph.wgt,
-                                  fiber_labels(k, graph.n // k))
+    return LabeledGraph(graph.n, np.column_stack((graph.src, graph.dst,
+                                                  graph.wgt)),
+                        fiber_labels(k, graph.n // k))
 
 
-def self_labeled(member) -> DirWLGraph:
+def self_labeled(member) -> LabeledGraph:
     """A member's graph with every vertex labeled by itself: its labeled
     twin H^L, for the label-reading oracles."""
-    return DirWLGraph(member.n, member.arcs, labels=range(member.n))
+    return LabeledGraph(member.n, member.arcs, labels=range(member.n))
 
 
 def labeled_product_hom_count(product: UndirectedGraph, h: UndirectedGraph,

@@ -1,0 +1,381 @@
+"""The oracles the fast paths are checked against, and vertex labels.
+
+No production path reads any of this. ``bressan_count`` is the
+generalized width-1 tree DP over hub-tree decompositions as
+dictionaries, built on ``enumerate_root_homs``, which lists the
+label/weight/arc-respecting homomorphisms of a reachable sub-pattern;
+``brute_force_hom_wl`` enumerates every weighted, labeled map.
+``validate_fraternity`` and ``validate_decomposition`` check the
+fraternity clauses and a hub tree's width-1 condition directly, and
+``pattern_product`` materializes the product H x G. Fraternal extension
+by itself does not preserve homomorphism counts past depth 1, so from
+depth 2 on a count stands for the label-respecting count from H^L into
+that product, which equals Hom(G, H); the pipeline counts it on G's n
+vertices without building the product (``fastdp.signature_index``).
+
+The package's ``DirWLGraph`` carries no vertex labels, and its DP
+engine refuses a pattern that does. Labeled graphs are built here, as
+``LabeledGraph``; every oracle reads a graph without labels as all 0.
+All counts are exact Python integers.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from sparsecount import DirWLGraph, GraphFormatError, HubTree, UndirectedGraph
+from sparsecount.counting import _search_order
+from sparsecount.graph_core import bfs_out_tree, succ_lists
+from sparsecount.hub_decomp import hubset, reach
+
+
+class LabeledGraph(DirWLGraph):
+    """A ``DirWLGraph`` whose vertices carry integer labels, for the
+    label-reading oracles."""
+
+    __slots__ = ("labels",)
+
+    def __init__(self, n: int, arcs, labels):
+        super().__init__(n, arcs)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        if self.labels.shape != (n,):
+            raise GraphFormatError("label array has wrong length")
+
+
+def plain_labels(g) -> list[int]:
+    """A pattern's vertex labels as Python ints; none reads as all 0."""
+    labels = getattr(g, "labels", None)
+    return [0] * g.n if labels is None else [int(x) for x in labels]
+
+
+def label_fibers(g) -> dict[int, np.ndarray]:
+    """Vertex ids grouped by label, each group ascending."""
+    if g.n == 0:
+        return {}
+    labels = np.asarray(plain_labels(g), dtype=np.int64)
+    order = np.argsort(labels, kind="stable")
+    lab = labels[order]
+    cuts = np.nonzero(lab[1:] != lab[:-1])[0] + 1
+    groups = np.split(order, cuts)
+    return {int(g_lab[0]): grp for g_lab, grp in
+            zip(np.split(lab, cuts), groups)}
+
+
+class HomMap(tuple):
+    """Partial pattern-to-host assignment in canonical encoding.
+
+    A HomMap is the sorted tuple of (pattern_vertex, host_vertex) pairs,
+    so it is hashable and serves directly as a dictionary key.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pairs=()):
+        return super().__new__(cls, sorted(pairs))
+
+    def restrict(self, vertices) -> "HomMap":
+        vs = set(vertices)
+        return HomMap(p for p in self if p[0] in vs)
+
+    def assignment(self) -> dict[int, int]:
+        return dict(self)
+
+
+class CountDict(dict):
+    """Counts keyed by canonical restriction; absent keys read as 0."""
+
+    def __missing__(self, key):
+        return 0
+
+
+def enumerate_root_homs(pattern, s: int, host: DirWLGraph) -> list[HomMap]:
+    """All total homomorphisms of the reachable sub-pattern H(s) into host.
+
+    The pattern (a ``DirWLGraph`` or a ``PatternExtension``) is read
+    through its ``succ`` and restricted to Reach(s) (which must be rooted
+    at s, the precondition of the width-1 DP). Candidates extend along a
+    BFS spanning out-tree from s; every non-tree arc is checked as soon
+    as both endpoints are assigned, with label equality and
+    pattern-weight >= host-weight on every mapped arc. The host side
+    reads its arc arrays once per call, into out-lists and an arc-weight
+    dict, so no check touches numpy.
+    """
+    succ = pattern.succ
+    order, parent = bfs_out_tree(pattern, s)
+    pos = {v: i for i, v in enumerate(order)}
+    tree_wmax = {}
+    checks: dict[int, list[tuple[int, int, int]]] = {v: [] for v in order}
+    for a in order:  # Reach(s) is closed under out-arcs
+        for b, w in succ[a]:
+            if parent[b] == a:
+                tree_wmax[b] = w
+            else:
+                checks[a if pos[a] > pos[b] else b].append((a, b, w))
+    labels = plain_labels(pattern)
+    host_labels = plain_labels(host)
+    arcs = list(zip(host.src.tolist(), host.dst.tolist(), host.wgt.tolist()))
+    host_out = succ_lists(host.n, arcs)
+    host_weight = {(x, y): w for x, y, w in arcs}
+    results: list[HomMap] = []
+    assign: dict[int, int] = {}
+
+    def rec(i: int):
+        if i == len(order):
+            results.append(HomMap(assign.items()))
+            return
+        v = order[i]
+        lab = labels[v]
+        if i == 0:
+            candidates = [x for x in range(host.n) if host_labels[x] == lab]
+        else:
+            wmax = tree_wmax[v]
+            candidates = [y for y, w in host_out[assign[parent[v]]]
+                          if w <= wmax and host_labels[y] == lab]
+        for c in candidates:
+            ok = True
+            for a, b, w in checks[v]:
+                x = c if a == v else assign[a]
+                y = c if b == v else assign[b]
+                if host_weight.get((x, y), w + 1) > w:
+                    ok = False
+                    break
+            if ok:
+                assign[v] = c
+                rec(i + 1)
+        assign.pop(v, None)
+
+    rec(0)
+    return results
+
+
+def bressan_count(pattern, tree: HubTree, bag: int,
+                  host: DirWLGraph) -> CountDict:
+    """Generalized tree DP: C_B[phi] = ext(H(down(B)), host, phi).
+
+    Leaves assign 1 to every root homomorphism of H(B); an internal bag
+    aggregates each child dictionary by restriction to
+    Reach(B) & Reach(down(child)) and multiplies the aggregated values
+    across children per root homomorphism.
+    """
+    hub = tree.bags[bag]
+    homs = enumerate_root_homs(pattern, hub, host)
+    result = CountDict()
+    children = tree.children(bag)
+    if not children:
+        for phi in homs:
+            result[phi] = 1
+        return result
+    reach_b = reach(pattern, hub)
+    aggs = []
+    for child in children:
+        child_counts = bressan_count(pattern, tree, child, host)
+        domain = reach_b & down_reach(pattern, tree, child)
+        agg = CountDict()
+        for phi, val in child_counts.items():
+            agg[phi.restrict(domain)] += val
+        aggs.append((domain, agg))
+    for phi in homs:
+        total = 1
+        for domain, agg in aggs:
+            total *= agg[phi.restrict(domain)]
+            if total == 0:
+                break
+        if total:
+            result[phi] = total
+    return result
+
+
+def brute_force_hom_wl(host: DirWLGraph, pattern: DirWLGraph,
+                       cap: int = 32) -> int:
+    """Exhaustive weighted/labeled count of maps pattern -> host.
+
+    Label equality per vertex, host arc present per pattern arc, and
+    pattern weight >= host weight on every mapped arc.
+    """
+    if host.n > cap:
+        raise ValueError(f"host has {host.n} > {cap} vertices")
+    out_w = [dict() for _ in range(host.n)]
+    in_w = [dict() for _ in range(host.n)]
+    for u, v, w in zip(host.src, host.dst, host.wgt):
+        out_w[u][int(v)] = int(w)
+        in_w[v][int(u)] = int(w)
+    fibers = {lab: set(grp.tolist())
+              for lab, grp in label_fibers(host).items()}
+    labels = plain_labels(pattern)
+    padj = [set() for _ in range(pattern.n)]
+    arc_w = {}
+    for a, b, w in zip(pattern.src, pattern.dst, pattern.wgt):
+        a, b, w = int(a), int(b), int(w)
+        padj[a].add(b)
+        padj[b].add(a)
+        arc_w[(a, b)] = w
+    order = _search_order(padj, pattern.n)
+    pos = {v: i for i, v in enumerate(order)}
+    assign: dict[int, int] = {}
+    count = 0
+
+    def candidates(v: int):
+        base = fibers.get(labels[v], set())
+        cand = None
+        for u in sorted(padj[v]):
+            if pos[u] >= pos[v]:
+                continue
+            img = assign[u]
+            if (u, v) in arc_w:
+                wmax = arc_w[(u, v)]
+                step = {y for y, w in out_w[img].items() if w <= wmax}
+            else:
+                wmax = arc_w[(v, u)]
+                step = {y for y, w in in_w[img].items() if w <= wmax}
+            cand = step if cand is None else cand & step
+            if not cand:
+                return set()
+        return base if cand is None else cand & base
+
+    def rec(i: int):
+        nonlocal count
+        if i == pattern.n:
+            count += 1
+            return
+        v = order[i]
+        for c in candidates(v):
+            assign[v] = c
+            rec(i + 1)
+        assign.pop(v, None)
+
+    rec(0)
+    return count
+
+
+def validate_fraternity(ext, t: int | None = None, size_cap: int = 4096) -> bool:
+    """Check the three t-fraternity clauses on a weighted digraph.
+
+    For every vertex pair, with absent arcs read as infinity: the pair's
+    minimum weight is 1, or it equals the minimum wedge sum
+    min_z w(z,x) + w(z,y), or both exceed t. Only pairs that carry an arc
+    or a wedge can violate a clause, so the scan is over arcs and
+    out-pairs instead of all n^2 pairs. Intended for tests and debugging;
+    the cost is quadratic in the outdegrees.
+    """
+    extension = not isinstance(ext, DirWLGraph)
+    g = ext.graph if extension else ext
+    if t is None:
+        if extension:
+            t = ext.depth
+        else:
+            t = int(g.wgt.max()) if g.arc_count else 1
+    if g.n > size_cap:
+        raise ValueError(f"validate_fraternity capped at {size_cap} vertices")
+    pairw: dict[tuple[int, int], int] = {}
+    for u, v, w in zip(g.src, g.dst, g.wgt):
+        pairw[(min(int(u), int(v)), max(int(u), int(v)))] = int(w)
+    wedge: dict[tuple[int, int], float] = {}
+    for v in range(g.n):
+        dst, wt = g.out_arcs(v)
+        for i in range(dst.shape[0]):
+            for j in range(i + 1, dst.shape[0]):
+                key = (int(dst[i]), int(dst[j]))
+                s = int(wt[i]) + int(wt[j])
+                if s < wedge.get(key, math.inf):
+                    wedge[key] = s
+    for key in pairw.keys() | wedge.keys():
+        mw = pairw.get(key, math.inf)
+        zm = wedge.get(key, math.inf)
+        if mw == 1 or mw == zm or (mw > t and zm > t):
+            continue
+        return False
+    return True
+
+
+def down_reach(g, tree: HubTree, bag: int) -> frozenset:
+    """Union of Reach over every bag in the subtree rooted at bag."""
+    verts: frozenset = frozenset()
+    stack = [bag]
+    while stack:
+        b = stack.pop()
+        verts |= reach(g, tree.bags[b])
+        stack.extend(tree.children(b))
+    return verts
+
+
+def tree_path(tree: HubTree, i: int, j: int) -> list[int]:
+    """Node indices on the unique i-j path of ``tree``, endpoints
+    included."""
+    anc_i = [i]
+    while tree.parent[anc_i[-1]] != -1:
+        anc_i.append(tree.parent[anc_i[-1]])
+    seen = {v: d for d, v in enumerate(anc_i)}
+    up_j = [j]
+    while up_j[-1] not in seen:
+        up_j.append(tree.parent[up_j[-1]])
+    meet = up_j[-1]
+    return anc_i[:seen[meet] + 1] + up_j[:-1][::-1]
+
+
+def validate_decomposition(g, tree: HubTree) -> bool:
+    """True iff bags are hubs covering the hubset and every bag on a
+    tree path contains the endpoints' shared reach."""
+    hubs = set(hubset(g))
+    bags = tree.bags
+    b = len(bags)
+    if b == 0 or len(tree.parent) != b:
+        return False
+    if tree.parent[tree.root] != -1:
+        return False
+    if sum(1 for p in tree.parent if p == -1) != 1:
+        return False
+    for i, p in enumerate(tree.parent):
+        if i != tree.root and not (0 <= p < b):
+            return False
+    # parent pointers must form a tree (every node walks up to the root)
+    for i in range(b):
+        seen = set()
+        v = i
+        while v != tree.root:
+            if v in seen:
+                return False
+            seen.add(v)
+            v = tree.parent[v]
+    if not set(bags) <= hubs:
+        return False
+    if set(bags) != hubs:
+        return False
+    reaches = [reach(g, x) for x in bags]
+    for i in range(b):
+        for j in range(i + 1, b):
+            shared = reaches[i] & reaches[j]
+            for k in tree_path(tree, i, j):
+                if not shared <= reaches[k]:
+                    return False
+    return True
+
+
+def pattern_product(h: UndirectedGraph, g: UndirectedGraph) -> UndirectedGraph:
+    """H x G: edge (<u,v>, <u',v'>) iff (u,u') in E_H and (v,v') in E_G.
+
+    Vertex <u, v> has id u * n + v, so the fiber of pattern vertex u is
+    the block [u * n, (u+1) * n) and its label is the id // n. Each
+    (pattern edge, host edge) pair contributes exactly two product
+    edges, so |E| = 2 |E_H| |E_G| and |V| = k * n.
+    """
+    k, n = h.n, g.n
+    he = h.edge_array
+    ge = g.edge_array
+    if he.shape[0] and ge.shape[0]:
+        gx, gy = ge[:, 0], ge[:, 1]
+        srcs = []
+        dsts = []
+        for u, up in he:
+            base_u, base_up = u * n, up * n
+            srcs.append(base_u + gx)
+            dsts.append(base_up + gy)
+            srcs.append(base_u + gy)
+            dsts.append(base_up + gx)
+        edges = np.column_stack((np.concatenate(srcs), np.concatenate(dsts)))
+    else:
+        edges = np.empty((0, 2), dtype=np.int64)
+    product = UndirectedGraph(k * n, edges)
+    assert product.m == 2 * h.m * g.m
+    return product

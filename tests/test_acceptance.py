@@ -5,13 +5,11 @@ everywhere, the scaling check uses the stated wall-clock bounds."""
 import random
 import time
 
-from sparsecount import (DirWLGraph, brute_force_hom, brute_force_hom_wl,
-                         brute_force_sub, count_homomorphisms,
-                         count_subgraphs, enumerate_pattern_extensions,
+from sparsecount import (DirWLGraph, brute_force_hom, brute_force_sub,
+                         count_homomorphisms, count_subgraphs,
+                         enumerate_pattern_extensions,
                          find_width1_decomposition, licl,
-                         min_extension_depth, optimal_extension,
-                         validate_decomposition,
-                         validate_fraternity)
+                         min_extension_depth, optimal_extension)
 from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_double_subdivision, generate_gnp,
                                  generate_subdivision)
@@ -19,6 +17,8 @@ from sparsecount.harness import (generate_bounded_degeneracy,
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       lifted_extension, random_graph, self_labeled,
                       triangle_count, with_fiber_labels)
+from oracles import (brute_force_hom_wl, validate_decomposition,
+                     validate_fraternity)
 
 SEED = 20260811
 

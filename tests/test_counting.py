@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecount import (DirWLGraph, HomMap, HubTree, NoWidth1Decomposition,
-                         UndirectedGraph, bressan_count, brute_force_hom,
-                         brute_force_hom_wl, brute_force_sub,
+from sparsecount import (DirWLGraph, HubTree, NoWidth1Decomposition,
+                         UndirectedGraph, brute_force_hom, brute_force_sub,
                          count_hom_extension, count_homomorphisms,
                          count_subgraphs, enumerate_pattern_extensions,
-                         enumerate_root_homs, find_width1_decomposition,
-                         max_outdegree, optimal_extension,
-                         validate_decomposition)
+                         find_width1_decomposition, max_outdegree,
+                         optimal_extension)
 from sparsecount import counting, fastdp
 from sparsecount.counting import frat_classes
 from sparsecount.harness import generate_bounded_degeneracy, run_count_hom
@@ -22,6 +20,9 @@ from conftest import (complete_graph, connected_patterns_up_to, count_on_lift,
                       lifted_extension, path_graph, peeled_product_extension,
                       random_graph, self_labeled, signature_host,
                       star_graph, weight_host, with_fiber_labels)
+import oracles
+from oracles import (HomMap, LabeledGraph, bressan_count, brute_force_hom_wl,
+                     enumerate_root_homs, validate_decomposition)
 
 
 def test_hommap_encoding():
@@ -32,8 +33,8 @@ def test_hommap_encoding():
 
 
 def test_enumerate_root_homs_single_vertex():
-    pattern = DirWLGraph(1, [], labels=[2])
-    host = DirWLGraph(4, [], labels=[2, 0, 2, 1])
+    pattern = LabeledGraph(1, [], labels=[2])
+    host = LabeledGraph(4, [], labels=[2, 0, 2, 1])
     homs = enumerate_root_homs(pattern, 0, host)
     assert sorted(h.assignment()[0] for h in homs) == [0, 2]
 
@@ -75,8 +76,8 @@ def test_bressan_single_bag_values():
 
 
 def test_bressan_in_in_wedge_identity_instance():
-    pattern = DirWLGraph(3, [(0, 1, 1), (2, 1, 1)], labels=[0, 1, 2])
-    host = DirWLGraph(3, [(0, 1, 1), (2, 1, 1)], labels=[0, 1, 2])
+    pattern = LabeledGraph(3, [(0, 1, 1), (2, 1, 1)], labels=[0, 1, 2])
+    host = LabeledGraph(3, [(0, 1, 1), (2, 1, 1)], labels=[0, 1, 2])
     tree = find_width1_decomposition(pattern)
     counts = bressan_count(pattern, tree, tree.root, host)
     assert sum(counts.values()) == 1
@@ -110,8 +111,8 @@ def test_bressan_dictionary_size_bound():
 def test_count_hom_extension_label_mismatch_zero():
     # a label no host vertex carries admits no map; the label-reading
     # oracles count it, since the engine reads no labels
-    pattern = DirWLGraph(1, [], labels=[7])
-    host = DirWLGraph(3, [], labels=[0, 1, 2])
+    pattern = LabeledGraph(1, [], labels=[7])
+    host = LabeledGraph(3, [], labels=[0, 1, 2])
     tree = find_width1_decomposition(pattern)
     assert sum(bressan_count(pattern, tree, tree.root, host).values()) == 0
     assert brute_force_hom_wl(host, pattern) == 0
@@ -424,11 +425,11 @@ def test_brute_force_caps():
 
 
 def test_brute_force_hom_wl_respects_weights_and_labels():
-    host = DirWLGraph(3, [(0, 1, 1), (1, 2, 2)], labels=[0, 1, 0])
-    pattern = DirWLGraph(2, [(0, 1, 2)], labels=[0, 1])
+    host = LabeledGraph(3, [(0, 1, 1), (1, 2, 2)], labels=[0, 1, 0])
+    pattern = LabeledGraph(2, [(0, 1, 2)], labels=[0, 1])
     # both host arcs are light enough, but only (0,1) matches the labels
     assert brute_force_hom_wl(host, pattern) == 1
-    pattern_heavy = DirWLGraph(2, [(0, 1, 1)], labels=[1, 0])
+    pattern_heavy = LabeledGraph(2, [(0, 1, 1)], labels=[1, 0])
     # (1,2) has weight 2 > 1: dominance fails
     assert brute_force_hom_wl(host, pattern_heavy) == 0
 
@@ -497,12 +498,10 @@ def test_one_extension_dp_per_depth1_orbit(monkeypatch):
 
 
 def _refuse_dict_engine(monkeypatch):
-    import sparsecount.counting as counting
-
     def refuse(*args):
         raise AssertionError("the dict engine ran")
 
-    monkeypatch.setattr(counting, "bressan_count", refuse)
+    monkeypatch.setattr(oracles, "bressan_count", refuse)
 
 
 def test_forced_widening_is_exact(monkeypatch):
@@ -592,8 +591,8 @@ def test_fast_engine_refuses_labels():
     # every root fiber is all of the host's vertices, so a labeled
     # pattern is refused rather than counted as if unlabeled; the oracles
     # still read labels
-    host = DirWLGraph(3, [(0, 1, 1), (1, 2, 1)], labels=[0, 1, 0])
-    pattern = DirWLGraph(2, [(0, 1, 1)], labels=[0, 1])
+    host = LabeledGraph(3, [(0, 1, 1), (1, 2, 1)], labels=[0, 1, 0])
+    pattern = LabeledGraph(2, [(0, 1, 1)], labels=[0, 1])
     tree = find_width1_decomposition(pattern)
     with pytest.raises(ValueError, match="reads no vertex labels"):
         fastdp.extension_count(pattern, tree, weight_host(host, 2))

@@ -32,8 +32,6 @@ from conftest import cycle_graph, weight_host
 
 # (module, function) -> why the site keeps a stable sort or a lexsort
 STABLE_SORTS = {
-    ("graph_core", "DirWLGraph.fibers"):
-        "groups list their vertices ascending, which only stability keeps",
     ("graph_core", "DirWLGraph._init_from"):
         "arcs arrive sorted, one run per layer, which a stable sort merges "
         "in linear time: 0.04 against 0.06 ms for the default sort on the "
@@ -292,7 +290,7 @@ def test_zero_weight_root_rows_are_dropped(k, monkeypatch):
     apply_slot = fastdp._apply_slot
 
     def bag_spy(hidx, host, plan, tables):
-        root_weights[id(plan)] = host.weights[plan.order[0]]
+        root_weights[id(plan)] = host.vertex_weights[plan.order[0]]
         return run_bag(hidx, host, plan, tables)
 
     def slot_spy(hidx, plan, tables, state, t_at):

@@ -13,6 +13,8 @@ from sparsecount import (DirWLGraph, GraphFormatError, UndirectedGraph,
                          load_edge_list, max_outdegree, save_edge_list)
 from sparsecount.graph_core import bfs_out_tree
 
+from oracles import LabeledGraph, label_fibers
+
 
 def test_max_outdegree():
     assert max_outdegree(DirWLGraph(0, [])) == 0
@@ -57,8 +59,8 @@ def test_arc_weights_vectorized():
 
 
 def test_fibers_group_by_label():
-    g = DirWLGraph(4, [], labels=[1, 0, 1, 0])
-    fibers = g.fibers()
+    g = LabeledGraph(4, [], labels=[1, 0, 1, 0])
+    fibers = label_fibers(g)
     assert list(fibers[0]) == [1, 3]
     assert list(fibers[1]) == [0, 2]
 

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from sparsecount import (UndirectedGraph, brute_force_hom, brute_force_sub,
-                         canonical_form, cli_main, degeneracy_order,
+from sparsecount import (NoWidth1Decomposition, UndirectedGraph,
+                         brute_force_hom, brute_force_sub, canonical_form,
+                         cli_main, degeneracy_order,
+                         find_width1_decomposition, load_edge_list,
                          max_outdegree, optimal_extension, save_edge_list)
 from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_double_subdivision, generate_gnp,
@@ -271,7 +273,6 @@ def test_cli_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "gen.el"
     assert cli_main(["gen", "degen", "--n", "50", "--c", "2",
                      "--seed", "7", "-o", str(out)]) == 0
-    from sparsecount import load_edge_list
 
     g = load_edge_list(out)
     assert g.n == 50 and degeneracy_order(g).kappa <= 2
@@ -298,6 +299,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     g = random_graph(8, 0.4, random.Random(5))
     assert int(out) == brute_force_hom(g, cycle_graph(6))
+
+
+def test_cli_exit_3_lists_the_offending_members_arcs(tmp_path, capsys):
+    # C6 has LICL 6 >= 3(1 + 1), so at depth 1 some member of its Frat
+    # has no width-1 decomposition; stderr lists that member's arcs
+    g = random_graph(8, 0.4, random.Random(5))
+    host = _write(tmp_path, "host.el", g)
+    c6 = _write(tmp_path, "c6.el", cycle_graph(6))
+    with pytest.raises(NoWidth1Decomposition) as info:
+        run_count_hom(load_edge_list(host), load_edge_list(c6), t=1)
+    member = info.value.extension
+    assert member.depth == 1 and len(member.arcs) == 6
+    assert find_width1_decomposition(member) is None
+    assert cli_main(["count-hom", host, c6, "--t", "1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    head = err.index("offending extension (depth 1):")
+    assert err[head + 1:] == [f"  {u} -> {v}  weight {w}"
+                              for u, v, w in member.arcs]
 
 
 def test_cli_empty_pattern_is_usage_error(tmp_path, capsys):

@@ -7,16 +7,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsecount import (DirWLGraph, FraternalExtension, UndirectedGraph,
-                         bressan_count, brute_force_hom_wl,
                          enumerate_pattern_extensions,
                          find_width1_decomposition, hubset,
                          min_extension_depth, licl,
-                         reach, unique_reachability_graph,
-                         validate_decomposition, validate_fraternity)
+                         reach, unique_reachability_graph)
 from sparsecount.hub_decomp import HubTree
 
 from conftest import (connected_patterns_up_to, cycle_graph, lifted_extension,
                       width1_tree_exists, with_fiber_labels)
+from oracles import (LabeledGraph, bressan_count, brute_force_hom_wl,
+                     validate_decomposition, validate_fraternity)
 
 
 def in_in_wedge():
@@ -199,7 +199,7 @@ def test_width1_nine_hub_tree_member_counts():
             (9, 15)]
     tree_pattern = UndirectedGraph(16, arcs)
     member = FraternalExtension(
-        DirWLGraph(16, [(u, v, 1) for u, v in arcs], labels=range(16)), 1,
+        LabeledGraph(16, [(u, v, 1) for u, v in arcs], labels=range(16)), 1,
         (np.array(sorted(arcs), dtype=np.int64),))
     assert validate_fraternity(member.graph, t=1)
     assert len(hubset(member.graph)) == 9

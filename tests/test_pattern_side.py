@@ -9,7 +9,7 @@ graph each member still builds on request, and against the dict engine.
 import random
 from dataclasses import fields
 
-from sparsecount import (bressan_count, count_homomorphisms, count_subgraphs,
+from sparsecount import (count_homomorphisms, count_subgraphs,
                          enumerate_pattern_extensions, fastdp,
                          find_width1_decomposition, optimal_extension)
 from sparsecount.counting import frat_classes
@@ -18,6 +18,7 @@ from sparsecount.hub_decomp import reach
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       lifted_extension, random_graph, self_labeled,
                       signature_host, with_fiber_labels)
+from oracles import bressan_count
 
 HOSTS = (complete_graph(4), random_graph(7, 0.5, random.Random(11)))
 
@@ -100,7 +101,7 @@ def test_a_count_builds_no_succ_on_its_host(monkeypatch):
     real = fastdp.extension_count
 
     def recorded(pattern, tree, host):
-        hosts.append(host.host)  # the WeightedHost a count passes
+        hosts.append(host)  # the SignatureHost a count passes
         return real(pattern, tree, host)
 
     monkeypatch.setattr(fastdp, "extension_count", recorded)

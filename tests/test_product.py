@@ -1,9 +1,10 @@
 import random
 
-from sparsecount import brute_force_hom, pattern_product
+from sparsecount import brute_force_hom
 
 from conftest import (cycle_graph, fiber_labels, labeled_product_hom_count,
                       path_graph, random_graph, UndirectedGraph)
+from oracles import pattern_product
 
 
 def test_product_k2_k2():

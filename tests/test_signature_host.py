@@ -60,16 +60,16 @@ def test_class_weights_match_the_lift_arc_for_arc(t):
             src, cls, dst = (a.tolist() for a in host.index._arcs)
             want = {}
             for x, s, y in zip(src, cls, dst):
-                for a, b in zip(*np.nonzero(host.weights[s])):
+                for a, b in zip(*np.nonzero(host.class_weights[s])):
                     want[(int(a) * g.n + x, int(b) * g.n + y)] = \
-                        int(host.weights[s][a, b])
+                        int(host.class_weights[s][a, b])
             lift = lifted_extension(g, t, h).graph
             got = dict(zip(zip(lift.src.tolist(), lift.dst.tolist()),
                            lift.wgt.tolist()))
             assert got == want, (t, g, h.edge_list())
             assert host.index.n == g.n
     # no class is none, and none is read
-    assert (host.weights[0] == 0).all()
+    assert (host.class_weights[0] == 0).all()
 
 
 def test_class_weights_at_depth2_read_the_two_hop_ranges():

@@ -52,7 +52,9 @@ def test_tracer_wraps_every_layer():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["missing"] == []
+    # no production path builds the product or runs the dict engine,
+    # which live in tests/oracles.py
+    assert out["missing"] == ["product.build", "counting.ref_dp"]
     assert out["skipped"] == []
     assert set(out["counts"]) == {"hom-c5-degen", "hom-c8-frat",
                                   "sub-c6-road"}
