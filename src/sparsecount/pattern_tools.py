@@ -510,21 +510,20 @@ def _is_acyclic(n: int, arcs) -> bool:
     return taken == n
 
 
-def acyclic_orientations(h) -> list[tuple[tuple[int, int], ...]]:
+def acyclic_orientations(h: UndirectedGraph
+                         ) -> list[tuple[tuple[int, int], ...]]:
     """The arcs of every acyclic orientation of h, each sorted by
     (src, dst).
 
     Orientations are the 2^|E| bitmasks over ``h.edge_list()``, bit j
     reversing edge j, in mask order, filtered by a cycle check; members
-    are distinct as arc sets, no isomorphism dedup. Accepts an
-    UndirectedGraph or anything with .graph.
+    are distinct as arc sets, no isomorphism dedup.
     """
-    graph: UndirectedGraph = getattr(h, "graph", h)
-    edges = graph.edge_list()
+    edges = h.edge_list()
     result = []
     for mask in range(1 << len(edges)):
         arcs = [(v, u) if mask >> j & 1 else (u, v)
                 for j, (u, v) in enumerate(edges)]
-        if _is_acyclic(graph.n, arcs):
+        if _is_acyclic(h.n, arcs):
             result.append(tuple(sorted(arcs)))
     return result

@@ -289,9 +289,9 @@ def test_zero_weight_root_rows_are_dropped(k, monkeypatch):
     run_bag = fastdp._run_bag
     apply_slot = fastdp._apply_slot
 
-    def bag_spy(hidx, host, plan, tables):
+    def bag_spy(host, plan, tables):
         root_weights[id(plan)] = host.vertex_weights[plan.order[0]]
-        return run_bag(hidx, host, plan, tables)
+        return run_bag(host, plan, tables)
 
     def slot_spy(hidx, plan, tables, state, t_at):
         if t_at == 1 and plan.order[0] not in plan.out_cols:

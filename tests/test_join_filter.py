@@ -96,8 +96,8 @@ def bags(monkeypatch):
     seen = []
     run_bag = fastdp._run_bag
 
-    def tracked(hidx, host, plan, tables):
-        out = run_bag(hidx, host, plan, tables)
+    def tracked(host, plan, tables):
+        out = run_bag(host, plan, tables)
         seen.append((list(tables), out))
         return out
 
