@@ -121,24 +121,15 @@ class PatternExtension:
     A count reads the member itself: ``succ`` (built from the arcs on the
     first read) feeds the BFS trees, reaches (cached in ``_reach_cache``),
     the width-1 decomposition and the DP plans, all as Python ints.
-    The ``DirWLGraph`` is built only on a read of ``graph``, which no
-    count makes; the tests do. ``layers`` holds
-    the arcs of weight 1..depth as (p, 2) arrays, sorted.
+    ``layers`` holds the arcs of weight 1..depth as (p, 2) arrays, sorted.
     """
 
-    __slots__ = ("n", "depth", "arcs", "_graph", "_succ", "_reach_cache")
+    __slots__ = ("n", "depth", "arcs", "_succ", "_reach_cache")
 
     def __init__(self, n: int, depth: int, arcs: tuple):
         self.n, self.depth, self.arcs = n, depth, arcs
-        self._graph = None
         self._succ = None
         self._reach_cache = {}
-
-    @property
-    def graph(self) -> DirWLGraph:
-        if self._graph is None:
-            self._graph = DirWLGraph(self.n, self.arcs)
-        return self._graph
 
     @property
     def succ(self) -> list[list[tuple[int, int]]]:
@@ -179,8 +170,7 @@ def enumerate_pattern_extensions(h: UndirectedGraph, t: int,
     Members are unlabeled plain-Python arc tuples: round i >= 2 closes
     each member's out-out wedges from its out-lists (``_round_pairs``)
     and branches over all 2^|E^i| orientations of the new layer. No
-    ``DirWLGraph`` is built here; a member builds its own when its
-    ``graph`` is first read. Members are distinct as arc-weight
+    ``DirWLGraph`` is built here. Members are distinct as arc-weight
     sets, never deduplicated up to isomorphism. Aborts with
     ExtensionBlowupError if the member count would pass ``cap``.
     """

@@ -11,6 +11,7 @@ decompositions.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 import numpy as np
@@ -269,6 +270,20 @@ def bfs_out_tree(g, s: int) -> tuple[list[int], dict[int, int | None]]:
     return order, parent
 
 
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+
+
+def _code_points(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The code points of ``text`` and, for each, whether it is whitespace
+    in the sense of ``str.isspace``, which is where ``str.split()`` cuts."""
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        return codes, _ASCII_SPACE[codes]
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    distinct = np.unique(codes).tolist()
+    return codes, np.isin(codes, [c for c in distinct if chr(c).isspace()])
+
+
 def load_edge_list(path) -> UndirectedGraph:
     """Read a whitespace-separated "u v" edge list; '#' starts a comment.
 
@@ -276,45 +291,71 @@ def load_edge_list(path) -> UndirectedGraph:
     parses as an integer, lexicographic otherwise; tokens that sort equal,
     such as "7" and "07", keep their order of first appearance, so the
     ids never depend on the string hash seed); the mapping is kept in
-    ``id_map``. Self-loops and parallel edges are rejected with the
-    offending line in the diagnostic.
+    ``id_map``. Only the first two ids of a line count. A line with one
+    id is reported first; then the earliest self-loop or parallel edge
+    in file order, each with its line in the diagnostic.
+
+    The text is read once and split once. Lines end at "\\n" only, as
+    file iteration ends them (universal newlines turn "\\r\\n" and "\\r"
+    into "\\n" on read), so "\\u2028" or "\\x0c" separate ids within a
+    line. Numpy places every token on its line: a token starts at a
+    non-space after a space (``str.isspace``, as ``str.split`` uses), a
+    ``searchsorted`` against the newlines gives its line and a
+    ``bincount`` the ids per line. The tokens are compacted through one
+    dict, and the self-loop and parallel-edge checks run on the id
+    arrays.
     """
-    raw = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) < 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected two ids")
-            raw.append((parts[0], parts[1], lineno))
-    tokens = dict.fromkeys(t for u, v, _ in raw for t in (u, v))
+        text = fh.read()
+    if "#" in text:
+        text = re.sub(r"#[^\n]*", "", text)
+    toks = text.split()
+    codes, space = _code_points(text)
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(codes == 10),
+                                           starts))
+    short = np.flatnonzero(per_line == 1)
+    if short.size:
+        raise GraphFormatError(f"{path}:{short[0] + 1}: expected two ids")
+    lines = np.flatnonzero(per_line)
+    if 2 * lines.size < len(toks):  # drop the ids past the second
+        heads = (np.cumsum(per_line) - per_line)[lines]
+        toks = list(map(toks.__getitem__,
+                        np.column_stack((heads, heads + 1)).ravel().tolist()))
+    distinct = dict.fromkeys(toks)
     try:
-        ordered = sorted(tokens, key=int)
+        ordered = sorted(distinct, key=int)
     except ValueError:
-        ordered = sorted(tokens)
-    idx = {t: i for i, t in enumerate(ordered)}
-    seen = {}
-    edges = []
-    for u, v, lineno in raw:
-        a, b = idx[u], idx[v]
-        if a == b:
-            raise GraphFormatError(f"{path}:{lineno}: self-loop at '{u}'")
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            raise GraphFormatError(
-                f"{path}:{lineno}: parallel edge '{u} {v}' "
-                f"(first seen at line {seen[key]})")
-        seen[key] = lineno
-        edges.append(key)
-    g = UndirectedGraph(len(ordered), edges)
+        ordered = sorted(distinct)
+    idx = dict(zip(ordered, range(len(ordered))))
+    ids = np.fromiter(map(idx.__getitem__, toks), dtype=np.int64,
+                      count=len(toks))
+    lo = np.minimum(ids[0::2], ids[1::2])
+    hi = np.maximum(ids[0::2], ids[1::2])
+    keys = lo * len(ordered) + hi
+    loops = np.flatnonzero(lo == hi)
+    sorted_keys = np.sort(keys)
+    if loops.size or np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        repeats = np.ones(lo.size, dtype=bool)
+        repeats[np.unique(keys, return_index=True)[1]] = False
+        i = np.argmax(repeats) if repeats.any() else lo.size
+        if loops.size and loops[0] < i:
+            raise GraphFormatError(f"{path}:{lines[loops[0]] + 1}: "
+                                   f"self-loop at '{toks[2 * loops[0]]}'")
+        j = np.flatnonzero(keys == keys[i])[0]
+        raise GraphFormatError(
+            f"{path}:{lines[i] + 1}: parallel edge '{toks[2 * i]} "
+            f"{toks[2 * i + 1]}' (first seen at line {lines[j] + 1})")
+    g = UndirectedGraph(len(ordered), np.column_stack((lo, hi)))
     g.id_map = idx
     return g
 
 
+def edge_list_text(g: UndirectedGraph) -> str:
+    """The edges as "u v" lines, u < v, in ``edge_array`` order."""
+    return "".join(f"{u} {v}\n" for u, v in g.edge_array.tolist())
+
+
 def save_edge_list(g: UndirectedGraph, path) -> None:
     with open(path, "w") as fh:
-        for u, v in g.edge_array:
-            fh.write(f"{u} {v}\n")
-
+        fh.write(edge_list_text(g))

@@ -21,7 +21,8 @@ from .counting import (BRUTE_FORCE_HOM_CAP, NoWidth1Decomposition,
                        count_homomorphisms, count_subgraphs, frat_classes)
 from .degeneracy import degeneracy_order
 from .fraternal import enumerate_pattern_extensions
-from .graph_core import GraphFormatError, UndirectedGraph, load_edge_list
+from .graph_core import (GraphFormatError, UndirectedGraph, edge_list_text,
+                         load_edge_list, save_edge_list)
 from .hub_decomp import (find_width1_decomposition, hubset,
                          unique_reachability_graph)
 from .pattern_tools import (licl, min_extension_depth, pendant_forest,
@@ -200,17 +201,11 @@ def run_count_hom(g: UndirectedGraph, h: UndirectedGraph,
 # CLI
 # ---------------------------------------------------------------------------
 
-def _edge_lines(g: UndirectedGraph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edge_array)
-
-
 def _write_graph(g: UndirectedGraph, out: str | None):
-    text = _edge_lines(g)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        save_edge_list(g, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(edge_list_text(g))
 
 
 def _cmd_count_hom(args) -> int:

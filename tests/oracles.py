@@ -12,6 +12,9 @@ by itself does not preserve homomorphism counts past depth 1, so from
 depth 2 on a count stands for the label-respecting count from H^L into
 that product, which equals Hom(G, H); the pipeline counts it on G's n
 vertices without building the product (``fastdp.signature_index``).
+``member_graph`` builds a Frat(H, t) member's ``DirWLGraph``, which no
+count reads, and ``load_edge_list_reference`` is the per-line edge-list
+loader that the vectorized ``load_edge_list`` must match.
 
 The package's ``DirWLGraph`` carries no vertex labels, and its DP
 engine refuses a pattern that does. Labeled graphs are built here, as
@@ -25,7 +28,8 @@ import math
 
 import numpy as np
 
-from sparsecount import DirWLGraph, GraphFormatError, HubTree, UndirectedGraph
+from sparsecount import (DirWLGraph, GraphFormatError, HubTree,
+                         PatternExtension, UndirectedGraph)
 from sparsecount.counting import _search_order
 from sparsecount.graph_core import bfs_out_tree, succ_lists
 from sparsecount.hub_decomp import hubset, reach
@@ -249,6 +253,12 @@ def brute_force_hom_wl(host: DirWLGraph, pattern: DirWLGraph,
     return count
 
 
+def member_graph(m: PatternExtension) -> DirWLGraph:
+    """A Frat(H, t) member's arcs as a ``DirWLGraph``, for the checks that
+    read numpy graphs; no count builds one."""
+    return DirWLGraph(m.n, m.arcs)
+
+
 def validate_fraternity(ext, t: int | None = None, size_cap: int = 4096) -> bool:
     """Check the three t-fraternity clauses on a weighted digraph.
 
@@ -260,7 +270,10 @@ def validate_fraternity(ext, t: int | None = None, size_cap: int = 4096) -> bool
     the cost is quadratic in the outdegrees.
     """
     extension = not isinstance(ext, DirWLGraph)
-    g = ext.graph if extension else ext
+    if isinstance(ext, PatternExtension):
+        g = member_graph(ext)
+    else:
+        g = ext.graph if extension else ext
     if t is None:
         if extension:
             t = ext.depth
@@ -379,3 +392,41 @@ def pattern_product(h: UndirectedGraph, g: UndirectedGraph) -> UndirectedGraph:
     product = UndirectedGraph(k * n, edges)
     assert product.m == 2 * h.m * g.m
     return product
+
+
+def load_edge_list_reference(path) -> UndirectedGraph:
+    """``graph_core.load_edge_list`` as a per-line loop, the reference its
+    vectorized tokenizer is checked against: the same graph, ``id_map``
+    and ``GraphFormatError`` text."""
+    raw = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.split()
+            if len(parts) < 2:
+                raise GraphFormatError(f"{path}:{lineno}: expected two ids")
+            raw.append((parts[0], parts[1], lineno))
+    tokens = dict.fromkeys(t for u, v, _ in raw for t in (u, v))
+    try:
+        ordered = sorted(tokens, key=int)
+    except ValueError:
+        ordered = sorted(tokens)
+    idx = {t: i for i, t in enumerate(ordered)}
+    seen = {}
+    edges = []
+    for u, v, lineno in raw:
+        a, b = idx[u], idx[v]
+        if a == b:
+            raise GraphFormatError(f"{path}:{lineno}: self-loop at '{u}'")
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise GraphFormatError(
+                f"{path}:{lineno}: parallel edge '{u} {v}' "
+                f"(first seen at line {seen[key]})")
+        seen[key] = lineno
+        edges.append(key)
+    g = UndirectedGraph(len(ordered), edges)
+    g.id_map = idx
+    return g

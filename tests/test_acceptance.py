@@ -17,7 +17,7 @@ from sparsecount.harness import (generate_bounded_degeneracy,
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       lifted_extension, random_graph, self_labeled,
                       triangle_count, with_fiber_labels)
-from oracles import (brute_force_hom_wl, validate_decomposition,
+from oracles import (brute_force_hom_wl, member_graph, validate_decomposition,
                      validate_fraternity)
 
 SEED = 20260811
@@ -92,9 +92,9 @@ def test_acceptance_4_width1_guarantee():
     for h in connected_patterns_up_to(6):
         depth = min_extension_depth(licl(h))
         for member in enumerate_pattern_extensions(h, depth):
-            tree = find_width1_decomposition(member.graph)
+            tree = find_width1_decomposition(member_graph(member))
             assert tree is not None, (h.edge_list(), depth)
-            assert validate_decomposition(member.graph, tree)
+            assert validate_decomposition(member_graph(member), tree)
             trees += 1
     # the alternating orientation of the 6-cycle is the classic obstruction
     blocked = DirWLGraph(6, [(0, 1, 1), (2, 1, 1), (2, 3, 1), (4, 3, 1),

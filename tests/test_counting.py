@@ -22,7 +22,7 @@ from conftest import (complete_graph, connected_patterns_up_to, count_on_lift,
                       star_graph, weight_host, with_fiber_labels)
 import oracles
 from oracles import (HomMap, LabeledGraph, bressan_count, brute_force_hom_wl,
-                     enumerate_root_homs, validate_decomposition)
+                     enumerate_root_homs, member_graph, validate_decomposition)
 
 
 def test_hommap_encoding():
@@ -267,7 +267,7 @@ def test_engines_agree(t, limit, monkeypatch):
         labeled = with_fiber_labels(lifted.graph, h.n)
         host = signature_host(g, h, t)
         for member in enumerate_pattern_extensions(h, t):
-            tree = find_width1_decomposition(member.graph)
+            tree = find_width1_decomposition(member_graph(member))
             ref = sum(bressan_count(self_labeled(member), tree, tree.root,
                                     labeled).values())
             assert fastdp.extension_count(member, tree, host) == ref

@@ -16,7 +16,7 @@ from sparsecount.hub_decomp import HubTree
 from conftest import (connected_patterns_up_to, cycle_graph, lifted_extension,
                       width1_tree_exists, with_fiber_labels)
 from oracles import (LabeledGraph, bressan_count, brute_force_hom_wl,
-                     validate_decomposition, validate_fraternity)
+                     member_graph, validate_decomposition, validate_fraternity)
 
 
 def in_in_wedge():
@@ -72,7 +72,7 @@ def test_hubs_of_pattern_extensions_are_layer1_sources():
     members = 0
     for h, t in cases:
         for member in enumerate_pattern_extensions(h, t):
-            g = member.graph
+            g = member_graph(member)
             sources = set(range(g.n)) - set(member.layers[0][:, 1].tolist())
             assert hubset(g) == tuple(sorted(sources))
             assert reach(g, sources) == frozenset(range(g.n))
@@ -164,16 +164,17 @@ def test_width1_guarantee_small_patterns():
         if licl(h) >= 6:
             continue
         for member in enumerate_pattern_extensions(h, min_extension_depth(licl(h))):
-            tree = find_width1_decomposition(member.graph)
+            tree = find_width1_decomposition(member_graph(member))
             assert tree is not None
-            assert validate_decomposition(member.graph, tree)
+            assert validate_decomposition(member_graph(member), tree)
 
 
 def test_ur_forest_for_valid_patterns():
     for h in connected_patterns_up_to(4):
         t = min_extension_depth(licl(h))
         for member in enumerate_pattern_extensions(h, t):
-            ur = unique_reachability_graph(member.graph, hubset(member.graph))
+            g = member_graph(member)
+            ur = unique_reachability_graph(g, hubset(g))
             assert ur.is_forest()
 
 
@@ -249,7 +250,8 @@ def test_width1_matches_exhaustive_oracle(g):
 def test_width1_matches_oracle_on_c6_depth1():
     # Frat(C6, 1) holds members with and without a width-1 decomposition
     exts = enumerate_pattern_extensions(cycle_graph(6), 1)
-    found = [find_width1_decomposition(ext.graph) is not None for ext in exts]
+    found = [find_width1_decomposition(member_graph(ext)) is not None
+             for ext in exts]
     assert any(found) and not all(found)
     for ext in exts:
-        assert _agrees_with_oracle(ext.graph)
+        assert _agrees_with_oracle(member_graph(ext))

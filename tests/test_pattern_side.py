@@ -18,7 +18,7 @@ from sparsecount.hub_decomp import reach
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       lifted_extension, random_graph, self_labeled,
                       signature_host, with_fiber_labels)
-from oracles import bressan_count
+from oracles import bressan_count, member_graph
 
 HOSTS = (complete_graph(4), random_graph(7, 0.5, random.Random(11)))
 
@@ -73,7 +73,7 @@ def test_plain_members_match_their_graphs():
         members = enumerate_pattern_extensions(h, t)
         reps = {c[0] for c in frat_classes(members, h, t)}
         for i, member in enumerate(members):
-            graph = member.graph
+            graph = member_graph(member)
             assert member.succ == graph.succ == [
                 list(zip(*(a.tolist() for a in graph.out_arcs(v))))
                 for v in range(graph.n)]
