@@ -92,15 +92,25 @@ def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
     F_t is built from h's edges and tau alone, both of which s keeps: so
     F_t[s][s(a), s(b)] = F_t[s][a, b], and a relabeled member reads the
     same classes. At depth 1 there are no vertical pairs, so the group
-    is all of Aut(h) that keeps the colours. Members are keyed by their
-    sorted (src, dst, weight) arc tuples, so no member graph is built.
+    is all of Aut(h) that keeps the colours. Each distinct member arc
+    gets an id, a member is keyed by the bitmask of its arc ids, and
+    each generator becomes a table of the bit of each arc's image (an
+    arc it maps off every member gets a bit of its own), so relabeling a
+    member is a table lookup per arc and no member graph is built.
     Classes are ordered by, and list first, their first member in
     enumeration order.
     """
-    roots = orbit_roots([m.arcs for m in members],
-                        fiber_tournament(h, depth, colors).generators,
-                        lambda s, arcs: tuple(sorted((s[a], s[b], w)
-                                                     for a, b, w in arcs)))
+    ids: dict[tuple, int] = {}
+    keyed = [[ids.setdefault(arc, len(ids)) for arc in m.arcs]
+             for m in members]
+    bit = [1 << i for i in range(len(ids) + 1)]
+    codes = [sum(map(bit.__getitem__, k)) for k in keyed]
+    arcs_of = dict(zip(codes, keyed))
+    # per generator, the bit of each arc's image
+    images = [[bit[ids.get((s[a], s[b], w), len(ids))] for a, b, w in ids]
+              for s in fiber_tournament(h, depth, colors).generators]
+    roots = orbit_roots(codes, images, lambda image, code: sum(
+        map(image.__getitem__, arcs_of[code])))
     classes: dict[int, list[int]] = {}
     for i, r in enumerate(roots):
         classes.setdefault(r, []).append(i)

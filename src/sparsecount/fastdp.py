@@ -55,12 +55,13 @@ widened from there on, so every count is exact on this one engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .fraternal import FraternalExtension, _sorted_unique
-from .graph_core import UndirectedGraph, bfs_out_tree
-from .hub_decomp import HubTree, reach
+from .graph_core import UndirectedGraph
+from .hub_decomp import HubTree, out_tree, reach
 from .pattern_tools import PendantForest
 
 ROW_BLOCK = 1 << 15
@@ -444,8 +445,7 @@ class SignatureHost:
         return got
 
 
-@dataclass(frozen=True)
-class _Slot:
+class _Slot(NamedTuple):
     """Everything to run after a fixed number of vertices are assigned."""
 
     checks: tuple          # (a, b, classes)
@@ -454,8 +454,7 @@ class _Slot:
     drops_post: tuple      # columns last read by this slot's lookups
 
 
-@dataclass(frozen=True)
-class _BagPlan:
+class _BagPlan(NamedTuple):
     hub: int
     order: tuple[int, ...]
     # (vertex, parent, classes the arc reads, columns last read by this
@@ -473,14 +472,15 @@ class _BagPlan:
 def _build_plan(pattern, tree: HubTree, bag: int,
                 domains: dict[int, tuple[int, ...]], read) -> _BagPlan:
     """The bag's plan, compiled in plain Python from the pattern's
-    ``succ``, so every field holds Python ints. ``pattern`` is a
+    ``succ`` and the hub's BFS out-tree (``hub_decomp.out_tree``, cached
+    on the pattern), so every field holds Python ints. ``pattern`` is a
     ``PatternExtension`` or a ``DirWLGraph``. ``domains`` maps each bag
     to the sorted vertices it shares with its parent (none at the root).
     ``read(a, b, w)`` is the tuple of host classes a pattern arc
     (a, b, w) maps onto."""
     hub = tree.bags[bag]
     succ = pattern.succ
-    order, parent = bfs_out_tree(pattern, hub)
+    order, parent = out_tree(pattern, hub)
     pos = {v: i for i, v in enumerate(order)}
     nverts = len(order)
     checks_at: list[list[tuple]] = [[] for _ in range(nverts + 1)]
@@ -488,7 +488,8 @@ def _build_plan(pattern, tree: HubTree, bag: int,
     tree_read = {}
     # Reach(hub) is closed under out-arcs; ascending sources keep the
     # checks in (src, dst) order
-    for a in sorted(order):
+    ascending = sorted(order)
+    for a in ascending:
         for b, w in succ[a]:
             if parent[b] == a:
                 tree_read[b] = read(a, b, w)
@@ -524,15 +525,18 @@ def _build_plan(pattern, tree: HubTree, bag: int,
     closes = tuple(next(((b, classes) for a, b, classes in checks_at[i + 2]
                          if a == v), None)
                    for i, (v, *_) in enumerate(steps))
+    # the columns whose last read is each slot, ascending; a column that
+    # an expansion drops (-1) or the parent reads (nverts + 1) lands in
+    # the last list, which no slot reads
+    dying: list[list[int]] = [[] for _ in range(nverts + 2)]
+    for v in ascending:
+        dying[last[v]].append(v)
     slots = []
-    for t_at in range(nverts + 1):
-        dying = sorted(v for v in order if last[v] == t_at)
-        in_lookup = {x for idx in lookups_at[t_at]
-                     for x in child_domains[idx]}
-        pre = tuple(v for v in dying if v not in in_lookup)
-        post = tuple(v for v in dying if v in in_lookup)
-        slots.append(_Slot(tuple(checks_at[t_at]), tuple(lookups_at[t_at]),
-                           pre, post))
+    for checks, lookups, dead in zip(checks_at, lookups_at, dying):
+        in_lookup = {x for idx in lookups for x in child_domains[idx]}
+        slots.append(_Slot(tuple(checks), tuple(lookups),
+                           tuple(v for v in dead if v not in in_lookup),
+                           tuple(v for v in dead if v in in_lookup)))
     return _BagPlan(hub, tuple(order), steps, closes, tuple(slots),
                     out_cols, children, tuple(child_domains))
 

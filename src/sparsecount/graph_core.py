@@ -53,17 +53,25 @@ class UndirectedGraph:
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
                 raise GraphFormatError("edge endpoint out of range")
-            if np.any(arr[:, 0] == arr[:, 1]):
-                bad = int(arr[np.nonzero(arr[:, 0] == arr[:, 1])[0][0], 0])
-                raise GraphFormatError(f"self-loop at vertex {bad}")
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            codes = np.sort(lo * n + hi)
-            if np.any(codes[1:] == codes[:-1]):
-                dup = int(np.nonzero(codes[1:] == codes[:-1])[0][0])
-                u, v = divmod(int(codes[dup]), n)
-                raise GraphFormatError(f"parallel edge {u} {v}")
-            arr = np.column_stack(np.divmod(codes, n))
+            lo, hi = arr[:, 0], arr[:, 1]
+            # pairs that come as (lo, hi) with increasing codes, as the
+            # loader and an extension round hand them over, skip the
+            # self-loop scan, the sort and the repeat scan
+            if not (lo < hi).all():
+                if np.any(lo == hi):
+                    bad = int(lo[np.argmax(lo == hi)])
+                    raise GraphFormatError(f"self-loop at vertex {bad}")
+                lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+            codes = lo * n + hi
+            if (codes[1:] > codes[:-1]).all():
+                arr = np.column_stack((lo, hi))
+            else:
+                codes.sort()
+                if np.any(codes[1:] == codes[:-1]):
+                    dup = int(np.nonzero(codes[1:] == codes[:-1])[0][0])
+                    u, v = divmod(int(codes[dup]), n)
+                    raise GraphFormatError(f"parallel edge {u} {v}")
+                arr = np.column_stack(np.divmod(codes, n))
         self.edge_array = arr
         self.id_map: dict | None = None
         self._indptr = None
@@ -346,7 +354,8 @@ def load_edge_list(path) -> UndirectedGraph:
         raise GraphFormatError(
             f"{path}:{lines[i] + 1}: parallel edge '{toks[2 * i]} "
             f"{toks[2 * i + 1]}' (first seen at line {lines[j] + 1})")
-    g = UndirectedGraph(len(ordered), np.column_stack((lo, hi)))
+    g = UndirectedGraph(len(ordered),
+                        np.column_stack(np.divmod(sorted_keys, len(ordered))))
     g.id_map = idx
     return g
 

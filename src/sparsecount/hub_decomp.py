@@ -16,6 +16,7 @@ adjacency and ``_reach_cache``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .graph_core import bfs_out_tree
@@ -25,20 +26,28 @@ def reach(g, s) -> frozenset:
     """Vertices with a directed path from some member of s (s included).
 
     Accepts a single vertex or an iterable. The reach of one vertex is
-    the visit order of ``bfs_out_tree``, cached on the graph.
+    the visit order of ``bfs_out_tree``, cached on the graph with the
+    tree itself (``out_tree``).
     """
     if isinstance(s, (int,)) or hasattr(s, "__index__"):
-        return _reach_one(g, int(s))
+        return _cached_tree(g, int(s))[0]
     out: frozenset = frozenset()
     for v in sorted(s):
-        out |= _reach_one(g, int(v))
+        out |= _cached_tree(g, int(v))[0]
     return out
 
 
-def _reach_one(g, s: int) -> frozenset:
+def out_tree(g, s: int) -> tuple[list[int], dict[int, int | None]]:
+    """``bfs_out_tree(g, s)``, cached on the graph with s's reach; the
+    caller must not change it."""
+    return _cached_tree(g, s)[1:]
+
+
+def _cached_tree(g, s: int) -> tuple:
     cached = g._reach_cache.get(s)
     if cached is None:
-        cached = g._reach_cache[s] = frozenset(bfs_out_tree(g, s)[0])
+        order, parent = bfs_out_tree(g, s)
+        cached = g._reach_cache[s] = (frozenset(order), order, parent)
     return cached
 
 
@@ -107,7 +116,15 @@ class HubTree:
     root: int
 
     def children(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, p in enumerate(self.parent) if p == i)
+        return self._children.get(i, ())
+
+    @functools.cached_property
+    def _children(self) -> dict[int, tuple[int, ...]]:
+        """Each node's children, ascending, from one pass over parent."""
+        kids: dict[int, list[int]] = {}
+        for j, p in enumerate(self.parent):
+            kids.setdefault(p, []).append(j)
+        return {p: tuple(js) for p, js in kids.items()}
 
     def postorder(self) -> list[int]:
         out = []

@@ -382,7 +382,10 @@ def canonical_form(h: UndirectedGraph) -> tuple[int, int]:
 
     Equal codes iff isomorphic. Bits are taken column by column (vertex j
     against all earlier positions), which lets the search prune on prefix
-    blocks. Raises for more than CANONICAL_SIZE_LIMIT vertices.
+    blocks. Raises for more than CANONICAL_SIZE_LIMIT vertices. A brute
+    force over relabelings, kept for callers that want a code: no count
+    reads it, and ``spasm`` merges its quotients by refined colours and a
+    first-found isomorphism instead.
     """
     n = h.n
     if n > CANONICAL_SIZE_LIMIT:
@@ -442,6 +445,78 @@ def _independent_partitions(n: int, adj):
     yield from rec(0)
 
 
+def _adjacency(k: int, edges: tuple) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(k)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _refined_colours(adj: list[set[int]], table: dict) -> list[int]:
+    """Stable colour refinement of a graph, starting from the degrees: a
+    vertex's next colour is its colour with the multiset of its
+    neighbours' colours, until no class splits. ``table`` numbers the
+    colours and is shared by every graph refined against it, so a colour
+    means the same on each of them and isomorphic graphs get the same
+    colours, vertex for vertex under any isomorphism."""
+    col = [table.setdefault(len(nb), len(table)) for nb in adj]
+    classes = len(set(col))
+    while True:
+        col = [table.setdefault((c, tuple(sorted(col[u] for u in nb))),
+                                len(table)) for c, nb in zip(col, adj)]
+        split = len(set(col))
+        if split == classes:
+            return col
+        classes = split
+
+
+def _isomorphic(adj: list[set[int]], col: list[int],
+                rep_adj: list[set[int]], rep_col: list[int]) -> bool:
+    """Whether some bijection that keeps the refined colours maps one
+    graph onto the other, both on len(adj) vertices. Vertices are placed
+    in breadth-first order, each onto an unused vertex of its colour
+    whose links to the placed vertices match; the search stops at its
+    first completion."""
+    k = len(adj)
+    of_colour: dict[int, list[int]] = {}
+    for x, c in enumerate(rep_col):
+        of_colour.setdefault(c, []).append(x)
+    order: list[int] = []
+    placed = [False] * k
+    for start in sorted(range(k), key=lambda v: len(of_colour[col[v]])):
+        if placed[start]:
+            continue
+        placed[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for u in sorted(adj[order[head]]):
+                if not placed[u]:
+                    placed[u] = True
+                    order.append(u)
+            head += 1
+    img = [-1] * k
+    used = [False] * k
+
+    def place(i: int) -> bool:
+        if i == k:
+            return True
+        v = order[i]
+        for c in of_colour[col[v]]:
+            if used[c] or any((u in adj[v]) != (img[u] in rep_adj[c])
+                              for u in order[:i]):
+                continue
+            used[c], img[v] = True, c
+            if place(i + 1):
+                return True
+            used[c] = False
+        img[v] = -1
+        return False
+
+    return place(0)
+
+
 def spasm(h: UndirectedGraph) -> tuple[SpasmEntry, ...]:
     """Quotients and exact coefficients with
     Sub(G, h) = sum_i c_i * Hom(G, quotient_i) for every simple G.
@@ -449,47 +524,67 @@ def spasm(h: UndirectedGraph) -> tuple[SpasmEntry, ...]:
     Partitions of V(h) into independent blocks are weighted by the
     partition-lattice Moebius value prod_B (-1)^(|B|-1) (|B|-1)!, divided
     by |Aut(h)|; isomorphic quotients are merged and zero sums dropped.
-    The result is cached per (h.n, edges), so a caller that sizes the
-    spasm before counting through it computes it once. Every spasm holds
-    h itself, whose canonical form is past reach beyond
-    CANONICAL_SIZE_LIMIT vertices, so such an h raises ValueError
-    before any partition is enumerated.
+    Each quotient is a sorted edge tuple until it survives. Quotients
+    are bucketed by n, m and the multiset of their refined colours
+    (``_refined_colours``, one colour table per spasm), and a quotient
+    joins the first class of its bucket it is isomorphic to
+    (``_isomorphic``), so no canonical form is computed. One
+    ``UndirectedGraph`` is built per entry, h itself for the partition
+    into singletons, which comes first: entries are sorted by
+    decreasing n, then by their bucket's invariant, then in the order
+    their classes were found. The result is cached per (h.n, edges), so
+    a caller that sizes the spasm before counting through it computes it
+    once. The independent partitions grow like the Bell numbers, so an h
+    of more than CANONICAL_SIZE_LIMIT vertices raises ValueError before
+    any partition is enumerated.
     """
     if h.n > CANONICAL_SIZE_LIMIT:
-        raise ValueError(f"spasm needs canonical_form, limited to "
-                         f"{CANONICAL_SIZE_LIMIT} vertices; the pattern "
-                         f"has {h.n}")
+        raise ValueError(f"spasm limited to {CANONICAL_SIZE_LIMIT} "
+                         f"vertices; the pattern has {h.n}")
     return _spasm(h.n, tuple(h.edge_list()))
 
 
 @functools.lru_cache(maxsize=64)
 def _spasm(n: int, edges: tuple) -> tuple[SpasmEntry, ...]:
     h = UndirectedGraph(n, edges)
-    adj = h.adjacency_sets()
     aut = automorphism_count(h)
-    classes: dict[tuple[int, int], tuple[UndirectedGraph, Fraction]] = {}
-    for blocks in _independent_partitions(h.n, adj):
+    table: dict = {}
+    # a class: [invariant, k, edges, adjacency, colours, summed Moebius
+    # value]
+    classes: list[list] = []
+    buckets: dict[tuple, list[int]] = {}
+    seen: dict[tuple, int] = {}  # (k, quotient edges) -> its class
+    for blocks in _independent_partitions(n, h.adjacency_sets()):
         mu = 1
-        for b in blocks:
-            size = len(b)
-            mu *= (-1) ** (size - 1) * factorial(size - 1)
-        block_of = {}
+        block_of = [0] * n
         for i, b in enumerate(blocks):
+            mu *= (-1) ** (len(b) - 1) * factorial(len(b) - 1)
             for v in b:
                 block_of[v] = i
-        qedges = {(min(block_of[u], block_of[v]), max(block_of[u], block_of[v]))
-                  for u, v in h.edge_list()}
-        quotient = UndirectedGraph(len(blocks), sorted(qedges))
-        code = canonical_form(quotient)
-        if code in classes:
-            rep, acc = classes[code]
-            classes[code] = (rep, acc + mu)
-        else:
-            classes[code] = (quotient, Fraction(mu))
-    entries = [SpasmEntry(rep, acc / aut)
-               for rep, acc in classes.values() if acc != 0]
-    entries.sort(key=lambda e: (-e.quotient.n, canonical_form(e.quotient)))
-    return tuple(entries)
+        k = len(blocks)
+        qedges = tuple(sorted({(block_of[u], block_of[v])
+                               if block_of[u] < block_of[v]
+                               else (block_of[v], block_of[u])
+                               for u, v in edges}))
+        c = seen.get((k, qedges))
+        if c is None:
+            adj = _adjacency(k, qedges)
+            col = _refined_colours(adj, table)
+            inv = (k, len(qedges), tuple(sorted(col)))
+            bucket = buckets.setdefault(inv, [])
+            c = next((j for j in bucket
+                      if _isomorphic(adj, col, *classes[j][3:5])), None)
+            if c is None:
+                c = len(classes)
+                classes.append([inv, k, qedges, adj, col, 0])
+                bucket.append(c)
+            seen[(k, qedges)] = c
+        classes[c][5] += mu
+    kept = sorted((cls for cls in classes if cls[5] != 0),
+                  key=lambda cls: (-cls[1], cls[0]))
+    return tuple(SpasmEntry(h if k == n else UndirectedGraph(k, qedges),
+                            Fraction(acc, aut))
+                 for _, k, qedges, _, _, acc in kept)
 
 
 def _is_acyclic(n: int, arcs) -> bool:

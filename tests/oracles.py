@@ -15,6 +15,11 @@ vertices without building the product (``fastdp.signature_index``).
 ``member_graph`` builds a Frat(H, t) member's ``DirWLGraph``, which no
 count reads, and ``load_edge_list_reference`` is the per-line edge-list
 loader that the vectorized ``load_edge_list`` must match.
+``spasm_reference``, ``frat_classes_reference`` and
+``build_plan_reference`` are the pattern-side bodies the package
+replaced: the spasm merged by ``canonical_form``, the Frat classes keyed
+by sorted relabeled arc triples, and the bag plan with its own BFS and a
+rescan of ``order`` per slot.
 
 The package's ``DirWLGraph`` carries no vertex labels, and its DP
 engine refuses a pattern that does. Labeled graphs are built here, as
@@ -25,14 +30,20 @@ All counts are exact Python integers.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
 from sparsecount import (DirWLGraph, GraphFormatError, HubTree,
-                         PatternExtension, UndirectedGraph)
+                         PatternExtension, SpasmEntry, UndirectedGraph,
+                         automorphism_count, canonical_form,
+                         fiber_tournament)
 from sparsecount.counting import _search_order
+from sparsecount.fastdp import _BagPlan, _Slot
 from sparsecount.graph_core import bfs_out_tree, succ_lists
 from sparsecount.hub_decomp import hubset, reach
+from sparsecount.pattern_tools import _independent_partitions, orbit_roots
 
 
 class LabeledGraph(DirWLGraph):
@@ -430,3 +441,115 @@ def load_edge_list_reference(path) -> UndirectedGraph:
     g = UndirectedGraph(len(ordered), edges)
     g.id_map = idx
     return g
+
+
+def spasm_reference(h: UndirectedGraph) -> tuple[SpasmEntry, ...]:
+    """``pattern_tools.spasm`` with its classes keyed by the brute-force
+    ``canonical_form``, the reference the colour-refined merge is checked
+    against: equal entries up to isomorphism and order."""
+    adj = h.adjacency_sets()
+    aut = automorphism_count(h)
+    classes: dict[tuple[int, int], tuple[UndirectedGraph, Fraction]] = {}
+    for blocks in _independent_partitions(h.n, adj):
+        mu = 1
+        for b in blocks:
+            size = len(b)
+            mu *= (-1) ** (size - 1) * factorial(size - 1)
+        block_of = {}
+        for i, b in enumerate(blocks):
+            for v in b:
+                block_of[v] = i
+        qedges = {(min(block_of[u], block_of[v]), max(block_of[u], block_of[v]))
+                  for u, v in h.edge_list()}
+        quotient = UndirectedGraph(len(blocks), sorted(qedges))
+        code = canonical_form(quotient)
+        if code in classes:
+            rep, acc = classes[code]
+            classes[code] = (rep, acc + mu)
+        else:
+            classes[code] = (quotient, Fraction(mu))
+    entries = [SpasmEntry(rep, acc / aut)
+               for rep, acc in classes.values() if acc != 0]
+    entries.sort(key=lambda e: (-e.quotient.n, canonical_form(e.quotient)))
+    return tuple(entries)
+
+
+def frat_classes_reference(members: list[PatternExtension],
+                           h: UndirectedGraph, depth: int,
+                           colors: tuple | None = None) -> list[list[int]]:
+    """``counting.frat_classes`` with members keyed by their sorted
+    relabeled arc triples, the reference its arc-id keys are checked
+    against: the same classes in the same order."""
+    roots = orbit_roots([m.arcs for m in members],
+                        fiber_tournament(h, depth, colors).generators,
+                        lambda s, arcs: tuple(sorted((s[a], s[b], w)
+                                                     for a, b, w in arcs)))
+    classes: dict[int, list[int]] = {}
+    for i, r in enumerate(roots):
+        classes.setdefault(r, []).append(i)
+    return list(classes.values())
+
+
+def build_plan_reference(pattern, tree: HubTree, bag: int,
+                         domains: dict[int, tuple[int, ...]], read
+                         ) -> _BagPlan:
+    """``fastdp._build_plan`` as it rescanned ``order`` per slot and ran
+    its own BFS, the reference the plan is checked against field by
+    field."""
+    hub = tree.bags[bag]
+    succ = pattern.succ
+    order, parent = bfs_out_tree(pattern, hub)
+    pos = {v: i for i, v in enumerate(order)}
+    nverts = len(order)
+    checks_at: list[list[tuple]] = [[] for _ in range(nverts + 1)]
+    lookups_at: list[list[int]] = [[] for _ in range(nverts + 1)]
+    tree_read = {}
+    # Reach(hub) is closed under out-arcs; ascending sources keep the
+    # checks in (src, dst) order
+    for a in sorted(order):
+        for b, w in succ[a]:
+            if parent[b] == a:
+                tree_read[b] = read(a, b, w)
+            else:
+                checks_at[max(pos[a], pos[b]) + 1].append((a, b, read(a, b, w)))
+    steps = [(v, parent[v], tree_read[v]) for v in order[1:]]
+    children = tree.children(bag)
+    child_domains = [domains[ch] for ch in children]
+    for idx, dom in enumerate(child_domains):
+        lookups_at[max((pos[x] for x in dom), default=0) + 1].append(idx)
+    # last slot at which each column is read
+    last = {v: pos[v] + 1 for v in order}
+    for t_at in range(nverts + 1):
+        for a, b, *_ in checks_at[t_at]:
+            last[a] = max(last[a], t_at)
+            last[b] = max(last[b], t_at)
+        for idx in lookups_at[t_at]:
+            for x in child_domains[idx]:
+                last[x] = max(last[x], t_at)
+    out_cols = domains[bag]
+    for x in out_cols:
+        last[x] = nverts + 1
+    # step i's expansion reads its parent p just before slot i + 2; when
+    # no later slot reads p, its last expansion drops it before gathering
+    # the other columns, and no slot does
+    final = {p: i for i, (v, p, *_) in enumerate(steps)}
+    steps = tuple((v, p, classes,
+                   (p,) if final[p] == i and last[p] < i + 2 else ())
+                  for i, (v, p, classes) in enumerate(steps))
+    for *_, drops in steps:
+        for p in drops:
+            last[p] = -1
+    closes = tuple(next(((b, classes) for a, b, classes in checks_at[i + 2]
+                         if a == v), None)
+                   for i, (v, *_) in enumerate(steps))
+    slots = []
+    for t_at in range(nverts + 1):
+        dying = sorted(v for v in order if last[v] == t_at)
+        in_lookup = {x for idx in lookups_at[t_at]
+                     for x in child_domains[idx]}
+        pre = tuple(v for v in dying if v not in in_lookup)
+        post = tuple(v for v in dying if v in in_lookup)
+        slots.append(_Slot(tuple(checks_at[t_at]), tuple(lookups_at[t_at]),
+                           pre, post))
+    return _BagPlan(hub, tuple(order), steps, closes, tuple(slots),
+                    out_cols, children, tuple(child_domains))
