@@ -31,9 +31,9 @@ from .hub_decomp import (HubTree, URGraph, find_width1_decomposition,
                          hubset, reach, unique_reachability_graph)
 from .pattern_tools import (FiberTournament, PendantForest, SpasmEntry,
                             acyclic_orientations, automorphism_count,
-                            automorphism_generators, canonical_form,
-                            connected_components, fiber_tournament, licl,
-                            min_extension_depth, pendant_forest, spasm)
+                            automorphism_generators, connected_components,
+                            fiber_tournament, licl, min_extension_depth,
+                            pendant_forest, spasm)
 
 __version__ = "0.1.0"
 

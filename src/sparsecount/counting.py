@@ -26,7 +26,7 @@ from .fraternal import (FraternalExtension, PatternExtension,
                         enumerate_pattern_extensions, optimal_extension)
 from .graph_core import UndirectedGraph, max_outdegree
 from .hub_decomp import find_width1_decomposition
-from .pattern_tools import (automorphism_count, connected_components,
+from .pattern_tools import (_bfs, automorphism_count, connected_components,
                             fiber_tournament, licl, min_extension_depth,
                             orbit_roots, pendant_forest, spasm)
 
@@ -282,102 +282,54 @@ def count_subgraphs(g: UndirectedGraph, h: UndirectedGraph,
     return int(acc)
 
 
-def _search_order(adj, n: int) -> list[int]:
-    """Component-wise BFS order starting at a max-degree vertex."""
-    order: list[int] = []
-    seen = [False] * n
-    for start in sorted(range(n), key=lambda v: (-len(adj[v]), v)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for u in sorted(adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-    return order
+def _count_maps(g: UndirectedGraph, h: UndirectedGraph, cap: int,
+                injective: bool) -> int:
+    """Every edge-preserving map V(h) -> V(g), or every injective one,
+    counted by backtracking in a breadth-first order of h from its
+    highest-degree vertices; each vertex goes to the common neighbours
+    of its placed neighbours' images."""
+    if g.n > cap:
+        raise ValueError(f"host has {g.n} > {cap} vertices")
+    hadj = h.adjacency_sets()
+    gadj = g.adjacency_sets()
+    starts = sorted(range(h.n), key=lambda v: (-len(hadj[v]), v))
+    order = [v for part in _bfs(hadj, starts) for v in part]
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [sorted(u for u in hadj[v] if pos[u] < pos[v]) for v in order]
+    all_hosts = frozenset(range(g.n))
+    img = [-1] * h.n
+    used: set[int] = set()
+
+    def rec(i: int) -> int:
+        back = earlier[i]
+        cand = gadj[img[back[0]]] if back else all_hosts
+        for u in back[1:]:
+            cand = cand & gadj[img[u]]
+        if injective:
+            cand = cand - used
+        if i + 1 == h.n:  # every candidate of the last vertex is a map
+            return len(cand)
+        total = 0
+        for c in cand:
+            img[order[i]] = c
+            used.add(c)
+            total += rec(i + 1)
+            used.discard(c)
+        return total
+
+    return rec(0) if h.n else 1
 
 
 def brute_force_hom(g: UndirectedGraph, h: UndirectedGraph,
                     cap: int = BRUTE_FORCE_HOM_CAP) -> int:
     """Exhaustive count of edge-preserving maps V(h) -> V(g)."""
-    if g.n > cap:
-        raise ValueError(f"host has {g.n} > {cap} vertices")
-    hadj = h.adjacency_sets()
-    gadj = g.adjacency_sets()
-    order = _search_order(hadj, h.n)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [sorted(u for u in hadj[v] if pos[u] < pos[v]) for v in order]
-    all_hosts = frozenset(range(g.n))
-    assign: dict[int, int] = {}
-    count = 0
-
-    def rec(i: int):
-        nonlocal count
-        if i == h.n:
-            count += 1
-            return
-        v = order[i]
-        back = earlier[i]
-        if not back:
-            cand = all_hosts
-        else:
-            cand = gadj[assign[back[0]]]
-            for u in back[1:]:
-                cand = cand & gadj[assign[u]]
-                if not cand:
-                    return
-        for c in cand:
-            assign[v] = c
-            rec(i + 1)
-        assign.pop(v, None)
-
-    rec(0)
-    return count
+    return _count_maps(g, h, cap, injective=False)
 
 
 def brute_force_sub(g: UndirectedGraph, h: UndirectedGraph,
                     cap: int = 20) -> int:
     """Non-induced copies of h in g: injective maps / |Aut(h)|."""
-    if g.n > cap:
-        raise ValueError(f"host has {g.n} > {cap} vertices")
-    hadj = h.adjacency_sets()
-    gadj = g.adjacency_sets()
-    order = _search_order(hadj, h.n)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [sorted(u for u in hadj[v] if pos[u] < pos[v]) for v in order]
-    all_hosts = frozenset(range(g.n))
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-    injective = 0
-
-    def rec(i: int):
-        nonlocal injective
-        if i == h.n:
-            injective += 1
-            return
-        v = order[i]
-        back = earlier[i]
-        if not back:
-            cand = all_hosts - used
-        else:
-            cand = gadj[assign[back[0]]]
-            for u in back[1:]:
-                cand = cand & gadj[assign[u]]
-            cand = cand - used
-        for c in cand:
-            assign[v] = c
-            used.add(c)
-            rec(i + 1)
-            used.discard(c)
-        assign.pop(v, None)
-
-    rec(0)
+    injective = _count_maps(g, h, cap, injective=True)
     aut = automorphism_count(h)
     assert injective % aut == 0
     return injective // aut

@@ -2,8 +2,9 @@
 
 Subcommands: count-hom, count-sub, analyze, gen, verify, bench. Edge
 lists are the only ingestion format and JSON the only structured output.
-Exit codes: 2 usage error, 1 verify mismatch, 3 no width-1 decomposition
-(without --exact-fallback, or on a host past the brute-force cap).
+Exit codes: 2 usage or input error, 1 verify mismatch, 3 no width-1
+decomposition (without --exact-fallback, or on a host past the
+brute-force cap).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .counting import (BRUTE_FORCE_HOM_CAP, NoWidth1Decomposition,
                        _count_component, brute_force_hom,
                        count_homomorphisms, count_subgraphs, frat_classes)
 from .degeneracy import degeneracy_order
-from .fraternal import enumerate_pattern_extensions
+from .fraternal import ExtensionBlowupError, enumerate_pattern_extensions
 from .graph_core import (GraphFormatError, UndirectedGraph, edge_list_text,
                          load_edge_list, save_edge_list)
 from .hub_decomp import (find_width1_decomposition, hubset,
@@ -38,6 +39,19 @@ EXIT_NO_DECOMPOSITION = 3
 # generators
 # ---------------------------------------------------------------------------
 
+def _chains(g: UndirectedGraph, lengths: tuple[int, ...]) -> UndirectedGraph:
+    """g with each edge replaced by one path per entry of ``lengths``,
+    through that many new vertices; original vertices keep their ids."""
+    edges = []
+    nxt = g.n
+    for u, v in g.edge_list():
+        for extra in lengths:
+            chain = [u] + list(range(nxt, nxt + extra)) + [v]
+            nxt += extra
+            edges.extend(zip(chain, chain[1:]))
+    return UndirectedGraph(nxt, edges)
+
+
 def generate_subdivision(g: UndirectedGraph, t: int) -> UndirectedGraph:
     """G_t: every edge becomes a path of t+1 edges through t new vertices.
 
@@ -46,27 +60,14 @@ def generate_subdivision(g: UndirectedGraph, t: int) -> UndirectedGraph:
     """
     if t < 1:
         raise ValueError("subdivision needs t >= 1")
-    edges = []
-    nxt = g.n
-    for u, v in g.edge_list():
-        chain = [u] + list(range(nxt, nxt + t)) + [v]
-        nxt += t
-        edges.extend(zip(chain, chain[1:]))
-    return UndirectedGraph(nxt, edges)
+    return _chains(g, (t,))
 
 
 def generate_double_subdivision(g: UndirectedGraph, t: int) -> UndirectedGraph:
     """G_t': per edge, two internally disjoint paths of t+1 and t+2 edges."""
     if t < 2:
         raise ValueError("double subdivision needs t >= 2")
-    edges = []
-    nxt = g.n
-    for u, v in g.edge_list():
-        for extra in (t, t + 1):
-            chain = [u] + list(range(nxt, nxt + extra)) + [v]
-            nxt += extra
-            edges.extend(zip(chain, chain[1:]))
-    return UndirectedGraph(nxt, edges)
+    return _chains(g, (t, t + 1))
 
 
 def generate_bounded_degeneracy(n: int, c: int, seed: int) -> UndirectedGraph:
@@ -263,7 +264,7 @@ def _cmd_analyze(args) -> int:
     depth = args.t if args.t is not None else t_min
     try:
         entries, spasm_error = spasm(h), None
-    except ValueError as exc:  # past CANONICAL_SIZE_LIMIT vertices
+    except ValueError as exc:  # past SPASM_SIZE_LIMIT vertices
         entries, spasm_error = None, str(exc)
     # a count peels each component to its 2-core and runs one DP per
     # class of the core's Frat at its own depth; a tree runs none. The
@@ -488,7 +489,8 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (GraphFormatError, FileNotFoundError, ValueError) as exc:
+    except (GraphFormatError, OSError, ValueError,
+            ExtensionBlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,7 @@ from math import factorial
 
 from .graph_core import UndirectedGraph
 
-CANONICAL_SIZE_LIMIT = 10
+SPASM_SIZE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,48 @@ def min_extension_depth(licl_value: int) -> int:
     return t
 
 
-def connected_components(h: UndirectedGraph) -> list[frozenset]:
-    """Maximal connected vertex sets, ordered by smallest member."""
-    adj = h.adjacency_sets()
-    seen = [False] * h.n
-    comps = []
-    for start in range(h.n):
+def _bfs(adj, starts) -> list[list[int]]:
+    """The breadth-first orders of a graph's components, neighbours in
+    ascending order: one order per start that no earlier order reached.
+    The callers choose the starts, and with them the order."""
+    seen = [False] * len(adj)
+    orders = []
+    for start in starts:
         if seen[start]:
             continue
         seen[start] = True
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
+        order = [start]
+        for v in order:  # the loop reads what it appends
+            for u in sorted(adj[v]):
                 if not seen[u]:
                     seen[u] = True
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(frozenset(comp))
-    return comps
+                    order.append(u)
+        orders.append(order)
+    return orders
+
+
+def _first_map(order: list[int], i: int, img: list[int], used: list[bool],
+               candidates) -> list[int] | None:
+    """The first completion of a partial map that places ``order[:i]``:
+    each later vertex order[j] goes, by backtracking, to the first of
+    ``candidates(j)`` (the unused vertices it may map to, given ``img``)
+    from which the rest completes. ``img`` and ``used`` are restored on
+    return; None when no completion exists."""
+    if i == len(order):
+        return list(img)
+    v = order[i]
+    for c in candidates(i):
+        used[c], img[v] = True, c
+        found = _first_map(order, i + 1, img, used, candidates)
+        used[c], img[v] = False, -1
+        if found is not None:
+            return found
+    return None
+
+
+def connected_components(h: UndirectedGraph) -> list[frozenset]:
+    """Maximal connected vertex sets, ordered by smallest member."""
+    return [frozenset(part) for part in _bfs(h.adjacency_sets(), range(h.n))]
 
 
 @dataclass(frozen=True)
@@ -116,7 +138,7 @@ def pendant_forest(h: UndirectedGraph) -> PendantForest:
     same longest induced cycle and need the same extension depth. The
     AHU code of a rooted tree is the sorted tuple of its children's
     codes (Aho, Hopcroft and Ullman), equal exactly for isomorphic
-    rooted trees; unlike ``canonical_form`` it has no size limit.
+    rooted trees, at any size.
     """
     return _pendant_forest(h.n, tuple(h.edge_list()))
 
@@ -175,61 +197,41 @@ def _automorphism_chain(h: UndirectedGraph, arcs: frozenset = frozenset(),
     adj = h.adjacency_sets()
     deg = [len(adj[v]) for v in range(n)]
     color = colors if colors is not None else (0,) * n
+    alike: dict[tuple, list[int]] = {}
+    for c in range(n):
+        alike.setdefault((deg[c], color[c]), []).append(c)
 
     # visit vertices so each one touches an already-placed vertex when the
     # graph allows it; that makes the adjacency filter bite early
-    order: list[int] = []
-    placed = [False] * n
-    for comp in connected_components(h):
-        start = max(comp, key=lambda v: (deg[v], -v))
-        queue = [start]
-        placed[start] = True
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in sorted(adj[v]):
-                if not placed[u]:
-                    placed[u] = True
-                    queue.append(u)
-
+    starts = [max(comp, key=lambda v: (deg[v], -v))
+              for comp in connected_components(h)]
+    order = [v for part in _bfs(adj, starts) for v in part]
     img = [-1] * n
     used = [False] * n
 
-    def fits(i: int, c: int) -> bool:
+    def fits(i: int):
         v = order[i]
-        if used[c] or deg[c] != deg[v] or color[c] != color[v]:
-            return False
-        return all((u in adj[v]) == (img[u] in adj[c])
-                   and ((u, v) in arcs) == ((img[u], c) in arcs)
-                   and ((v, u) in arcs) == ((c, img[u]) in arcs)
-                   for u in order[:i])
-
-    def place(i: int, c: int) -> list[int] | None:
-        """The first automorphism extending img with order[i] -> c."""
-        v = order[i]
-        used[c] = True
-        img[v] = c
-        found = list(img) if i + 1 == n else None
-        if found is None:
-            for c2 in range(n):
-                if fits(i + 1, c2):
-                    found = place(i + 1, c2)
-                    if found is not None:
-                        break
-        used[c] = False
-        img[v] = -1
-        return found
+        for c in alike[deg[v], color[v]]:
+            if not used[c] and all(
+                    (u in adj[v]) == (img[u] in adj[c])
+                    and ((u, v) in arcs) == ((img[u], c) in arcs)
+                    and ((v, u) in arcs) == ((c, img[u]) in arcs)
+                    for u in order[:i]):
+                yield c
 
     gens: list[list[int]] = []
     size = 1
     for i, v in enumerate(order):
         orbit = 1  # v itself, by the identity
-        for c in range(n):
-            if c != v and fits(i, c):
-                found = place(i, c)
-                if found is not None:
-                    gens.append(found)
-                    orbit += 1
+        for c in fits(i):
+            if c == v:
+                continue
+            used[c], img[v] = True, c
+            found = _first_map(order, i + 1, img, used, fits)
+            used[c], img[v] = False, -1
+            if found is not None:
+                gens.append(found)
+                orbit += 1
         size *= orbit
         used[v] = True
         img[v] = v
@@ -377,54 +379,6 @@ def fiber_tournament(h: UndirectedGraph, t: int,
                              None if colors is None else tuple(colors))
 
 
-def canonical_form(h: UndirectedGraph) -> tuple[int, int]:
-    """Canonical code: minimum adjacency bit-string over all relabelings.
-
-    Equal codes iff isomorphic. Bits are taken column by column (vertex j
-    against all earlier positions), which lets the search prune on prefix
-    blocks. Raises for more than CANONICAL_SIZE_LIMIT vertices. A brute
-    force over relabelings, kept for callers that want a code: no count
-    reads it, and ``spasm`` merges its quotients by refined colours and a
-    first-found isomorphism instead.
-    """
-    n = h.n
-    if n > CANONICAL_SIZE_LIMIT:
-        raise ValueError(f"canonical_form limited to {CANONICAL_SIZE_LIMIT} vertices")
-    adj = h.adjacency_sets()
-    best: list[int] | None = None
-    perm: list[int] = []
-    used = [False] * n
-
-    def rec(blocks: list[int]):
-        nonlocal best
-        j = len(perm)
-        if j == n:
-            if best is None or blocks < best:
-                best = list(blocks)
-            return
-        for v in range(n):
-            if used[v]:
-                continue
-            block = 0
-            for i in range(j):
-                block = (block << 1) | (1 if perm[i] in adj[v] else 0)
-            blocks.append(block)
-            if best is None or blocks <= best[:len(blocks)]:
-                used[v] = True
-                perm.append(v)
-                rec(blocks)
-                perm.pop()
-                used[v] = False
-            blocks.pop()
-
-    rec([])
-    assert best is not None
-    code = 0
-    for j, block in enumerate(best):
-        code = (code << j) | block
-    return (n, code)
-
-
 def _independent_partitions(n: int, adj):
     """All partitions of range(n) whose blocks are independent sets."""
     blocks: list[list[int]] = []
@@ -478,43 +432,22 @@ def _isomorphic(adj: list[set[int]], col: list[int],
     in breadth-first order, each onto an unused vertex of its colour
     whose links to the placed vertices match; the search stops at its
     first completion."""
-    k = len(adj)
     of_colour: dict[int, list[int]] = {}
     for x, c in enumerate(rep_col):
         of_colour.setdefault(c, []).append(x)
-    order: list[int] = []
-    placed = [False] * k
-    for start in sorted(range(k), key=lambda v: len(of_colour[col[v]])):
-        if placed[start]:
-            continue
-        placed[start] = True
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            for u in sorted(adj[order[head]]):
-                if not placed[u]:
-                    placed[u] = True
-                    order.append(u)
-            head += 1
-    img = [-1] * k
-    used = [False] * k
+    starts = sorted(range(len(adj)), key=lambda v: len(of_colour[col[v]]))
+    order = [v for part in _bfs(adj, starts) for v in part]
+    img = [-1] * len(adj)
+    used = [False] * len(adj)
 
-    def place(i: int) -> bool:
-        if i == k:
-            return True
+    def fits(i: int):
         v = order[i]
         for c in of_colour[col[v]]:
-            if used[c] or any((u in adj[v]) != (img[u] in rep_adj[c])
-                              for u in order[:i]):
-                continue
-            used[c], img[v] = True, c
-            if place(i + 1):
-                return True
-            used[c] = False
-        img[v] = -1
-        return False
+            if not used[c] and all((u in adj[v]) == (img[u] in rep_adj[c])
+                                   for u in order[:i]):
+                yield c
 
-    return place(0)
+    return _first_map(order, 0, img, used, fits) is not None
 
 
 def spasm(h: UndirectedGraph) -> tuple[SpasmEntry, ...]:
@@ -528,18 +461,17 @@ def spasm(h: UndirectedGraph) -> tuple[SpasmEntry, ...]:
     are bucketed by n, m and the multiset of their refined colours
     (``_refined_colours``, one colour table per spasm), and a quotient
     joins the first class of its bucket it is isomorphic to
-    (``_isomorphic``), so no canonical form is computed. One
-    ``UndirectedGraph`` is built per entry, h itself for the partition
-    into singletons, which comes first: entries are sorted by
-    decreasing n, then by their bucket's invariant, then in the order
-    their classes were found. The result is cached per (h.n, edges), so
-    a caller that sizes the spasm before counting through it computes it
-    once. The independent partitions grow like the Bell numbers, so an h
-    of more than CANONICAL_SIZE_LIMIT vertices raises ValueError before
-    any partition is enumerated.
+    (``_isomorphic``). One ``UndirectedGraph`` is built per entry, h
+    itself for the partition into singletons, which comes first: entries
+    are sorted by decreasing n, then by their bucket's invariant, then
+    in the order their classes were found. The result is cached per
+    (h.n, edges), so a caller that sizes the spasm before counting
+    through it computes it once. The independent partitions grow like
+    the Bell numbers, so an h of more than SPASM_SIZE_LIMIT vertices
+    raises ValueError before any partition is enumerated.
     """
-    if h.n > CANONICAL_SIZE_LIMIT:
-        raise ValueError(f"spasm limited to {CANONICAL_SIZE_LIMIT} "
+    if h.n > SPASM_SIZE_LIMIT:
+        raise ValueError(f"spasm limited to {SPASM_SIZE_LIMIT} "
                          f"vertices; the pattern has {h.n}")
     return _spasm(h.n, tuple(h.edge_list()))
 

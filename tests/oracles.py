@@ -19,7 +19,13 @@ loader that the vectorized ``load_edge_list`` must match.
 ``build_plan_reference`` are the pattern-side bodies the package
 replaced: the spasm merged by ``canonical_form``, the Frat classes keyed
 by sorted relabeled arc triples, and the bag plan with its own BFS and a
-rescan of ``order`` per slot.
+rescan of ``order`` per slot. ``canonical_form`` (the minimum adjacency
+code over all relabelings) left the package, since no count read it.
+``automorphism_chain_reference``, ``isomorphic_reference``,
+``brute_force_hom_reference`` and ``brute_force_sub_reference`` are the
+small-graph searches that each ran its own breadth-first order and
+backtracking before the package shared one of each; the brute forces'
+order is ``search_order_reference``.
 
 The package's ``DirWLGraph`` carries no vertex labels, and its DP
 engine refuses a pattern that does. Labeled graphs are built here, as
@@ -37,9 +43,9 @@ import numpy as np
 
 from sparsecount import (DirWLGraph, GraphFormatError, HubTree,
                          PatternExtension, SpasmEntry, UndirectedGraph,
-                         automorphism_count, canonical_form,
+                         automorphism_count, connected_components,
                          fiber_tournament)
-from sparsecount.counting import _search_order
+from sparsecount.counting import BRUTE_FORCE_HOM_CAP
 from sparsecount.fastdp import _BagPlan, _Slot
 from sparsecount.graph_core import bfs_out_tree, succ_lists
 from sparsecount.hub_decomp import hubset, reach
@@ -226,7 +232,7 @@ def brute_force_hom_wl(host: DirWLGraph, pattern: DirWLGraph,
         padj[a].add(b)
         padj[b].add(a)
         arc_w[(a, b)] = w
-    order = _search_order(padj, pattern.n)
+    order = search_order_reference(padj, pattern.n)
     pos = {v: i for i, v in enumerate(order)}
     assign: dict[int, int] = {}
     count = 0
@@ -553,3 +559,304 @@ def build_plan_reference(pattern, tree: HubTree, bag: int,
                            pre, post))
     return _BagPlan(hub, tuple(order), steps, closes, tuple(slots),
                     out_cols, children, tuple(child_domains))
+
+
+# canonical_form's brute force over relabelings, which grows like n!
+CANONICAL_SIZE_LIMIT = 10
+
+
+def canonical_form(h: UndirectedGraph) -> tuple[int, int]:
+    """Canonical code: minimum adjacency bit-string over all relabelings.
+
+    Equal codes iff isomorphic. Bits are taken column by column (vertex j
+    against all earlier positions), which lets the search prune on prefix
+    blocks. Raises for more than CANONICAL_SIZE_LIMIT vertices. A brute
+    force over relabelings, kept for callers that want a code: no count
+    reads it, and ``spasm`` merges its quotients by refined colours and a
+    first-found isomorphism instead.
+    """
+    n = h.n
+    if n > CANONICAL_SIZE_LIMIT:
+        raise ValueError(f"canonical_form limited to {CANONICAL_SIZE_LIMIT} vertices")
+    adj = h.adjacency_sets()
+    best: list[int] | None = None
+    perm: list[int] = []
+    used = [False] * n
+
+    def rec(blocks: list[int]):
+        nonlocal best
+        j = len(perm)
+        if j == n:
+            if best is None or blocks < best:
+                best = list(blocks)
+            return
+        for v in range(n):
+            if used[v]:
+                continue
+            block = 0
+            for i in range(j):
+                block = (block << 1) | (1 if perm[i] in adj[v] else 0)
+            blocks.append(block)
+            if best is None or blocks <= best[:len(blocks)]:
+                used[v] = True
+                perm.append(v)
+                rec(blocks)
+                perm.pop()
+                used[v] = False
+            blocks.pop()
+
+    rec([])
+    assert best is not None
+    code = 0
+    for j, block in enumerate(best):
+        code = (code << j) | block
+    return (n, code)
+
+
+def automorphism_chain_reference(h: UndirectedGraph,
+                                 arcs: frozenset = frozenset(),
+                                 colors: tuple | None = None
+                                 ) -> tuple[list[list[int]], int]:
+    """``pattern_tools._automorphism_chain`` with its own breadth-first
+    order and first-completion search ``place``, the reference the
+    shared ``_bfs`` and ``_first_map`` are checked against: the same
+    generators in the same order, and the same group order.
+
+    Generators of the automorphisms of h that keep ``arcs`` and
+    ``colors``, from a stabilizer chain, and the group's order.
+
+    ``arcs`` is a set of directed pairs (a, b); an automorphism keeps it
+    when it maps every arc onto an arc. ``colors`` gives each vertex a
+    colour (None: all alike), which an automorphism keeps when it maps
+    every vertex onto one of its colour. Level i fixes the first i
+    vertices of a search order and asks, for each image c of the next
+    vertex v, for one automorphism sending v to c; the backtracking
+    stops at its first completion. The images that complete form v's
+    orbit under the stabilizer of the earlier vertices, so the order is
+    the product of the orbit sizes and the automorphisms found (one per
+    non-trivial image) generate the group. No search walks the whole
+    group.
+    """
+    n = h.n
+    adj = h.adjacency_sets()
+    deg = [len(adj[v]) for v in range(n)]
+    color = colors if colors is not None else (0,) * n
+
+    # visit vertices so each one touches an already-placed vertex when the
+    # graph allows it; that makes the adjacency filter bite early
+    order: list[int] = []
+    placed = [False] * n
+    for comp in connected_components(h):
+        start = max(comp, key=lambda v: (deg[v], -v))
+        queue = [start]
+        placed[start] = True
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for u in sorted(adj[v]):
+                if not placed[u]:
+                    placed[u] = True
+                    queue.append(u)
+
+    img = [-1] * n
+    used = [False] * n
+
+    def fits(i: int, c: int) -> bool:
+        v = order[i]
+        if used[c] or deg[c] != deg[v] or color[c] != color[v]:
+            return False
+        return all((u in adj[v]) == (img[u] in adj[c])
+                   and ((u, v) in arcs) == ((img[u], c) in arcs)
+                   and ((v, u) in arcs) == ((c, img[u]) in arcs)
+                   for u in order[:i])
+
+    def place(i: int, c: int) -> list[int] | None:
+        """The first automorphism extending img with order[i] -> c."""
+        v = order[i]
+        used[c] = True
+        img[v] = c
+        found = list(img) if i + 1 == n else None
+        if found is None:
+            for c2 in range(n):
+                if fits(i + 1, c2):
+                    found = place(i + 1, c2)
+                    if found is not None:
+                        break
+        used[c] = False
+        img[v] = -1
+        return found
+
+    gens: list[list[int]] = []
+    size = 1
+    for i, v in enumerate(order):
+        orbit = 1  # v itself, by the identity
+        for c in range(n):
+            if c != v and fits(i, c):
+                found = place(i, c)
+                if found is not None:
+                    gens.append(found)
+                    orbit += 1
+        size *= orbit
+        used[v] = True
+        img[v] = v
+    return gens, size
+
+
+def isomorphic_reference(adj: list[set[int]], col: list[int],
+                         rep_adj: list[set[int]], rep_col: list[int]
+                         ) -> bool:
+    """``pattern_tools._isomorphic`` with its own breadth-first order and
+    search ``place``, the reference the shared helpers are checked
+    against.
+
+    Whether some bijection that keeps the refined colours maps one
+    graph onto the other, both on len(adj) vertices. Vertices are placed
+    in breadth-first order, each onto an unused vertex of its colour
+    whose links to the placed vertices match; the search stops at its
+    first completion."""
+    k = len(adj)
+    of_colour: dict[int, list[int]] = {}
+    for x, c in enumerate(rep_col):
+        of_colour.setdefault(c, []).append(x)
+    order: list[int] = []
+    placed = [False] * k
+    for start in sorted(range(k), key=lambda v: len(of_colour[col[v]])):
+        if placed[start]:
+            continue
+        placed[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for u in sorted(adj[order[head]]):
+                if not placed[u]:
+                    placed[u] = True
+                    order.append(u)
+            head += 1
+    img = [-1] * k
+    used = [False] * k
+
+    def place(i: int) -> bool:
+        if i == k:
+            return True
+        v = order[i]
+        for c in of_colour[col[v]]:
+            if used[c] or any((u in adj[v]) != (img[u] in rep_adj[c])
+                              for u in order[:i]):
+                continue
+            used[c], img[v] = True, c
+            if place(i + 1):
+                return True
+            used[c] = False
+        img[v] = -1
+        return False
+
+    return place(0)
+
+
+def search_order_reference(adj, n: int) -> list[int]:
+    """Component-wise BFS order starting at a max-degree vertex: the
+    order ``counting._search_order`` gave the brute force, which
+    ``brute_force_hom_wl`` still reads."""
+    order: list[int] = []
+    seen = [False] * n
+    for start in sorted(range(n), key=lambda v: (-len(adj[v]), v)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            order.append(v)
+            for u in sorted(adj[v]):
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+    return order
+
+
+def brute_force_hom_reference(g: UndirectedGraph, h: UndirectedGraph,
+                              cap: int = BRUTE_FORCE_HOM_CAP) -> int:
+    """``counting.brute_force_hom`` as its own backtracking, the
+    reference the shared ``_count_maps`` is checked against.
+
+    Exhaustive count of edge-preserving maps V(h) -> V(g)."""
+    if g.n > cap:
+        raise ValueError(f"host has {g.n} > {cap} vertices")
+    hadj = h.adjacency_sets()
+    gadj = g.adjacency_sets()
+    order = search_order_reference(hadj, h.n)
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [sorted(u for u in hadj[v] if pos[u] < pos[v]) for v in order]
+    all_hosts = frozenset(range(g.n))
+    assign: dict[int, int] = {}
+    count = 0
+
+    def rec(i: int):
+        nonlocal count
+        if i == h.n:
+            count += 1
+            return
+        v = order[i]
+        back = earlier[i]
+        if not back:
+            cand = all_hosts
+        else:
+            cand = gadj[assign[back[0]]]
+            for u in back[1:]:
+                cand = cand & gadj[assign[u]]
+                if not cand:
+                    return
+        for c in cand:
+            assign[v] = c
+            rec(i + 1)
+        assign.pop(v, None)
+
+    rec(0)
+    return count
+
+
+def brute_force_sub_reference(g: UndirectedGraph, h: UndirectedGraph,
+                              cap: int = 20) -> int:
+    """``counting.brute_force_sub`` as its own backtracking, the
+    reference the shared ``_count_maps`` is checked against.
+
+    Non-induced copies of h in g: injective maps / |Aut(h)|."""
+    if g.n > cap:
+        raise ValueError(f"host has {g.n} > {cap} vertices")
+    hadj = h.adjacency_sets()
+    gadj = g.adjacency_sets()
+    order = search_order_reference(hadj, h.n)
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [sorted(u for u in hadj[v] if pos[u] < pos[v]) for v in order]
+    all_hosts = frozenset(range(g.n))
+    assign: dict[int, int] = {}
+    used: set[int] = set()
+    injective = 0
+
+    def rec(i: int):
+        nonlocal injective
+        if i == h.n:
+            injective += 1
+            return
+        v = order[i]
+        back = earlier[i]
+        if not back:
+            cand = all_hosts - used
+        else:
+            cand = gadj[assign[back[0]]]
+            for u in back[1:]:
+                cand = cand & gadj[assign[u]]
+            cand = cand - used
+        for c in cand:
+            assign[v] = c
+            used.add(c)
+            rec(i + 1)
+            used.discard(c)
+        assign.pop(v, None)
+
+    rec(0)
+    aut = automorphism_count(h)
+    assert injective % aut == 0
+    return injective // aut

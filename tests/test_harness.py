@@ -1,13 +1,14 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from sparsecount import (NoWidth1Decomposition, UndirectedGraph,
-                         brute_force_hom, brute_force_sub, canonical_form,
-                         cli_main, degeneracy_order,
-                         find_width1_decomposition, load_edge_list,
-                         max_outdegree, optimal_extension, save_edge_list)
+                         brute_force_hom, brute_force_sub, cli_main,
+                         degeneracy_order, find_width1_decomposition,
+                         load_edge_list, max_outdegree, optimal_extension,
+                         save_edge_list)
 from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_double_subdivision, generate_gnp,
                                  generate_subdivision, run_count_hom)
@@ -15,6 +16,7 @@ from sparsecount.harness import (generate_bounded_degeneracy,
 from conftest import (complete_graph, cycle_graph, cycle_hom_trace,
                       disjoint_union, lifted_extension, path_graph,
                       random_graph, triangle_count)
+from oracles import canonical_form
 
 
 def test_subdivision_triangle_becomes_nine_cycle():
@@ -299,6 +301,47 @@ def test_cli_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     g = random_graph(8, 0.4, random.Random(5))
     assert int(out) == brute_force_hom(g, cycle_graph(6))
+    # a directory where a file belongs is an input error, not a traceback
+    assert cli_main(["count-hom", str(tmp_path), c6]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_frat_blowup_is_an_input_error(tmp_path, capsys, monkeypatch):
+    from sparsecount import ExtensionBlowupError, counting, harness
+
+    def blowup(h, t, *args, **kwargs):
+        raise ExtensionBlowupError(f"|Frat(H,{t})| exceeds cap 1")
+
+    monkeypatch.setattr(counting, "enumerate_pattern_extensions", blowup)
+    monkeypatch.setattr(harness, "enumerate_pattern_extensions", blowup)
+    host = _write(tmp_path, "host.el", random_graph(8, 0.4, random.Random(5)))
+    c5 = _write(tmp_path, "c5.el", cycle_graph(5))
+    for cmd in (["count-hom", host, c5], ["verify", host, c5],
+                ["analyze", c5]):
+        assert cli_main(cmd) == 2, cmd
+        captured = capsys.readouterr()
+        assert captured.err == "error: |Frat(H,1)| exceeds cap 1\n"
+        assert captured.out == ""
+
+
+# SHA-256 of `gen subdiv --t 2` and `gen subdiv2 --t 3` on
+# generate_bounded_degeneracy(40, 3, 11), as the generators wrote them
+# before they shared one chain builder
+GEN_SHA256 = {
+    ("subdiv", 2):
+        "9bb7c2e62f7dfa18e251561f50ca944b38e97725352f8919f759a646900e5377",
+    ("subdiv2", 3):
+        "e5e5ec041864d4287056e8b49d012b7c6ff374b42afe527fc5e5e4bcb551b8a9",
+}
+
+
+@pytest.mark.parametrize("kind, t", sorted(GEN_SHA256))
+def test_cli_gen_subdivisions_are_pinned(tmp_path, capsys, kind, t):
+    base = _write(tmp_path, "base.el", generate_bounded_degeneracy(40, 3, 11))
+    assert cli_main(["gen", kind, base, "--t", str(t)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[kind, t]
 
 
 def test_cli_exit_3_lists_the_offending_members_arcs(tmp_path, capsys):

@@ -19,16 +19,16 @@ import numpy as np
 import pytest
 
 from sparsecount import (GraphFormatError, UndirectedGraph,
-                         canonical_form, enumerate_pattern_extensions,
-                         fastdp, find_width1_decomposition, pattern_tools,
-                         reach, spasm)
+                         enumerate_pattern_extensions, fastdp,
+                         find_width1_decomposition, pattern_tools, reach,
+                         spasm)
 from sparsecount.counting import frat_classes
 from sparsecount.pattern_tools import fiber_tournament, pendant_forest
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       disjoint_union, path_graph)
-from oracles import (build_plan_reference, frat_classes_reference,
-                     spasm_reference)
+from oracles import (build_plan_reference, canonical_form,
+                     frat_classes_reference, spasm_reference)
 
 BOWTIE = UndirectedGraph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4),
                              (3, 4)])

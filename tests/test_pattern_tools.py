@@ -6,13 +6,13 @@ import pytest
 
 from sparsecount import (acyclic_orientations, automorphism_count,
                          automorphism_generators, brute_force_hom,
-                         brute_force_sub, canonical_form,
-                         connected_components, licl, min_extension_depth,
-                         spasm, UndirectedGraph)
+                         brute_force_sub, connected_components, licl,
+                         min_extension_depth, spasm, UndirectedGraph)
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       disjoint_union, licl_oracle, path_graph, random_graph,
                       star_graph)
+from oracles import canonical_form
 
 
 def test_licl_basics():

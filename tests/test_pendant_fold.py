@@ -260,16 +260,15 @@ def test_report_licl_read_from_the_cores(h, monkeypatch):
 
 def test_analyze_a_pattern_past_the_canonical_limit(tmp_path, capsys,
                                                    monkeypatch):
-    # every spasm holds the pattern itself, past canonical_form's limit
-    # here: analyze reports no spasm, without canonicalizing anything,
-    # and keeps its component and witness output. A tree has no 2-core,
-    # so no Frat member is enumerated and no witness listed
-    from sparsecount import harness, pattern_tools
+    # every spasm holds the pattern itself, past the spasm's limit here:
+    # analyze reports no spasm and keeps its component and witness
+    # output. A tree has no 2-core, so no Frat member is enumerated and
+    # no witness listed
+    from sparsecount import harness
 
     def refuse(*args):
-        raise AssertionError("canonical_form or a Frat enumeration ran")
+        raise AssertionError("a Frat enumeration ran")
 
-    monkeypatch.setattr(pattern_tools, "canonical_form", refuse)
     monkeypatch.setattr(harness, "enumerate_pattern_extensions", refuse)
     path = tmp_path / "tree.el"
     save_edge_list(TREE16, path)
