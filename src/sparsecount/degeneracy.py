@@ -6,9 +6,10 @@ seen. Orienting every edge from the earlier-peeled endpoint to the later
 one yields an acyclic orientation with max outdegree <= kappa.
 
 The peel is a ``heapq`` heap of packed (degree, id) keys over Python
-lists, run on the CSR index of an ``UndirectedGraph``. Each graph is
-peeled once: its order is cached on the graph, so every product and
-spasm quotient over one host shares it.
+lists, run on the CSR index of an ``UndirectedGraph``; the isolated
+vertices, which an extension layer has many of, skip the heap. Each
+graph is peeled once: its order is cached on the graph, so every
+product and spasm quotient over one host shares it.
 """
 
 from __future__ import annotations
@@ -24,19 +25,23 @@ from .graph_core import UndirectedGraph
 def _peel_kernel(n, indptr, nbrs):
     """Exact (degree, id) min-peel via a heap of packed keys.
 
+    The isolated vertices go first, in id order, outside the heap: they
+    lead the (degree, id) order and their removal changes no degree.
     Keys are deg * n + v so the heap minimum is the lexicographic
     (degree, id) minimum. A degree drop pushes a new key and leaves the
     old one, which sorts after it and so pops only once v is removed:
     skipping removed vertices skips every stale key.
     """
+    degs = np.diff(indptr)
+    rest = np.flatnonzero(degs)
+    order = np.flatnonzero(degs == 0).tolist()
     ptr = indptr.tolist()
     adj = nbrs.tolist()
-    deg = [ptr[v + 1] - ptr[v] for v in range(n)]
-    heap = [d * n + v for v, d in enumerate(deg)]
+    deg = degs.tolist()
+    heap = (degs[rest] * n + rest).tolist()
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     removed = [False] * n
-    order = []
     kappa = 0
     while len(order) < n:
         d, v = divmod(heappop(heap), n)

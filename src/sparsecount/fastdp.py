@@ -26,6 +26,19 @@ expansion gathers the others.
 Host-sized work is plain numpy; each bag's plan is compiled in plain
 Python from the pattern's ``succ`` adjacency.
 
+The DPs of one family share their bags' common prefixes, the multiple-
+query optimisation of Sellis (ACM TODS 1988): most bags start with the
+same few expansions from the root fiber. Each step's state has a key
+(``_prefix_keys``) that reads no host: the root's weight and every
+check, drop, filter, expansion and weight up to it, with vertices
+written as positions in the bag's order. The first bag to reach a key
+leaves its state on the ``SignatureHost``, read-only and keyed by
+position, and every later bag with that key starts from it. Only whole
+states are kept, those from before a bag's first cut into blocks, and
+only those of at most ``ROW_BLOCK`` rows, so each costs at most a
+block's arrays; a dead prefix is kept as no rows. From the first slot
+that joins a child table on, a state belongs to one DP and has no key.
+
 Every bag yields one ``_Table``: its rows' restrictions to the vertices
 it shares with its parent, packed into sorted int64 codes, with their
 summed counts. The parent joins it with ``searchsorted``; on a large
@@ -424,9 +437,16 @@ class SignatureHost:
     over the host's vertices or None, and a homomorphism phi counts the
     product of vertex_weights[a][phi(a)]; None, for one vertex or for
     the whole tuple, is weight 1 everywhere.
+
+    The host also holds the family's prefix cache: the block states its
+    bags left before their first cut, of at most ``ROW_BLOCK`` rows
+    each, keyed by ``_prefix_keys``, so a bag starts where an earlier
+    bag of any member with the same prefix stopped. It lives as long as
+    the host, one ``count_family``.
     """
 
-    __slots__ = ("index", "class_weights", "vertex_weights", "_reads")
+    __slots__ = ("index", "class_weights", "vertex_weights", "_reads",
+                 "_prefixes")
 
     def __init__(self, index: _HostIndex, class_weights: np.ndarray,
                  vertex_weights: tuple | None = None):
@@ -434,6 +454,7 @@ class SignatureHost:
         self.class_weights = class_weights
         self.vertex_weights = vertex_weights
         self._reads: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._prefixes: dict[tuple, _BlockState] = {}
 
     def read(self, a: int, b: int, w: int) -> tuple[int, ...]:
         """The classes a pattern arc (a, b, w) maps onto."""
@@ -539,6 +560,32 @@ def _build_plan(pattern, tree: HubTree, bag: int,
                            tuple(v for v in dead if v in in_lookup)))
     return _BagPlan(hub, tuple(order), steps, closes, tuple(slots),
                     out_cols, children, tuple(child_domains))
+
+
+def _prefix_keys(plan: _BagPlan, pos: dict[int, int], marks: list) -> tuple:
+    """Per step i, the key of the state that slot i + 1 and step i leave:
+    everything run on the rows from the root fiber up to there, with
+    each vertex written as its position in ``plan.order`` (``pos``),
+    and each weight as ``marks[j]`` at position j: the pattern vertex
+    whose weight it applies, or None. Equal keys on one
+    ``SignatureHost`` give equal states, in any bag of any member. The
+    key is None from the first slot with a lookup on, since a child
+    table belongs to one DP."""
+    key = (marks[0],)
+    keys = []
+    for i, ((v, p, classes, drops), closes, slot) in enumerate(
+            zip(plan.steps, plan.closes, plan.slots[1:]), 1):
+        if key is None or slot.lookups:
+            key = None
+        else:
+            # a step drops at most its parent
+            key = (key,
+                   tuple([(pos[a], pos[b], c) for a, b, c in slot.checks]),
+                   tuple([pos[x] for x in slot.drops_pre]),
+                   pos[p], classes, bool(drops), marks[i],
+                   closes and (pos[closes[0]], closes[1]))
+        keys.append(key)
+    return tuple(keys)
 
 
 def _pack(mat: np.ndarray, n: int, steps: tuple | None = None):
@@ -686,6 +733,16 @@ class _BlockState:
                            None if self.vals is None else self.vals[lo:hi],
                            min(hi, self.nrows) - lo)
 
+    def shared(self, names) -> _BlockState:
+        """This state with each column x renamed ``names[x]``, on the same
+        arrays, now read-only: how the prefix cache stores a state (by
+        position in the bag's order) and hands it out (by vertex)."""
+        for arr in (*self.cols.values(), self.vals):
+            if arr is not None:
+                arr.flags.writeable = False
+        return _BlockState({names[x]: col for x, col in self.cols.items()},
+                           self.vals, self.nrows)
+
     def keep(self, mask: np.ndarray) -> None:
         """Keep the rows where ``mask`` is set, in their order: one
         ``take`` a column, several times faster than a boolean index
@@ -727,43 +784,77 @@ def _run_bag(host: SignatureHost, plan: _BagPlan,
     filter. A smaller block skips it: its hashing costs about what it
     saves where many rows close, and filtering every block cost the
     road-grid benchmark host (blocks of at most 3,619 rows, 30% passing)
-    2-5% of a warm count."""
+    2-5% of a warm count.
+
+    The bag starts from the deepest state of its prefix that the host's
+    prefix cache holds (keyed by ``_prefix_keys``), renamed to its own
+    vertices, and skips the slots and expansions that built it; with
+    none cached, from the root fiber. Until its first cut, every state
+    it builds of at most ``ROW_BLOCK`` rows joins the cache. A cached
+    state is never written again: a slot or step replaces a column, it
+    never writes into one."""
     hidx = host.index
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
     vertex_weights = host.vertex_weights
     weights = [None if vertex_weights is None or v in plan.out_cols
                else vertex_weights[v] for v in plan.order]
-    root_w = weights[0]
-    fiber = (hidx.root if root_w is None
-             else np.flatnonzero(root_w).astype(np.int32))
     steps = [(*step, w) for step, w in zip(plan.steps, weights[1:])]
-
-    state = _BlockState({plan.order[0]: fiber},
-                        None if root_w is None else root_w[fiber], fiber.size)
+    prefixes = host._prefixes
+    pos = {v: i for i, v in enumerate(plan.order)}
+    keys = _prefix_keys(plan, pos, [None if w is None else v
+                                    for v, w in zip(plan.order, weights)])
+    # the keys a family has cached are closed under prefixes, so the bag
+    # starts from the deepest cached state of its own
+    start = 0
+    while start < len(keys) and keys[start] in prefixes:
+        start += 1
+    if start:
+        state = prefixes[keys[start - 1]].shared(plan.order)
+    else:
+        root_w = weights[0]
+        fiber = (hidx.root if root_w is None
+                 else np.flatnonzero(root_w).astype(np.int32))
+        state = _BlockState({plan.order[0]: fiber},
+                            None if root_w is None else root_w[fiber],
+                            fiber.size)
     # (a state, the steps it has run); slot i + 1 runs next on it
-    stack = [(state, 0)]
+    stack = [(state, start)] if state.nrows else []
     while stack:
         state, i = stack.pop()
         if state.nrows > ROW_BLOCK:
+            # from here on a state holds a slice of its prefix's rows
+            keys = (None,) * len(steps)
             stack.extend((state.rows(lo, lo + ROW_BLOCK), i) for lo in
                          reversed(range(0, state.nrows, ROW_BLOCK)))
-        elif not _apply_slot(hidx, plan, tables, state, i + 1):
-            continue
         elif i == len(steps):
-            key_chunks.append(_key_matrix(state, plan.out_cols))
-            val_chunks.append(state.vals if state.vals is not None
-                              else np.ones(state.nrows, dtype=np.int64))
+            if _apply_slot(hidx, plan, tables, state, i + 1):
+                key_chunks.append(_key_matrix(state, plan.out_cols))
+                val_chunks.append(state.vals if state.vals is not None
+                                  else np.ones(state.nrows, dtype=np.int64))
         else:
-            closes = plan.closes[i]
-            if closes is not None and state.nrows >= FILTER_MIN:
-                _, p, classes, *_ = steps[i]
-                state.keep(hidx.may_close(state.cols[p],
-                                          state.cols[closes[0]],
-                                          classes, closes[1]))
-            if _expand(hidx, state, *steps[i]):
+            if not _advance(hidx, plan, tables, state, i, steps[i]):
+                state = _BlockState({}, None, 0)
+            if keys[i] is not None and state.nrows <= ROW_BLOCK:
+                prefixes[keys[i]] = state.shared(pos)
+            if state.nrows:
                 stack.append((state, i + 1))
     return _aggregate_table(key_chunks, val_chunks, hidx.n)
+
+
+def _advance(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
+             state: _BlockState, i: int, step: tuple) -> bool:
+    """Slot i + 1, then step i, on one block; False when no row is left.
+    Where the step ``closes``, a block of at least ``FILTER_MIN`` rows
+    first keeps the rows that may close (``_HostIndex.may_close``)."""
+    if not _apply_slot(hidx, plan, tables, state, i + 1):
+        return False
+    closes = plan.closes[i]
+    if closes is not None and state.nrows >= FILTER_MIN:
+        _, p, classes, *_ = step
+        state.keep(hidx.may_close(state.cols[p], state.cols[closes[0]],
+                                  classes, closes[1]))
+    return _expand(hidx, state, *step)
 
 
 def _expand(hidx: _HostIndex, state: _BlockState, v: int, p: int,

@@ -25,7 +25,9 @@ code over all relabelings) left the package, since no count read it.
 ``brute_force_hom_reference`` and ``brute_force_sub_reference`` are the
 small-graph searches that each ran its own breadth-first order and
 backtracking before the package shared one of each; the brute forces'
-order is ``search_order_reference``.
+order is ``search_order_reference``. ``bag_table_digests`` hashes
+every bag table a count builds, so fast paths that must leave the
+tables alone are compared bit for bit.
 
 The package's ``DirWLGraph`` carries no vertex labels, and its DP
 engine refuses a pattern that does. Labeled graphs are built here, as
@@ -35,6 +37,7 @@ All counts are exact Python integers.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 from math import factorial
@@ -43,7 +46,7 @@ import numpy as np
 
 from sparsecount import (DirWLGraph, GraphFormatError, HubTree,
                          PatternExtension, SpasmEntry, UndirectedGraph,
-                         automorphism_count, connected_components,
+                         automorphism_count, connected_components, fastdp,
                          fiber_tournament)
 from sparsecount.counting import BRUTE_FORCE_HOM_CAP
 from sparsecount.fastdp import _BagPlan, _Slot
@@ -559,6 +562,32 @@ def build_plan_reference(pattern, tree: HubTree, bag: int,
                            pre, post))
     return _BagPlan(hub, tuple(order), steps, closes, tuple(slots),
                     out_cols, children, tuple(child_domains))
+
+
+def bag_table_digests(count) -> tuple:
+    """``count()``'s result and, in the order the bags ran, the SHA-256 of
+    each bag table it built: the dtype, shape and contents of its codes,
+    its values and its packing steps, read by a spy on
+    ``fastdp._run_bag``. Two runs that must build the same tables bit
+    for bit give equal lists."""
+    run_bag = fastdp._run_bag
+    digests = []
+
+    def spy(host, plan, tables):
+        out = run_bag(host, plan, tables)
+        digest = hashlib.sha256()
+        for arr in (out.codes, out.values, *out.steps):
+            digest.update(f"{arr.dtype} {arr.shape};".encode())
+            digest.update(repr(arr.tolist()).encode() if arr.dtype == object
+                          else arr.tobytes())
+        digests.append(digest.hexdigest())
+        return out
+
+    fastdp._run_bag = spy
+    try:
+        return count(), digests
+    finally:
+        fastdp._run_bag = run_bag
 
 
 # canonical_form's brute force over relabelings, which grows like n!

@@ -100,7 +100,9 @@ def _peel_inputs(draw):
         pairs = {(i, i + 1) for i in range(core - 1)}
     else:
         pairs = {(0, i) for i in range(1, core)}
-    n = core + draw(st.integers(0, 3))           # isolated extra vertices
+    # isolated extra vertices: a few, or most of the graph, as in an
+    # extension layer
+    n = core + draw(st.integers(0, 3) | st.integers(2 * core, 4 * core + 8))
     perm = draw(st.permutations(range(n)))       # shuffle ids, so ties vary
     pairs = sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
                    for u, v in pairs)
