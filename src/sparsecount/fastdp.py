@@ -2,42 +2,44 @@
 
 Semantically identical to the dict-based generalized tree DP that the
 tests keep as its oracle (``tests/oracles.py``); rows of numpy arrays
-stand in for partial homomorphisms. Per bag, the root fiber is expanded
-along the BFS spanning out-tree, depth-first in blocks of at most
-``ROW_BLOCK`` rows: a block runs through the remaining steps before the
-next one starts, so the rows alive at once are bounded by the block size
-and Delta+, not by the host's size. There is one host kind, at every
-depth t: the ``SignatureHost`` of G's own depth-t extension, on G's n
-vertices with one label, so a root fiber is all n vertices, less those
-where the root's weight is 0. A pattern arc reads a set of its arc
-classes (``signature_index``), held as a table padded to the set's
-width D <= Delta+ (plus a loop) per source vertex
-(``_HostIndex.padded``): an expansion gathers each row's source in one
-take, and a non-tree arc is checked with D column gathers per row
-(``_HostIndex.has_arcs``). Where the slot right after an expansion
-checks an arc from the new vertex v back to an assigned b, a large block
-first drops the rows whose parent p reaches b by no 2-path p -> x -> b
-of the two arcs' class sets, read from a hashed bitmap of those pairs
+stand in for partial homomorphisms. Each bag is compiled in plain Python
+from the pattern's ``succ`` adjacency into one straight-line program
+(``_BagPlan``) over columns, column j holding the image of the j-th
+vertex of the hub's BFS spanning out-tree, so column 0 is the hub. Its
+ops CHECK non-tree arcs, LOOKUP child tables, FILTER rows that cannot
+close the next check, and EXPAND a column from its tree parent; each op
+drops the columns it reads for the last time. The root fiber runs
+through the program depth-first in blocks of at most ``ROW_BLOCK`` rows:
+a block runs through the remaining ops before the next one starts, so
+the rows alive at once are bounded by the block size and Delta+, not by
+the host's size. There is one host kind, at every depth t: the
+``SignatureHost`` of G's own depth-t extension, on G's n vertices with
+one label, so a root fiber is all n vertices, less those where the
+root's weight is 0. A pattern arc reads a set of its arc classes
+(``signature_index``), held as a table padded to the set's width D <=
+Delta+ (plus a loop) per source vertex (``_HostIndex.padded``): an
+EXPAND gathers each row's source in one take, and a CHECK tests an arc
+with D column gathers per row (``_HostIndex.has_arcs``). Where the
+CHECK right after column v is assigned holds an arc from v back to an
+assigned b, a FILTER before v's EXPAND drops, in a large block, the
+rows whose parent p reaches b by no 2-path p -> x -> b of the two arcs'
+class sets, read from a hashed bitmap of those pairs
 (``_HostIndex.may_close``): such a row expands only into rows the check
 drops, so it is dropped before it pays for the expansion.
-Columns stop being carried as soon as nothing downstream reads them; a
-parent column whose last read is an expansion is dropped before that
-expansion gathers the others.
-Host-sized work is plain numpy; each bag's plan is compiled in plain
-Python from the pattern's ``succ`` adjacency.
+Host-sized work is plain numpy.
 
 The DPs of one family share their bags' common prefixes, the multiple-
 query optimisation of Sellis (ACM TODS 1988): most bags start with the
-same few expansions from the root fiber. Each step's state has a key
-(``_prefix_keys``) that reads no host: the root's weight and every
-check, drop, filter, expansion and weight up to it, with vertices
-written as positions in the bag's order. The first bag to reach a key
-leaves its state on the ``SignatureHost``, read-only and keyed by
-position, and every later bag with that key starts from it. Only whole
-states are kept, those from before a bag's first cut into blocks, and
-only those of at most ``ROW_BLOCK`` rows, so each costs at most a
-block's arrays; a dead prefix is kept as no rows. From the first slot
-that joins a child table on, a state belongs to one DP and has no key.
+same few expansions from the root fiber. Since a program names no
+pattern vertex, its own prefix is the key of the state it leaves
+(``_prefix_keys``), with the root's weight and each EXPAND's weight
+written as the pattern vertex it applies. The first bag to reach the
+key of an EXPAND leaves its state on the ``SignatureHost``, read-only,
+and every later bag with that key starts from it. Only whole states are
+kept, those from before a bag's first cut into blocks, and only those
+of at most ``ROW_BLOCK`` rows, so each costs at most a block's arrays;
+a dead prefix is kept as no rows. From the first LOOKUP on, a state
+belongs to one DP and has no key.
 
 Every bag yields one ``_Table``: its rows' restrictions to the vertices
 it shares with its parent, packed into sorted int64 codes, with their
@@ -72,14 +74,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fraternal import FraternalExtension, _sorted_unique
-from .graph_core import UndirectedGraph
+from .fraternal import FraternalExtension, _same_source_pairs
+from .graph_core import UndirectedGraph, _sorted_search, _sorted_unique
 from .hub_decomp import HubTree, out_tree, reach
 from .pattern_tools import PendantForest
 
 ROW_BLOCK = 1 << 15
 # the fewest codes at which a child table filters its join (``_Table``),
-# and the fewest rows at which a block filters a step (``_run_bag``)
+# and the fewest rows at which a block runs a FILTER (``_run_op``)
 FILTER_MIN = 1 << 12
 _SLOTS_PER_CODE = 8
 _FIB_HASH = np.uint64(0x9E3779B97F4A7C15)
@@ -330,15 +332,8 @@ def _refine(n: int, src: np.ndarray, dst: np.ndarray, codes: np.ndarray,
     live = np.flatnonzero(cls)
     # every ordered pair (e1, e2) of live elements out of one centre,
     # e1 = e2 included, kept where (dst[e1], dst[e2]) is an element
-    z = src[live]
-    start = np.searchsorted(z, z)
-    rep = np.searchsorted(z, z, side="right") - start
-    e1 = np.repeat(live, rep)
-    within = np.arange(e1.size) - np.repeat(np.cumsum(rep) - rep, rep)
-    e2 = live[np.repeat(start, rep) + within]
-    query = dst[e1] * n + dst[e2]
-    pos = np.minimum(np.searchsorted(codes, query), max(codes.size - 1, 0))
-    hit = codes[pos] == query if codes.size else np.zeros(0, dtype=bool)
+    e1, e2 = (live[j] for j in _same_source_pairs(src[live], src[live], n))
+    hit, pos = _sorted_search(codes, dst[e1] * n + dst[e2])
     elem, one, two = pos[hit], cls[e1[hit]], cls[e2[hit]]
     closes = np.zeros((size, size), dtype=bool)
     for p in range(1, i):
@@ -438,8 +433,8 @@ class SignatureHost:
     product of vertex_weights[a][phi(a)]; None, for one vertex or for
     the whole tuple, is weight 1 everywhere.
 
-    The host also holds the family's prefix cache: the block states its
-    bags left before their first cut, of at most ``ROW_BLOCK`` rows
+    The host also holds the family's prefix cache: the states its bags'
+    EXPANDs left before their first cut, of at most ``ROW_BLOCK`` rows
     each, keyed by ``_prefix_keys``, so a bag starts where an earlier
     bag of any member with the same prefix stopped. It lives as long as
     the host, one ``count_family``.
@@ -466,124 +461,115 @@ class SignatureHost:
         return got
 
 
-class _Slot(NamedTuple):
-    """Everything to run after a fixed number of vertices are assigned."""
-
-    checks: tuple          # (a, b, classes)
-    lookups: tuple         # indices into the plan's children
-    drops_pre: tuple       # columns dead before the lookups run
-    drops_post: tuple      # columns last read by this slot's lookups
+CHECK, LOOKUP, FILTER, EXPAND = range(4)
 
 
 class _BagPlan(NamedTuple):
-    hub: int
+    """A bag's DP as one straight-line program over columns: column j
+    holds the image of ``order[j]``, the j-th vertex of the hub's BFS
+    out-tree, so column 0 is the hub. Each op is ``(kind, dead, *args)``:
+
+    - ``(CHECK, dead, arcs)``: keep the rows with a host arc a -> b of one
+      of ``classes`` for every (a, b, classes) of ``arcs``;
+    - ``(LOOKUP, dead, idx, cols)``: join the table of ``children[idx]``
+      on the rows' values at ``cols`` and multiply by its counts;
+    - ``(FILTER, dead, p, b, first, then)``: at ``FILTER_MIN`` rows or
+      more, keep the rows whose (p, b) may start a host 2-path over
+      ``first`` then ``then`` (``_HostIndex.may_close``);
+    - ``(EXPAND, dead, v, p, classes)``: extend every row by each image
+      of column v along a host arc of ``classes`` from column p.
+
+    ``dead`` lists, ascending, the columns the op reads for the last
+    time, and an EXPAND's also its own v when no op reads v; the op drops
+    them before it keeps or gathers rows, and such a v is never stored.
+    """
+
     order: tuple[int, ...]
-    # (vertex, parent, classes the arc reads, columns last read by this
-    # expansion)
-    steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
-    # per step, (b, classes) of the first check v -> b in the slot right
-    # after v is assigned, or None
-    closes: tuple[tuple[int, tuple[int, ...]] | None, ...]
-    slots: tuple[_Slot, ...]                      # indexed by assigned count
-    out_cols: tuple[int, ...]                     # shared with the parent
+    ops: tuple[tuple, ...]
+    out_cols: tuple[int, ...]     # shared with the parent, in its order
     children: tuple[int, ...]
-    child_domains: tuple[tuple[int, ...], ...]
 
 
 def _build_plan(pattern, tree: HubTree, bag: int,
                 domains: dict[int, tuple[int, ...]], read) -> _BagPlan:
-    """The bag's plan, compiled in plain Python from the pattern's
+    """The bag's program, compiled in plain Python from the pattern's
     ``succ`` and the hub's BFS out-tree (``hub_decomp.out_tree``, cached
     on the pattern), so every field holds Python ints. ``pattern`` is a
     ``PatternExtension`` or a ``DirWLGraph``. ``domains`` maps each bag
     to the sorted vertices it shares with its parent (none at the root).
     ``read(a, b, w)`` is the tuple of host classes a pattern arc
-    (a, b, w) maps onto."""
-    hub = tree.bags[bag]
+    (a, b, w) maps onto.
+
+    Once columns 0..t - 1 hold values, the program checks the non-tree
+    arcs among them that read column t - 1 (one CHECK, arcs in (source,
+    target) order), joins each child whose shared vertices all lie there
+    (a LOOKUP, children in order), and expands column t from its tree
+    parent p. Where the next CHECK holds an arc t -> b, a FILTER on
+    (p, b) over the tree arc's and that arc's classes comes first: a row
+    that no 2-path closes expands only into rows the CHECK drops."""
     succ = pattern.succ
-    order, parent = out_tree(pattern, hub)
-    pos = {v: i for i, v in enumerate(order)}
+    order, parent = out_tree(pattern, tree.bags[bag])
+    col = {v: j for j, v in enumerate(order)}
     nverts = len(order)
     checks_at: list[list[tuple]] = [[] for _ in range(nverts + 1)]
-    lookups_at: list[list[int]] = [[] for _ in range(nverts + 1)]
+    lookups_at: list[list[tuple]] = [[] for _ in range(nverts + 1)]
     tree_read = {}
     # Reach(hub) is closed under out-arcs; ascending sources keep the
     # checks in (src, dst) order
-    ascending = sorted(order)
-    for a in ascending:
+    for a in sorted(order):
         for b, w in succ[a]:
             if parent[b] == a:
-                tree_read[b] = read(a, b, w)
+                tree_read[col[b]] = read(a, b, w)
             else:
-                checks_at[max(pos[a], pos[b]) + 1].append((a, b, read(a, b, w)))
-    steps = [(v, parent[v], tree_read[v]) for v in order[1:]]
+                checks_at[max(col[a], col[b]) + 1].append(
+                    (col[a], col[b], read(a, b, w)))
     children = tree.children(bag)
-    child_domains = [domains[ch] for ch in children]
-    for idx, dom in enumerate(child_domains):
-        lookups_at[max((pos[x] for x in dom), default=0) + 1].append(idx)
-    # last slot at which each column is read
-    last = {v: pos[v] + 1 for v in order}
-    for t_at in range(nverts + 1):
-        for a, b, *_ in checks_at[t_at]:
-            last[a] = max(last[a], t_at)
-            last[b] = max(last[b], t_at)
-        for idx in lookups_at[t_at]:
-            for x in child_domains[idx]:
-                last[x] = max(last[x], t_at)
-    out_cols = domains[bag]
-    for x in out_cols:
-        last[x] = nverts + 1
-    # step i's expansion reads its parent p just before slot i + 2; when
-    # no later slot reads p, its last expansion drops it before gathering
-    # the other columns, and no slot does
-    final = {p: i for i, (v, p, *_) in enumerate(steps)}
-    steps = tuple((v, p, classes,
-                   (p,) if final[p] == i and last[p] < i + 2 else ())
-                  for i, (v, p, classes) in enumerate(steps))
-    for *_, drops in steps:
-        for p in drops:
-            last[p] = -1
-    closes = tuple(next(((b, classes) for a, b, classes in checks_at[i + 2]
-                         if a == v), None)
-                   for i, (v, *_) in enumerate(steps))
-    # the columns whose last read is each slot, ascending; a column that
-    # an expansion drops (-1) or the parent reads (nverts + 1) lands in
-    # the last list, which no slot reads
-    dying: list[list[int]] = [[] for _ in range(nverts + 2)]
-    for v in ascending:
-        dying[last[v]].append(v)
-    slots = []
-    for checks, lookups, dead in zip(checks_at, lookups_at, dying):
-        in_lookup = {x for idx in lookups for x in child_domains[idx]}
-        slots.append(_Slot(tuple(checks), tuple(lookups),
-                           tuple(v for v in dead if v not in in_lookup),
-                           tuple(v for v in dead if v in in_lookup)))
-    return _BagPlan(hub, tuple(order), steps, closes, tuple(slots),
-                    out_cols, children, tuple(child_domains))
+    for idx, child in enumerate(children):
+        cols = tuple(col[x] for x in domains[child])
+        lookups_at[max(cols, default=0) + 1].append(
+            (LOOKUP, set(cols), idx, cols))
+    body = []  # (kind, the columns it reads, *args)
+    for t in range(1, nverts + 1):
+        if checks_at[t]:
+            arcs = tuple(checks_at[t])
+            body.append((CHECK, {x for a, b, _ in arcs for x in (a, b)},
+                         arcs))
+        body += lookups_at[t]
+        if t < nverts:
+            p, classes = col[parent[order[t]]], tree_read[t]
+            body += [(FILTER, {p, b}, p, b, classes, then)
+                     for a, b, then in checks_at[t + 1] if a == t][:1]
+            body.append((EXPAND, {p}, t, p, classes))
+    # backwards from the parent's key, the columns read later are live
+    out_cols = tuple(col[x] for x in domains[bag])
+    live = set(out_cols)
+    ops = []
+    for kind, reads, *args in reversed(body):
+        dead = reads - live
+        live |= reads
+        if kind == EXPAND:
+            if args[0] not in live:
+                dead.add(args[0])
+            live.discard(args[0])
+        ops.append((kind, tuple(sorted(dead)), *args))
+    return _BagPlan(tuple(order), tuple(reversed(ops)), out_cols, children)
 
 
-def _prefix_keys(plan: _BagPlan, pos: dict[int, int], marks: list) -> tuple:
-    """Per step i, the key of the state that slot i + 1 and step i leave:
-    everything run on the rows from the root fiber up to there, with
-    each vertex written as its position in ``plan.order`` (``pos``),
-    and each weight as ``marks[j]`` at position j: the pattern vertex
-    whose weight it applies, or None. Equal keys on one
-    ``SignatureHost`` give equal states, in any bag of any member. The
-    key is None from the first slot with a lookup on, since a child
-    table belongs to one DP."""
+def _prefix_keys(plan: _BagPlan, marks: list) -> tuple:
+    """Per op k, the key of the state it leaves: (the key of op k - 1,
+    op k, and ``marks[v]`` for an EXPAND of column v, else None), from
+    (``marks[0]``,) for the root fiber. ``marks[j]`` is the pattern
+    vertex whose weight column j applies, or None. The key reads no host:
+    equal keys on one ``SignatureHost`` give equal states, in any bag of
+    any member. It is None from the first LOOKUP on, since a child table
+    belongs to one DP."""
     key = (marks[0],)
     keys = []
-    for i, ((v, p, classes, drops), closes, slot) in enumerate(
-            zip(plan.steps, plan.closes, plan.slots[1:]), 1):
-        if key is None or slot.lookups:
+    for op in plan.ops:
+        if key is None or op[0] == LOOKUP:
             key = None
         else:
-            # a step drops at most its parent
-            key = (key,
-                   tuple([(pos[a], pos[b], c) for a, b, c in slot.checks]),
-                   tuple([pos[x] for x in slot.drops_pre]),
-                   pos[p], classes, bool(drops), marks[i],
-                   closes and (pos[closes[0]], closes[1]))
+            key = (key, op, marks[op[2]] if op[0] == EXPAND else None)
         keys.append(key)
     return tuple(keys)
 
@@ -610,8 +596,8 @@ def _pack(mat: np.ndarray, n: int, steps: tuple | None = None):
                 made.append(uniq)
             else:
                 uniq = next(replay)
-                pos = np.minimum(np.searchsorted(uniq, code), uniq.size - 1)
-                code = np.where(uniq[pos] == code, pos, -1)
+                hit, pos = _sorted_search(uniq, code)
+                code = np.where(hit, pos, -1)
             bound = uniq.size
         code = code * n + mat[:, j]
         bound *= n
@@ -659,7 +645,7 @@ class _Table:
     cost about what they save: built for every table, bitmaps cost the
     road-grid benchmark host (tables of at most 2,068 codes, mostly
     hit) 1-2 ms of DP time a count. ``FILTER_MIN`` also gates the
-    2-path filter of ``_run_bag``, by a block's rows.
+    FILTER ops of a bag's program, by a block's rows.
     """
 
     __slots__ = ("codes", "values", "steps", "n", "_bits")
@@ -671,24 +657,19 @@ class _Table:
         self.n = n
         self._bits = None
 
-    def _search(self, q: np.ndarray):
-        """(mask of the queries that are codes, each query's position)."""
-        pos = np.searchsorted(self.codes, q)
-        return self.codes[np.minimum(pos, self.codes.size - 1)] == q, pos
-
     def lookup(self, qmat: np.ndarray):
         """(mask of matched rows, values of the matches)."""
         if not self.codes.size:
             return np.zeros(qmat.shape[0], dtype=bool), self.values
         q, _ = _pack(qmat, self.n, self.steps)
         if self.codes.size < FILTER_MIN:
-            ok, pos = self._search(q)
+            ok, pos = _sorted_search(self.codes, q)
             return ok, self.values[pos[ok]]
         if self._bits is None:
             self._bits = _bitmap(self.codes)
         maybe = np.flatnonzero(self._bits.take(
             _hash_slots(q, self._bits.size.bit_length() - 1)))
-        hit, pos = self._search(q[maybe])
+        hit, pos = _sorted_search(self.codes, q[maybe])
         ok = np.zeros(q.size, dtype=bool)
         ok[maybe[hit]] = True
         return ok, self.values[pos[hit]]
@@ -733,15 +714,14 @@ class _BlockState:
                            None if self.vals is None else self.vals[lo:hi],
                            min(hi, self.nrows) - lo)
 
-    def shared(self, names) -> _BlockState:
-        """This state with each column x renamed ``names[x]``, on the same
-        arrays, now read-only: how the prefix cache stores a state (by
-        position in the bag's order) and hands it out (by vertex)."""
+    def shared(self) -> _BlockState:
+        """This state, now read-only, on the same arrays under a copy of
+        its column dict: how the prefix cache stores a state and hands it
+        out."""
         for arr in (*self.cols.values(), self.vals):
             if arr is not None:
                 arr.flags.writeable = False
-        return _BlockState({names[x]: col for x, col in self.cols.items()},
-                           self.vals, self.nrows)
+        return _BlockState(dict(self.cols), self.vals, self.nrows)
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep the rows where ``mask`` is set, in their order: one
@@ -757,114 +737,123 @@ class _BlockState:
 
 def _run_bag(host: SignatureHost, plan: _BagPlan,
              tables: list[_Table]) -> _Table:
-    """Evaluate one bag into its table, keyed by ``plan.out_cols``.
+    """Run one bag's program into its table, keyed by ``plan.out_cols``.
 
     A vertex shared with the parent (in ``out_cols``) gets its weight
     there, so its weight is not applied here. The root fiber keeps only
     the vertices where the root's weight is nonzero: a row of weight 0
     adds 0 to every sum it reaches.
 
-    The rows are walked depth-first in blocks, on an explicit stack: a
-    state of more than ``ROW_BLOCK`` rows (the root fiber, or what an
-    expansion leaves) is cut into ``ROW_BLOCK``-row slices, views of its
-    arrays, and each slice runs through the remaining slots and steps
-    before the next one starts. So no slot or expansion reads more than
-    ``ROW_BLOCK`` rows, and the live rows are at most len(steps) x
-    ``ROW_BLOCK`` x the widest class set's outdegree, plus the root
-    fiber (all n vertices) and the child tables. Each finished block
-    adds its keys and values to the bag's chunks, which are aggregated
-    once.
+    The rows are walked depth-first in blocks, on an explicit stack of
+    (state, index of the next op): a state of more than ``ROW_BLOCK``
+    rows (the root fiber, or what an EXPAND leaves) is cut into
+    ``ROW_BLOCK``-row slices, views of its arrays, and each slice runs
+    through the remaining ops (``_run_op``) before the next one starts.
+    So no op reads more than ``ROW_BLOCK`` rows, and the live rows are at
+    most the EXPANDs x ``ROW_BLOCK`` x the widest class set's outdegree,
+    plus the root fiber (all n vertices) and the child tables. Each
+    finished block adds its keys and values to the bag's chunks, which
+    are aggregated once.
 
-    Before a step expands v from its parent p, a block of at least
-    ``FILTER_MIN`` rows whose step ``closes`` (the slot right after v is
-    assigned checks an arc v -> b) drops the rows whose (p, b) starts no
-    host 2-path p -> x -> b over the step's and the check's class sets
-    (``_HostIndex.may_close``). Those rows would expand only into rows
-    that fail the check, so every table is what it would be without the
-    filter. A smaller block skips it: its hashing costs about what it
-    saves where many rows close, and filtering every block cost the
-    road-grid benchmark host (blocks of at most 3,619 rows, 30% passing)
-    2-5% of a warm count.
+    A FILTER on a block of fewer than ``FILTER_MIN`` rows does nothing:
+    its hashing costs about what it saves where many rows close, and
+    filtering every block cost the road-grid benchmark host (blocks of
+    at most 3,619 rows, 30% passing) 2-5% of a warm count. Every table is
+    what it would be without the filter.
 
-    The bag starts from the deepest state of its prefix that the host's
-    prefix cache holds (keyed by ``_prefix_keys``), renamed to its own
-    vertices, and skips the slots and expansions that built it; with
-    none cached, from the root fiber. Until its first cut, every state
-    it builds of at most ``ROW_BLOCK`` rows joins the cache. A cached
-    state is never written again: a slot or step replaces a column, it
-    never writes into one."""
+    The bag starts after the deepest EXPAND of its program whose key
+    (``_prefix_keys``) the host's prefix cache holds, from that state;
+    with none cached, from the root fiber. Until its first cut, every
+    state an EXPAND leaves of at most ``ROW_BLOCK`` rows joins the cache,
+    a dead one as no rows. A cached state is never written again: an op
+    replaces a column, it never writes into one."""
     hidx = host.index
+    ops = plan.ops
     key_chunks: list[np.ndarray] = []
     val_chunks: list[np.ndarray] = []
     vertex_weights = host.vertex_weights
-    weights = [None if vertex_weights is None or v in plan.out_cols
-               else vertex_weights[v] for v in plan.order]
-    steps = [(*step, w) for step, w in zip(plan.steps, weights[1:])]
+    weights = [None if vertex_weights is None or j in plan.out_cols
+               else vertex_weights[v] for j, v in enumerate(plan.order)]
     prefixes = host._prefixes
-    pos = {v: i for i, v in enumerate(plan.order)}
-    keys = _prefix_keys(plan, pos, [None if w is None else v
-                                    for v, w in zip(plan.order, weights)])
-    # the keys a family has cached are closed under prefixes, so the bag
-    # starts from the deepest cached state of its own
+    keys = _prefix_keys(plan, [None if w is None else v
+                               for v, w in zip(plan.order, weights)])
+    # the keys a family has cached are closed under prefixes
     start = 0
-    while start < len(keys) and keys[start] in prefixes:
-        start += 1
+    for k, key in enumerate(keys):
+        if ops[k][0] == EXPAND:
+            if key not in prefixes:
+                break
+            start = k + 1
     if start:
-        state = prefixes[keys[start - 1]].shared(plan.order)
+        state = prefixes[keys[start - 1]].shared()
     else:
-        root_w = weights[0]
-        fiber = (hidx.root if root_w is None
-                 else np.flatnonzero(root_w).astype(np.int32))
-        state = _BlockState({plan.order[0]: fiber},
-                            None if root_w is None else root_w[fiber],
-                            fiber.size)
-    # (a state, the steps it has run); slot i + 1 runs next on it
+        fiber = (hidx.root if weights[0] is None
+                 else np.flatnonzero(weights[0]).astype(np.int32))
+        state = _BlockState({0: fiber}, None if weights[0] is None
+                            else weights[0][fiber], fiber.size)
     stack = [(state, start)] if state.nrows else []
     while stack:
-        state, i = stack.pop()
+        state, k = stack.pop()
         if state.nrows > ROW_BLOCK:
             # from here on a state holds a slice of its prefix's rows
-            keys = (None,) * len(steps)
-            stack.extend((state.rows(lo, lo + ROW_BLOCK), i) for lo in
+            keys = (None,) * len(ops)
+            stack.extend((state.rows(lo, lo + ROW_BLOCK), k) for lo in
                          reversed(range(0, state.nrows, ROW_BLOCK)))
-        elif i == len(steps):
-            if _apply_slot(hidx, plan, tables, state, i + 1):
-                key_chunks.append(_key_matrix(state, plan.out_cols))
-                val_chunks.append(state.vals if state.vals is not None
-                                  else np.ones(state.nrows, dtype=np.int64))
+        elif k == len(ops):
+            key_chunks.append(_key_matrix(state, plan.out_cols))
+            val_chunks.append(state.vals if state.vals is not None
+                              else np.ones(state.nrows, dtype=np.int64))
         else:
-            if not _advance(hidx, plan, tables, state, i, steps[i]):
+            if not _run_op(hidx, tables, state, ops[k], weights):
                 state = _BlockState({}, None, 0)
-            if keys[i] is not None and state.nrows <= ROW_BLOCK:
-                prefixes[keys[i]] = state.shared(pos)
+            if (keys[k] is not None and ops[k][0] == EXPAND
+                    and state.nrows <= ROW_BLOCK):
+                prefixes[keys[k]] = state.shared()
             if state.nrows:
-                stack.append((state, i + 1))
+                stack.append((state, k + 1))
     return _aggregate_table(key_chunks, val_chunks, hidx.n)
 
 
-def _advance(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
-             state: _BlockState, i: int, step: tuple) -> bool:
-    """Slot i + 1, then step i, on one block; False when no row is left.
-    Where the step ``closes``, a block of at least ``FILTER_MIN`` rows
-    first keeps the rows that may close (``_HostIndex.may_close``)."""
-    if not _apply_slot(hidx, plan, tables, state, i + 1):
-        return False
-    closes = plan.closes[i]
-    if closes is not None and state.nrows >= FILTER_MIN:
-        _, p, classes, *_ = step
-        state.keep(hidx.may_close(state.cols[p], state.cols[closes[0]],
-                                  classes, closes[1]))
-    return _expand(hidx, state, *step)
+def _run_op(hidx: _HostIndex, tables: list[_Table], state: _BlockState,
+            op: tuple, weights: list) -> bool:
+    """One op of a ``_BagPlan`` on one block; False when no row is left.
+    ``weights[j]`` is the weight an EXPAND of column j applies (None:
+    1)."""
+    kind, dead, *args = op
+    if kind == EXPAND:
+        v, p, classes = args
+        return _expand(hidx, state, v, p, classes, dead, weights[v])
+    mask = looked = None
+    if kind == CHECK:
+        for a, b, classes in args[0]:
+            ok = hidx.has_arcs(state.cols[a], state.cols[b], classes)
+            mask = ok if mask is None else (mask & ok)
+    elif kind == LOOKUP:
+        mask, looked = tables[args[0]].lookup(_key_matrix(state, args[1]))
+        if not looked.size:
+            return False
+    elif state.nrows >= FILTER_MIN:
+        p, b, first, then = args
+        mask = hidx.may_close(state.cols[p], state.cols[b], first, then)
+    for x in dead:
+        del state.cols[x]
+    if mask is not None and not mask.all():
+        state.keep(mask)
+    if looked is not None:
+        state.vals = _times(state.vals, looked)
+    return state.nrows > 0
 
 
 def _expand(hidx: _HostIndex, state: _BlockState, v: int, p: int,
-            classes: tuple[int, ...], dying: tuple[int, ...],
+            classes: tuple[int, ...], dead: tuple[int, ...],
             w: np.ndarray | None) -> bool:
-    """Extend every row by each candidate image of v, times v's weight
-    ``w`` there (None: 1); the ``dying`` columns, read last here, are
-    dropped before the gather. The candidates are p's rows in the class
-    set's padded table, one ``take``; the new rows keep the parent
-    rows' order, and within a row the (class, target) order."""
+    """Extend every row by each candidate image of column v, times v's
+    weight ``w`` there (None: 1); the ``dead`` columns are dropped before
+    the gather, and v is not stored when it is one of them. The
+    candidates are column p's rows in the class set's padded table, one
+    ``take``; the new rows keep the parent rows' order, and within a row
+    the (class, target) order. False, with the state untouched, when no
+    row has a candidate."""
     rows = hidx.padded(classes)[0]
     width = rows.shape[1]
     if width == 0:
@@ -873,8 +862,8 @@ def _expand(hidx: _HostIndex, state: _BlockState, v: int, p: int,
     keep = np.flatnonzero(cand >= 0)
     if keep.size == 0:
         return False
-    for x in dying:
-        del state.cols[x]
+    for x in dead:
+        state.cols.pop(x, None)
     ridx = keep // width
     newcol = cand[keep]
     for key in list(state.cols):
@@ -883,42 +872,10 @@ def _expand(hidx: _HostIndex, state: _BlockState, v: int, p: int,
         state.vals = state.vals[ridx]
     if w is not None:
         state.vals = _times(state.vals, w[newcol])
-    state.cols[v] = newcol
+    if v not in dead:
+        state.cols[v] = newcol
     state.nrows = keep.size
     return True
-
-
-def _apply_slot(hidx: _HostIndex, plan: _BagPlan, tables: list[_Table],
-                state: _BlockState, t_at: int) -> bool:
-    slot = plan.slots[t_at]
-    if slot.checks and state.nrows:
-        mask = None
-        for a, b, classes in slot.checks:
-            ok = hidx.has_arcs(state.cols[a], state.cols[b], classes)
-            mask = ok if mask is None else (mask & ok)
-        for v in slot.drops_pre:
-            state.cols.pop(v, None)
-        if not mask.all():
-            state.keep(mask)
-    else:
-        for v in slot.drops_pre:
-            state.cols.pop(v, None)
-    if state.nrows == 0:
-        return False
-    for idx in slot.lookups:
-        ok, looked = tables[idx].lookup(
-            _key_matrix(state, plan.child_domains[idx]))
-        if not looked.size:
-            state.nrows = 0
-            return False
-        if not ok.all():
-            state.keep(ok)
-            if state.nrows == 0:
-                return False
-        state.vals = _times(state.vals, looked)
-    for v in slot.drops_post:
-        state.cols.pop(v, None)
-    return state.nrows > 0
 
 
 def extension_count(pattern, tree: HubTree, host: SignatureHost) -> int:

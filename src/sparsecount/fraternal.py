@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import degeneracy_orient
-from .graph_core import DirWLGraph, UndirectedGraph, succ_lists
+from .graph_core import (DirWLGraph, UndirectedGraph, _sorted_unique,
+                         succ_lists)
 from .pattern_tools import acyclic_orientations
 
 DEFAULT_FRAT_CAP = 10 ** 6
@@ -42,11 +43,17 @@ class FraternalExtension:
     layers: tuple[np.ndarray, ...]
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a``, ascending, by a sort and a diff mask
-    (``np.unique`` hashes, which is slower on int64 codes)."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+def _same_source_pairs(src_a: np.ndarray, src_b: np.ndarray,
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with src_a[i] == src_b[j], by i then j,
+    for sources below n and ``src_b`` ascending: each i repeats once per
+    entry of its source in ``src_b``, and the running sum of those
+    counts numbers the copies."""
+    counts = np.bincount(src_b, minlength=n)
+    rep = counts[src_a]
+    i = np.repeat(np.arange(src_a.size), rep)
+    first = (np.cumsum(counts) - counts)[src_a] - (np.cumsum(rep) - rep)
+    return i, np.arange(i.size) + np.repeat(first, rep)
 
 
 def _wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
@@ -64,17 +71,8 @@ def _wedge_pairs(g: DirWLGraph, t: int) -> np.ndarray:
             continue
         src_a, dst_a = by_weight[a]
         src_b, dst_b = by_weight[b]
-        cb = np.bincount(src_b, minlength=n + 1)
-        bstart = np.concatenate(([0], np.cumsum(cb)))
-        rep = cb[src_a]
-        total = int(rep.sum())
-        if total == 0:
-            continue
-        u = np.repeat(dst_a, rep)
-        base = np.repeat(bstart[src_a], rep)
-        excl = np.cumsum(rep) - rep
-        within = np.arange(total) - np.repeat(excl, rep)
-        w = dst_b[base + within]
+        i, j = _same_source_pairs(src_a, src_b, n)
+        u, w = dst_a[i], dst_b[j]
         if a == b:
             keep = u < w
             u, w = u[keep], w[keep]

@@ -208,9 +208,8 @@ class DirWLGraph:
             return np.zeros(code.shape, dtype=np.int64)
         if self._arc_codes is None:
             self._arc_codes = self.src * self.n + self.dst  # already sorted
-        pos = np.minimum(np.searchsorted(self._arc_codes, code),
-                         self.arc_count - 1)
-        return np.where(self._arc_codes[pos] == code, self.wgt[pos], 0)
+        hit, pos = _sorted_search(self._arc_codes, code)
+        return np.where(hit, self.wgt[pos], 0)
 
     def _build_out(self):
         if self._out_indptr is None:
@@ -239,6 +238,23 @@ class DirWLGraph:
 
     def __repr__(self):
         return f"DirWLGraph(n={self.n}, arcs={self.arc_count})"
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending, by a sort and a diff mask
+    (``np.unique`` hashes, which is slower on int64 codes)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
+def _sorted_search(codes: np.ndarray, query: np.ndarray) -> tuple:
+    """Each query's place among ``codes``, sorted ascending: (the mask of
+    the queries that are codes, each query's ``searchsorted`` position
+    clamped to the last code, so a hit's position is its code's)."""
+    pos = np.minimum(np.searchsorted(codes, query), max(codes.size - 1, 0))
+    if not codes.size:
+        return np.zeros(pos.shape, dtype=bool), pos
+    return codes[pos] == query, pos
 
 
 def max_outdegree(g: DirWLGraph) -> int:

@@ -18,8 +18,9 @@ loader that the vectorized ``load_edge_list`` must match.
 ``spasm_reference``, ``frat_classes_reference`` and
 ``build_plan_reference`` are the pattern-side bodies the package
 replaced: the spasm merged by ``canonical_form``, the Frat classes keyed
-by sorted relabeled arc triples, and the bag plan with its own BFS and a
-rescan of ``order`` per slot. ``canonical_form`` (the minimum adjacency
+by sorted relabeled arc triples, and the bag plan, as per-slot checks
+and lookups beside per-step expansions, with its own BFS and a rescan
+of ``order`` per slot. ``canonical_form`` (the minimum adjacency
 code over all relabelings) left the package, since no count read it.
 ``automorphism_chain_reference``, ``isomorphic_reference``,
 ``brute_force_hom_reference`` and ``brute_force_sub_reference`` are the
@@ -41,6 +42,7 @@ import hashlib
 import math
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +51,6 @@ from sparsecount import (DirWLGraph, GraphFormatError, HubTree,
                          automorphism_count, connected_components, fastdp,
                          fiber_tournament)
 from sparsecount.counting import BRUTE_FORCE_HOM_CAP
-from sparsecount.fastdp import _BagPlan, _Slot
 from sparsecount.graph_core import bfs_out_tree, succ_lists
 from sparsecount.hub_decomp import hubset, reach
 from sparsecount.pattern_tools import _independent_partitions, orbit_roots
@@ -499,12 +500,39 @@ def frat_classes_reference(members: list[PatternExtension],
     return list(classes.values())
 
 
+class _Slot(NamedTuple):
+    """Everything to run after a fixed number of vertices are assigned."""
+
+    checks: tuple          # (a, b, classes)
+    lookups: tuple         # indices into the plan's children
+    drops_pre: tuple       # columns dead before the lookups run
+    drops_post: tuple      # columns last read by this slot's lookups
+
+
+class ReferencePlan(NamedTuple):
+    hub: int
+    order: tuple[int, ...]
+    # (vertex, parent, classes the arc reads, columns last read by this
+    # expansion)
+    steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
+    # per step, (b, classes) of the first check v -> b in the slot right
+    # after v is assigned, or None
+    closes: tuple[tuple[int, tuple[int, ...]] | None, ...]
+    slots: tuple[_Slot, ...]                      # indexed by assigned count
+    out_cols: tuple[int, ...]                     # shared with the parent
+    children: tuple[int, ...]
+    child_domains: tuple[tuple[int, ...], ...]
+
+
 def build_plan_reference(pattern, tree: HubTree, bag: int,
                          domains: dict[int, tuple[int, ...]], read
-                         ) -> _BagPlan:
-    """``fastdp._build_plan`` as it rescanned ``order`` per slot and ran
-    its own BFS, the reference the plan is checked against field by
-    field."""
+                         ) -> ReferencePlan:
+    """A bag's plan in vertex names as per-slot checks, lookups and drops
+    beside per-step expansions and filters (``closes``), built by
+    rescanning ``order`` per slot over its own BFS: the reference that
+    ``fastdp._build_plan``'s program is checked against. Slot t runs
+    once t vertices are assigned, and step i (expanding ``order[i +
+    1]``) right after slot i + 1."""
     hub = tree.bags[bag]
     succ = pattern.succ
     order, parent = bfs_out_tree(pattern, hub)
@@ -560,8 +588,8 @@ def build_plan_reference(pattern, tree: HubTree, bag: int,
         post = tuple(v for v in dying if v in in_lookup)
         slots.append(_Slot(tuple(checks_at[t_at]), tuple(lookups_at[t_at]),
                            pre, post))
-    return _BagPlan(hub, tuple(order), steps, closes, tuple(slots),
-                    out_cols, children, tuple(child_domains))
+    return ReferencePlan(hub, tuple(order), steps, closes, tuple(slots),
+                         out_cols, children, tuple(child_domains))
 
 
 def bag_table_digests(count) -> tuple:

@@ -284,23 +284,28 @@ def test_zero_weight_root_rows_are_dropped(k, monkeypatch):
     equals brute force."""
     g = _with_isolated(generate_bounded_degeneracy(16, 2, seed=k), 6)
     h = _sunlet(k)
-    root_weights = {}
+    # per bag whose root is not shared with its parent, the weights of
+    # its root, keyed by the first op of its program (the plan is kept,
+    # so the id stays its op's)
+    firsts = {}
     seen = []
     run_bag = fastdp._run_bag
-    apply_slot = fastdp._apply_slot
+    run_op = fastdp._run_op
 
     def bag_spy(host, plan, tables):
-        root_weights[id(plan)] = host.vertex_weights[plan.order[0]]
+        if 0 not in plan.out_cols:
+            firsts[id(plan.ops[0])] = (plan,
+                                       host.vertex_weights[plan.order[0]])
         return run_bag(host, plan, tables)
 
-    def slot_spy(hidx, plan, tables, state, t_at):
-        if t_at == 1 and plan.order[0] not in plan.out_cols:
-            seen.append((root_weights[id(plan)],
-                         state.cols[plan.order[0]].copy()))
-        return apply_slot(hidx, plan, tables, state, t_at)
+    def op_spy(hidx, tables, state, op, weights):
+        if id(op) in firsts:
+            # the first op runs on the root fiber, column 0
+            seen.append((firsts[id(op)][1], state.cols[0].copy()))
+        return run_op(hidx, tables, state, op, weights)
 
     monkeypatch.setattr(fastdp, "_run_bag", bag_spy)
-    monkeypatch.setattr(fastdp, "_apply_slot", slot_spy)
+    monkeypatch.setattr(fastdp, "_run_op", op_spy)
     assert count_homomorphisms(g, h) == brute_force_hom(g, h)
     assert seen
     for w, rows in seen:

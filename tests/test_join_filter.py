@@ -145,20 +145,23 @@ def test_c5_join_searches_few_of_its_queries(bags, monkeypatch):
     # and mostly missed, so the bitmap must keep most queries from the
     # search; a change that disables the filter fails here
     counts = {"queries": 0, "searched": 0}
-    lookup, search = fastdp._Table.lookup, fastdp._Table._search
+    lookup, search = fastdp._Table.lookup, fastdp._sorted_search
 
     def tracked_lookup(self, qmat):
         counts["queries"] += qmat.shape[0]
         return lookup(self, qmat)
 
-    def tracked_search(self, q):
+    def tracked_search(codes, q):
         counts["searched"] += q.size
-        return search(self, q)
+        return search(codes, q)
 
     monkeypatch.setattr(fastdp._Table, "lookup", tracked_lookup)
-    monkeypatch.setattr(fastdp._Table, "_search", tracked_search)
+    monkeypatch.setattr(fastdp, "_sorted_search", tracked_search)
     g = generate_bounded_degeneracy(3000, 3, 11)
     got = count_homomorphisms(g, cycle_graph(5))
+    # no key packs past int64 and depth 1 refines no classes, so every
+    # search is a join's
+    assert not any(out.steps for _, out in bags)
     assert any(out.codes.size >= fastdp.FILTER_MIN for _, out in bags)
     assert counts["queries"] > 10_000
     assert counts["searched"] <= 0.25 * counts["queries"]

@@ -2,11 +2,15 @@
 
 ``spasm`` merges quotients by refined colours and a first-found
 isomorphism search, ``frat_classes`` keys members by arc-id bitmasks and
-``fastdp._build_plan`` reads the hub's cached BFS tree; the references
-in ``tests/oracles.py`` are the canonical-form spasm, the sorted-triple
+``fastdp._build_plan`` compiles a bag into one program of ops over the
+columns of the hub's cached BFS tree; the references in
+``tests/oracles.py`` are the canonical-form spasm, the sorted-triple
 Frat key and the per-slot rescan. These tests compare them: spasm
 entries as multisets of (isomorphism class, coefficient), Frat classes
-list for list, and bag plans field for field. They also check that
+list for list, and each program, read without its drops, op for op with
+the reference's slots and steps in the order they run. They also check
+that each program drops every column once, at its last read, and never
+one its parent reads. They also check that
 ``canonical_form`` separates exactly the isomorphism classes, that a
 hub tree's cached children are the scan's, that the spasm of C6 builds
 one graph per entry, and that the graph constructor gives the same
@@ -32,6 +36,7 @@ from oracles import (build_plan_reference, canonical_form,
 
 BOWTIE = UndirectedGraph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4),
                              (3, 4)])
+C4_TAIL = UndirectedGraph(5, cycle_graph(4).edge_list() + [(0, 4)])
 K4_PENDANT = UndirectedGraph(5, complete_graph(4).edge_list() + [(0, 4)])
 SPASM_PATTERNS = (connected_patterns_up_to(5)
                   + [cycle_graph(k) for k in (6, 7, 8)]
@@ -151,21 +156,112 @@ def _tree_plans(members, read):
             yield m, tree, bag, domains, read
 
 
-@pytest.mark.parametrize("k, t", [(5, 1), (6, 2), (7, 2), (8, 2), (9, 3)])
-def test_bag_plans_match_the_rescan_reference(k, t):
-    def read(a, b, w):
-        return tuple(range(1, w + 1))
+def _reference_program(ref) -> list:
+    """The reference's slots and steps in the order they run, each vertex
+    mapped to its column through ``ref.order``: per slot t its checks and
+    its lookups, then, for t >= 1, a filter where step t - 1 ``closes``
+    and that step's expansion."""
+    col = {v: j for j, v in enumerate(ref.order)}
+    ops = []
+    for t, slot in enumerate(ref.slots):
+        if slot.checks:
+            ops.append((fastdp.CHECK, tuple((col[a], col[b], classes)
+                                            for a, b, classes in slot.checks)))
+        ops += [(fastdp.LOOKUP, idx,
+                 tuple(col[x] for x in ref.child_domains[idx]))
+                for idx in slot.lookups]
+        if 1 <= t <= len(ref.steps):
+            (v, p, classes, _), closes = ref.steps[t - 1], ref.closes[t - 1]
+            if closes is not None:
+                ops.append((fastdp.FILTER, col[p], col[closes[0]], classes,
+                            closes[1]))
+            ops.append((fastdp.EXPAND, col[v], col[p], classes))
+    return ops
 
+
+def _depth_read(a, b, w):
+    return tuple(range(1, w + 1))
+
+
+PLAN_CASES = [(5, 1), (6, 2), (7, 2), (8, 2), (9, 3)]
+
+
+@pytest.mark.parametrize("k, t", PLAN_CASES)
+def test_bag_programs_run_the_rescan_reference(k, t):
     h = cycle_graph(k)
     members = enumerate_pattern_extensions(h, t)
     firsts = [members[c[0]] for c in frat_classes(members, h, t)]
     plans = 0
-    for args in _tree_plans(firsts[:60], read):
+    for args in _tree_plans(firsts[:60], _depth_read):
         plan = fastdp._build_plan(*args)
+        ref = build_plan_reference(*args)
         assert isinstance(plan, fastdp._BagPlan)
-        assert plan == build_plan_reference(*args)
+        assert plan.order == ref.order and plan.order[0] == ref.hub
+        assert [(kind, *rest) for kind, _, *rest in plan.ops] == \
+            _reference_program(ref)
+        assert plan.out_cols == tuple(ref.order.index(x)
+                                      for x in ref.out_cols)
+        assert plan.children == ref.children
         plans += 1
     assert plans >= len(firsts[:60])
+
+
+def _reads(op) -> set:
+    kind, _, *args = op
+    if kind == fastdp.CHECK:
+        return {x for a, b, _ in args[0] for x in (a, b)}
+    if kind == fastdp.LOOKUP:
+        return set(args[1])
+    if kind == fastdp.FILTER:
+        return set(args[:2])
+    return {args[1]}
+
+
+def _assert_live(plan) -> int:
+    """Check a program's ``dead`` fields; return how many EXPANDs store
+    no column."""
+    made, dropped = {0}, {}
+    last_read, expands = {}, {}
+    for k, op in enumerate(plan.ops):
+        # no op reads a column before it is made or after it is dropped
+        assert _reads(op) <= made - dropped.keys(), (plan, k)
+        for x in _reads(op):
+            last_read[x] = k
+        assert list(op[1]) == sorted(set(op[1]))
+        for x in op[1]:
+            assert x not in dropped, (plan, k)
+            dropped[x] = k
+        if op[0] == fastdp.EXPAND:
+            made.add(op[2])
+            expands[op[2]] = k
+    assert made == set(range(len(plan.order)))
+    for x in made:
+        if x in plan.out_cols:
+            assert x not in dropped
+        elif x in last_read:
+            assert dropped[x] == last_read[x], (plan, x)
+        else:
+            # nothing reads it: its own EXPAND drops it
+            assert x in expands and dropped[x] == expands[x], (plan, x)
+    return sum(x not in last_read and x not in plan.out_cols for x in made)
+
+
+@pytest.mark.parametrize("h, t", [(cycle_graph(k), t) for k, t in PLAN_CASES]
+                         + [(C4_TAIL, 1), (C4_TAIL, 2)],
+                         ids=[f"c{k}-t{t}" for k, t in PLAN_CASES]
+                         + ["c4-tail-t1", "c4-tail-t2"])
+def test_bag_programs_drop_each_column_at_its_last_read(h, t):
+    members = enumerate_pattern_extensions(h, t)
+    firsts = [members[c[0]] for c in frat_classes(members, h, t)]
+    plans = [fastdp._build_plan(*args)
+             for args in _tree_plans(firsts, _depth_read)]
+    unstored = sum(_assert_live(plan) for plan in plans)
+    # on a cycle every column is read; the tail's leaf is read by none
+    assert (unstored > 0) == (h is C4_TAIL)
+    if h.n >= 6:
+        assert any(plan.out_cols for plan in plans)
+        assert any(op[0] == fastdp.LOOKUP for plan in plans
+                   for op in plan.ops)
 
 
 def test_hub_tree_children_are_the_parent_scan():

@@ -1,7 +1,8 @@
 """The DPs of one family expand each shared bag prefix once.
 
-``fastdp._run_bag`` keys the state that each slot and step leave by
-``fastdp._prefix_keys`` and keeps it on the family's ``SignatureHost``;
+``fastdp._run_bag`` keys the state that each op of a bag's program
+leaves by ``fastdp._prefix_keys`` and keeps those that an EXPAND leaves
+on the family's ``SignatureHost``;
 a later bag with the same key starts from that state. These tests check
 that counts and every bag table (``oracles.bag_table_digests``) are the
 same with sharing on and with it off (the key function patched to give
@@ -46,7 +47,7 @@ def _road(r: int, length: int) -> UndirectedGraph:
 
 def _sharing_off(monkeypatch):
     monkeypatch.setattr(fastdp, "_prefix_keys",
-                        lambda plan, pos, marks: (None,) * len(plan.steps))
+                        lambda plan, marks: (None,) * len(plan.ops))
 
 
 CASES = {
@@ -123,14 +124,14 @@ def test_benchmark_tables_equal_with_sharing_on_and_off(name, count,
 
 @pytest.fixture
 def spied(monkeypatch):
-    """Record the hosts the bags ran on, the plan steps run, the
-    ``_expand`` calls and the rows each expansion left."""
+    """Record the hosts the bags ran on, the EXPAND ops of their
+    programs, the ``_expand`` calls and the rows each expansion left."""
     seen = {"hosts": {}, "steps": 0, "expands": 0, "rows": []}
     run_bag, expand = fastdp._run_bag, fastdp._expand
 
     def tracked_bag(host, plan, tables):
         seen["hosts"][id(host)] = host
-        seen["steps"] += len(plan.steps)
+        seen["steps"] += sum(op[0] == fastdp.EXPAND for op in plan.ops)
         return run_bag(host, plan, tables)
 
     def tracked_expand(hidx, state, *step):

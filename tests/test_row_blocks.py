@@ -2,10 +2,10 @@
 
 ``fastdp._run_bag`` cuts the root fiber, and every state an expansion
 leaves, into ``ROW_BLOCK``-row slices and carries each slice through the
-remaining slots and steps before the next one. With the block patched
-down to a few rows, every bag of these small hosts is cut many times;
-the counts must stay those of the oracles and of the unsplit run, and
-no slot or expansion may see more than a block.
+remaining ops of the bag's program before the next one. With the block
+patched down to a few rows, every bag of these small hosts is cut many
+times; the counts must stay those of the oracles and of the unsplit run,
+and no op may see more than a block.
 """
 
 import pytest
@@ -31,12 +31,12 @@ def _road() -> UndirectedGraph:
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Record the rows every slot and expansion receives, the slices
+    """Record the rows every op and expansion receives, the slices
     cut, and per aggregated table its chunks, key width and whether its
     values are Python ints."""
     seen = {"reads": [], "cuts": 0, "joined": []}
-    expand, slot, rows, aggregate = (
-        fastdp._expand, fastdp._apply_slot, fastdp._BlockState.rows,
+    expand, run_op, rows, aggregate = (
+        fastdp._expand, fastdp._run_op, fastdp._BlockState.rows,
         fastdp._aggregate_table)
 
     def read(state):
@@ -48,9 +48,9 @@ def blocks(monkeypatch):
         read(state)
         return expand(hidx, state, *step)
 
-    def tracked_slot(hidx, plan, tables, state, t_at):
+    def tracked_op(hidx, tables, state, op, weights):
         read(state)
-        return slot(hidx, plan, tables, state, t_at)
+        return run_op(hidx, tables, state, op, weights)
 
     def tracked_rows(self, lo, hi):
         seen["cuts"] += 1
@@ -63,7 +63,7 @@ def blocks(monkeypatch):
         return aggregate(key_chunks, val_chunks, n)
 
     monkeypatch.setattr(fastdp, "_expand", tracked_expand)
-    monkeypatch.setattr(fastdp, "_apply_slot", tracked_slot)
+    monkeypatch.setattr(fastdp, "_run_op", tracked_op)
     monkeypatch.setattr(fastdp._BlockState, "rows", tracked_rows)
     monkeypatch.setattr(fastdp, "_aggregate_table", tracked_aggregate)
     return seen
@@ -71,8 +71,8 @@ def blocks(monkeypatch):
 
 def _split_counts(monkeypatch, seen, count):
     """count() unsplit, then with blocks of 3 and of 64 rows. The
-    unsplit run cuts nothing; in the split runs no slot or expansion
-    reads more than a block, and blocks of 3 rows cut some state."""
+    unsplit run cuts nothing; in the split runs no op reads more than a
+    block, and blocks of 3 rows cut some state."""
     out = []
     for block in (1 << 62, 3, 64):
         monkeypatch.setattr(fastdp, "ROW_BLOCK", block)

@@ -1,15 +1,15 @@
 """A bag drops the rows that cannot close their check before expanding.
 
-Before a step expands v from p over class set c1, where the slot right
-after v is assigned checks an arc v -> b of class set c2, a block of at
-least ``FILTER_MIN`` rows keeps only the rows whose (p, b) may start a
-host 2-path p -> x -> b with p -> x in c1 and x -> b in c2
-(``fastdp._HostIndex.may_close``, a hashed bitmap of those pairs). These
-tests check the bitmap against plain-Python 2-path lists on depth-1, -2
-and -3 hosts (no false negatives); counts with the cutoff forced to 0
-against the oracles, and every bag table against the unfiltered run;
-and that C5 on a seeded degeneracy-3 host lets only a small share of
-the filtered rows through.
+Before a bag's program expands v from p over class set c1, where the
+check right after v is assigned tests an arc v -> b of class set c2,
+a FILTER on a block of at least ``FILTER_MIN`` rows keeps only the rows
+whose (p, b) may start a host 2-path p -> x -> b with p -> x in c1 and
+x -> b in c2 (``fastdp._HostIndex.may_close``, a hashed bitmap of those
+pairs). These tests check the bitmap against plain-Python 2-path lists
+on depth-1, -2 and -3 hosts (no false negatives); counts with the cutoff
+forced to 0 against the oracles, and every bag table against the
+unfiltered run; and that C5 on a seeded degeneracy-3 host lets only a
+small share of the filtered rows through.
 """
 
 import itertools
