@@ -5,14 +5,15 @@ into vertex weights, host extension, pattern extension family of the
 2-core, per-extension DP on the one engine, ``fastdp``) and
 ``count_subgraphs`` reduces subgraph counts to it through the spasm.
 ``count_family`` runs one DP per Aut_tau orbit of Frat(core, t) and
-weights it by the orbit size (``frat_classes`` says why orbits count
-alike). Every DP runs on G's n vertices with unlabeled members, on the
-signature host of G's own extension (``fastdp.signature_index``), which
-stands in for the extension of the labeled product H^L x G without
-building either. ``brute_force_hom`` and ``brute_force_sub`` enumerate
-every map, for ``verify``, ``--exact-fallback`` and the benchmark's
-check on tiny instances. All counts are exact Python integers end to
-end.
+weights it by the orbit size; ``fraternal.frat_orbits`` generates one
+representative per orbit, listing no member past layer 1, and says why
+orbits count alike. Every DP runs on G's n vertices with unlabeled
+members, on the signature host of G's own extension
+(``fastdp.signature_index``), which stands in for the extension of the
+labeled product H^L x G without building either. ``brute_force_hom``
+and ``brute_force_sub`` enumerate every map, for ``verify``,
+``--exact-fallback`` and the benchmark's check on tiny instances. All
+counts are exact Python integers end to end.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import fastdp
-from .fraternal import (FraternalExtension, PatternExtension,
-                        enumerate_pattern_extensions, optimal_extension)
+from .fraternal import (FraternalExtension, PatternExtension, frat_orbits,
+                        optimal_extension)
 from .graph_core import UndirectedGraph, max_outdegree
 from .hub_decomp import find_width1_decomposition
 from .pattern_tools import (_bfs, automorphism_count, connected_components,
                             fiber_tournament, licl, min_extension_depth,
-                            orbit_roots, pendant_forest, spasm)
+                            pendant_forest, spasm)
 
 BRUTE_FORCE_HOM_CAP = 32  # host vertices brute_force_hom accepts by default
 
@@ -78,45 +79,6 @@ def _component_patterns(h: UndirectedGraph) -> list[UndirectedGraph]:
     return parts
 
 
-def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
-                 depth: int, colors: tuple | None = None
-                 ) -> list[list[int]]:
-    """Member indices of Frat(h, depth) grouped into classes of equal count.
-
-    A class is an Aut_tau(h) orbit (``fiber_tournament(h, depth,
-    colors)``): relabeling a member by such an automorphism s leaves its
-    count unchanged. With ``colors``, h is a 2-core whose vertices carry
-    the weights of their folded pendant trees, and s keeps every colour,
-    so it keeps the weights too. A member arc (a, b, w) reads the host
-    classes {s : 1 <= F_t[s][a, b] <= w} (``fastdp.SignatureHost``), and
-    F_t is built from h's edges and tau alone, both of which s keeps: so
-    F_t[s][s(a), s(b)] = F_t[s][a, b], and a relabeled member reads the
-    same classes. At depth 1 there are no vertical pairs, so the group
-    is all of Aut(h) that keeps the colours. Each distinct member arc
-    gets an id, a member is keyed by the bitmask of its arc ids, and
-    each generator becomes a table of the bit of each arc's image (an
-    arc it maps off every member gets a bit of its own), so relabeling a
-    member is a table lookup per arc and no member graph is built.
-    Classes are ordered by, and list first, their first member in
-    enumeration order.
-    """
-    ids: dict[tuple, int] = {}
-    keyed = [[ids.setdefault(arc, len(ids)) for arc in m.arcs]
-             for m in members]
-    bit = [1 << i for i in range(len(ids) + 1)]
-    codes = [sum(map(bit.__getitem__, k)) for k in keyed]
-    arcs_of = dict(zip(codes, keyed))
-    # per generator, the bit of each arc's image
-    images = [[bit[ids.get((s[a], s[b], w), len(ids))] for a, b, w in ids]
-              for s in fiber_tournament(h, depth, colors).generators]
-    roots = orbit_roots(codes, images, lambda image, code: sum(
-        map(image.__getitem__, arcs_of[code])))
-    classes: dict[int, list[int]] = {}
-    for i, r in enumerate(roots):
-        classes.setdefault(r, []).append(i)
-    return list(classes.values())
-
-
 class Fold(NamedTuple):
     """A connected pattern with its pendant trees folded into weights."""
 
@@ -152,12 +114,14 @@ def count_family(fold: Fold, depth: int,
     """Weighted sum of the extension DPs over Frat(core, depth) of a
     folded pattern's 2-core.
 
-    Runs one DP per class of ``frat_classes`` (under the automorphisms
-    that keep the core's colours), in the calling thread, and weights it
-    by the class size. Each class's first member is counted from its arc
-    tuple's plain-Python ``succ``; no pattern graph is built. Every DP
-    runs on a ``fastdp.SignatureHost`` carrying the fold's weights, over
-    G's n vertices, with unlabeled members. ``host_ext`` is G's own
+    Runs one DP per Aut_tau orbit of ``fraternal.frat_orbits`` (under
+    the automorphisms that keep the core's colours), in the calling
+    thread, and weights it by the orbit size; only layer 1 is listed
+    member by member. Each orbit's representative, its first member in
+    enumeration order, is counted from its arc tuple's plain-Python
+    ``succ``; no pattern graph is built. Every DP runs on a
+    ``fastdp.SignatureHost`` carrying the fold's weights, over G's n
+    vertices, with unlabeled members. ``host_ext`` is G's own
     ``optimal_extension(g, depth)``, and the DPs run on its
     ``fastdp.signature_index``, with the tau of ``fiber_tournament(core,
     depth, colors)``: the product's rounds factor into a G-side
@@ -167,15 +131,14 @@ def count_family(fold: Fold, depth: int,
     degeneracy DAG.
     """
     core, colors, weights = fold
-    members = enumerate_pattern_extensions(core, depth)
-    classes = frat_classes(members, core, depth, colors)
+    orbits = frat_orbits(core, depth, colors)
     sig = fastdp.signature_index(host_ext)
     tau = fiber_tournament(core, depth, colors).arcs
     host = fastdp.SignatureHost(
         sig.index, fastdp.class_weights(sig, core, tau), weights)
-    total = sum(count_hom_extension(members[c[0]], host) * len(c)
-                for c in classes)
-    return FamilyCount(total, len(members), len(classes))
+    total = sum(count_hom_extension(rep, host) * size
+                for rep, size in zip(orbits.reps, orbits.sizes))
+    return FamilyCount(total, orbits.n_members, len(orbits.reps))
 
 
 class ComponentCount(NamedTuple):

@@ -3,8 +3,9 @@
 One round of the extension procedure links the endpoints of every
 out-out wedge whose weight sum hits the round number. Pattern-side we
 branch over all orientations of each new layer (Frat(H, t)), on plain
-Python arc tuples, and a count reads each member's plain-Python
-adjacency; no count builds a member's numpy graph. Host-side
+Python arc tuples; a count generates one member per Aut_tau orbit
+round by round (``frat_orbits``) and reads its plain-Python adjacency,
+and no count builds a member's numpy graph. Host-side
 (MinFrat) G's own extension is peeled layer by layer: each layer is
 oriented by the degeneracy peel of its own edges. Every count runs on
 G's n vertices, on G's own extension to its depth (at depth 1 its
@@ -19,14 +20,18 @@ tests check that clause by clause (``tests/oracles.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .degeneracy import degeneracy_orient
 from .graph_core import (DirWLGraph, UndirectedGraph, _sorted_unique,
                          succ_lists)
-from .pattern_tools import acyclic_orientations
+from .pattern_tools import acyclic_orientations, fiber_tournament, orbit_roots
 
+# The largest |Frat(H, t)| that ``enumerate_pattern_extensions`` lists
+# and ``frat_orbits`` groups: past it both raise ExtensionBlowupError at
+# the same values, with the same message, and never cut the family short.
 DEFAULT_FRAT_CAP = 10 ** 6
 
 
@@ -159,6 +164,14 @@ def _round_pairs(arcs: tuple, t: int) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
+def _child(arcs: tuple, pairs: list, bits: int, i: int) -> tuple:
+    """The member that orients round i's ``pairs`` over ``arcs``, pair j
+    reversed where bit j of ``bits`` is set, its arcs sorted."""
+    return tuple(sorted(arcs + tuple(
+        (b, a, i) if bits >> j & 1 else (a, b, i)
+        for j, (a, b) in enumerate(pairs))))
+
+
 def enumerate_pattern_extensions(h: UndirectedGraph, t: int,
                                  cap: int = DEFAULT_FRAT_CAP
                                  ) -> list[PatternExtension]:
@@ -187,12 +200,146 @@ def enumerate_pattern_extensions(h: UndirectedGraph, t: int,
                 raise ExtensionBlowupError(
                     f"|Frat(H,{i})| exceeds cap {cap}; "
                     f"raise the cap or lower the depth")
-            for bits in range(1 << p):
-                nxt.append(tuple(sorted(arcs + tuple(
-                    (b, a, i) if bits >> j & 1 else (a, b, i)
-                    for j, (a, b) in enumerate(pairs)))))
+            nxt += [_child(arcs, pairs, bits, i) for bits in range(1 << p)]
         arcsets = nxt
     return [PatternExtension(h.n, t, arcs) for arcs in arcsets]
+
+
+class FratOrbits(NamedTuple):
+    """Frat(H, t) as one member per Aut_tau orbit (``frat_orbits``)."""
+
+    reps: list[PatternExtension]  # each orbit's first member
+    sizes: list[int]              # each orbit's member count
+    n_members: int                # |Frat(H, t)|
+
+
+def _flips(pairs: list, s) -> tuple[int, list[int]]:
+    """How the vertex map s acts on orientations of ``pairs`` (u < x,
+    sorted), which it must keep as a set. Bit j of an orientation's mask
+    reverses pair j; its image under s is ``base`` XOR ``moved[j]`` for
+    every set bit j."""
+    index = {pair: j for j, pair in enumerate(pairs)}
+    base, moved = 0, []
+    for u, x in pairs:
+        a, b = s[u], s[x]
+        bit = 1 << index[(a, b) if a < b else (b, a)]
+        moved.append(bit)
+        if a > b:
+            base |= bit
+    return base, moved
+
+
+def _image(action: tuple[int, list[int]], mask: int) -> int:
+    base, moved = action
+    for j, bit in enumerate(moved):
+        if mask >> j & 1:
+            base ^= bit
+    return base
+
+
+def _group_elements(gens, n: int) -> list[tuple]:
+    """Every element of the permutation group that ``gens`` generate."""
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            x = tuple(s[v] for v in g)
+            if x not in seen:
+                seen.add(x)
+                todo.append(x)
+    return list(seen)
+
+
+def _first_of_orbits(masks, stab: list, pairs: list) -> list[tuple]:
+    """(position, orbit size, fixing elements) of the first of each
+    orbit of ``stab`` on ``masks``, orientations of ``pairs`` that
+    ``stab`` permutes among themselves, in order."""
+    if len(stab) == 1:
+        return [(j, 1, stab) for j in range(len(masks))]
+    actions = [_flips(pairs, s) for s in stab]
+    seen = set()
+    out = []
+    for j, mask in enumerate(masks):
+        if mask in seen:
+            continue
+        images = [_image(a, mask) for a in actions]
+        seen.update(images)
+        fix = [s for s, x in zip(stab, images) if x == mask]
+        out.append((j, len(stab) // len(fix), fix))
+    return out
+
+
+def frat_orbits(h: UndirectedGraph, t: int, colors: tuple | None = None,
+                cap: int = DEFAULT_FRAT_CAP) -> FratOrbits:
+    """Frat(H, t) grouped into Aut_tau orbits, without listing the
+    members of rounds 2..t.
+
+    A class is an Aut_tau(h) orbit (``fiber_tournament(h, t, colors)``):
+    relabeling a member by such an automorphism s leaves its count
+    unchanged. With ``colors``, h is a 2-core whose vertices carry the
+    weights of their folded pendant trees, and s keeps every colour, so
+    it keeps the weights too. A member arc (a, b, w) reads the host
+    classes {s : 1 <= F_t[s][a, b] <= w} (``fastdp.SignatureHost``), and
+    F_t is built from h's edges and tau alone, both of which s keeps: so
+    F_t[s][s(a), s(b)] = F_t[s][a, b], and a relabeled member reads the
+    same classes. At depth 1 there are no vertical pairs, so the group
+    is all of Aut(h) that keeps the colours.
+
+    Layer 1 (``enumerate_pattern_extensions(h, 1, cap)``) is the only
+    round listed; each member is a mask over h's edges, bit j reversing
+    edge j. At depth 1 it is grouped by a union-find over the
+    generators, since all of Aut(h) may be far larger than its orbits.
+    From depth 2 on, the elements of Aut_tau are listed, and layer 1 is
+    walked in order: the first member of each orbit is its
+    representative, with the orbit's size and its stabilizer. Round i
+    then orients the new pairs of each round-(i-1) representative R of
+    class size k: every member of the round is a child of a member of
+    an earlier class, and the children of R's class that an orbit holds
+    are one orbit of R's children under Stab(R) (the elements of Aut_tau
+    that keep R), so the smallest mask of each Stab(R)-orbit of R's 2^p
+    children is a representative, of class size k times the orbit's.
+    Stab(child) is the part of Stab(R) that fixes the child's mask. The
+    representatives, sizes and order are those of grouping the whole
+    enumeration and listing each class by its first member
+    (``tests/oracles.py``). The cap is checked on each round's |Frat| =
+    sum of k * 2^p before its children are built, with
+    ``enumerate_pattern_extensions``'s refusal.
+    """
+    if t < 1:
+        raise ValueError("extension depth must be >= 1")
+    members = enumerate_pattern_extensions(h, 1, cap)
+    tournament = fiber_tournament(h, t, colors)
+    edges = h.edge_list()
+    index = {e: j for j, e in enumerate(edges)}
+    masks = [sum(1 << index[b, a] for a, b, _ in m.arcs if a > b)
+             for m in members]
+    if t == 1:
+        roots = orbit_roots(masks, [_flips(edges, s)
+                                    for s in tournament.generators], _image)
+        sizes: dict[int, int] = {}
+        for r in roots:
+            sizes[r] = sizes.get(r, 0) + 1
+        return FratOrbits([members[r] for r in sizes], list(sizes.values()),
+                          len(members))
+    group = _group_elements(tournament.generators, h.n)
+    assert len(group) == tournament.size
+    level = [(members[j].arcs, k, fix)  # (arcs, class size, stabilizer)
+             for j, k, fix in _first_of_orbits(masks, group, edges)]
+    for i in range(2, t + 1):
+        pairs_of = [_round_pairs(arcs, i) for arcs, _, _ in level]
+        n_members = sum(k << len(pairs)
+                        for (_, k, _), pairs in zip(level, pairs_of))
+        if n_members > cap:
+            raise ExtensionBlowupError(
+                f"|Frat(H,{i})| exceeds cap {cap}; "
+                f"raise the cap or lower the depth")
+        level = [(_child(arcs, pairs, bits, i), k * m, fix)
+                 for (arcs, k, stab), pairs in zip(level, pairs_of)
+                 for bits, m, fix in _first_of_orbits(range(1 << len(pairs)),
+                                                      stab, pairs)]
+    return FratOrbits([PatternExtension(h.n, t, arcs) for arcs, _, _ in level],
+                      [k for _, k, _ in level], n_members)
 
 
 def _first_layer(n: int, arcs: np.ndarray) -> FraternalExtension:

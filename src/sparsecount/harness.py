@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from .counting import (BRUTE_FORCE_HOM_CAP, NoWidth1Decomposition,
                        _component_depth, _component_patterns,
                        _count_component, brute_force_hom,
-                       count_homomorphisms, count_subgraphs, frat_classes)
+                       count_homomorphisms, count_subgraphs)
 from .degeneracy import degeneracy_order
-from .fraternal import ExtensionBlowupError, enumerate_pattern_extensions
+from .fraternal import (ExtensionBlowupError, enumerate_pattern_extensions,
+                        frat_orbits)
 from .graph_core import (GraphFormatError, UndirectedGraph, edge_list_text,
                          load_edge_list, save_edge_list)
 from .hub_decomp import (find_width1_decomposition, hubset,
@@ -281,8 +282,8 @@ def _cmd_analyze(args) -> int:
             d = _component_depth(core, args.t)
             frat = enumerate_pattern_extensions(core, d)
             part.update(core_n=core.n, t=d, n_extensions=len(frat),
-                        n_classes=len(frat_classes(frat, core, d,
-                                                   forest.colors)),
+                        n_classes=len(frat_orbits(core, d,
+                                                  forest.colors).reps),
                         counted_by="dp")
             members += [(i, ext) for ext in frat]
         components.append(part)

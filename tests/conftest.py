@@ -15,17 +15,36 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import numpy as np
 
 from sparsecount import (DirWLGraph, FraternalExtension, HubTree,
                          UndirectedGraph, count_hom_extension, extension_edges,
-                         fastdp, hubset, optimal_extension)
+                         fastdp, hubset, load_edge_list, optimal_extension)
 from sparsecount.fraternal import _first_layer, _peeled_extension, _with_layer
 from sparsecount.pattern_tools import fiber_tournament
 
 from oracles import LabeledGraph, pattern_product, validate_decomposition
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_host(name: str, tmp_path) -> tuple[UndirectedGraph, int]:
+    """The benchmark's seed-1 host of ``name``, written and loaded as
+    its samples load it, and its expected count."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    inst = WORKLOADS[name].build(1, False)
+    path = tmp_path / f"{name}.el"
+    path.write_text("".join(f"{u} {v}\n" for u, v in inst.edges))
+    return load_edge_list(path), inst.expected
 
 
 # ---------------------------------------------------------------------------

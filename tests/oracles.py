@@ -15,12 +15,15 @@ vertices without building the product (``fastdp.signature_index``).
 ``member_graph`` builds a Frat(H, t) member's ``DirWLGraph``, which no
 count reads, and ``load_edge_list_reference`` is the per-line edge-list
 loader that the vectorized ``load_edge_list`` must match.
-``spasm_reference``, ``frat_classes_reference`` and
+``spasm_reference``, ``frat_classes`` (read through
+``frat_orbits_reference``), ``frat_classes_reference`` and
 ``build_plan_reference`` are the pattern-side bodies the package
-replaced: the spasm merged by ``canonical_form``, the Frat classes keyed
-by sorted relabeled arc triples, and the bag plan, as per-slot checks
-and lookups beside per-step expansions, with its own BFS and a rescan
-of ``order`` per slot. ``canonical_form`` (the minimum adjacency
+replaced: the spasm merged by ``canonical_form``, the Frat classes
+grouped from the whole member list (keyed by arc-id bitmasks, and by
+sorted relabeled arc triples), which ``fraternal.frat_orbits`` now
+generates without listing the members, and the bag plan, as per-slot
+checks and lookups beside per-step expansions, with its own BFS and a
+rescan of ``order`` per slot. ``canonical_form`` (the minimum adjacency
 code over all relabelings) left the package, since no count read it.
 ``automorphism_chain_reference``, ``isomorphic_reference``,
 ``brute_force_hom_reference`` and ``brute_force_sub_reference`` are the
@@ -51,6 +54,8 @@ from sparsecount import (DirWLGraph, GraphFormatError, HubTree,
                          automorphism_count, connected_components, fastdp,
                          fiber_tournament)
 from sparsecount.counting import BRUTE_FORCE_HOM_CAP
+from sparsecount.fraternal import (DEFAULT_FRAT_CAP, FratOrbits,
+                                   enumerate_pattern_extensions)
 from sparsecount.graph_core import bfs_out_tree, succ_lists
 from sparsecount.hub_decomp import hubset, reach
 from sparsecount.pattern_tools import _independent_partitions, orbit_roots
@@ -484,12 +489,55 @@ def spasm_reference(h: UndirectedGraph) -> tuple[SpasmEntry, ...]:
     return tuple(entries)
 
 
+def frat_classes(members: list[PatternExtension], h: UndirectedGraph,
+                 depth: int, colors: tuple | None = None
+                 ) -> list[list[int]]:
+    """Member indices of Frat(h, depth) grouped into Aut_tau orbits, the
+    reference of ``fraternal.frat_orbits``: each class's first member is
+    its representative, its length the orbit size, and classes are
+    ordered by their first member in enumeration order.
+
+    Each distinct member arc gets an id, a member is keyed by the
+    bitmask of its arc ids, and each generator of ``fiber_tournament(h,
+    depth, colors)`` becomes a table of the bit of each arc's image (an
+    arc it maps off every member gets a bit of its own), so relabeling a
+    member is a table lookup per arc; one union-find joins every member
+    with its images.
+    """
+    ids: dict[tuple, int] = {}
+    keyed = [[ids.setdefault(arc, len(ids)) for arc in m.arcs]
+             for m in members]
+    bit = [1 << i for i in range(len(ids) + 1)]
+    codes = [sum(map(bit.__getitem__, k)) for k in keyed]
+    arcs_of = dict(zip(codes, keyed))
+    # per generator, the bit of each arc's image
+    images = [[bit[ids.get((s[a], s[b], w), len(ids))] for a, b, w in ids]
+              for s in fiber_tournament(h, depth, colors).generators]
+    roots = orbit_roots(codes, images, lambda image, code: sum(
+        map(image.__getitem__, arcs_of[code])))
+    classes: dict[int, list[int]] = {}
+    for i, r in enumerate(roots):
+        classes.setdefault(r, []).append(i)
+    return list(classes.values())
+
+
+def frat_orbits_reference(h: UndirectedGraph, t: int,
+                          colors: tuple | None = None,
+                          cap: int = DEFAULT_FRAT_CAP) -> FratOrbits:
+    """``fraternal.frat_orbits`` from the whole member list: each class
+    of ``frat_classes`` as its first member and its length."""
+    members = enumerate_pattern_extensions(h, t, cap)
+    classes = frat_classes(members, h, t, colors)
+    return FratOrbits([members[c[0]] for c in classes],
+                      [len(c) for c in classes], len(members))
+
+
 def frat_classes_reference(members: list[PatternExtension],
                            h: UndirectedGraph, depth: int,
                            colors: tuple | None = None) -> list[list[int]]:
-    """``counting.frat_classes`` with members keyed by their sorted
-    relabeled arc triples, the reference its arc-id keys are checked
-    against: the same classes in the same order."""
+    """``frat_classes`` with members keyed by their sorted relabeled arc
+    triples, the reference its arc-id keys are checked against: the
+    same classes in the same order."""
     roots = orbit_roots([m.arcs for m in members],
                         fiber_tournament(h, depth, colors).generators,
                         lambda s, arcs: tuple(sorted((s[a], s[b], w)

@@ -12,7 +12,6 @@ from sparsecount import (DirWLGraph, HubTree, NoWidth1Decomposition,
                          find_width1_decomposition, max_outdegree,
                          optimal_extension)
 from sparsecount import counting, fastdp
-from sparsecount.counting import frat_classes
 from sparsecount.harness import generate_bounded_degeneracy, run_count_hom
 
 from conftest import (complete_graph, connected_patterns_up_to, count_on_lift,
@@ -22,7 +21,8 @@ from conftest import (complete_graph, connected_patterns_up_to, count_on_lift,
                       star_graph, weight_host, with_fiber_labels)
 import oracles
 from oracles import (HomMap, LabeledGraph, bressan_count, brute_force_hom_wl,
-                     enumerate_root_homs, member_graph, validate_decomposition)
+                     enumerate_root_homs, frat_classes, member_graph,
+                     validate_decomposition)
 
 
 def test_hommap_encoding():

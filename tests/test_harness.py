@@ -308,12 +308,12 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_frat_blowup_is_an_input_error(tmp_path, capsys, monkeypatch):
-    from sparsecount import ExtensionBlowupError, counting, harness
+    from sparsecount import ExtensionBlowupError, fraternal, harness
 
     def blowup(h, t, *args, **kwargs):
         raise ExtensionBlowupError(f"|Frat(H,{t})| exceeds cap 1")
 
-    monkeypatch.setattr(counting, "enumerate_pattern_extensions", blowup)
+    monkeypatch.setattr(fraternal, "enumerate_pattern_extensions", blowup)
     monkeypatch.setattr(harness, "enumerate_pattern_extensions", blowup)
     host = _write(tmp_path, "host.el", random_graph(8, 0.4, random.Random(5)))
     c5 = _write(tmp_path, "c5.el", cycle_graph(5))

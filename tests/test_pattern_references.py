@@ -1,7 +1,8 @@
 """The pattern side of a count against the bodies it replaced.
 
 ``spasm`` merges quotients by refined colours and a first-found
-isomorphism search, ``frat_classes`` keys members by arc-id bitmasks and
+isomorphism search, ``oracles.frat_classes`` (the reference of
+``fraternal.frat_orbits``) keys members by arc-id bitmasks and
 ``fastdp._build_plan`` compiles a bag into one program of ops over the
 columns of the hub's cached BFS tree; the references in
 ``tests/oracles.py`` are the canonical-form spasm, the sorted-triple
@@ -26,12 +27,11 @@ from sparsecount import (GraphFormatError, UndirectedGraph,
                          enumerate_pattern_extensions, fastdp,
                          find_width1_decomposition, pattern_tools, reach,
                          spasm)
-from sparsecount.counting import frat_classes
 from sparsecount.pattern_tools import fiber_tournament, pendant_forest
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       disjoint_union, path_graph)
-from oracles import (build_plan_reference, canonical_form,
+from oracles import (build_plan_reference, canonical_form, frat_classes,
                      frat_classes_reference, spasm_reference)
 
 BOWTIE = UndirectedGraph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4),

@@ -12,13 +12,12 @@ from dataclasses import fields
 from sparsecount import (count_homomorphisms, count_subgraphs,
                          enumerate_pattern_extensions, fastdp,
                          find_width1_decomposition, optimal_extension)
-from sparsecount.counting import frat_classes
 from sparsecount.hub_decomp import reach
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       lifted_extension, random_graph, self_labeled,
                       signature_host, with_fiber_labels)
-from oracles import bressan_count, member_graph
+from oracles import bressan_count, frat_classes, member_graph
 
 HOSTS = (complete_graph(4), random_graph(7, 0.5, random.Random(11)))
 

@@ -19,13 +19,14 @@ from sparsecount import (UndirectedGraph, brute_force_hom, brute_force_sub,
                          enumerate_pattern_extensions, fastdp,
                          save_edge_list)
 from sparsecount import counting
-from sparsecount.counting import fold_pendant_trees, frat_classes
+from sparsecount.counting import fold_pendant_trees
 from sparsecount.harness import generate_bounded_degeneracy, run_count_hom
 from sparsecount.pattern_tools import fiber_tournament, pendant_forest
 
 from conftest import (complete_graph, connected_patterns_up_to, cycle_graph,
                       cycle_hom_trace, disjoint_union, fold_hosts, path_graph,
                       star_graph)
+from oracles import frat_classes
 
 C4_TAIL = UndirectedGraph(5, cycle_graph(4).edge_list() + [(0, 4)])
 C5_TAIL3 = UndirectedGraph(8, cycle_graph(5).edge_list()

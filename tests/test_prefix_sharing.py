@@ -14,19 +14,16 @@ sharing saves expansions on a road; and that every cached array is
 read-only and no cached state holds more than ``ROW_BLOCK`` rows.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
 from sparsecount import (UndirectedGraph, brute_force_hom, count_homomorphisms,
-                         count_subgraphs, fastdp, load_edge_list)
+                         count_subgraphs, fastdp)
 from sparsecount.harness import generate_bounded_degeneracy
 
-from conftest import complete_graph, cycle_graph, cycle_hom_trace
+from conftest import (benchmark_host, complete_graph, cycle_graph,
+                      cycle_hom_trace)
 from oracles import bag_table_digests
 
-ROOT = Path(__file__).resolve().parents[1]
 C4_TAIL = UndirectedGraph(5, cycle_graph(4).edge_list() + [(0, 4)])
 
 
@@ -94,20 +91,6 @@ def test_tables_equal_with_sharing_on_and_off(case, setting, monkeypatch):
     assert shared[1] == plain[1]
 
 
-def _benchmark_host(name: str, tmp_path) -> tuple[UndirectedGraph, int]:
-    """The benchmark's seed-1 host of ``name``, written and loaded as
-    its samples load it, and its expected count."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        from workloads import WORKLOADS
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    inst = WORKLOADS[name].build(1, False)
-    path = tmp_path / f"{name}.el"
-    path.write_text("".join(f"{u} {v}\n" for u, v in inst.edges))
-    return load_edge_list(path), inst.expected
-
-
 @pytest.mark.parametrize("name, count", [
     ("hom-c5-degen", lambda g: count_homomorphisms(g, cycle_graph(5))),
     ("sub-c6-road", lambda g: count_subgraphs(g, cycle_graph(6))),
@@ -115,7 +98,7 @@ def _benchmark_host(name: str, tmp_path) -> tuple[UndirectedGraph, int]:
 def test_benchmark_tables_equal_with_sharing_on_and_off(name, count,
                                                         tmp_path,
                                                         monkeypatch):
-    g, want = _benchmark_host(name, tmp_path)
+    g, want = benchmark_host(name, tmp_path)
     shared = bag_table_digests(lambda: count(g))
     _sharing_off(monkeypatch)
     assert bag_table_digests(lambda: count(g)) == shared

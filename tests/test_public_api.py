@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MOVED = ("HomMap", "CountDict", "enumerate_root_homs", "bressan_count",
          "brute_force_hom_wl", "validate_fraternity",
          "validate_decomposition", "down_reach", "pattern_product",
-         "plain_labels", "canonical_form")
+         "plain_labels", "canonical_form", "frat_classes")
 
 
 def _readme_exports() -> list[str]:

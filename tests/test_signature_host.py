@@ -16,7 +16,6 @@ import pytest
 
 from sparsecount import (UndirectedGraph, brute_force_hom, count_hom_extension,
                          enumerate_pattern_extensions)
-from sparsecount.counting import frat_classes
 from sparsecount.harness import (generate_bounded_degeneracy,
                                  generate_subdivision)
 from sparsecount.pattern_tools import fiber_tournament
@@ -24,6 +23,7 @@ from sparsecount.pattern_tools import fiber_tournament
 from conftest import (complete_graph, connected_patterns_up_to, count_on_lift,
                       cycle_graph, cycle_hom_trace, lifted_extension,
                       random_graph, signature_host)
+from oracles import frat_classes
 
 
 def _grid(r: int, c: int) -> UndirectedGraph:

@@ -39,9 +39,12 @@ print(json.dumps({{"missing": missing,
 
 # Pattern-side counters summed over the three tiny instances. They depend
 # on the patterns alone, so a refactor that routes a count around a
-# wrapped function changes them. Sub(C6) enumerates the Frat of each
-# quotient's 2-core and runs 61 DPs; its tree quotients run none.
-PATTERN_COUNTS = {"fraternal.n_frat": 1466, "hub_decomp.calls": 213,
+# wrapped function changes them. A count lists only layer 1 of each
+# 2-core's Frat (``fraternal.frat_orbits`` generates the later rounds as
+# orbit representatives), so ``fraternal.n_frat`` sums the acyclic
+# orientations: 30 for C5, 254 for C8 and 150 over Sub(C6)'s quotient
+# cores. Sub(C6) runs 61 DPs; its tree quotients run none.
+PATTERN_COUNTS = {"fraternal.n_frat": 434, "hub_decomp.calls": 213,
                   "fastdp.calls": 213, "hub_decomp.bags": 454,
                   "counting.spasm_terms": 10}
 

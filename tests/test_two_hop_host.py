@@ -14,13 +14,13 @@ import numpy as np
 from sparsecount import (UndirectedGraph, brute_force_hom, count_hom_extension,
                          count_homomorphisms, enumerate_pattern_extensions,
                          fastdp, optimal_extension)
-from sparsecount.counting import (count_family, fold_pendant_trees,
-                                  frat_classes)
+from sparsecount.counting import count_family, fold_pendant_trees
 from sparsecount.harness import generate_bounded_degeneracy
 
 from conftest import (connected_patterns_up_to, count_on_lift, cycle_graph,
                       cycle_hom_trace, lifted_extension,
                       peeled_product_extension, signature_host)
+from oracles import frat_classes
 
 
 def _grid(r: int, c: int) -> UndirectedGraph:
